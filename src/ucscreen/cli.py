@@ -235,12 +235,37 @@ def _classify_screening_failure(full: UcInstance,
     raise exc
 
 
+def _drop_labels(full: UcInstance, config: SchemeConfig) -> tuple[RowLabel, ...]:
+    """The --drop-row labels, each checked to name a row of the full model."""
+    labels = []
+    for text in config.drop_rows:
+        try:
+            label = RowLabel.parse(text)
+        except ValueError:
+            raise InputError(f"--drop-row {text!r} is not a row label") from None
+        if label not in full.row_labels:
+            raise InputError(f"--drop-row {text!r} names no row of the model")
+        labels.append(label)
+    return tuple(labels)
+
+
+def _final_model(full: UcInstance, redundant, drop: tuple[RowLabel, ...],
+                 cuts: CutSet) -> UcInstance:
+    """The model solved against the full one: screened rows and --drop-row
+    rows deleted, and status fixes carried over (schemes s6/s7)."""
+    reduced = reduce_model(full, redundant).without_rows(drop)
+    if cuts.commitment_fixes:
+        reduced = apply_cuts(reduced, CutSet(commitment_fixes=cuts.commitment_fixes))
+    return reduced
+
+
 def run_scheme(config: SchemeConfig) -> RunReport:
     """Execute one scheme: screen, reduce, and verify/measure the gap."""
     t0 = time.perf_counter()
     case = _load_case(config.case_path)
     dataset = _load_dataset(config)
     full = build_uc(case, case.nominal_load)
+    drop = _drop_labels(full, config)
     cuts = build_cuts(case, config, dataset)
     screened = relax_binaries(apply_cuts(full, cuts))
     try:
@@ -253,13 +278,7 @@ def run_scheme(config: SchemeConfig) -> RunReport:
     except ScreeningInfeasibleError as exc:
         _classify_screening_failure(full, exc)
 
-    reduced = reduce_model(full, report.redundant)
-    for text in config.drop_rows:
-        reduced = reduced.without_rows([RowLabel.parse(text)])
-    if cuts.commitment_fixes:
-        # Status fixes carry into the final UC model (schemes s6/s7).
-        reduced = apply_cuts(reduced, CutSet(commitment_fixes=cuts.commitment_fixes))
-    gap = verify_zero_gap(full, reduced)
+    gap = verify_zero_gap(full, _final_model(full, report.redundant, drop, cuts))
     if gap.full_status != "optimal":
         raise InputError(
             f"case is {gap.full_status} at its nominal load; nothing to report")
@@ -325,6 +344,7 @@ def verify_case(config: SchemeConfig) -> list[dict]:
     case = _load_case(config.case_path)
     dataset = _load_dataset(config)
     full = build_uc(case, case.nominal_load)
+    drop = _drop_labels(full, config)
     cuts = build_cuts(case, config, dataset)
     screened = relax_binaries(apply_cuts(full, cuts))
     verdicts: list[dict] = []
@@ -361,12 +381,7 @@ def verify_case(config: SchemeConfig) -> list[dict]:
     if not record("ensemble_equivalence", failure):
         return verdicts
 
-    reduced = reduce_model(full, s3.redundant)
-    for text in config.drop_rows:
-        reduced = reduced.without_rows([RowLabel.parse(text)])
-    if cuts.commitment_fixes:
-        reduced = apply_cuts(reduced, CutSet(commitment_fixes=cuts.commitment_fixes))
-    gap = verify_zero_gap(full, reduced)
+    gap = verify_zero_gap(full, _final_model(full, s3.redundant, drop, cuts))
     failure = None
     if config.scheme in ("s1", "s2", "s3", "s4", "s5") and not gap.zero_gap:
         failure = (f"reduction changed the optimum: full={gap.full_cost} "

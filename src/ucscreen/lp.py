@@ -9,13 +9,23 @@ to Bland's rule after a stall, which guarantees termination on degenerate
 instances.  Everything is deterministic: identical input bytes produce
 identical output bytes, which the screening reports rely on.
 
+Phase 1 depends on the region only, never on the objective.  Screening
+solves many LPs over one region, or over that region less one row, so
+an `LpStart` runs phase 1 once per region and each LP given the start
+copies its feasible tableau and runs phase 2 alone.  Every such LP starts
+from the same basis, so results do not depend on the order or the thread
+the LPs run in.  Without a start, `solve_lp` runs both phases itself, as
+branch and bound and the brute-force oracles do.
+
 The MILP solver runs best-first branch and bound on LP relaxations,
 branching on the lowest-index fractional binary, down-branch first.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +163,14 @@ class MilpProblem:
 
 
 class _Tableau:
-    """Two-phase dense simplex working state."""
+    """Two-phase dense simplex working state for min c'z, A z <= b, z >= 0.
 
-    def __init__(self, c: np.ndarray, rows: np.ndarray, rhs: np.ndarray):
+    Columns are the ns structural columns, one slack per row (slack ns + i
+    belongs to row i), the artificials until phase 1 drops them, and the
+    right-hand side last.
+    """
+
+    def __init__(self, rows: np.ndarray, rhs: np.ndarray):
         m, ns = rows.shape
         sigma = np.where(rhs >= 0.0, 1.0, -1.0)
         art_rows = np.nonzero(sigma < 0)[0]
@@ -173,8 +188,15 @@ class _Tableau:
         self.ns = ns
         self.m = m
         self.na = na
-        self.c = c
         self.iterations = 0
+
+    def copy(self) -> "_Tableau":
+        """An independent copy with a fresh pivot count."""
+        out = copy.copy(self)
+        out.T = self.T.copy()
+        out.basis = self.basis.copy()
+        out.iterations = 0
+        return out
 
     def _zrow(self, cost: np.ndarray) -> np.ndarray:
         z = np.concatenate([cost, np.zeros(self.T.shape[1] - cost.size)])
@@ -194,9 +216,24 @@ class _Tableau:
         self.basis[row] = col
         self.iterations += 1
 
+    def _leaving_row(self, col: int, bland: bool = False) -> int | None:
+        """Ratio test for entering column `col`; None when no entry of the
+        column is positive, so nothing limits its increase."""
+        T = self.T
+        colvals = T[:, col]
+        pos = colvals > _RATIO_TOL
+        if not np.any(pos):
+            return None
+        ratios = np.full(self.m, np.inf)
+        ratios[pos] = T[pos, -1] / colvals[pos]
+        rmin = ratios.min()
+        ties = np.nonzero(ratios <= rmin + 1e-12)[0]
+        if bland and ties.size > 1:
+            return int(ties[np.argmin(self.basis[ties])])
+        return int(ties[0])
+
     def _iterate(self, zrow: np.ndarray, active: int) -> str:
         """Run pivots until optimal/unbounded over the first `active` columns."""
-        T = self.T
         stall = 0
         last_obj = -zrow[-1]
         bland = False
@@ -213,18 +250,9 @@ class _Tableau:
                 col = int(np.argmin(rc))
                 if rc[col] >= -_PIVOT_TOL:
                     return "optimal"
-            colvals = T[:, col]
-            pos = colvals > _RATIO_TOL
-            if not np.any(pos):
+            row = self._leaving_row(col, bland)
+            if row is None:
                 return "unbounded"
-            ratios = np.full(self.m, np.inf)
-            ratios[pos] = T[pos, -1] / colvals[pos]
-            rmin = ratios.min()
-            ties = np.nonzero(ratios <= rmin + 1e-12)[0]
-            if bland and ties.size > 1:
-                row = int(ties[np.argmin(self.basis[ties])])
-            else:
-                row = int(ties[0])
             self._pivot(zrow, row, col)
             obj = -zrow[-1]
             if obj < last_obj - 1e-12:
@@ -235,7 +263,8 @@ class _Tableau:
                 if stall >= _STALL_LIMIT:
                     bland = True
 
-    def solve(self) -> str:
+    def phase_one(self) -> bool:
+        """Reach a feasible basis; False when the region is empty."""
         ns, m, na = self.ns, self.m, self.na
         if na > 0:
             p1_cost = np.zeros(ns + m + na)
@@ -244,13 +273,44 @@ class _Tableau:
             status = self._iterate(zrow, ns + m)  # artificials never re-enter
             assert status == "optimal"  # phase-1 objective bounded below by 0
             if -zrow[-1] > FEASIBILITY_TOL:
-                return "infeasible"
+                return False
             self._drive_out_artificials()
-        zrow = self._zrow(np.concatenate([self.c, np.zeros(self.m_active_width())]))
+        return True
+
+    def phase_two(self, c: np.ndarray) -> str:
+        """Minimize c'z from the current feasible basis."""
+        zrow = self._zrow(np.concatenate([c, np.zeros(self.m_active_width())]))
         self._z = zrow
         # all non-rhs columns may enter (slack indices do not shift when
         # dependent rows are dropped, so ns + self.m would undercount)
         return self._iterate(zrow, self.T.shape[1] - 1)
+
+    def drop_row(self, i: int) -> bool:
+        """Delete input row i from a feasible tableau; it stays feasible.
+
+        Row i's slack must be basic: it is the only variable of its
+        tableau row, so that row and the slack's column drop out and the
+        other rows no longer involve row i.  A nonbasic slack enters first
+        by one ratio-test pivot.  That pivot finds no leaving row only when
+        the region is unbounded in the direction that loosens row i; then
+        nothing changes and the result is False.
+        """
+        col = self.ns + i
+        at = np.nonzero(self.basis == col)[0]
+        if at.size:
+            row = int(at[0])
+        else:
+            row = self._leaving_row(col)
+            if row is None:
+                return False
+            self._pivot(np.zeros(self.T.shape[1]), row, col)
+        keep_rows = np.arange(self.m) != row
+        keep_cols = np.arange(self.T.shape[1]) != col
+        self.T = self.T[np.ix_(keep_rows, keep_cols)]
+        self.basis = self.basis[keep_rows]
+        self.basis[self.basis > col] -= 1
+        self.m -= 1
+        return True
 
     def m_active_width(self) -> int:
         return self.T.shape[1] - self.ns - 1
@@ -286,9 +346,14 @@ class _Tableau:
         return x, self._z
 
 
-def _standardize(c, rows, rhs, lo, hi):
-    """Rewrite to min c'z, A'z <= b', z >= 0; return recovery metadata."""
-    n = c.size
+def _standard_rows(rows, rhs, lo, hi):
+    """Rewrite rows @ y <= rhs, lo <= y <= hi as A z <= b, z >= 0.
+
+    Returns A, b and the recovery data: y = base plus, over the columns
+    (sign, j) of `cols`, +z or -z added to y[j].  Rows keep their order;
+    finite upper bounds of shifted variables become extra rows after them.
+    """
+    n = rows.shape[1]
     fixed = lo == hi
     free = np.isinf(lo) & np.isinf(hi)
     mirrored = np.isinf(lo) & ~np.isinf(hi) & ~fixed
@@ -307,15 +372,12 @@ def _standardize(c, rows, rhs, lo, hi):
             cols.append(("-", j))
     ns = len(cols)
     A = np.zeros((rows.shape[0], ns))
-    cstd = np.zeros(ns)
     base = np.where(fixed | shifted, np.where(np.isfinite(lo), lo, 0.0), 0.0)
     base = np.where(mirrored, hi, base)
     for k, (sign, j) in enumerate(cols):
         s = 1.0 if sign == "+" else -1.0
         A[:, k] = s * rows[:, j]
-        cstd[k] = s * c[j]
     b = rhs - rows @ base
-    const = float(c @ base)
 
     # Finite upper bounds of shifted variables become extra rows.
     ub_rows = []
@@ -329,11 +391,101 @@ def _standardize(c, rows, rhs, lo, hi):
     if ub_rows:
         A = np.vstack([A, np.array(ub_rows)])
         b = np.concatenate([b, np.array(ub_vals)])
-    return A, b, cstd, const, cols, base
+    return A, b, cols, base
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an LP; exact status classification, deterministic output."""
+def _standard_cost(c: np.ndarray, cols) -> np.ndarray:
+    """The objective over the standard-form columns of `_standard_rows`."""
+    return np.array([c[j] if sign == "+" else -c[j] for sign, j in cols],
+                    dtype=float)
+
+
+class _PhaseOne:
+    """Phase 1 of one region: run at most once, by the first caller."""
+
+    def __init__(self, region: LpProblem):
+        self.region = region
+        self.lock = threading.Lock()
+        self.ran = False
+        self.empty = False  # phase 1 proved the region empty
+        self.tableau: _Tableau | None = None  # feasible basis, when found
+        self.cols = self.base = None
+
+    def run(self) -> int:
+        """Run phase 1 unless a caller already has; the pivots it made."""
+        with self.lock:
+            if self.ran:
+                return 0
+            self.ran = True
+            r = self.region
+            A, b, self.cols, self.base = _standard_rows(
+                r.rows, r.rhs, r.bounds[:, 0], r.bounds[:, 1])
+            if A.shape[1] == 0:
+                return 0  # every variable fixed: solve_lp checks directly
+            tab = _Tableau(A, b)
+            if tab.phase_one():
+                self.tableau = tab
+            else:
+                self.empty = True
+            return tab.iterations
+
+
+class LpStart:
+    """A feasible basis of one region, found by a single phase 1.
+
+    The region is the rows, right-hand side and bounds of `region`; its
+    objective and sense play no part.  `solve_lp(problem, start)` takes a
+    problem over exactly that region, with any objective, and the start
+    from `without_row(i)` takes the region less its row i.  Phase 1 runs
+    inside the first solve_lp call that needs it, which counts its pivots
+    among its own, and is shared read-only by every start made from this
+    one, across threads.
+    """
+
+    def __init__(self, region: LpProblem):
+        self.region = region
+        self.skip: int | None = None  # region row absent from the problem
+        self._phase_one = _PhaseOne(region)
+
+    def without_row(self, i: int) -> "LpStart":
+        """This start for the region without its row i."""
+        if self.skip is not None or not 0 <= i < self.region.n_rows:
+            raise LpUsageError(f"cannot drop row {i} from this start")
+        out = copy.copy(self)  # shares the phase-1 state
+        out.skip = i
+        return out
+
+    def _check(self, problem: LpProblem) -> None:
+        r = self.region
+        rows, rhs = r.rows, r.rhs
+        if self.skip is not None:
+            keep = np.arange(r.n_rows) != self.skip
+            rows, rhs = rows[keep], rhs[keep]
+        if not (np.array_equal(problem.rows, rows)
+                and np.array_equal(problem.rhs, rhs)
+                and np.array_equal(problem.bounds, r.bounds)):
+            raise LpUsageError("LP start was built for a different region")
+
+    def _tableau(self) -> _Tableau | None:
+        """A private feasible tableau for this start's problem; None where
+        the shared basis cannot give one and the LP must be solved cold."""
+        shared = self._phase_one.tableau
+        if shared is None:
+            return None
+        tab = shared.copy()
+        if self.skip is not None and not tab.drop_row(self.skip):
+            return None
+        return tab
+
+
+def solve_lp(problem: LpProblem, start: LpStart | None = None) -> LpSolution:
+    """Solve an LP; exact status classification, deterministic output.
+
+    With a start over the problem's region, the LP runs phase 2 from the
+    start's shared basis.  It solves cold where that basis cannot serve:
+    the region is empty but the dropped row may be the cause, or the
+    region is unbounded in the direction that loosens the dropped row.
+    """
     n = problem.n_vars
     m = problem.n_rows
     lo = problem.bounds[:, 0].copy()
@@ -343,23 +495,35 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if flip:
         c = -c
 
-    A, b, cstd, const, cols, base = _standardize(c, problem.rows, problem.rhs, lo, hi)
+    pivots = 0  # phase-1 pivots of the start, when this call ran them
+    tab = None
+    if start is not None:
+        start._check(problem)
+        pivots = start._phase_one.run()
+        if start._phase_one.empty and start.skip is None:
+            return LpSolution("infeasible", None, None, iterations=pivots)
+        tab = start._tableau()
+        if tab is not None:
+            cols, base = start._phase_one.cols, start._phase_one.base
+    if tab is None:
+        A, b, cols, base = _standard_rows(problem.rows, problem.rhs, lo, hi)
+        if A.shape[1] == 0:
+            # All variables fixed: feasibility is a direct check.
+            if np.any(b < -FEASIBILITY_TOL):
+                return LpSolution("infeasible", None, None, iterations=pivots)
+            point = base.copy()
+            obj = float(problem.objective @ point)
+            return LpSolution("optimal", obj, point, row_duals=np.zeros(m),
+                              dual_bound=obj, iterations=pivots)
+        tab = _Tableau(A, b)
+        if not tab.phase_one():
+            return LpSolution("infeasible", None, None,
+                              iterations=pivots + tab.iterations)
 
-    if A.shape[1] == 0:
-        # All variables fixed: feasibility is a direct check.
-        if np.any(b < -FEASIBILITY_TOL):
-            return LpSolution("infeasible", None, None)
-        point = base.copy()
-        obj = float(problem.objective @ point)
-        return LpSolution("optimal", obj, point,
-                          row_duals=np.zeros(m), dual_bound=obj)
-
-    tab = _Tableau(cstd, A, b)
-    status = tab.solve()
-    if status == "infeasible":
-        return LpSolution("infeasible", None, None, iterations=tab.iterations)
+    status = tab.phase_two(_standard_cost(c, cols))
+    iterations = pivots + tab.iterations
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, iterations=tab.iterations)
+        return LpSolution("unbounded", None, None, iterations=iterations)
 
     xstd, zrow = tab.extract()
     point = base.copy()
@@ -392,7 +556,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         point,
         row_duals=duals,
         dual_bound=dual_bound,
-        iterations=tab.iterations,
+        iterations=iterations,
     )
 
 

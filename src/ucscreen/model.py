@@ -10,12 +10,14 @@ Only the line-limit rows are ever screening candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from ucscreen.case import GridCase, PtdfMatrix, compute_ptdf
 from ucscreen.lp import (
     LpProblem,
+    LpStart,
     LpUsageError,
     MilpProblem,
     solve_lp,
@@ -102,8 +104,10 @@ class UcInstance:
     def __post_init__(self):
         if len(self.row_labels) != self.rows.shape[0]:
             raise LpUsageError("one label per row required")
-        if len(set(self.row_labels)) != len(self.row_labels):
+        row_of = {lb: i for i, lb in enumerate(self.row_labels)}
+        if len(row_of) != len(self.row_labels):
             raise LpUsageError("row labels must be unique")
+        object.__setattr__(self, "_row_of", row_of)
         self.rows.flags.writeable = False
         self.rhs.flags.writeable = False
         self.cost.flags.writeable = False
@@ -136,8 +140,8 @@ class UcInstance:
 
     def row_index(self, label: RowLabel) -> int:
         try:
-            return self.row_labels.index(label)
-        except ValueError:
+            return self._row_of[label]
+        except KeyError:
             raise LpUsageError(f"no row labeled {label}") from None
 
     def row(self, label: RowLabel) -> tuple[np.ndarray, float]:
@@ -153,6 +157,12 @@ class UcInstance:
             keep = np.arange(rows.shape[0]) != i
             rows, rhs = rows[keep], rhs[keep]
         return LpProblem(objective, rows, rhs, sense=sense)
+
+    @cached_property
+    def lp_start(self) -> LpStart:
+        """One phase 1 shared by every LP over these rows; LPs that exclude
+        a row take `lp_start.without_row(row_index(label))`."""
+        return LpStart(self.lp(np.zeros(self.n_cols)))
 
     def without_rows(self, labels) -> "UcInstance":
         labels = set(labels)

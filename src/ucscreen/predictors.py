@@ -21,7 +21,8 @@ from ucscreen.model import UcInfeasibleError, build_uc, solve_uc
 
 
 class DatasetError(RuntimeError):
-    """Dataset generation gave up (too many infeasible samples)."""
+    """Dataset generation gave up (too many infeasible samples), or a
+    dataset file is malformed."""
 
 
 @dataclass(eq=False)
@@ -216,7 +217,14 @@ def read_dataset_csv(path, *, train_fraction: float = 0.8) -> Dataset:
             raise DatasetError(f"{path}: unexpected CSV header {header!r}")
         loads, costs, commitments = [], [], []
         for row in reader:
-            vals = [float(v) for v in row]
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"{where}: {len(row)} cells, header has {len(header)}")
+            try:
+                vals = [float(v) for v in row]
+            except ValueError as exc:
+                raise DatasetError(f"{where}: {exc}") from None
             loads.append(vals[:n_load])
             costs.append(vals[n_load])
             commitments.append([int(v) for v in vals[n_load + 1:]])

@@ -71,13 +71,13 @@ class ScreeningReport:
             raise AssertionError("redundant/kept do not partition the candidates")
 
 
-def _solve_many(problems, jobs: int):
-    """Solve LPs, optionally on a thread pool; result order is by input
-    position, so reports do not depend on the schedule."""
+def _solve_many(problems, starts, jobs: int):
+    """Solve LPs from their starts, optionally on a thread pool; result
+    order is by input position, so reports do not depend on the schedule."""
     if jobs <= 1 or len(problems) <= 1:
-        return [solve_lp(p) for p in problems]
+        return [solve_lp(p, s) for p, s in zip(problems, starts)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(solve_lp, problems))
+        return list(pool.map(solve_lp, problems, starts))
 
 
 def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
@@ -86,6 +86,7 @@ def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
     Dispatch and status columns each cost two LPs (max and min); load
     columns take their bounds from the load box without solving, and
     status columns pinned by a commitment fix are read off the cut.
+    Every bound LP runs phase 2 only, from the instance's shared start.
     """
     if inst.binary_indices:
         raise LpUsageError("variable bounds expect a binary-relaxed instance")
@@ -115,7 +116,7 @@ def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
         obj[p] = 1.0
         problems.append(inst.lp(obj, sense="max"))
         problems.append(inst.lp(obj, sense="min"))
-    solutions = _solve_many(problems, jobs)
+    solutions = _solve_many(problems, [inst.lp_start] * len(problems), jobs)
     for k, p in enumerate(lp_cols):
         for off, side in ((0, "max"), (1, "min")):
             sol = solutions[2 * k + off]
@@ -179,18 +180,22 @@ def vgs_screen(inst: UcInstance, box: BoundsBox,
 def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None,
                 jobs: int = 1) -> ScreeningReport:
     """Line-flow-guided pass: per candidate, maximize the row with the row
-    itself excluded and compare against its bound with the strict margin."""
+    itself excluded and compare against its bound with the strict margin.
+
+    Each LP starts from the instance's shared start less the candidate's
+    row, so the pass shares one phase 1 with the bound LPs."""
     if candidates is None:
         candidates = inst.candidates
     for lb in candidates:
         if not lb.is_line:
             raise LpUsageError(f"screening candidate {lb} is not a line row")
     t0 = time.perf_counter()
-    problems = []
+    problems, starts = [], []
     for lb in candidates:
         coeffs, _ = inst.row(lb)
         problems.append(inst.lp(coeffs, sense="max", skip_label=lb))
-    solutions = _solve_many(problems, jobs)
+        starts.append(inst.lp_start.without_row(inst.row_index(lb)))
+    solutions = _solve_many(problems, starts, jobs)
     redundant, kept, diagnostics = [], [], []
     for lb, sol in zip(candidates, solutions):
         _, bound = inst.row(lb)
@@ -248,7 +253,8 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
         omega = part.omega
         vgs_redundant = part.redundant
 
-    undecided = tuple(lb for lb in candidates if lb not in set(vgs_redundant))
+    vgs_set = set(vgs_redundant)
+    undecided = tuple(lb for lb in candidates if lb not in vgs_set)
     lfgs_redundant: tuple[RowLabel, ...] = ()
     if use_lfgs and undecided:
         part = lfgs_screen(inst, undecided, jobs=jobs)

@@ -14,7 +14,12 @@ from ucscreen.cli import (
     SchemeConfig,
     main,
 )
-from ucscreen.predictors import Dataset, write_dataset_csv
+from ucscreen.predictors import (
+    Dataset,
+    DatasetError,
+    read_dataset_csv,
+    write_dataset_csv,
+)
 
 
 def case_path(name: str) -> str:
@@ -236,3 +241,30 @@ def test_timings_flag_breaks_no_other_fields(tmp_path):
     doc = read(out)
     assert isinstance(doc["timings"], dict)
     assert "total" in doc["timings"]
+
+
+@pytest.mark.parametrize("label", ["line_upper(x)", "no_such_row(3)"])
+def test_bad_drop_row_label_is_input_error(label, capsys):
+    code = run_cli("run", "--case", case_path("five_bus"), "--scheme", "s3",
+                   "--drop-row", label)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and label in err[0]
+
+
+def test_non_numeric_dataset_cell_is_input_error(tmp_path, capsys):
+    ds_path = tmp_path / "five.csv"
+    assert run_cli("gen-data", "--case", case_path("five_bus"),
+                   "--beta", "0.1", "--n", "4", "--seed", "1",
+                   "--out", str(ds_path)) == EXIT_OK
+    lines = ds_path.read_text().splitlines()
+    lines[2] = "abc" + lines[2][lines[2].index(","):]
+    ds_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=r"five\.csv, line 3"):
+        read_dataset_csv(ds_path)
+    capsys.readouterr()
+    code = run_cli("run", "--case", case_path("five_bus"), "--scheme", "s6",
+                   "--dataset", str(ds_path))
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "line 3" in err[0]

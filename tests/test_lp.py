@@ -1,5 +1,8 @@
 """LP and MILP solver tests, cross-checked against scipy and brute force."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -7,6 +10,7 @@ from scipy.optimize import linprog
 from conftest import brute_force_milp, enumerate_polygon_vertices
 from ucscreen.lp import (
     LpProblem,
+    LpStart,
     LpUsageError,
     MilpProblem,
     NodeLimitExceeded,
@@ -232,3 +236,97 @@ def test_milp_guards():
     lp2 = LpProblem([0.0], np.zeros((0, 1)), [], bounds=[(0.0, 2.0)])
     with pytest.raises(LpUsageError):
         MilpProblem(lp2, (0,))
+
+
+# --- shared phase-1 starts ---
+
+# A box 1 <= y1 <= 3, 0.5 <= y2 <= 2 with a diagonal cut, where each
+# lower bound and the cut appear twice, so the region stays bounded
+# whichever single row is dropped.
+BOX_ROWS = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0],
+                     [0.0, -1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+BOX_RHS = np.array([-1.0, 0.0, 3.0, -0.5, 0.0, 2.0, 4.0, 5.0])
+OBJECTIVES = ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+              [1.0, 1.0], [1.0, -1.0], [-2.0, 1.0])
+
+
+def _assert_same(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-9
+        assert abs(warm.dual_bound - cold.dual_bound) <= 1e-9
+
+
+def test_warm_start_matches_cold_for_full_and_dropped_rows():
+    start = LpStart(LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS))
+    for c in OBJECTIVES:
+        for sense in ("min", "max"):
+            problem = LpProblem(c, BOX_ROWS, BOX_RHS, sense=sense)
+            _assert_same(solve_lp(problem, start), solve_lp(problem))
+    # Row i is tight at the shared basis when its slack is nonbasic.
+    phase_one = start._phase_one.tableau
+    tight = [i for i in range(len(BOX_RHS))
+             if phase_one.ns + i not in phase_one.basis]
+    assert tight and len(tight) < len(BOX_RHS)  # both re-basing branches
+    for i in range(len(BOX_RHS)):
+        keep = np.arange(len(BOX_RHS)) != i
+        for c in OBJECTIVES:
+            for sense in ("min", "max"):
+                problem = LpProblem(c, BOX_ROWS[keep], BOX_RHS[keep], sense=sense)
+                warm = solve_lp(problem, start.without_row(i))
+                _assert_same(warm, solve_lp(problem))
+                assert np.all(problem.rows @ warm.point <= problem.rhs + 1e-9)
+
+
+def test_warm_start_drop_that_unbounds_the_region_solves_cold():
+    # y >= 1 and a vacuous row: no row limits y once y >= 1 is gone, so
+    # the slack of y >= 1 finds no leaving row and the LP solves cold.
+    rows, rhs = np.array([[-1.0], [0.0]]), np.array([-1.0, 1.0])
+    start = LpStart(LpProblem([0.0], rows, rhs))
+    for c in ([1.0], [-1.0]):
+        problem = LpProblem(c, rows[1:], rhs[1:])
+        assert solve_lp(problem, start.without_row(0)).status == "unbounded"
+        assert solve_lp(problem).status == "unbounded"
+
+
+def test_warm_start_on_empty_region():
+    rows, rhs = np.array([[1.0], [-1.0], [1.0]]), np.array([0.0, -1.0, 4.0])
+    start = LpStart(LpProblem([0.0], rows, rhs))
+    assert solve_lp(LpProblem([1.0], rows, rhs), start).status == "infeasible"
+    # Without y >= 1 the region is y <= 0: the shared verdict cannot hold.
+    problem = LpProblem([-1.0], rows[[0, 2]], rhs[[0, 2]])
+    warm = solve_lp(problem, start.without_row(1))
+    assert warm.status == "optimal" and warm.objective_value == 0.0
+
+
+def test_warm_start_rejects_another_region():
+    start = LpStart(LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS))
+    with pytest.raises(LpUsageError):
+        solve_lp(LpProblem([1.0, 0.0], BOX_ROWS, BOX_RHS + 1.0), start)
+    with pytest.raises(LpUsageError):
+        solve_lp(LpProblem([1.0, 0.0], BOX_ROWS[1:], BOX_RHS[1:]),
+                 start.without_row(2))
+    with pytest.raises(LpUsageError):
+        start.without_row(len(BOX_RHS))
+
+
+def test_warm_start_phase_one_runs_once_across_threads():
+    problems = [LpProblem(c, BOX_ROWS, BOX_RHS, sense=s)
+                for c in OBJECTIVES for s in ("min", "max")] * 6
+    region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
+    serial = [solve_lp(p, s) for p, s in
+              zip(problems, [LpStart(region)] * len(problems))]
+    start = LpStart(region)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(solve_lp, p, start) for p in problems]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    # A second phase 1 would add its pivots again.
+    assert (sum(s.iterations for s in threaded)
+            == sum(s.iterations for s in serial))
+    assert [s.objective_value for s in threaded] == [
+        s.objective_value for s in serial]

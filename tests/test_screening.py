@@ -9,7 +9,7 @@ import pytest
 from conftest import CORPUS, enumerate_polygon_vertices
 from ucscreen import oracle
 from ucscreen.case import case_to_json, parse_case
-from ucscreen.lp import LpUsageError
+from ucscreen.lp import LpUsageError, solve_lp
 from ucscreen.model import (
     CutSet,
     RowLabel,
@@ -314,3 +314,43 @@ def test_removing_binding_row_shifts_optimum(cases):
     full = solve_uc(inst)
     loose = solve_uc(dropped)
     assert loose.cost < full.cost - 1e-6
+
+
+# --- shared phase-1 start against cold solves ---
+
+
+def _region(case, scheme):
+    full = build_uc(case, case.nominal_load)
+    if scheme == "s4":
+        nominal = case.nominal_load
+        full = apply_cuts(full, CutSet(load_range=(0.9 * nominal, 1.1 * nominal)))
+    return relax_binaries(full)
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4"])
+@pytest.mark.parametrize("name", CORPUS + ("negcontrol",))
+def test_warm_screening_matches_cold_solves(cases, name, scheme):
+    inst = _region(cases[name], scheme)
+    box = variable_bounds(inst)
+    for p, origin in enumerate(box.provenance):
+        if origin != "lp_solved":
+            continue
+        obj = np.zeros(inst.n_cols)
+        obj[p] = 1.0
+        hi = solve_lp(inst.lp(obj, sense="max")).objective_value
+        lo = solve_lp(inst.lp(obj, sense="min")).objective_value
+        assert abs(box.upper[p] - hi) <= 1e-9
+        assert abs(box.lower[p] - lo) <= 1e-9
+    report = lfgs_screen(inst)
+    assert set(report.redundant) == {
+        lb for lb in inst.candidates if oracle.lp_redundancy(inst, lb)}
+
+
+def test_empty_region_raises_from_every_warm_pass(cases):
+    case = cases["five_bus"]
+    cut = CutSet(cost_bound=1.0)  # below any attainable cost
+    for screen in (variable_bounds, lfgs_screen,
+                   lambda inst: eovl(inst, use_vgs=False)):
+        inst = relax_binaries(apply_cuts(build_uc(case, case.nominal_load), cut))
+        with pytest.raises(ScreeningInfeasibleError):
+            screen(inst)
