@@ -1,8 +1,8 @@
 """Command-line front end: screening schemes S1-S7, dataset generation,
 and the self-verification suite.
 
-Exit codes: 0 success, 2 input error, 3 screening infeasibility,
-4 property violation.  Reports are canonical JSON: keys sorted, no
+Exit codes: 0 success, 2 input error (a solver giving up included),
+3 screening infeasibility, 4 property violation.  Reports are canonical JSON: keys sorted, no
 volatile content unless --timings is given, so identical runs (and runs
 with different --jobs) produce identical bytes.
 """
@@ -24,7 +24,7 @@ from ucscreen.case import (
     GridCase,
     parse_case_file,
 )
-from ucscreen.lp import LpUsageError
+from ucscreen.lp import LpUsageError, NodeLimitExceeded, SimplexError
 from ucscreen.model import (
     CutSet,
     RowLabel,
@@ -488,7 +488,8 @@ def main(argv=None) -> int:
             return EXIT_OK if passed else EXIT_PROPERTY
         raise InputError(f"unknown command {args.command!r}")
     except (InputError, CaseFormatError, CaseValidationError, LpUsageError,
-            DatasetError, UcInfeasibleError) as exc:
+            DatasetError, UcInfeasibleError, SimplexError,
+            NodeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ScreeningInfeasibleError as exc:

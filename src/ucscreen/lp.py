@@ -15,10 +15,16 @@ an `LpStart` runs phase 1 once per region and each LP given the start
 copies its feasible tableau and runs phase 2 alone.  Every such LP starts
 from the same basis, so results do not depend on the order or the thread
 the LPs run in.  Without a start, `solve_lp` runs both phases itself, as
-branch and bound and the brute-force oracles do.
+the brute-force oracles do.
 
 The MILP solver runs best-first branch and bound on LP relaxations,
 branching on the lowest-index fractional binary, down-branch first.
+A branch changes only bounds, so every node shares one standard form in
+which each binary's bounds are two rows, and a `NodeStart` solves each
+child from its parent's optimal tableau by dual simplex pivots; only the
+root solves cold.  The point and cost returned come from one more cold
+LP with every binary fixed at the incumbent's value, so they depend on
+the commitment chosen and not on the path the tree took to it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ _PIVOT_TOL = 1e-9
 _RATIO_TOL = 1e-10
 _STALL_LIMIT = 60
 _MAX_ITER = 100_000
+# Dual simplex pivots a node may take from its parent's basis before it
+# solves cold.  Children rarely need more than a few dozen; a run far past
+# that is cycling or creeping through degenerate pivots.
+_DUAL_PIVOT_LIMIT = 200
 
 
 class LpUsageError(ValueError):
@@ -167,10 +177,11 @@ class _Tableau:
 
     Columns are the ns structural columns, one slack per row (slack ns + i
     belongs to row i), the artificials until phase 1 drops them, and the
-    right-hand side last.
+    right-hand side last.  `cols` and `base` map z back to the problem's
+    variables (see `_standard_rows`).
     """
 
-    def __init__(self, rows: np.ndarray, rhs: np.ndarray):
+    def __init__(self, rows: np.ndarray, rhs: np.ndarray, cols, base):
         m, ns = rows.shape
         sigma = np.where(rhs >= 0.0, 1.0, -1.0)
         art_rows = np.nonzero(sigma < 0)[0]
@@ -185,6 +196,8 @@ class _Tableau:
         basis[art_rows] = ns + m + np.arange(na)
         self.T = T
         self.basis = basis
+        self.cols = cols
+        self.base = base
         self.ns = ns
         self.m = m
         self.na = na
@@ -199,8 +212,10 @@ class _Tableau:
         return out
 
     def _zrow(self, cost: np.ndarray) -> np.ndarray:
+        """Reduced costs, and minus the objective last, for `cost` over
+        the leading columns and zero over the rest."""
         z = np.concatenate([cost, np.zeros(self.T.shape[1] - cost.size)])
-        cb = cost[self.basis]
+        cb = z[self.basis]
         if np.any(cb != 0.0):
             z -= cb @ self.T
         return z
@@ -263,6 +278,31 @@ class _Tableau:
                 if stall >= _STALL_LIMIT:
                     bland = True
 
+    def dual_simplex(self, zrow: np.ndarray, limit: int) -> str:
+        """Pivot a dual-feasible basis to primal feasibility.
+
+        Each pivot leaves on the most negative basic value and enters by
+        the dual ratio test, which keeps every reduced cost >= 0.  Returns
+        "feasible", "infeasible" when a negative row has no negative entry
+        (no z >= 0 satisfies it), or "limit" when `limit` pivots did not
+        suffice.
+        """
+        T = self.T
+        pivots = 0
+        while True:
+            row = int(np.argmin(T[:, -1]))
+            if T[row, -1] >= -_PIVOT_TOL:
+                return "feasible"
+            entries = T[row, :-1]
+            cand = np.nonzero(entries < -_PIVOT_TOL)[0]
+            if cand.size == 0:
+                return "infeasible"
+            if pivots == limit:
+                return "limit"
+            ratios = np.maximum(zrow[cand], 0.0) / -entries[cand]
+            self._pivot(zrow, row, int(cand[np.argmin(ratios)]))
+            pivots += 1
+
     def phase_one(self) -> bool:
         """Reach a feasible basis; False when the region is empty."""
         ns, m, na = self.ns, self.m, self.na
@@ -279,7 +319,7 @@ class _Tableau:
 
     def phase_two(self, c: np.ndarray) -> str:
         """Minimize c'z from the current feasible basis."""
-        zrow = self._zrow(np.concatenate([c, np.zeros(self.m_active_width())]))
+        zrow = self._zrow(c)
         self._z = zrow
         # all non-rhs columns may enter (slack indices do not shift when
         # dependent rows are dropped, so ns + self.m would undercount)
@@ -409,7 +449,6 @@ class _PhaseOne:
         self.ran = False
         self.empty = False  # phase 1 proved the region empty
         self.tableau: _Tableau | None = None  # feasible basis, when found
-        self.cols = self.base = None
 
     def run(self) -> int:
         """Run phase 1 unless a caller already has; the pivots it made."""
@@ -418,11 +457,11 @@ class _PhaseOne:
                 return 0
             self.ran = True
             r = self.region
-            A, b, self.cols, self.base = _standard_rows(
+            A, b, cols, base = _standard_rows(
                 r.rows, r.rhs, r.bounds[:, 0], r.bounds[:, 1])
             if A.shape[1] == 0:
                 return 0  # every variable fixed: solve_lp checks directly
-            tab = _Tableau(A, b)
+            tab = _Tableau(A, b, cols, base)
             if tab.phase_one():
                 self.tableau = tab
             else:
@@ -466,25 +505,118 @@ class LpStart:
                 and np.array_equal(problem.bounds, r.bounds)):
             raise LpUsageError("LP start was built for a different region")
 
-    def _tableau(self) -> _Tableau | None:
-        """A private feasible tableau for this start's problem; None where
-        the shared basis cannot give one and the LP must be solved cold."""
+    def _warm(self, problem: LpProblem, c: np.ndarray):
+        """(pivots, tableau) for solve_lp: a private feasible tableau for
+        the problem, "infeasible", or None where the shared basis cannot
+        give one and the LP must be solved cold."""
+        self._check(problem)
+        pivots = self._phase_one.run()
+        if self._phase_one.empty and self.skip is None:
+            return pivots, "infeasible"
         shared = self._phase_one.tableau
         if shared is None:
-            return None
+            return pivots, None
         tab = shared.copy()
         if self.skip is not None and not tab.drop_row(self.skip):
-            return None
-        return tab
+            return pivots, None
+        return pivots, tab
 
 
-def solve_lp(problem: LpProblem, start: LpStart | None = None) -> LpSolution:
+class NodeStart:
+    """Start of one branch-and-bound node LP: the tree's standard form and
+    the optimal tableau of the node's parent.
+
+    Every node LP of `milp` shares its rows, right-hand side and the bounds
+    of its non-binary variables; only the binaries' bounds differ.  So the
+    whole tree has one standard form in which each binary that `milp` does
+    not fix keeps its column and gets an upper-bound row and a lower-bound
+    row, and a node's bounds change only those rows' right-hand sides.
+    The root solves cold.  A child applies the change to its parent's
+    optimal tableau, whose basis stays dual feasible, and runs dual simplex
+    pivots to primal feasibility; after _DUAL_PIVOT_LIMIT of them it solves
+    cold in the same form.  A start serves one solve_lp call, which keeps
+    the node's final tableau for the starts that `child()` makes; the two
+    children of a node share that tableau read-only.
+    """
+
+    def __init__(self, milp: MilpProblem):
+        region = milp.lp
+        lo, hi = region.bounds[:, 0], region.bounds[:, 1]
+        self.region = region
+        self.binary = np.zeros(region.n_vars, dtype=bool)
+        self.binary[list(milp.binary_indices)] = True
+        self.branch = np.nonzero(self.binary & (lo < hi))[0]
+        open_hi = hi.copy()
+        open_hi[self.branch] = np.inf  # bound rows are added below
+        A, b, self.cols, self.base = _standard_rows(
+            region.rows, region.rhs, lo, open_hi)
+        self.first_bound_row = A.shape[0]
+        unit = np.zeros((self.branch.size, A.shape[1]))
+        unit[np.arange(self.branch.size),
+             [self.cols.index(("+", j)) for j in self.branch]] = 1.0
+        self.A = np.vstack([A, unit, -unit])
+        self.b = b
+        self._parent = None  # (tableau, bound-row rhs) of the parent
+        self._solved = None  # the same for this node, once solved
+
+    def child(self) -> "NodeStart":
+        """A start for a child of this node, once solve_lp has solved it."""
+        out = copy.copy(self)  # shares the standard form
+        out._parent, out._solved = self._solved, None
+        return out
+
+    def _check(self, problem: LpProblem) -> None:
+        r = self.region
+        lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+        inside = (lo >= r.bounds[:, 0]) & (hi <= r.bounds[:, 1])
+        same = np.all(problem.bounds == r.bounds, axis=1)
+        if not (np.array_equal(problem.rows, r.rows)
+                and np.array_equal(problem.rhs, r.rhs)
+                and np.all(np.where(self.binary, inside, same))):
+            raise LpUsageError("node start was built for a different region")
+
+    def _warm(self, problem: LpProblem, c: np.ndarray):
+        """(pivots, tableau) for solve_lp, as `LpStart._warm`; a pivot
+        count outside the tableau's own is dual pivots given up on."""
+        self._check(problem)
+        if self.A.shape[1] == 0:
+            return 0, None  # every variable fixed: solve_lp checks directly
+        lo0 = self.region.bounds[self.branch, 0]
+        rhs = np.concatenate([problem.bounds[self.branch, 1] - lo0,
+                              lo0 - problem.bounds[self.branch, 0]])
+        pivots, tab = 0, None
+        if self._parent is not None:
+            parent, parent_rhs = self._parent
+            self._parent = None
+            tab = parent.copy()
+            delta = rhs - parent_rhs
+            moved = np.nonzero(delta)[0]
+            slack = tab.ns + self.first_bound_row + moved
+            tab.T[:, -1] += tab.T[:, slack] @ delta[moved]
+            verdict = tab.dual_simplex(
+                tab._zrow(_standard_cost(c, self.cols)), _DUAL_PIVOT_LIMIT)
+            if verdict == "infeasible":
+                return tab.iterations, "infeasible"
+            if verdict == "limit":
+                pivots, tab = tab.iterations, None
+        if tab is None:
+            tab = _Tableau(self.A, np.concatenate([self.b, rhs]),
+                           self.cols, self.base)
+            if not tab.phase_one():
+                return pivots + tab.iterations, "infeasible"
+        self._solved = (tab, rhs)  # phase 2 in solve_lp finishes it in place
+        return pivots, tab
+
+
+def solve_lp(problem: LpProblem,
+             start: LpStart | NodeStart | None = None) -> LpSolution:
     """Solve an LP; exact status classification, deterministic output.
 
-    With a start over the problem's region, the LP runs phase 2 from the
-    start's shared basis.  It solves cold where that basis cannot serve:
-    the region is empty but the dropped row may be the cause, or the
-    region is unbounded in the direction that loosens the dropped row.
+    With an `LpStart` over the problem's region, the LP runs phase 2 from
+    the start's shared basis.  It solves cold where that basis cannot
+    serve: the region is empty but the dropped row may be the cause, or
+    the region is unbounded in the direction that loosens the dropped row.
+    With a `NodeStart`, the LP is one node of a branch-and-bound tree.
     """
     n = problem.n_vars
     m = problem.n_rows
@@ -495,16 +627,12 @@ def solve_lp(problem: LpProblem, start: LpStart | None = None) -> LpSolution:
     if flip:
         c = -c
 
-    pivots = 0  # phase-1 pivots of the start, when this call ran them
+    pivots = 0  # the start's pivots outside the tableau it gives
     tab = None
     if start is not None:
-        start._check(problem)
-        pivots = start._phase_one.run()
-        if start._phase_one.empty and start.skip is None:
+        pivots, tab = start._warm(problem, c)
+        if tab == "infeasible":
             return LpSolution("infeasible", None, None, iterations=pivots)
-        tab = start._tableau()
-        if tab is not None:
-            cols, base = start._phase_one.cols, start._phase_one.base
     if tab is None:
         A, b, cols, base = _standard_rows(problem.rows, problem.rhs, lo, hi)
         if A.shape[1] == 0:
@@ -515,11 +643,12 @@ def solve_lp(problem: LpProblem, start: LpStart | None = None) -> LpSolution:
             obj = float(problem.objective @ point)
             return LpSolution("optimal", obj, point, row_duals=np.zeros(m),
                               dual_bound=obj, iterations=pivots)
-        tab = _Tableau(A, b)
+        tab = _Tableau(A, b, cols, base)
         if not tab.phase_one():
             return LpSolution("infeasible", None, None,
                               iterations=pivots + tab.iterations)
 
+    cols, base = tab.cols, tab.base
     status = tab.phase_two(_standard_cost(c, cols))
     iterations = pivots + tab.iterations
     if status == "unbounded":
@@ -569,7 +698,10 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     """Globally optimal best-first branch and bound over the binaries.
 
     Branching is deterministic: lowest fractional index first, down-branch
-    explored first among equal bounds.
+    explored first among equal bounds.  Each node LP runs through solve_lp
+    with a `NodeStart`.  The point and objective returned are those of a
+    cold LP with every binary fixed at the incumbent's value; `iterations`
+    counts the pivots of every LP solved, that one included.
     """
     nbin = len(problem.binary_indices)
     if nbin > 60:
@@ -587,13 +719,15 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     best_obj = np.inf
     best: LpSolution | None = None
     nodes = 0
+    pivots = 0
     seq = 0
-    heap: list[tuple[float, int, np.ndarray]] = []
-    heapq.heappush(heap, (-np.inf, seq, base.bounds.copy()))
+    heap: list[tuple[float, int, np.ndarray, NodeStart]] = []
+    heapq.heappush(heap, (-np.inf, seq, base.bounds.copy(),
+                          NodeStart(MilpProblem(base, problem.binary_indices))))
     seeded = False
 
     while heap:
-        est, _, bnds = heapq.heappop(heap)
+        est, _, bnds, node = heapq.heappop(heap)
         if est >= best_obj - OPTIMALITY_TOL * max(1.0, abs(best_obj)):
             continue
         if nodes >= node_limit:
@@ -603,11 +737,13 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
                 bound=min(est, best_obj),
             )
         nodes += 1
-        sol = solve_lp(_with_bounds(base, bnds))
+        sol = solve_lp(_with_bounds(base, bnds), node)
+        pivots += sol.iterations
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
-            return LpSolution("unbounded", None, None, nodes=nodes)
+            return LpSolution("unbounded", None, None, iterations=pivots,
+                              nodes=nodes)
         val = sol.objective_value
         if val >= best_obj - OPTIMALITY_TOL * max(1.0, abs(best_obj)):
             continue
@@ -623,7 +759,8 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
             for i in bidx:
                 v = 1.0 if sol.point[i] > INTEGRALITY_TOL else 0.0
                 hb[i] = (v, v)
-            hsol = solve_lp(_with_bounds(base, hb))
+            hsol = solve_lp(_with_bounds(base, hb), node.child())
+            pivots += hsol.iterations
             if hsol.status == "optimal" and fractional(hsol.point).size == 0:
                 if hsol.objective_value < best_obj:
                     best_obj = hsol.objective_value
@@ -633,10 +770,17 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
             child = bnds.copy()
             child[var] = (v, v)
             seq += 1
-            heapq.heappush(heap, (val, seq, child))
+            heapq.heappush(heap, (val, seq, child, node.child()))
 
     if best is None:
-        return LpSolution("infeasible", None, None, nodes=nodes)
-    obj = -best_obj if flip else best_obj
-    return LpSolution("optimal", obj, best.point, iterations=best.iterations,
-                      nodes=nodes)
+        return LpSolution("infeasible", None, None, iterations=pivots,
+                          nodes=nodes)
+    fixed = base.bounds.copy()
+    fixed[bidx] = (best.point[bidx] > 0.5)[:, None].astype(float)
+    final = solve_lp(_with_bounds(base, fixed))
+    pivots += final.iterations
+    if final.status == "optimal":
+        best = final
+    obj = best.objective_value
+    return LpSolution("optimal", -obj if flip else obj, best.point,
+                      iterations=pivots, nodes=nodes)

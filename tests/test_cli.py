@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import ucscreen.model
 from ucscreen.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -14,6 +15,7 @@ from ucscreen.cli import (
     SchemeConfig,
     main,
 )
+from ucscreen.lp import NodeLimitExceeded, SimplexError
 from ucscreen.predictors import (
     Dataset,
     DatasetError,
@@ -268,3 +270,18 @@ def test_non_numeric_dataset_cell_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "line 3" in err[0]
+
+
+@pytest.mark.parametrize("error", [
+    SimplexError("simplex iteration limit exceeded"),
+    NodeLimitExceeded("node limit 100000 exceeded"),
+])
+def test_solver_giving_up_is_input_error(error, monkeypatch, capsys):
+    def give_up(problem):
+        raise error
+
+    monkeypatch.setattr(ucscreen.model, "solve_milp", give_up)
+    code = run_cli("run", "--case", case_path("five_bus"), "--scheme", "s3")
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {error}"]

@@ -1,5 +1,6 @@
 """LP and MILP solver tests, cross-checked against scipy and brute force."""
 
+import heapq
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import ucscreen.lp as lp_module
 from conftest import brute_force_milp, enumerate_polygon_vertices
 from ucscreen.lp import (
+    FEASIBILITY_TOL,
     LpProblem,
     LpStart,
     LpUsageError,
     MilpProblem,
     NodeLimitExceeded,
+    NodeStart,
     solve_lp,
     solve_milp,
 )
@@ -330,3 +334,185 @@ def test_warm_start_phase_one_runs_once_across_threads():
             == sum(s.iterations for s in serial))
     assert [s.objective_value for s in threaded] == [
         s.objective_value for s in serial]
+
+
+# --- warm-started branch and bound ---
+
+
+def _cold_branch_and_bound(prob: MilpProblem) -> float:
+    """Reference: best-first branch and bound that solves every node LP
+    cold; the optimal cost, or inf when no binary point is feasible."""
+    lp = prob.lp
+    best, seq = np.inf, 0
+    heap = [(-np.inf, seq, lp.bounds.copy())]
+    while heap:
+        est, _, bnds = heapq.heappop(heap)
+        if est >= best:
+            continue
+        sol = solve_lp(LpProblem(lp.objective, lp.rows, lp.rhs, bounds=bnds))
+        if sol.status != "optimal" or sol.objective_value >= best:
+            continue
+        frac = [i for i in prob.binary_indices
+                if abs(sol.point[i] - round(sol.point[i])) > 1e-6]
+        if not frac:
+            best = sol.objective_value
+            continue
+        for v in (0.0, 1.0):
+            child = bnds.copy()
+            child[frac[0]] = (v, v)
+            seq += 1
+            heapq.heappush(heap, (sol.objective_value, seq, child))
+    return best
+
+
+def _bundled_milps(cases, per_case=3):
+    from ucscreen.model import build_uc, milp_problem
+
+    rng = np.random.default_rng(17)
+    return [milp_problem(build_uc(case, case.nominal_load
+                                  * rng.uniform(0.5, 1.2, size=case.n_buses)))
+            for _, case in sorted(cases.items()) for _ in range(per_case)]
+
+
+def _random_milps(rng, count):
+    """Random MILPs whose rows often have a negative right-hand side."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        nbin = int(rng.integers(1, min(n, 6) + 1))
+        m = int(rng.integers(1, 10))
+        A = np.round(rng.normal(size=(m, n)), 3)
+        b = np.round(rng.normal(scale=2.0, size=m) + 0.5, 3)
+        c = np.round(rng.normal(size=n), 3)
+        bounds = ([(0.0, 1.0)] * nbin
+                  + [(0.0, float(np.round(rng.uniform(0.5, 4), 3)))
+                     for _ in range(n - nbin)])
+        out.append(MilpProblem(LpProblem(c, A, b, bounds=bounds),
+                               tuple(range(nbin))))
+    return out
+
+
+def _spy_node_lps(monkeypatch):
+    """Record (started from a parent basis, status, pivots) per solve_lp."""
+    calls = []
+    real = lp_module.solve_lp
+
+    def spy(problem, start=None):
+        warm = isinstance(start, NodeStart) and start._parent is not None
+        sol = real(problem, start)
+        calls.append((warm, sol.status, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(lp_module, "solve_lp", spy)
+    return calls
+
+
+def test_warm_branch_and_bound_matches_cold_on_bundled_cases(cases):
+    branched = 0
+    for prob in _bundled_milps(cases):
+        warm = solve_milp(prob, node_limit=100)  # a wrong warm start fails fast
+        cold = _cold_branch_and_bound(prob)
+        if warm.status != "optimal":
+            assert warm.status == "infeasible" and cold == np.inf
+            continue
+        branched += warm.nodes > 1
+        assert abs(warm.objective_value - cold) <= 1e-9 * max(1.0, abs(cold))
+        u = warm.point[list(prob.binary_indices)]
+        assert np.all((u == 0.0) | (u == 1.0))
+        assert np.max(prob.lp.rows @ warm.point - prob.lp.rhs) <= FEASIBILITY_TOL
+    assert branched >= 3  # the warm path ran
+
+
+def test_warm_branch_and_bound_matches_brute_force(monkeypatch):
+    rng = np.random.default_rng(29)
+    problems = _random_milps(rng, 60)
+    assert sum(np.any(p.lp.rhs < 0) for p in problems) > 20
+    calls = _spy_node_lps(monkeypatch)
+    statuses = set()
+    for prob in problems:
+        lp = prob.lp
+        mine = solve_milp(prob, node_limit=1_000)
+        status, best = brute_force_milp(
+            lp.objective, lp.rows, lp.rhs, [tuple(pair) for pair in lp.bounds],
+            prob.binary_indices)
+        assert mine.status == status
+        statuses.add(status)
+        if status == "optimal":
+            assert abs(mine.objective_value - best) <= 1e-6 * max(1, abs(best))
+    assert {"optimal", "infeasible"} <= statuses
+    warm = [status for started, status, _ in calls if started]
+    assert "infeasible" in warm and "optimal" in warm
+
+
+def test_milp_iterations_count_every_lp(cases, monkeypatch):
+    calls = _spy_node_lps(monkeypatch)
+    for prob in _bundled_milps(cases, per_case=1)[:4]:
+        calls.clear()
+        first, second = (solve_milp(prob, node_limit=100) for _ in range(2))
+        assert first.iterations == second.iterations
+        assert first.iterations >= first.nodes
+        assert 2 * first.iterations == sum(pivots for _, _, pivots in calls)
+
+
+def test_dual_pivot_limit_falls_back_to_cold(cases, monkeypatch):
+    problems = _bundled_milps(cases) + _random_milps(np.random.default_rng(31), 30)
+    cold_starts = []
+    phase_one = lp_module._Tableau.phase_one
+
+    def counting(self):
+        cold_starts.append(1)
+        return phase_one(self)
+
+    monkeypatch.setattr(lp_module._Tableau, "phase_one", counting)
+    default = [solve_milp(p, node_limit=1_000) for p in problems]
+    default_cold = len(cold_starts)
+    monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 0)
+    forced = [solve_milp(p, node_limit=1_000) for p in problems]
+    assert len(cold_starts) - default_cold > default_cold
+    # the warm start is what saves the pivots
+    assert (sum(s.iterations for s in default)
+            < sum(s.iterations for s in forced))
+    for a, b in zip(default, forced):
+        assert a.status == b.status
+        if a.status == "optimal":
+            assert abs(a.objective_value - b.objective_value) <= 1e-9 * max(
+                1.0, abs(a.objective_value))
+
+
+def test_dual_simplex_ends_at_an_optimal_basis(cases, monkeypatch):
+    # The dual ratio test keeps every reduced cost >= 0, so a basis made
+    # primal feasible is optimal and phase 2 has nothing left to do.
+    ends = []
+    dual_simplex = lp_module._Tableau.dual_simplex
+
+    def checked(self, zrow, limit):
+        verdict = dual_simplex(self, zrow, limit)
+        if verdict == "feasible":
+            ends.append((zrow[:-1].min(), self.T[:, -1].min()))
+        return verdict
+
+    monkeypatch.setattr(lp_module._Tableau, "dual_simplex", checked)
+    for prob in _bundled_milps(cases) + _random_milps(np.random.default_rng(37), 30):
+        solve_milp(prob, node_limit=1_000)
+    assert len(ends) > 20
+    assert min(z for z, _ in ends) >= -1e-9
+    assert min(b for _, b in ends) >= -1e-9
+
+
+def test_node_start_rejects_another_region():
+    lp = LpProblem([1.0, -1.0], [[1.0, 1.0]], [1.5], bounds=[(0, 1), (0, 3)])
+    root = NodeStart(MilpProblem(lp, (0,)))
+    others = [
+        LpProblem(lp.objective, lp.rows, [2.0], bounds=lp.bounds),
+        LpProblem(lp.objective, [[1.0, 2.0]], lp.rhs, bounds=lp.bounds),
+        LpProblem(lp.objective, lp.rows, lp.rhs, bounds=[(0, 1), (0, 2)]),
+        LpProblem(lp.objective, lp.rows, lp.rhs, bounds=[(-1, 1), (0, 3)]),
+    ]
+    for other in others:
+        with pytest.raises(LpUsageError):
+            solve_lp(other, root)
+    assert solve_lp(lp, root).objective_value == -1.5
+    node = LpProblem(lp.objective, lp.rows, lp.rhs, bounds=[(1, 1), (0, 3)])
+    assert solve_lp(node, root.child()).objective_value == 0.5
+    with pytest.raises(LpUsageError):
+        solve_lp(others[2], root.child())
