@@ -2,9 +2,10 @@
 
 The model is held as one inequality system rows @ y <= rhs over
 y = [dispatch, status], with every row labeled: line limits (two rows per
-line), the power balance as a <=/>= pair, status-scaled generation
-bounds, and the status unit box.  Solving it as a MILP restores the
-binary statuses via branch and bound.
+line), the power balance as a <=/>= pair, and status-scaled generation
+bounds.  The status unit box u in [0, 1] is not a row but a column bound,
+kept with the free dispatch columns in `inst.bounds`.  Solving the model
+as a MILP restores the binary statuses via branch and bound.
 """
 
 from collections import Counter

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ucscreen.case import (
     CaseFormatError,
     CaseValidationError,
@@ -36,10 +34,8 @@ from ucscreen.model import (
 )
 from ucscreen.oracle import (
     GapReport,
-    VERTEX_COLUMN_GUARD,
-    enumerate_vertices,
     lp_redundancy,
-    projected_box_maximum,
+    matrix_test_exactness,
     verify_zero_gap,
 )
 from ucscreen.predictors import (
@@ -55,10 +51,8 @@ from ucscreen.predictors import (
     write_dataset_csv,
 )
 from ucscreen.screening import (
-    BoundsBox,
     ScreeningInfeasibleError,
     ScreeningReport,
-    box_row_maximum,
     eovl,
     reduce_model,
     variable_bounds,
@@ -66,6 +60,8 @@ from ucscreen.screening import (
 )
 
 SCHEMES = ("s1", "s2", "s3", "s4", "s5", "s6", "s7")
+# Schemes whose cuts keep the optimum, so the reduced model must match it.
+ZERO_GAP_SCHEMES = ("s1", "s2", "s3", "s4", "s5")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -259,15 +255,21 @@ def _final_model(full: UcInstance, redundant, drop: tuple[RowLabel, ...],
     return reduced
 
 
-def run_scheme(config: SchemeConfig) -> RunReport:
-    """Execute one scheme: screen, reduce, and verify/measure the gap."""
-    t0 = time.perf_counter()
+def _set_up(config: SchemeConfig):
+    """(case, full model, --drop-row labels, cuts, relaxed cut model to
+    screen) for one scheme run."""
     case = _load_case(config.case_path)
     dataset = _load_dataset(config)
     full = build_uc(case, case.nominal_load)
     drop = _drop_labels(full, config)
     cuts = build_cuts(case, config, dataset)
-    screened = relax_binaries(apply_cuts(full, cuts))
+    return case, full, drop, cuts, relax_binaries(apply_cuts(full, cuts))
+
+
+def run_scheme(config: SchemeConfig) -> RunReport:
+    """Execute one scheme: screen, reduce, and verify/measure the gap."""
+    t0 = time.perf_counter()
+    case, full, drop, cuts, screened = _set_up(config)
     try:
         report = eovl(
             screened,
@@ -293,45 +295,12 @@ def run_scheme(config: SchemeConfig) -> RunReport:
         config=config,
         total_seconds=time.perf_counter() - t0,
     )
-    if config.scheme in ("s1", "s2", "s3", "s4", "s5") and not gap.zero_gap:
+    if config.scheme in ZERO_GAP_SCHEMES and not gap.zero_gap:
         raise PropertyViolation(
             "zero_gap",
             f"scheme {config.scheme} changed the optimum: "
             f"full={gap.full_cost} reduced={gap.reduced_cost}")
     return out
-
-
-def _matrix_test_exactness(inst: UcInstance, box, omega: dict, seed: int) -> str | None:
-    """Compare omega against explicit vertex maxima; None means pass."""
-    idx = {lb: inst.row_index(lb) for lb in omega}
-    if inst.n_cols <= VERTEX_COLUMN_GUARD:
-        vertices = enumerate_vertices(box)
-        for lb, i in idx.items():
-            explicit = float(np.max(vertices @ inst.rows[i]) - inst.rhs[i])
-            if abs(explicit - omega[lb]) > 1e-9:
-                return (f"{lb}: omega {omega[lb]!r} vs vertex max {explicit!r}")
-        return None
-    rng = np.random.default_rng(seed)
-    for trial in range(3):
-        free = np.sort(rng.choice(inst.n_cols, size=16, replace=False))
-        corner = rng.integers(0, 2, size=inst.n_cols)
-        for lb, i in idx.items():
-            row = inst.rows[i]
-            explicit = projected_box_maximum(row, box, free, corner)
-            fixed_cols = np.setdiff1d(np.arange(inst.n_cols), free)
-            partial = box_row_maximum(row[None, free], _sub_box(box, free))[0]
-            fixed_vals = np.where(corner[fixed_cols] == 1,
-                                  box.upper[fixed_cols], box.lower[fixed_cols])
-            formula = partial + float(row[fixed_cols] @ fixed_vals)
-            if abs(explicit - formula) > 1e-9:
-                return (f"{lb} (projection {trial}): formula {formula!r} "
-                        f"vs enumerated {explicit!r}")
-    return None
-
-
-def _sub_box(box: BoundsBox, cols) -> BoundsBox:
-    return BoundsBox(box.lower[cols].copy(), box.upper[cols].copy(),
-                     tuple(box.provenance[c] for c in cols))
 
 
 def verify_case(config: SchemeConfig) -> list[dict]:
@@ -341,12 +310,7 @@ def verify_case(config: SchemeConfig) -> list[dict]:
     Stops at the first failure, so the last verdict names the violated
     property.
     """
-    case = _load_case(config.case_path)
-    dataset = _load_dataset(config)
-    full = build_uc(case, case.nominal_load)
-    drop = _drop_labels(full, config)
-    cuts = build_cuts(case, config, dataset)
-    screened = relax_binaries(apply_cuts(full, cuts))
+    _, full, drop, cuts, screened = _set_up(config)
     verdicts: list[dict] = []
 
     def record(name: str, failure: str | None) -> bool:
@@ -360,7 +324,7 @@ def verify_case(config: SchemeConfig) -> list[dict]:
         _classify_screening_failure(full, exc)
     vgs = vgs_screen(screened, box)
     if not record("matrix_test_exactness",
-                  _matrix_test_exactness(screened, box, vgs.omega, config.seed)):
+                  matrix_test_exactness(screened, box, vgs.omega, config.seed)):
         return verdicts
 
     failure = None
@@ -383,7 +347,7 @@ def verify_case(config: SchemeConfig) -> list[dict]:
 
     gap = verify_zero_gap(full, _final_model(full, s3.redundant, drop, cuts))
     failure = None
-    if config.scheme in ("s1", "s2", "s3", "s4", "s5") and not gap.zero_gap:
+    if config.scheme in ZERO_GAP_SCHEMES and not gap.zero_gap:
         failure = (f"reduction changed the optimum: full={gap.full_cost} "
                    f"reduced={gap.reduced_cost}")
     record("zero_gap", failure)

@@ -1,10 +1,13 @@
 """Single-period DC unit-commitment models in compact inequality form.
 
 The decision vector is y = [x, u] (dispatch MW, unit status) or
-y = [x, u, l] in load-range mode.  Every model coefficient lives in one
+y = [x, u, l] in load-range mode.  Every row coefficient lives in one
 labeled row of `rows @ y <= rhs`, including the power balance, which is
 encoded as a <=/>= pair so the whole model is a single inequality system.
-Only the line-limit rows are ever screening candidates.
+Every column bound lives in one `bounds` array and nowhere else: x is
+free, u lies in [0, 1], a load column in its range, and a commitment fix
+pins its status to [v, v].  Only the line-limit rows are ever screening
+candidates.
 """
 
 from __future__ import annotations
@@ -89,10 +92,12 @@ class CutSet:
 
 @dataclass(frozen=True, eq=False)
 class UcInstance:
-    """Compact system rows @ y <= rhs with cost vector and row labels."""
+    """Compact system rows @ y <= rhs, bounds[:, 0] <= y <= bounds[:, 1],
+    with cost vector and row labels."""
 
     rows: np.ndarray
     rhs: np.ndarray
+    bounds: np.ndarray  # (n_cols, 2), +-inf where a column is unbounded
     cost: np.ndarray
     row_labels: tuple[RowLabel, ...]
     binary_indices: tuple[int, ...]
@@ -108,8 +113,11 @@ class UcInstance:
         if len(row_of) != len(self.row_labels):
             raise LpUsageError("row labels must be unique")
         object.__setattr__(self, "_row_of", row_of)
+        if self.bounds.shape != (self.rows.shape[1], 2):
+            raise LpUsageError("one (lower, upper) bound pair per column required")
         self.rows.flags.writeable = False
         self.rhs.flags.writeable = False
+        self.bounds.flags.writeable = False
         self.cost.flags.writeable = False
 
     @property
@@ -150,13 +158,14 @@ class UcInstance:
 
     def lp(self, objective: np.ndarray, sense: str = "min",
            skip_label: RowLabel | None = None) -> LpProblem:
-        """LP over this instance's rows, optionally with one row excluded."""
+        """LP over this instance's rows and bounds, optionally with one row
+        excluded."""
         rows, rhs = self.rows, self.rhs
         if skip_label is not None:
             i = self.row_index(skip_label)
             keep = np.arange(rows.shape[0]) != i
             rows, rhs = rows[keep], rhs[keep]
-        return LpProblem(objective, rows, rhs, sense=sense)
+        return LpProblem(objective, rows, rhs, bounds=self.bounds, sense=sense)
 
     @cached_property
     def lp_start(self) -> LpStart:
@@ -176,7 +185,9 @@ class UcInstance:
 
 
 def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
-    """Line/balance/generator/status rows; load fixed or as columns."""
+    """Line/balance/generator rows and the column bounds (x free, u in
+    [0, 1], load columns free until a load range bounds them); load fixed
+    or as columns."""
     G, L, N = case.n_gens, case.n_lines, case.n_buses
     range_mode = load is None
     ncols = 2 * G + (N if range_mode else 0)
@@ -232,43 +243,39 @@ def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
         r[g] = -1.0
         r[G + g] = xmin[g]
         add(RowLabel("gen_lower", g), r, 0.0)
-    for g in range(G):
-        r = np.zeros(ncols)
-        r[G + g] = 1.0
-        add(RowLabel("u_upper", g), r, 1.0)
-    for g in range(G):
-        r = np.zeros(ncols)
-        r[G + g] = -1.0
-        add(RowLabel("u_lower", g), r, 0.0)
 
-    return np.array(rows), np.array(rhs, dtype=float), labels, ncols
+    bounds = np.tile([-np.inf, np.inf], (ncols, 1))
+    bounds[G:2 * G] = (0.0, 1.0)
+    return np.array(rows), np.array(rhs, dtype=float), bounds, labels
 
 
 def build_uc(case: GridCase, load) -> UcInstance:
-    """UC model at a fixed load: line limits via PTDF, balance pair,
-    status-scaled generation bounds, and the u box, with u marked binary."""
+    """UC model at a fixed load: line limits via PTDF, balance pair and
+    status-scaled generation bounds, with u in [0, 1] and marked binary."""
     load = np.asarray(load, dtype=float).ravel()
     if load.size != case.n_buses:
         raise LpUsageError(
             f"load has {load.size} entries for {case.n_buses} buses")
     ptdf = compute_ptdf(case)
-    rows, rhs, labels, ncols = _core_rows(case, ptdf, load)
+    rows, rhs, bounds, labels = _core_rows(case, ptdf, load)
     G = case.n_gens
-    cost = np.zeros(ncols)
+    cost = np.zeros(len(bounds))
     cost[:G] = [g.cost for g in case.generators]
     load = load.copy()
     load.flags.writeable = False
-    return UcInstance(rows, rhs, cost, tuple(labels),
+    return UcInstance(rows, rhs, bounds, cost, tuple(labels),
                       tuple(range(G, 2 * G)), case, ptdf, load)
 
 
 def relax_binaries(inst: UcInstance) -> UcInstance:
-    """Binary relaxation u in [0,1]: identical rows, binary marks cleared."""
+    """Binary relaxation u in [0,1]: identical rows and bounds, binary
+    marks cleared."""
     return replace(inst, binary_indices=())
 
 
 def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
-    """Append cut rows; load_range additionally converts l into columns.
+    """Append the cost-cut row, pin fixed statuses by their bounds, and
+    turn a load range into l columns bounded by it.
 
     Returns a new instance.  A load range can only be applied to an
     uncut fixed-load instance (the rows are rebuilt around the l columns).
@@ -287,51 +294,30 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
         if lo.size != case.n_buses:
             raise LpUsageError(
                 f"load range has {lo.size} entries for {case.n_buses} buses")
-        rows, rhs, labels, ncols = _core_rows(case, ptdf, None)
-        extra_rows, extra_rhs = [], []
-        for n in range(case.n_buses):
-            r = np.zeros(ncols)
-            r[2 * G + n] = 1.0
-            extra_rows.append(r)
-            extra_rhs.append(hi[n])
-            labels.append(RowLabel("load_upper", n))
-            extra_rows.append(-r)
-            extra_rhs.append(-lo[n])
-            labels.append(RowLabel("load_lower", n))
-        rows = np.vstack([rows, extra_rows])
-        rhs = np.concatenate([rhs, extra_rhs])
-        cost = np.zeros(ncols)
+        rows, rhs, bounds, labels = _core_rows(case, ptdf, None)
+        bounds[2 * G:, 0], bounds[2 * G:, 1] = lo, hi
+        cost = np.zeros(len(bounds))
         cost[:G] = inst.cost[:G]
         binary = inst.binary_indices  # positions of u are unchanged
-        out = UcInstance(rows, rhs, cost, tuple(labels), binary,
+        out = UcInstance(rows, rhs, bounds, cost, tuple(labels), binary,
                          case, ptdf, None, CutSet(load_range=cuts.load_range))
         rest = CutSet(cost_bound=cuts.cost_bound,
                       commitment_fixes=cuts.commitment_fixes)
         return apply_cuts(out, rest) if not rest.is_empty else out
 
-    rows = [inst.rows]
-    rhs = list(inst.rhs)
-    labels = list(inst.row_labels)
-    ncols = inst.n_cols
-
+    rows, rhs, labels = inst.rows, inst.rhs, inst.row_labels
     if cuts.cost_bound is not None:
-        r = np.zeros(ncols)
+        r = np.zeros(inst.n_cols)
         r[:G] = inst.cost[:G]
-        rows.append(r[None, :])
-        rhs.append(float(cuts.cost_bound))
-        labels.append(RowLabel("cost_cut"))
+        rows = np.vstack([rows, r])
+        rhs = np.append(rhs, float(cuts.cost_bound))
+        labels += (RowLabel("cost_cut"),)
 
+    bounds = inst.bounds.copy()
     for k, v in cuts.commitment_fixes:
         if not 0 <= k < G:
             raise LpUsageError(f"commitment fix names unit {k}, have {G} units")
-        r = np.zeros(ncols)
-        r[G + k] = 1.0
-        rows.append(r[None, :])
-        rhs.append(float(v))
-        labels.append(RowLabel("commit_fix_le", k))
-        rows.append(-r[None, :])
-        rhs.append(-float(v))
-        labels.append(RowLabel("commit_fix_ge", k))
+        bounds[G + k] = v
 
     merged = CutSet(
         cost_bound=cuts.cost_bound if cuts.cost_bound is not None
@@ -341,9 +327,10 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
     )
     return replace(
         inst,
-        rows=np.vstack(rows),
-        rhs=np.array(rhs, dtype=float),
-        row_labels=tuple(labels),
+        rows=rows,
+        rhs=rhs,
+        bounds=bounds,
+        row_labels=labels,
         cuts=merged,
     )
 
@@ -356,27 +343,22 @@ class UcSolution:
 
 
 def milp_problem(inst: UcInstance) -> MilpProblem:
-    """MILP form of the instance; binaries get explicit [0,1] solver bounds."""
-    bounds = np.tile([-np.inf, np.inf], (inst.n_cols, 1))
-    for i in inst.binary_indices:
-        bounds[i] = (0.0, 1.0)
-    lp = LpProblem(inst.cost, inst.rows, inst.rhs, bounds=bounds)
-    return MilpProblem(lp, inst.binary_indices)
+    """MILP form of the instance over its rows and bounds."""
+    return MilpProblem(inst.lp(inst.cost), inst.binary_indices)
 
 
 def solve_uc(inst: UcInstance) -> UcSolution:
     """Solve the instance as a MILP; raises UcInfeasibleError when empty."""
     G = inst.n_gens
-    fixed = {k for k, _ in inst.cuts.commitment_fixes}
-    if not inst.binary_indices and len(fixed) < G:
+    u_bounds = inst.bounds[G:2 * G]
+    if inst.binary_indices:
+        sol = solve_milp(milp_problem(inst))
+    elif np.any(u_bounds[:, 0] < u_bounds[:, 1]):
         raise LpUsageError(
             "instance has relaxed statuses that are not fixed by cuts; "
             "solve the unrelaxed instance instead")
-    if inst.binary_indices:
-        sol = solve_milp(milp_problem(inst))
     else:
-        bounds = np.tile([-np.inf, np.inf], (inst.n_cols, 1))
-        sol = solve_lp(LpProblem(inst.cost, inst.rows, inst.rhs, bounds=bounds))
+        sol = solve_lp(inst.lp(inst.cost))
     if sol.status != "optimal":
         aggregate = "network"
         if inst.load is not None:

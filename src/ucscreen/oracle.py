@@ -14,7 +14,7 @@ import numpy as np
 
 from ucscreen.lp import FEASIBILITY_TOL, solve_lp
 from ucscreen.model import RowLabel, UcInstance, UcInfeasibleError, solve_uc
-from ucscreen.screening import BoundsBox
+from ucscreen.screening import BoundsBox, box_row_maximum
 
 VERTEX_COLUMN_GUARD = 20
 
@@ -76,14 +76,53 @@ def projected_box_maximum(row: np.ndarray, box: BoundsBox,
     free_cols = np.asarray(free_cols, dtype=int)
     if free_cols.size > VERTEX_COLUMN_GUARD:
         raise VertexBudgetError(f"{free_cols.size} free columns exceed the guard")
+    base, sub = _split_at_corner(row, box, free_cols, corner)
+    vertices = enumerate_vertices(sub)
+    return base + float(np.max(vertices @ row[free_cols]))
+
+
+def _split_at_corner(row: np.ndarray, box: BoundsBox, free_cols: np.ndarray,
+                     corner: np.ndarray) -> tuple[float, BoundsBox]:
+    """The row's value over the columns outside free_cols, each at the
+    given corner (0 selects lower, 1 upper), and the sub-box of free_cols."""
     fixed_cols = np.setdiff1d(np.arange(box.n_cols), free_cols)
     fixed_vals = np.where(corner[fixed_cols] == 1,
                           box.upper[fixed_cols], box.lower[fixed_cols])
-    base = float(row[fixed_cols] @ fixed_vals)
     sub = BoundsBox(box.lower[free_cols].copy(), box.upper[free_cols].copy(),
-                    tuple("lp_solved" for _ in free_cols))
-    vertices = enumerate_vertices(sub)
-    return base + float(np.max(vertices @ row[free_cols]))
+                    tuple(box.provenance[c] for c in free_cols))
+    return float(row[fixed_cols] @ fixed_vals), sub
+
+
+def matrix_test_exactness(inst: UcInstance, box: BoundsBox, omega: dict,
+                          seed: int) -> str | None:
+    """Compare omega against explicit vertex maxima; None means pass.
+
+    Up to VERTEX_COLUMN_GUARD columns every box vertex is enumerated.
+    Beyond it, three seeded projections each free 16 columns, fix the
+    rest at a random corner, and check the sign-split formula against
+    the sub-box's enumerated vertices.
+    """
+    idx = {lb: inst.row_index(lb) for lb in omega}
+    if inst.n_cols <= VERTEX_COLUMN_GUARD:
+        vertices = enumerate_vertices(box)
+        for lb, i in idx.items():
+            explicit = float(np.max(vertices @ inst.rows[i]) - inst.rhs[i])
+            if abs(explicit - omega[lb]) > 1e-9:
+                return (f"{lb}: omega {omega[lb]!r} vs vertex max {explicit!r}")
+        return None
+    rng = np.random.default_rng(seed)
+    for trial in range(3):
+        free = np.sort(rng.choice(inst.n_cols, size=16, replace=False))
+        corner = rng.integers(0, 2, size=inst.n_cols)
+        for lb, i in idx.items():
+            row = inst.rows[i]
+            explicit = projected_box_maximum(row, box, free, corner)
+            base, sub = _split_at_corner(row, box, free, corner)
+            formula = box_row_maximum(row[None, free], sub)[0] + base
+            if abs(explicit - formula) > 1e-9:
+                return (f"{lb} (projection {trial}): formula {formula!r} "
+                        f"vs enumerated {explicit!r}")
+    return None
 
 
 @dataclass(frozen=True)

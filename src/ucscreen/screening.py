@@ -57,7 +57,6 @@ class ScreeningReport:
 
     candidates: tuple[RowLabel, ...]
     redundant: tuple[RowLabel, ...]
-    kept: tuple[RowLabel, ...]
     lp_count: int = 0
     matrix_op_count: int = 0
     wall_times: dict[str, float] = field(default_factory=dict)
@@ -65,10 +64,17 @@ class ScreeningReport:
     omega: dict[RowLabel, float] = field(default_factory=dict)
     diagnostics: tuple[str, ...] = ()
 
+    @property
+    def kept(self) -> tuple[RowLabel, ...]:
+        """The candidates not certified redundant, in candidate order."""
+        redundant = set(self.redundant)
+        return tuple(lb for lb in self.candidates if lb not in redundant)
+
     def check_partition(self) -> None:
-        red, kept = set(self.redundant), set(self.kept)
-        if red & kept or red | kept != set(self.candidates):
-            raise AssertionError("redundant/kept do not partition the candidates")
+        """Redundant rows are candidates, so they and `kept` partition the
+        candidates."""
+        if not set(self.redundant) <= set(self.candidates):
+            raise AssertionError("redundant rows outside the candidate set")
 
 
 def _solve_many(problems, starts, jobs: int):
@@ -84,31 +90,20 @@ def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
     """Tight per-variable bounds over the relaxed region.
 
     Dispatch and status columns each cost two LPs (max and min); load
-    columns take their bounds from the load box without solving, and
-    status columns pinned by a commitment fix are read off the cut.
+    columns keep their bounds from the load box without solving, and so
+    do status columns a commitment fix pins (lower bound equal to upper).
     Every bound LP runs phase 2 only, from the instance's shared start.
     """
     if inst.binary_indices:
         raise LpUsageError("variable bounds expect a binary-relaxed instance")
-    G = inst.n_gens
     n = inst.n_cols
-    lower = np.empty(n)
-    upper = np.empty(n)
-    provenance: list[str] = []
-
-    fixed = dict(inst.cuts.commitment_fixes)
-    lp_cols = []
-    for p in range(n):
-        if p >= 2 * G:
-            lo, hi = inst.cuts.load_range
-            lower[p], upper[p] = lo[p - 2 * G], hi[p - 2 * G]
-            provenance.append("load_box")
-        elif G <= p < 2 * G and (p - G) in fixed:
-            lower[p] = upper[p] = float(fixed[p - G])
-            provenance.append("fixed_by_cut")
-        else:
-            lp_cols.append(p)
-            provenance.append("lp_solved")
+    lower = inst.bounds[:, 0].copy()
+    upper = inst.bounds[:, 1].copy()
+    provenance = tuple(
+        "load_box" if p >= 2 * inst.n_gens
+        else "fixed_by_cut" if lower[p] == upper[p] else "lp_solved"
+        for p in range(n))
+    lp_cols = [p for p in range(n) if provenance[p] == "lp_solved"]
 
     problems = []
     for p in lp_cols:
@@ -132,7 +127,7 @@ def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
                 upper[p] = value
             else:
                 lower[p] = value
-    return BoundsBox(lower, upper, tuple(provenance), lp_count=2 * len(lp_cols))
+    return BoundsBox(lower, upper, provenance, lp_count=2 * len(lp_cols))
 
 
 def box_row_maximum(rows: np.ndarray, box: BoundsBox) -> np.ndarray:
@@ -167,7 +162,6 @@ def vgs_screen(inst: UcInstance, box: BoundsBox,
     report = ScreeningReport(
         candidates=tuple(candidates),
         redundant=redundant,
-        kept=(),
         lp_count=0,
         matrix_op_count=1,
         wall_times={"vgs": time.perf_counter() - t0},
@@ -196,11 +190,10 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
         problems.append(inst.lp(coeffs, sense="max", skip_label=lb))
         starts.append(inst.lp_start.without_row(inst.row_index(lb)))
     solutions = _solve_many(problems, starts, jobs)
-    redundant, kept, diagnostics = [], [], []
+    redundant, diagnostics = [], []
     for lb, sol in zip(candidates, solutions):
         _, bound = inst.row(lb)
         if sol.status == "unbounded":
-            kept.append(lb)
             diagnostics.append(f"{lb}: screening LP unbounded, kept uncertified")
             continue
         if sol.status == "infeasible":
@@ -208,12 +201,9 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
                 f"screening LP for {lb} infeasible; relaxed region is empty")
         if sol.objective_value <= bound - FEASIBILITY_TOL:
             redundant.append(lb)
-        else:
-            kept.append(lb)
     return ScreeningReport(
         candidates=tuple(candidates),
         redundant=tuple(redundant),
-        kept=tuple(kept),
         lp_count=len(candidates),
         matrix_op_count=0,
         wall_times={"lfgs": time.perf_counter() - t0},
@@ -268,7 +258,6 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
     report = ScreeningReport(
         candidates=candidates,
         redundant=tuple(lb for lb in candidates if lb in redundant),
-        kept=tuple(lb for lb in candidates if lb not in redundant),
         lp_count=lp_count,
         matrix_op_count=matrix_ops,
         wall_times=wall_times,

@@ -245,7 +245,9 @@ def test_timings_flag_breaks_no_other_fields(tmp_path):
     assert "total" in doc["timings"]
 
 
-@pytest.mark.parametrize("label", ["line_upper(x)", "no_such_row(3)"])
+# The status box u in [0, 1] is column bounds, so u_upper(0) is no row.
+@pytest.mark.parametrize("label", ["line_upper(x)", "no_such_row(3)",
+                                   "u_upper(0)"])
 def test_bad_drop_row_label_is_input_error(label, capsys):
     code = run_cli("run", "--case", case_path("five_bus"), "--scheme", "s3",
                    "--drop-row", label)

@@ -25,12 +25,24 @@ def test_row_counts_by_construction(cases):
     kinds = [lb.kind for lb in inst.row_labels]
     assert kinds.count("line_upper") == kinds.count("line_lower") == 6
     assert kinds.count("balance_le") == kinds.count("balance_ge") == 1
-    gen_rows = sum(kinds.count(k) for k in
-                   ("gen_upper", "gen_lower", "u_upper", "u_lower"))
-    assert gen_rows == 8
-    assert inst.rows.shape == (22, 4)
+    assert kinds.count("gen_upper") == kinds.count("gen_lower") == 2
+    assert inst.rows.shape == (18, 4)
     assert inst.binary_indices == (2, 3)
     assert len(inst.candidates) == 12
+    # x is free and u in [0, 1], as column bounds rather than rows
+    assert inst.bounds.tolist() == [[-np.inf, np.inf]] * 2 + [[0.0, 1.0]] * 2
+
+
+def test_lp_carries_instance_bounds(cases):
+    case = cases["five_bus"]
+    inst = apply_cuts(build_uc(case, case.nominal_load),
+                      CutSet(load_range=(0.8 * case.nominal_load,
+                                         1.2 * case.nominal_load),
+                             commitment_fixes=((1, 0),)))
+    row = inst.row_labels[0]
+    for lp in (inst.lp(inst.cost), inst.lp(inst.cost, skip_label=row),
+               milp_problem(inst).lp):
+        assert np.array_equal(lp.bounds, inst.bounds)
 
 
 def test_row_label_map_is_bijection(cases):
@@ -153,8 +165,12 @@ def test_load_range_row_shapes(cases):
     ranged = apply_cuts(inst, CutSet(load_range=(lo, hi)))
     assert ranged.range_mode
     assert ranged.n_cols == 2 * case.n_gens + case.n_buses
-    kinds = [lb.kind for lb in ranged.row_labels]
-    assert kinds.count("load_upper") == kinds.count("load_lower") == case.n_buses
+    # the load columns are bounded by the range, with no rows of their own
+    assert ranged.row_labels == inst.row_labels
+    G = case.n_gens
+    assert np.array_equal(ranged.bounds[:2 * G], inst.bounds)
+    assert np.array_equal(ranged.bounds[2 * G:, 0], lo)
+    assert np.array_equal(ranged.bounds[2 * G:, 1], hi)
     # load range must come first
     with pytest.raises(LpUsageError):
         apply_cuts(apply_cuts(inst, CutSet(cost_bound=100.0)),
@@ -174,6 +190,23 @@ def test_commit_fix_rows_pin_status(cases):
         apply_cuts(inst, CutSet(commitment_fixes=((7, 1),)))
     with pytest.raises(LpUsageError):
         CutSet(commitment_fixes=((0, 1), (0, 0)))
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_commitment_fix_is_a_bound_not_a_row(cases, relax):
+    case = cases["nine_bus"]
+    inst = build_uc(case, case.nominal_load)
+    if relax:
+        inst = relax_binaries(inst)
+    G = case.n_gens
+    fixes = ((0, 1), (G - 1, 0))
+    pinned = apply_cuts(inst, CutSet(commitment_fixes=fixes))
+    assert pinned.row_labels == inst.row_labels
+    assert np.array_equal(pinned.rows, inst.rows)
+    for k, v in fixes:
+        assert tuple(pinned.bounds[G + k]) == (v, v)
+    free = [p for p in range(pinned.n_cols) if p - G not in (0, G - 1)]
+    assert np.array_equal(pinned.bounds[free], inst.bounds[free])
 
 
 def test_solve_uc_matches_pattern_enumeration(cases):

@@ -161,6 +161,18 @@ def test_vgs_soundness_against_oracle(cases):
             assert oracle.lp_redundancy(inst, lb), f"{name}: {lb}"
 
 
+def test_vgs_kept_and_redundant_partition_candidates(cases):
+    for name in CORPUS:
+        inst = relaxed(cases[name])
+        report = vgs_screen(inst, variable_bounds(inst))
+        assert report.kept, name  # every corpus case keeps a binding limit
+        assert not set(report.kept) & set(report.redundant)
+        assert sorted(report.kept + report.redundant) == sorted(inst.candidates)
+        assert report.kept == tuple(lb for lb in inst.candidates
+                                    if lb not in report.redundant)
+        report.check_partition()
+
+
 # --- line-flow-guided pass ---
 
 
