@@ -10,6 +10,7 @@ that orientation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -96,7 +97,14 @@ def _expect(cond: bool, path: str, msg: str) -> None:
 def _number(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    # json.loads accepts the NaN and Infinity literals
+    if not math.isfinite(number):  # message built only on failure: hot path
+        raise CaseFormatError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _integer(value, path: str) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -112,6 +113,14 @@ class SchemeConfig:
             raise InputError(f"scheme {self.scheme} needs --dataset")
         if self.jobs < 1:
             raise InputError("--jobs must be >= 1")
+        # NaN fails every comparison, so these reject it too
+        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
+            raise InputError(f"--beta must be within [0, 1], got {self.beta}")
+        if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
+            raise InputError(
+                f"--epsilon must be a finite number >= 0, got {self.epsilon}")
+        if self.k is not None and (self.k < 1 or self.k % 2 == 0):
+            raise InputError(f"--k must be an odd positive integer, got {self.k}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,7 +212,8 @@ def build_cuts(case: GridCase, config: SchemeConfig,
     cost_cut = None
     fixes: tuple[tuple[int, int], ...] = ()
     load_range = None
-    cfg = PredictorConfig(k=config.k or default_k(case.n_gens),
+    cfg = PredictorConfig(k=default_k(case.n_gens) if config.k is None
+                          else config.k,
                           epsilon=config.epsilon or 0.0)
     if config.scheme == "s4":
         load_range = ((1.0 - config.beta) * nominal, (1.0 + config.beta) * nominal)
@@ -424,6 +434,10 @@ def main(argv=None) -> int:
                   f"{report.total_seconds:.2f}s", file=sys.stderr)
             return EXIT_OK
         if args.command == "gen-data":
+            if args.n < 0:
+                raise InputError(f"--n must be >= 0, got {args.n}")
+            if args.seed < 0:  # numpy seeds are non-negative
+                raise InputError(f"--seed must be >= 0, got {args.seed}")
             case = _load_case(args.case)
             ds = generate_dataset(case, args.beta, args.n, args.seed)
             write_dataset_csv(ds, args.out)

@@ -17,6 +17,11 @@ from the same basis, so results do not depend on the order or the thread
 the LPs run in.  Without a start, `solve_lp` runs both phases itself, as
 the brute-force oracles do.
 
+All three ways in (a cold solve, an `LpStart` and a `NodeStart`) share
+one standard form, `_standard_form`: A z <= b with z >= 0, plus two
+arrays that map each column back to its variable and sign.  They reach a
+feasible basis through one phase-1 entry, `_phase_one`.
+
 The MILP solver runs best-first branch and bound on LP relaxations,
 branching on the lowest-index fractional binary, down-branch first.
 A branch changes only bounds, so every node shares one standard form in
@@ -32,7 +37,7 @@ from __future__ import annotations
 import copy
 import heapq
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,18 +79,19 @@ class NodeLimitExceeded(RuntimeError):
 
 
 def _as_bounds_array(bounds, n: int) -> np.ndarray:
-    """Normalize bounds input to an (n, 2) float array with +-inf fill."""
-    out = np.empty((n, 2), dtype=float)
+    """Normalize bounds input to an (n, 2) float array; None is no bound."""
     if bounds is None:
-        out[:, 0] = -np.inf
-        out[:, 1] = np.inf
-        return out
-    pairs = list(bounds)
-    if len(pairs) != n:
-        raise LpUsageError(f"expected {n} bound pairs, got {len(pairs)}")
-    for p, (lo, hi) in enumerate(pairs):
-        out[p, 0] = -np.inf if lo is None else float(lo)
-        out[p, 1] = np.inf if hi is None else float(hi)
+        return np.full((n, 2), (-np.inf, np.inf))
+    out = np.array(bounds, dtype=float)  # a None becomes NaN
+    if out.size == 0:
+        out = out.reshape(0, 2)
+    if out.shape != (n, 2):
+        raise LpUsageError(f"expected {n} bound pairs, got shape {out.shape}")
+    nan = np.isnan(out)
+    if nan.any():
+        if np.any(nan & (np.array(bounds, dtype=object) != None)):  # noqa: E711
+            raise LpUsageError("a variable bound is NaN")
+        out = np.where(nan, (-np.inf, np.inf), out)
     return out
 
 
@@ -172,16 +178,57 @@ class MilpProblem:
         self.binary_indices = idx
 
 
+@dataclass
+class _StandardForm:
+    """A z <= b, z >= 0 for an LP over y; y = base plus sign[k] * z[k]
+    added to y[var[k]] over the columns k (see `_standard_form`)."""
+
+    A: np.ndarray
+    b: np.ndarray
+    var: np.ndarray
+    sign: np.ndarray
+    base: np.ndarray
+
+
+def _standard_form(rows, rhs, lo, hi) -> _StandardForm:
+    """Rewrite rows @ y <= rhs, lo <= y <= hi as A z <= b, z >= 0.
+
+    Columns follow the variables: none for a fixed y_j, +z shifted by a
+    finite lower bound, -z mirrored at an upper bound when only that one
+    is finite, and +z, -z for a free y_j.  Rows keep their order; finite
+    upper bounds of shifted variables become extra rows after them.
+    """
+    fixed = lo == hi
+    free = np.isinf(lo) & np.isinf(hi) & ~fixed
+    mirrored = np.isinf(lo) & ~np.isinf(hi) & ~fixed
+    shifted = ~fixed & ~free & ~mirrored  # finite lower bound
+    width = np.where(fixed, 0, np.where(free, 2, 1))
+    var = np.repeat(np.arange(lo.size), width)
+    first = np.cumsum(width) - width  # each variable's first column
+    sign = np.ones(var.size)
+    sign[first[mirrored]] = -1.0
+    sign[first[free] + 1] = -1.0
+    base = np.where(fixed | shifted, np.where(np.isfinite(lo), lo, 0.0), 0.0)
+    base = np.where(mirrored, hi, base)
+    upper = np.nonzero(shifted[var] & np.isfinite(hi[var]))[0]
+    unit = np.zeros((upper.size, var.size))
+    unit[np.arange(upper.size), upper] = 1.0
+    return _StandardForm(np.vstack([rows[:, var] * sign, unit]),
+                         np.concatenate([rhs - rows @ base,
+                                         hi[var[upper]] - lo[var[upper]]]),
+                         var, sign, base)
+
+
 class _Tableau:
     """Two-phase dense simplex working state for min c'z, A z <= b, z >= 0.
 
     Columns are the ns structural columns, one slack per row (slack ns + i
     belongs to row i), the artificials until phase 1 drops them, and the
-    right-hand side last.  `cols` and `base` map z back to the problem's
-    variables (see `_standard_rows`).
+    right-hand side last.  `form` maps z back to the problem's variables.
     """
 
-    def __init__(self, rows: np.ndarray, rhs: np.ndarray, cols, base):
+    def __init__(self, form: _StandardForm):
+        rows, rhs = form.A, form.b
         m, ns = rows.shape
         sigma = np.where(rhs >= 0.0, 1.0, -1.0)
         art_rows = np.nonzero(sigma < 0)[0]
@@ -196,8 +243,7 @@ class _Tableau:
         basis[art_rows] = ns + m + np.arange(na)
         self.T = T
         self.basis = basis
-        self.cols = cols
-        self.base = base
+        self.form = form
         self.ns = ns
         self.m = m
         self.na = na
@@ -386,87 +432,21 @@ class _Tableau:
         return x, self._z
 
 
-def _standard_rows(rows, rhs, lo, hi):
-    """Rewrite rows @ y <= rhs, lo <= y <= hi as A z <= b, z >= 0.
+def _phase_one(form: _StandardForm):
+    """Build the tableau of `form` and run phase 1 on it.
 
-    Returns A, b and the recovery data: y = base plus, over the columns
-    (sign, j) of `cols`, +z or -z added to y[j].  Rows keep their order;
-    finite upper bounds of shifted variables become extra rows after them.
+    Returns (pivots, tableau) as the starts' `_warm` does: 0 and a
+    feasible tableau, whose own count holds the phase-1 pivots; the
+    phase-1 pivots and "infeasible" when the region is empty; or 0 and
+    None when every variable is fixed, so there is no column and
+    feasibility is a direct check on `form.b`.
     """
-    n = rows.shape[1]
-    fixed = lo == hi
-    free = np.isinf(lo) & np.isinf(hi)
-    mirrored = np.isinf(lo) & ~np.isinf(hi) & ~fixed
-    shifted = ~fixed & ~free & ~mirrored  # finite lower bound
-
-    cols = []  # (kind, var index) per standard-form column
-    for j in range(n):
-        if fixed[j]:
-            continue
-        if shifted[j]:
-            cols.append(("+", j))
-        elif mirrored[j]:
-            cols.append(("-", j))
-        else:
-            cols.append(("+", j))
-            cols.append(("-", j))
-    ns = len(cols)
-    A = np.zeros((rows.shape[0], ns))
-    base = np.where(fixed | shifted, np.where(np.isfinite(lo), lo, 0.0), 0.0)
-    base = np.where(mirrored, hi, base)
-    for k, (sign, j) in enumerate(cols):
-        s = 1.0 if sign == "+" else -1.0
-        A[:, k] = s * rows[:, j]
-    b = rhs - rows @ base
-
-    # Finite upper bounds of shifted variables become extra rows.
-    ub_rows = []
-    ub_vals = []
-    for k, (sign, j) in enumerate(cols):
-        if sign == "+" and shifted[j] and np.isfinite(hi[j]):
-            r = np.zeros(ns)
-            r[k] = 1.0
-            ub_rows.append(r)
-            ub_vals.append(hi[j] - lo[j])
-    if ub_rows:
-        A = np.vstack([A, np.array(ub_rows)])
-        b = np.concatenate([b, np.array(ub_vals)])
-    return A, b, cols, base
-
-
-def _standard_cost(c: np.ndarray, cols) -> np.ndarray:
-    """The objective over the standard-form columns of `_standard_rows`."""
-    return np.array([c[j] if sign == "+" else -c[j] for sign, j in cols],
-                    dtype=float)
-
-
-class _PhaseOne:
-    """Phase 1 of one region: run at most once, by the first caller."""
-
-    def __init__(self, region: LpProblem):
-        self.region = region
-        self.lock = threading.Lock()
-        self.ran = False
-        self.empty = False  # phase 1 proved the region empty
-        self.tableau: _Tableau | None = None  # feasible basis, when found
-
-    def run(self) -> int:
-        """Run phase 1 unless a caller already has; the pivots it made."""
-        with self.lock:
-            if self.ran:
-                return 0
-            self.ran = True
-            r = self.region
-            A, b, cols, base = _standard_rows(
-                r.rows, r.rhs, r.bounds[:, 0], r.bounds[:, 1])
-            if A.shape[1] == 0:
-                return 0  # every variable fixed: solve_lp checks directly
-            tab = _Tableau(A, b, cols, base)
-            if tab.phase_one():
-                self.tableau = tab
-            else:
-                self.empty = True
-            return tab.iterations
+    if form.A.shape[1] == 0:
+        return 0, None
+    tab = _Tableau(form)
+    if not tab.phase_one():
+        return tab.iterations, "infeasible"
+    return 0, tab
 
 
 class LpStart:
@@ -476,21 +456,22 @@ class LpStart:
     objective and sense play no part.  `solve_lp(problem, start)` takes a
     problem over exactly that region, with any objective, and the start
     from `without_row(i)` takes the region less its row i.  Phase 1 runs
-    inside the first solve_lp call that needs it, which counts its pivots
-    among its own, and is shared read-only by every start made from this
-    one, across threads.
+    once, under a lock, inside the first solve_lp call that needs it,
+    which counts its pivots among its own; its verdict is shared
+    read-only by every start made from this one, across threads.
     """
 
     def __init__(self, region: LpProblem):
         self.region = region
         self.skip: int | None = None  # region row absent from the problem
-        self._phase_one = _PhaseOne(region)
+        self._lock = threading.Lock()
+        self._basis: list = []  # phase 1's verdict, once run; copies share it
 
     def without_row(self, i: int) -> "LpStart":
         """This start for the region without its row i."""
         if self.skip is not None or not 0 <= i < self.region.n_rows:
             raise LpUsageError(f"cannot drop row {i} from this start")
-        out = copy.copy(self)  # shares the phase-1 state
+        out = copy.copy(self)  # shares the lock and the phase-1 verdict
         out.skip = i
         return out
 
@@ -510,12 +491,19 @@ class LpStart:
         the problem, "infeasible", or None where the shared basis cannot
         give one and the LP must be solved cold."""
         self._check(problem)
-        pivots = self._phase_one.run()
-        if self._phase_one.empty and self.skip is None:
-            return pivots, "infeasible"
-        shared = self._phase_one.tableau
-        if shared is None:
-            return pivots, None
+        pivots = 0
+        with self._lock:
+            if not self._basis:
+                r = self.region
+                pivots, verdict = _phase_one(_standard_form(
+                    r.rows, r.rhs, r.bounds[:, 0], r.bounds[:, 1]))
+                if isinstance(verdict, _Tableau):
+                    pivots = verdict.iterations  # its copies count from 0
+                self._basis.append(verdict)
+            shared = self._basis[0]
+        if not isinstance(shared, _Tableau):
+            # An empty region may owe its emptiness to the dropped row.
+            return pivots, shared if self.skip is None else None
         tab = shared.copy()
         if self.skip is not None and not tab.drop_row(self.skip):
             return pivots, None
@@ -548,14 +536,13 @@ class NodeStart:
         self.branch = np.nonzero(self.binary & (lo < hi))[0]
         open_hi = hi.copy()
         open_hi[self.branch] = np.inf  # bound rows are added below
-        A, b, self.cols, self.base = _standard_rows(
-            region.rows, region.rhs, lo, open_hi)
-        self.first_bound_row = A.shape[0]
-        unit = np.zeros((self.branch.size, A.shape[1]))
+        form = _standard_form(region.rows, region.rhs, lo, open_hi)
+        self.first_bound_row = form.A.shape[0]
+        unit = np.zeros((self.branch.size, form.A.shape[1]))
         unit[np.arange(self.branch.size),
-             [self.cols.index(("+", j)) for j in self.branch]] = 1.0
-        self.A = np.vstack([A, unit, -unit])
-        self.b = b
+             np.searchsorted(form.var, self.branch)] = 1.0
+        # b stops at the region's rows: each node appends its bound rows'.
+        self.form = replace(form, A=np.vstack([form.A, unit, -unit]))
         self._parent = None  # (tableau, bound-row rhs) of the parent
         self._solved = None  # the same for this node, once solved
 
@@ -579,8 +566,6 @@ class NodeStart:
         """(pivots, tableau) for solve_lp, as `LpStart._warm`; a pivot
         count outside the tableau's own is dual pivots given up on."""
         self._check(problem)
-        if self.A.shape[1] == 0:
-            return 0, None  # every variable fixed: solve_lp checks directly
         lo0 = self.region.bounds[self.branch, 0]
         rhs = np.concatenate([problem.bounds[self.branch, 1] - lo0,
                               lo0 - problem.bounds[self.branch, 0]])
@@ -594,16 +579,17 @@ class NodeStart:
             slack = tab.ns + self.first_bound_row + moved
             tab.T[:, -1] += tab.T[:, slack] @ delta[moved]
             verdict = tab.dual_simplex(
-                tab._zrow(_standard_cost(c, self.cols)), _DUAL_PIVOT_LIMIT)
+                tab._zrow(c[tab.form.var] * tab.form.sign), _DUAL_PIVOT_LIMIT)
             if verdict == "infeasible":
                 return tab.iterations, "infeasible"
             if verdict == "limit":
                 pivots, tab = tab.iterations, None
         if tab is None:
-            tab = _Tableau(self.A, np.concatenate([self.b, rhs]),
-                           self.cols, self.base)
-            if not tab.phase_one():
-                return pivots + tab.iterations, "infeasible"
+            more, tab = _phase_one(
+                replace(self.form, b=np.concatenate([self.form.b, rhs])))
+            pivots += more
+            if not isinstance(tab, _Tableau):
+                return pivots, tab
         self._solved = (tab, rhs)  # phase 2 in solve_lp finishes it in place
         return pivots, tab
 
@@ -618,46 +604,39 @@ def solve_lp(problem: LpProblem,
     the region is unbounded in the direction that loosens the dropped row.
     With a `NodeStart`, the LP is one node of a branch-and-bound tree.
     """
-    n = problem.n_vars
     m = problem.n_rows
-    lo = problem.bounds[:, 0].copy()
-    hi = problem.bounds[:, 1].copy()
+    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
     c = problem.objective.copy()
     flip = problem.sense == "max"
     if flip:
         c = -c
 
-    pivots = 0  # the start's pivots outside the tableau it gives
-    tab = None
-    if start is not None:
-        pivots, tab = start._warm(problem, c)
-        if tab == "infeasible":
-            return LpSolution("infeasible", None, None, iterations=pivots)
+    # pivots counts those outside the tableau's own count
+    pivots, tab = (0, None) if start is None else start._warm(problem, c)
     if tab is None:
-        A, b, cols, base = _standard_rows(problem.rows, problem.rhs, lo, hi)
-        if A.shape[1] == 0:
+        form = _standard_form(problem.rows, problem.rhs, lo, hi)
+        more, tab = _phase_one(form)
+        pivots += more
+        if tab is None:
             # All variables fixed: feasibility is a direct check.
-            if np.any(b < -FEASIBILITY_TOL):
+            if np.any(form.b < -FEASIBILITY_TOL):
                 return LpSolution("infeasible", None, None, iterations=pivots)
-            point = base.copy()
+            point = form.base.copy()
             obj = float(problem.objective @ point)
             return LpSolution("optimal", obj, point, row_duals=np.zeros(m),
                               dual_bound=obj, iterations=pivots)
-        tab = _Tableau(A, b, cols, base)
-        if not tab.phase_one():
-            return LpSolution("infeasible", None, None,
-                              iterations=pivots + tab.iterations)
+    if tab == "infeasible":
+        return LpSolution("infeasible", None, None, iterations=pivots)
 
-    cols, base = tab.cols, tab.base
-    status = tab.phase_two(_standard_cost(c, cols))
+    form = tab.form
+    status = tab.phase_two(c[form.var] * form.sign)
     iterations = pivots + tab.iterations
     if status == "unbounded":
         return LpSolution("unbounded", None, None, iterations=iterations)
 
     xstd, zrow = tab.extract()
-    point = base.copy()
-    for k, (sign, j) in enumerate(cols):
-        point[j] += xstd[k] if sign == "+" else -xstd[k]
+    point = form.base.copy()
+    np.add.at(point, form.var, form.sign * xstd[:tab.ns])
 
     obj_internal = float(c @ point)
     # Row duals are the reduced costs of the original rows' slack columns.
@@ -690,7 +669,7 @@ def solve_lp(problem: LpProblem,
 
 
 def _with_bounds(lp: LpProblem, bounds: np.ndarray) -> LpProblem:
-    return LpProblem(lp.objective, lp.rows, lp.rhs, bounds=bounds.copy(),
+    return LpProblem(lp.objective, lp.rows, lp.rhs, bounds=bounds,
                      sense="min")
 
 
@@ -709,7 +688,7 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     lp = problem.lp
     flip = lp.sense == "max"
     cmin = -lp.objective if flip else lp.objective
-    base = LpProblem(cmin, lp.rows, lp.rhs, bounds=lp.bounds.copy(), sense="min")
+    base = LpProblem(cmin, lp.rows, lp.rhs, bounds=lp.bounds, sense="min")
     bidx = np.array(problem.binary_indices, dtype=int)
 
     def fractional(point: np.ndarray) -> np.ndarray:

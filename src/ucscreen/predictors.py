@@ -11,6 +11,7 @@ derives the bound from a direct solve, for exactness testing.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +226,10 @@ def read_dataset_csv(path, *, train_fraction: float = 0.8) -> Dataset:
                 vals = [float(v) for v in row]
             except ValueError as exc:
                 raise DatasetError(f"{where}: {exc}") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise DatasetError(f"{where}: cells must be finite numbers")
+            if not all(v in (0.0, 1.0) for v in vals[n_load + 1:]):
+                raise DatasetError(f"{where}: commitment cells must be 0 or 1")
             loads.append(vals[:n_load])
             costs.append(vals[n_load])
             commitments.append([int(v) for v in vals[n_load + 1:]])

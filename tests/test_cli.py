@@ -256,13 +256,17 @@ def test_bad_drop_row_label_is_input_error(label, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and label in err[0]
 
 
-def test_non_numeric_dataset_cell_is_input_error(tmp_path, capsys):
+def _check_bad_dataset_cell(tmp_path, capsys, column, cell):
+    """Put `cell` in one column of line 3 of a five_bus dataset: reading
+    it names the file and line, and a run using it exits 2 with one line."""
     ds_path = tmp_path / "five.csv"
     assert run_cli("gen-data", "--case", case_path("five_bus"),
                    "--beta", "0.1", "--n", "4", "--seed", "1",
                    "--out", str(ds_path)) == EXIT_OK
     lines = ds_path.read_text().splitlines()
-    lines[2] = "abc" + lines[2][lines[2].index(","):]
+    cells = lines[2].split(",")
+    cells[column] = cell
+    lines[2] = ",".join(cells)
     ds_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetError, match=r"five\.csv, line 3"):
         read_dataset_csv(ds_path)
@@ -272,6 +276,63 @@ def test_non_numeric_dataset_cell_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "line 3" in err[0]
+
+
+def test_non_numeric_dataset_cell_is_input_error(tmp_path, capsys):
+    _check_bad_dataset_cell(tmp_path, capsys, 0, "abc")
+
+
+# float() reads each cell; column 5 is the cost, 6 and 7 are u_1 and u_2.
+@pytest.mark.parametrize("column, cell", [(0, "nan"), (5, "inf"), (6, "inf"),
+                                          (7, "-inf"), (6, "0.7"), (7, "2")])
+def test_out_of_range_dataset_cell_is_input_error(tmp_path, capsys,
+                                                  column, cell):
+    _check_bad_dataset_cell(tmp_path, capsys, column, cell)
+
+
+# json.loads reads the NaN and Infinity literals into floats.
+@pytest.mark.parametrize("path, value", [
+    ("generators[0].cost", float("nan")),
+    ("generators[0].x_max", float("inf")),
+    ("nominal_load[1]", float("inf")),
+    ("nominal_load[1]", float("nan")),
+    ("lines[0].f_max", float("inf")),
+    ("lines[0].f_min", float("-inf")),
+    ("lines[0].susceptance", float("inf")),
+])
+def test_non_finite_case_number_is_input_error(tmp_path, capsys, path, value):
+    doc = json.loads((resources.files("ucscreen") / "cases"
+                      / "five_bus.json").read_text())
+    key, _, field = path.partition(".")
+    name, index = key.rstrip("]").split("[")
+    if field:
+        doc[name][int(index)][field] = value
+    else:
+        doc[name][int(index)] = value
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(doc))
+    assert run_cli("run", "--case", str(case), "--scheme", "s3") == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {path}: expected a finite number, got {value}"]
+
+
+# The flag with the bad value comes last.
+@pytest.mark.parametrize("argv", [
+    "run --scheme s4 --beta nan",
+    "run --scheme s4 --beta -0.1",
+    "run --scheme s5 --oracle-cost --epsilon nan",
+    "run --scheme s5 --oracle-cost --epsilon inf",
+    "run --scheme s3 --k 0",
+    "verify --scheme s5 --oracle-cost --epsilon -1",
+    "gen-data --beta 0.1 --out unused.csv --n -3",
+    "gen-data --beta 0.1 --n 3 --out unused.csv --seed -1",
+])
+def test_bad_flag_value_is_input_error(argv, capsys):
+    command, *rest = argv.split()
+    code = run_cli(command, "--case", case_path("five_bus"), *rest)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {rest[-2]} must be")
 
 
 @pytest.mark.parametrize("error", [

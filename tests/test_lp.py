@@ -268,7 +268,7 @@ def test_warm_start_matches_cold_for_full_and_dropped_rows():
             problem = LpProblem(c, BOX_ROWS, BOX_RHS, sense=sense)
             _assert_same(solve_lp(problem, start), solve_lp(problem))
     # Row i is tight at the shared basis when its slack is nonbasic.
-    phase_one = start._phase_one.tableau
+    phase_one = start._basis[0]
     tight = [i for i in range(len(BOX_RHS))
              if phase_one.ns + i not in phase_one.basis]
     assert tight and len(tight) < len(BOX_RHS)  # both re-basing branches
@@ -312,6 +312,26 @@ def test_warm_start_rejects_another_region():
                  start.without_row(2))
     with pytest.raises(LpUsageError):
         start.without_row(len(BOX_RHS))
+
+
+def test_warm_start_pivot_accounting():
+    # With a zero objective phase 2 makes no pivot, so this is phase 1's.
+    region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
+    phase_one = solve_lp(region).iterations
+    assert phase_one > 0
+    # The first LP from a start runs the shared phase 1 and counts it, as
+    # the cold solve does; every later LP skips it.
+    start = LpStart(region)
+    for k, c in enumerate(OBJECTIVES):
+        problem = LpProblem(c, BOX_ROWS, BOX_RHS)
+        cold = solve_lp(problem).iterations
+        assert solve_lp(problem, start).iterations == cold - (k and phase_one)
+    # y1 + y2 >= 3 in the unit box: phase 1 pivots before it gives up.
+    empty = LpProblem([1.0, 1.0], [[-1.0, -1.0]], [-3.0],
+                      bounds=[(0, 1), (0, 1)])
+    cold = solve_lp(empty)
+    assert cold.status == "infeasible" and cold.iterations > 0
+    assert solve_lp(empty, LpStart(empty)).iterations == cold.iterations
 
 
 def test_warm_start_phase_one_runs_once_across_threads():
