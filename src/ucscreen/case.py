@@ -223,8 +223,13 @@ def _check_connected(buses: tuple[int, ...], lines: list[Line]) -> None:
 
 
 def parse_case_file(path) -> GridCase:
-    with open(path, encoding="utf-8") as fh:
-        return parse_case(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CaseFormatError(f"{path}: not UTF-8 ({exc.reason} "
+                              f"at byte {exc.start})") from None
+    return parse_case(text)
 
 
 def case_to_json(case: GridCase) -> str:

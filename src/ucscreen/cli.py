@@ -10,6 +10,7 @@ with different --jobs) produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -56,8 +57,6 @@ from ucscreen.screening import (
     ScreeningReport,
     eovl,
     reduce_model,
-    variable_bounds,
-    vgs_screen,
 )
 
 SCHEMES = ("s1", "s2", "s3", "s4", "s5", "s6", "s7")
@@ -121,6 +120,8 @@ class SchemeConfig:
                 f"--epsilon must be a finite number >= 0, got {self.epsilon}")
         if self.k is not None and (self.k < 1 or self.k % 2 == 0):
             raise InputError(f"--k must be an odd positive integer, got {self.k}")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise InputError(f"--seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,11 +154,6 @@ class RunReport:
         if self.screening.lp_count == 0:
             return None
         return len(self.screening.redundant) / self.screening.lp_count
-
-    @property
-    def percentage_removed(self) -> float:
-        total = len(self.screening.candidates)
-        return 100.0 * len(self.screening.redundant) / total if total else 0.0
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         timings = None
@@ -265,30 +261,29 @@ def _final_model(full: UcInstance, redundant, drop: tuple[RowLabel, ...],
     return reduced
 
 
-def _set_up(config: SchemeConfig):
-    """(case, full model, --drop-row labels, cuts, relaxed cut model to
-    screen) for one scheme run."""
+def _screen(config: SchemeConfig, *, use_vgs: bool = True,
+            use_lfgs: bool = True):
+    """(case, full model, --drop-row labels, cuts, relaxed cut model,
+    its screening report) for one scheme run."""
     case = _load_case(config.case_path)
     dataset = _load_dataset(config)
     full = build_uc(case, case.nominal_load)
     drop = _drop_labels(full, config)
     cuts = build_cuts(case, config, dataset)
-    return case, full, drop, cuts, relax_binaries(apply_cuts(full, cuts))
+    screened = relax_binaries(apply_cuts(full, cuts))
+    try:
+        report = eovl(screened, use_vgs=use_vgs, use_lfgs=use_lfgs,
+                      jobs=config.jobs)
+    except ScreeningInfeasibleError as exc:
+        _classify_screening_failure(full, exc)
+    return case, full, drop, cuts, screened, report
 
 
 def run_scheme(config: SchemeConfig) -> RunReport:
     """Execute one scheme: screen, reduce, and verify/measure the gap."""
     t0 = time.perf_counter()
-    case, full, drop, cuts, screened = _set_up(config)
-    try:
-        report = eovl(
-            screened,
-            use_vgs=config.scheme != "s2",
-            use_lfgs=config.scheme != "s1",
-            jobs=config.jobs,
-        )
-    except ScreeningInfeasibleError as exc:
-        _classify_screening_failure(full, exc)
+    case, full, drop, cuts, _, report = _screen(
+        config, use_vgs=config.scheme != "s2", use_lfgs=config.scheme != "s1")
 
     gap = verify_zero_gap(full, _final_model(full, report.redundant, drop, cuts))
     if gap.full_status != "optimal":
@@ -317,10 +312,10 @@ def verify_case(config: SchemeConfig) -> list[dict]:
     """Run the invariant suite; returns per-property verdicts in order:
     matrix_test_exactness, vgs_soundness, ensemble_equivalence, zero_gap.
 
-    Stops at the first failure, so the last verdict names the violated
-    property.
+    Every property reads one S3 screen of the scheme's region.  Stops at
+    the first failure, so the last verdict names the violated property.
     """
-    _, full, drop, cuts, screened = _set_up(config)
+    _, full, drop, cuts, screened, s3 = _screen(config)
     verdicts: list[dict] = []
 
     def record(name: str, failure: str | None) -> bool:
@@ -328,24 +323,18 @@ def verify_case(config: SchemeConfig) -> list[dict]:
                          "detail": failure})
         return failure is None
 
-    try:
-        box = variable_bounds(screened, jobs=config.jobs)
-    except ScreeningInfeasibleError as exc:
-        _classify_screening_failure(full, exc)
-    vgs = vgs_screen(screened, box)
     if not record("matrix_test_exactness",
-                  matrix_test_exactness(screened, box, vgs.omega, config.seed)):
+                  matrix_test_exactness(screened, s3.box, s3.omega, config.seed)):
         return verdicts
 
     failure = None
-    for lb in vgs.redundant:
-        if not lp_redundancy(screened, lb):
+    for lb in s3.redundant:
+        if s3.attribution[lb] == "vgs" and not lp_redundancy(screened, lb):
             failure = f"{lb} certified by the matrix test but not by the LP oracle"
             break
     if not record("vgs_soundness", failure):
         return verdicts
 
-    s3 = eovl(screened, jobs=config.jobs)
     s2 = eovl(screened, use_vgs=False, jobs=config.jobs)
     failure = None
     if set(s3.redundant) != set(s2.redundant):
@@ -364,6 +353,24 @@ def verify_case(config: SchemeConfig) -> list[dict]:
     return verdicts
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a file that cannot be written as an input error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write a report to the --out path, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    with _writing(out):
+        Path(out).write_text(text, encoding="utf-8")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--case", required=True, help="case JSON path")
     sub.add_argument("--scheme", default="s3", choices=SCHEMES)
@@ -379,9 +386,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="forcibly delete an extra row from the reduced "
                           "model (negative-control hook); repeatable")
     sub.add_argument("--out", default=None, help="write the JSON report here")
-    sub.add_argument("--timings", action="store_true",
-                     help="include wall-clock timings in the report "
-                          "(breaks byte-level reproducibility)")
 
 
 def _config_from_args(args) -> SchemeConfig:
@@ -407,6 +411,9 @@ def main(argv=None) -> int:
 
     p_run = subs.add_parser("run", help="screen a case under one scheme")
     _add_common(p_run)
+    p_run.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings in the report "
+                            "(breaks byte-level reproducibility)")
 
     p_gen = subs.add_parser("gen-data", help="generate a solved-load dataset CSV")
     p_gen.add_argument("--case", required=True)
@@ -422,11 +429,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             report = run_scheme(_config_from_args(args))
-            text = dump_json(report.to_json_dict(include_timings=args.timings))
-            if args.out:
-                Path(args.out).write_text(text, encoding="utf-8")
-            else:
-                sys.stdout.write(text)
+            _emit(dump_json(report.to_json_dict(include_timings=args.timings)),
+                  args.out)
             print(f"[{report.case_id}/{report.scheme}] removed "
                   f"{len(report.screening.redundant)}/"
                   f"{len(report.screening.candidates)} line limits, "
@@ -440,7 +444,8 @@ def main(argv=None) -> int:
                 raise InputError(f"--seed must be >= 0, got {args.seed}")
             case = _load_case(args.case)
             ds = generate_dataset(case, args.beta, args.n, args.seed)
-            write_dataset_csv(ds, args.out)
+            with _writing(args.out):
+                write_dataset_csv(ds, args.out)
             print(f"wrote {len(ds)} records to {args.out} "
                   f"(feasibility rate {ds.feasibility_rate:.3f}, "
                   f"sampling: per-bus independent uniform)", file=sys.stderr)
@@ -449,20 +454,16 @@ def main(argv=None) -> int:
             config = _config_from_args(args)
             verdicts = verify_case(config)
             passed = all(v["passed"] for v in verdicts)
-            if not passed:
-                bad = verdicts[-1]
-                print(f"property violated: {bad['name']}: {bad['detail']}",
-                      file=sys.stderr)
-            doc = {
+            _emit(dump_json({
                 "case": Path(config.case_path).stem,
                 "scheme": config.scheme,
                 "properties": verdicts,
                 "passed": passed,
-            }
-            if args.out:
-                Path(args.out).write_text(dump_json(doc), encoding="utf-8")
-            else:
-                sys.stdout.write(dump_json(doc))
+            }), args.out)
+            if not passed:
+                bad = verdicts[-1]
+                print(f"property violated: {bad['name']}: {bad['detail']}",
+                      file=sys.stderr)
             return EXIT_OK if passed else EXIT_PROPERTY
         raise InputError(f"unknown command {args.command!r}")
     except (InputError, CaseFormatError, CaseValidationError, LpUsageError,

@@ -132,15 +132,6 @@ class UcInstance:
     def range_mode(self) -> bool:
         return self.load is None
 
-    def x_col(self, g: int) -> int:
-        return g
-
-    def u_col(self, g: int) -> int:
-        return self.n_gens + g
-
-    def load_col(self, n: int) -> int:
-        return 2 * self.n_gens + n
-
     @property
     def candidates(self) -> tuple[RowLabel, ...]:
         """Screening candidate set: the line-limit rows, in row order."""

@@ -11,6 +11,7 @@ derives the bound from a direct solve, for exactness testing.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -208,31 +209,38 @@ def write_dataset_csv(ds: Dataset, path) -> None:
 def read_dataset_csv(path, *, train_fraction: float = 0.8) -> Dataset:
     """Read the CSV format back; the split marker is recomputed from the
     train fraction (the file carries records only)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_load = sum(1 for h in header if h.startswith("load_"))
-        n_u = sum(1 for h in header if h.startswith("u_"))
-        if header != ([f"load_{i+1}" for i in range(n_load)] + ["cost"]
-                      + [f"u_{g+1}" for g in range(n_u)]):
-            raise DatasetError(f"{path}: unexpected CSV header {header!r}")
-        loads, costs, commitments = [], [], []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{where}: {len(row)} cells, header has {len(header)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise DatasetError(f"{where}: {exc}") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise DatasetError(f"{where}: cells must be finite numbers")
-            if not all(v in (0.0, 1.0) for v in vals[n_load + 1:]):
-                raise DatasetError(f"{where}: commitment cells must be 0 or 1")
-            loads.append(vals[:n_load])
-            costs.append(vals[n_load])
-            commitments.append([int(v) for v in vals[n_load + 1:]])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 ({exc.reason} "
+                           f"at byte {exc.start})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DatasetError(f"{path}: empty file, expected a CSV header")
+    n_load = sum(1 for h in header if h.startswith("load_"))
+    n_u = sum(1 for h in header if h.startswith("u_"))
+    if header != ([f"load_{i+1}" for i in range(n_load)] + ["cost"]
+                  + [f"u_{g+1}" for g in range(n_u)]):
+        raise DatasetError(f"{path}: unexpected CSV header {header!r}")
+    loads, costs, commitments = [], [], []
+    for row in reader:
+        where = f"{path}, line {reader.line_num}"
+        if len(row) != len(header):
+            raise DatasetError(
+                f"{where}: {len(row)} cells, header has {len(header)}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise DatasetError(f"{where}: {exc}") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise DatasetError(f"{where}: cells must be finite numbers")
+        if not all(v in (0.0, 1.0) for v in vals[n_load + 1:]):
+            raise DatasetError(f"{where}: commitment cells must be 0 or 1")
+        loads.append(vals[:n_load])
+        costs.append(vals[n_load])
+        commitments.append([int(v) for v in vals[n_load + 1:]])
     n = len(loads)
     return Dataset(
         np.array(loads).reshape(n, n_load),

@@ -53,16 +53,16 @@ class BoundsBox:
 
 @dataclass(eq=False)
 class ScreeningReport:
-    """Verdict over the candidate set, with LP accounting."""
+    """Verdict over the candidate set, with LP accounting; `box` is the
+    vertex pass's bounds box, None when that pass did not run."""
 
     candidates: tuple[RowLabel, ...]
     redundant: tuple[RowLabel, ...]
     lp_count: int = 0
-    matrix_op_count: int = 0
     wall_times: dict[str, float] = field(default_factory=dict)
     attribution: dict[RowLabel, str] = field(default_factory=dict)
     omega: dict[RowLabel, float] = field(default_factory=dict)
-    diagnostics: tuple[str, ...] = ()
+    box: BoundsBox | None = None
 
     @property
     def kept(self) -> tuple[RowLabel, ...]:
@@ -159,16 +159,14 @@ def vgs_screen(inst: UcInstance, box: BoundsBox,
     omega = box_row_maximum(rows, box) - inst.rhs[idx]
     redundant = tuple(lb for lb, w in zip(candidates, omega)
                       if w < -FEASIBILITY_TOL)
-    report = ScreeningReport(
+    return ScreeningReport(
         candidates=tuple(candidates),
         redundant=redundant,
-        lp_count=0,
-        matrix_op_count=1,
         wall_times={"vgs": time.perf_counter() - t0},
         attribution={lb: "vgs" for lb in redundant},
         omega={lb: float(w) for lb, w in zip(candidates, omega)},
+        box=box,
     )
-    return report
 
 
 def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None,
@@ -190,12 +188,11 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
         problems.append(inst.lp(coeffs, sense="max", skip_label=lb))
         starts.append(inst.lp_start.without_row(inst.row_index(lb)))
     solutions = _solve_many(problems, starts, jobs)
-    redundant, diagnostics = [], []
+    redundant = []
     for lb, sol in zip(candidates, solutions):
         _, bound = inst.row(lb)
         if sol.status == "unbounded":
-            diagnostics.append(f"{lb}: screening LP unbounded, kept uncertified")
-            continue
+            continue  # no finite maximum certifies the row: it is kept
         if sol.status == "infeasible":
             raise ScreeningInfeasibleError(
                 f"screening LP for {lb} infeasible; relaxed region is empty")
@@ -205,10 +202,8 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
         candidates=tuple(candidates),
         redundant=tuple(redundant),
         lp_count=len(candidates),
-        matrix_op_count=0,
         wall_times={"lfgs": time.perf_counter() - t0},
         attribution={lb: "lfgs" for lb in redundant},
-        diagnostics=tuple(diagnostics),
     )
 
 
@@ -219,52 +214,29 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
 
     Either phase can be switched off: vgs-only realizes scheme S1
     (undecided rows are conservatively kept), lfgs-only realizes S2.
+    The result is the vertex pass's report with the line-flow pass
+    folded in; it carries the box whenever the vertex pass ran.
     """
     if inst.binary_indices:
         raise LpUsageError("screening expects a binary-relaxed instance")
-    candidates = inst.candidates
-    wall_times: dict[str, float] = {}
-    lp_count = 0
-    matrix_ops = 0
-    attribution: dict[RowLabel, str] = {}
-    omega: dict[RowLabel, float] = {}
-    diagnostics: tuple[str, ...] = ()
-    vgs_redundant: tuple[RowLabel, ...] = ()
-
     if use_vgs:
         t0 = time.perf_counter()
         box = variable_bounds(inst, jobs=jobs)
-        wall_times["bounds"] = time.perf_counter() - t0
-        lp_count += box.lp_count
-        part = vgs_screen(inst, box)
-        wall_times.update(part.wall_times)
-        matrix_ops += part.matrix_op_count
-        attribution.update(part.attribution)
-        omega = part.omega
-        vgs_redundant = part.redundant
+        bounds_s = time.perf_counter() - t0
+        report = vgs_screen(inst, box)
+        report.lp_count = box.lp_count
+        report.wall_times["bounds"] = bounds_s
+    else:
+        report = ScreeningReport(candidates=inst.candidates, redundant=())
 
-    vgs_set = set(vgs_redundant)
-    undecided = tuple(lb for lb in candidates if lb not in vgs_set)
-    lfgs_redundant: tuple[RowLabel, ...] = ()
+    undecided = report.kept
     if use_lfgs and undecided:
         part = lfgs_screen(inst, undecided, jobs=jobs)
-        wall_times.update(part.wall_times)
-        lp_count += part.lp_count
-        attribution.update(part.attribution)
-        diagnostics = part.diagnostics
-        lfgs_redundant = part.redundant
-
-    redundant = set(vgs_redundant) | set(lfgs_redundant)
-    report = ScreeningReport(
-        candidates=candidates,
-        redundant=tuple(lb for lb in candidates if lb in redundant),
-        lp_count=lp_count,
-        matrix_op_count=matrix_ops,
-        wall_times=wall_times,
-        attribution=attribution,
-        omega=omega,
-        diagnostics=diagnostics,
-    )
+        removed = set(report.redundant) | set(part.redundant)
+        report.redundant = tuple(lb for lb in report.candidates if lb in removed)
+        report.lp_count += part.lp_count
+        report.wall_times.update(part.wall_times)
+        report.attribution.update(part.attribution)
     report.check_partition()
     return report
 

@@ -6,7 +6,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import ucscreen.cli
 import ucscreen.model
+import ucscreen.screening
 from ucscreen.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -14,6 +16,7 @@ from ucscreen.cli import (
     EXIT_SCREENING_INFEASIBLE,
     SchemeConfig,
     main,
+    verify_case,
 )
 from ucscreen.lp import NodeLimitExceeded, SimplexError
 from ucscreen.predictors import (
@@ -121,6 +124,30 @@ def test_verify_negative_control_names_property(tmp_path, capsys):
     assert doc["passed"] is False
     assert doc["properties"][-1]["name"] == "zero_gap"
     assert "zero_gap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, scheme, beta", [("nine_bus", "s3", None),
+                                                ("fifty_bus", "s4", 0.1)])
+def test_verify_screens_once(name, scheme, beta, monkeypatch):
+    """verify solves the S3 screen's LPs and the S2 screen's, no more."""
+    calls, reports = [], []
+    solve_lp, eovl = ucscreen.screening.solve_lp, ucscreen.cli.eovl
+
+    def counted(*args):
+        calls.append(1)
+        return solve_lp(*args)
+
+    def recorded(*args, **kwargs):
+        reports.append(eovl(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(ucscreen.screening, "solve_lp", counted)
+    monkeypatch.setattr(ucscreen.cli, "eovl", recorded)
+    verdicts = verify_case(SchemeConfig(case_path=case_path(name),
+                                        scheme=scheme, beta=beta))
+    assert all(v["passed"] for v in verdicts)
+    s3, s2 = reports
+    assert len(calls) == s3.lp_count + s2.lp_count
 
 
 def test_verify_determinism(tmp_path):
@@ -236,6 +263,55 @@ def test_s7_combines_cuts(tmp_path):
     assert set(read(s7)["redundant_rows"]) >= set(read(s3)["redundant_rows"])
 
 
+def test_verify_has_no_timings_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--case", case_path("five_bus"), "--timings")
+    assert exc.value.code == EXIT_INPUT
+    assert "--timings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "run --scheme s3 --out {missing}",
+    "run --scheme s3 --out {directory}",
+    "verify --scheme s3 --out {missing}",
+    "gen-data --beta 0.1 --n 2 --out {missing}",
+])
+def test_unwritable_out_is_input_error(argv, tmp_path, capsys):
+    paths = {"missing": str(tmp_path / "missing" / "x.out"),
+             "directory": str(tmp_path)}
+    command, *rest = argv.format(**paths).split()
+    code = run_cli(command, "--case", case_path("five_bus"), *rest)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {rest[-1]}")
+
+
+def test_case_file_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    text = (resources.files("ucscreen") / "cases" / "five_bus.json").read_text()
+    path.write_bytes(text.replace("five_bus", "f\u00fcnf").encode("latin-1"))
+    assert run_cli("run", "--case", str(path), "--scheme", "s3") == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: not UTF-8")
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"load_1,\xfc\n", "not UTF-8", id="latin1"),
+    pytest.param(b"", "empty", id="empty"),
+])
+def test_undecodable_or_empty_dataset_is_input_error(content, message,
+                                                     tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(DatasetError, match=message):
+        read_dataset_csv(path)
+    code = run_cli("run", "--case", case_path("five_bus"), "--scheme", "s6",
+                   "--dataset", str(path))
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {message}")
+
+
 def test_timings_flag_breaks_no_other_fields(tmp_path):
     out = tmp_path / "t.json"
     assert run_cli("run", "--case", case_path("five_bus"), "--scheme", "s3",
@@ -324,6 +400,7 @@ def test_non_finite_case_number_is_input_error(tmp_path, capsys, path, value):
     "run --scheme s5 --oracle-cost --epsilon inf",
     "run --scheme s3 --k 0",
     "verify --scheme s5 --oracle-cost --epsilon -1",
+    "verify --scheme s4 --beta 0.1 --seed -1",
     "gen-data --beta 0.1 --out unused.csv --n -3",
     "gen-data --beta 0.1 --n 3 --out unused.csv --seed -1",
 ])
