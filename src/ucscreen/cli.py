@@ -192,13 +192,22 @@ def _load_case(path: str) -> GridCase:
     return parse_case_file(p)
 
 
-def _load_dataset(config: SchemeConfig) -> Dataset | None:
+def _load_dataset(config: SchemeConfig, case: GridCase) -> Dataset | None:
+    """The --dataset CSV, checked to have one load column per bus and one
+    status column per unit of the case."""
     if config.dataset_path is None:
         return None
     p = Path(config.dataset_path)
     if not p.is_file():
         raise InputError(f"dataset file not found: {config.dataset_path}")
-    return read_dataset_csv(p)
+    ds = read_dataset_csv(p)
+    n_load, n_unit = ds.loads.shape[1], ds.commitments.shape[1]
+    if (n_load, n_unit) != (case.n_buses, case.n_gens):
+        raise InputError(
+            f"dataset {config.dataset_path} has {n_load} load and {n_unit} "
+            f"unit columns; the case has {case.n_buses} buses and "
+            f"{case.n_gens} units")
+    return ds
 
 
 def build_cuts(case: GridCase, config: SchemeConfig,
@@ -266,7 +275,7 @@ def _screen(config: SchemeConfig, *, use_vgs: bool = True,
     """(case, full model, --drop-row labels, cuts, relaxed cut model,
     its screening report) for one scheme run."""
     case = _load_case(config.case_path)
-    dataset = _load_dataset(config)
+    dataset = _load_dataset(config, case)
     full = build_uc(case, case.nominal_load)
     drop = _drop_labels(full, config)
     cuts = build_cuts(case, config, dataset)
@@ -442,7 +451,11 @@ def main(argv=None) -> int:
                 raise InputError(f"--n must be >= 0, got {args.n}")
             if args.seed < 0:  # numpy seeds are non-negative
                 raise InputError(f"--seed must be >= 0, got {args.seed}")
+            if not 0.0 <= args.beta <= 1.0:
+                raise InputError(f"--beta must be within [0, 1], got {args.beta}")
             case = _load_case(args.case)
+            with _writing(args.out):  # fail before solving any sample
+                open(args.out, "a", encoding="utf-8").close()
             ds = generate_dataset(case, args.beta, args.n, args.seed)
             with _writing(args.out):
                 write_dataset_csv(ds, args.out)

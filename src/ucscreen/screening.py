@@ -13,6 +13,15 @@ Three engines over the binary-relaxed instance:
 
 A row is only ever removed on a strict margin (FEASIBILITY_TOL); ties
 are kept.  Keeping a redundant row is safe, removing a binding one is not.
+
+The ensemble skips every LP whose answer a known point already gives
+(the filtering rule of optimization-based bound tightening).  A bound
+LP's optimum that attains another column's proven limit settles that
+bound, and one that nearly meets or violates an undecided line row
+proves the row is kept.  Points come from the bound pass alone, so the
+skips depend on the region, never on `jobs`.  `lp_count` stays the
+paper's accounting (two LPs per bound column, one per undecided row);
+`lp_solved` counts the simplex runs actually made.
 """
 
 from __future__ import annotations
@@ -27,6 +36,11 @@ from ucscreen.lp import FEASIBILITY_TOL, LpUsageError, solve_lp
 from ucscreen.model import RowLabel, UcInstance
 
 
+# A known point attains a bound's proven limit within this share of
+# max(1, |limit|).
+ATTAIN_RTOL = 1e-9
+
+
 class ScreeningInfeasibleError(RuntimeError):
     """The relaxed region is empty (typically a cost cut below any
     attainable cost); no screening verdict is possible."""
@@ -34,17 +48,25 @@ class ScreeningInfeasibleError(RuntimeError):
 
 @dataclass(eq=False)
 class BoundsBox:
-    """Per-column bounds of the relaxed region, with provenance."""
+    """Per-column bounds of the relaxed region, with provenance.
+
+    `lp_count` is the paper's two bound LPs per column of provenance
+    "lp_solved"; the field `lp_solved` counts those actually solved, and
+    `points` holds their optimal points, one per row."""
 
     lower: np.ndarray
     upper: np.ndarray
     provenance: tuple[str, ...]  # lp_solved | load_box | fixed_by_cut
     lp_count: int = 0
+    lp_solved: int = 0
+    points: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(self.lower > self.upper):
             raise ScreeningInfeasibleError(
                 "bounds box is empty (lower above upper)")
+        if self.points is None:
+            self.points = np.empty((0, self.n_cols))
 
     @property
     def n_cols(self) -> int:
@@ -54,11 +76,15 @@ class BoundsBox:
 @dataclass(eq=False)
 class ScreeningReport:
     """Verdict over the candidate set, with LP accounting; `box` is the
-    vertex pass's bounds box, None when that pass did not run."""
+    vertex pass's bounds box, None when that pass did not run.
+
+    `lp_count` is the paper's count of screening LPs, `lp_solved` the
+    simplex runs actually made (at most `lp_count`)."""
 
     candidates: tuple[RowLabel, ...]
     redundant: tuple[RowLabel, ...]
     lp_count: int = 0
+    lp_solved: int = 0
     wall_times: dict[str, float] = field(default_factory=dict)
     attribution: dict[RowLabel, str] = field(default_factory=dict)
     omega: dict[RowLabel, float] = field(default_factory=dict)
@@ -86,13 +112,29 @@ def _solve_many(problems, starts, jobs: int):
         return list(pool.map(solve_lp, problems, starts))
 
 
+def _proven_limits(inst: UcInstance) -> np.ndarray:
+    """(n_cols, 2) outer bounds known without an LP: a dispatch column lies
+    in [x_min * u_lo, x_max * u_hi] by its generation rows (valid because
+    0 <= x_min <= x_max), every other column within its own bounds."""
+    G = inst.n_gens
+    limits = inst.bounds.copy()
+    u = inst.bounds[G:2 * G]
+    limits[:G, 0] = [g.x_min * lo for g, lo in zip(inst.case.generators, u[:, 0])]
+    limits[:G, 1] = [g.x_max * hi for g, hi in zip(inst.case.generators, u[:, 1])]
+    return limits
+
+
 def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
     """Tight per-variable bounds over the relaxed region.
 
-    Dispatch and status columns each cost two LPs (max and min); load
+    Dispatch and status columns each have two LPs (max and min); load
     columns keep their bounds from the load box without solving, and so
     do status columns a commitment fix pins (lower bound equal to upper).
     Every bound LP runs phase 2 only, from the instance's shared start.
+
+    The LPs run in rounds of one column, in column order.  A side whose
+    proven limit an optimal point of an earlier round attains (within
+    ATTAIN_RTOL relative) takes that limit without its LP.
     """
     if inst.binary_indices:
         raise LpUsageError("variable bounds expect a binary-relaxed instance")
@@ -104,30 +146,40 @@ def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
         else "fixed_by_cut" if lower[p] == upper[p] else "lp_solved"
         for p in range(n))
     lp_cols = [p for p in range(n) if provenance[p] == "lp_solved"]
+    limits = _proven_limits(inst)
+    side_bound = {"max": upper, "min": lower}
+    points = np.empty((2 * len(lp_cols), n))
+    n_points = solved = 0
 
-    problems = []
     for p in lp_cols:
+        limit = limits[p, ::-1]  # (max side, min side)
+        attained = np.isfinite(limit) & np.any(
+            np.abs(points[:n_points, p, None] - limit)
+            <= ATTAIN_RTOL * np.maximum(1.0, np.abs(limit)), axis=0)
+        sides = []
+        for side, lim, hit in zip(("max", "min"), limit, attained):
+            if hit:
+                side_bound[side][p] = lim
+            else:
+                sides.append(side)
         obj = np.zeros(n)
         obj[p] = 1.0
-        problems.append(inst.lp(obj, sense="max"))
-        problems.append(inst.lp(obj, sense="min"))
-    solutions = _solve_many(problems, [inst.lp_start] * len(problems), jobs)
-    for k, p in enumerate(lp_cols):
-        for off, side in ((0, "max"), (1, "min")):
-            sol = solutions[2 * k + off]
+        solutions = _solve_many([inst.lp(obj, sense=s) for s in sides],
+                                [inst.lp_start] * len(sides), jobs)
+        solved += len(sides)
+        for side, sol in zip(sides, solutions):
             if sol.status == "infeasible":
                 raise ScreeningInfeasibleError(
                     "relaxed region is empty; bound LP infeasible "
                     f"for column {p} (bad cost cut?)")
             if sol.status == "unbounded":
-                value = np.inf if side == "max" else -np.inf
+                side_bound[side][p] = np.inf if side == "max" else -np.inf
             else:
-                value = sol.objective_value
-            if side == "max":
-                upper[p] = value
-            else:
-                lower[p] = value
-    return BoundsBox(lower, upper, provenance, lp_count=2 * len(lp_cols))
+                side_bound[side][p] = sol.objective_value
+                points[n_points] = sol.point
+                n_points += 1
+    return BoundsBox(lower, upper, provenance, lp_count=2 * len(lp_cols),
+                     lp_solved=solved, points=points[:n_points].copy())
 
 
 def box_row_maximum(rows: np.ndarray, box: BoundsBox) -> np.ndarray:
@@ -202,9 +254,23 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
         candidates=tuple(candidates),
         redundant=tuple(redundant),
         lp_count=len(candidates),
+        lp_solved=len(candidates),
         wall_times={"lfgs": time.perf_counter() - t0},
         attribution={lb: "lfgs" for lb in redundant},
     )
+
+
+def _unwitnessed(inst: UcInstance, points: np.ndarray,
+                 candidates: tuple[RowLabel, ...]) -> tuple[RowLabel, ...]:
+    """The candidates that no point of the region proves kept.  A point p
+    with rows[j] @ p > rhs[j] - FEASIBILITY_TOL proves row j kept: the
+    maximum over the region less row j is at least rows[j] @ p."""
+    if not (len(points) and candidates):
+        return candidates
+    idx = np.array([inst.row_index(lb) for lb in candidates], dtype=int)
+    best = np.max(inst.rows[idx] @ points.T, axis=1)
+    witnessed = best > inst.rhs[idx] - FEASIBILITY_TOL
+    return tuple(lb for lb, w in zip(candidates, witnessed) if not w)
 
 
 def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
@@ -213,7 +279,9 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
     pass on whatever the matrix test left undecided.
 
     Either phase can be switched off: vgs-only realizes scheme S1
-    (undecided rows are conservatively kept), lfgs-only realizes S2.
+    (undecided rows are conservatively kept), lfgs-only realizes S2, which
+    solves every candidate's LP.  With both on, an undecided row that an
+    optimal point of the bound pass proves kept gets no LP.
     The result is the vertex pass's report with the line-flow pass
     folded in; it carries the box whenever the vertex pass ran.
     """
@@ -225,16 +293,20 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
         bounds_s = time.perf_counter() - t0
         report = vgs_screen(inst, box)
         report.lp_count = box.lp_count
+        report.lp_solved = box.lp_solved
         report.wall_times["bounds"] = bounds_s
     else:
         report = ScreeningReport(candidates=inst.candidates, redundant=())
 
     undecided = report.kept
     if use_lfgs and undecided:
-        part = lfgs_screen(inst, undecided, jobs=jobs)
+        rest = (undecided if report.box is None
+                else _unwitnessed(inst, report.box.points, undecided))
+        part = lfgs_screen(inst, rest, jobs=jobs)
         removed = set(report.redundant) | set(part.redundant)
         report.redundant = tuple(lb for lb in report.candidates if lb in removed)
-        report.lp_count += part.lp_count
+        report.lp_count += len(undecided)
+        report.lp_solved += part.lp_solved
         report.wall_times.update(part.wall_times)
         report.attribution.update(part.attribution)
     report.check_partition()

@@ -7,7 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
+from ucscreen import oracle, screening
 from ucscreen.case import load_bundled_case
+from ucscreen.lp import FEASIBILITY_TOL, solve_lp
 from ucscreen.model import UcInfeasibleError, build_uc, solve_uc
 
 CORPUS = ("five_bus", "nine_bus", "fourteen_bus", "thirty_bus", "fifty_bus")
@@ -74,3 +76,71 @@ def brute_force_milp(c, A, b, bounds, binary_indices):
     if not any_feasible:
         return "infeasible", None
     return "optimal", best
+
+
+def screen_checking_skips(inst):
+    """S3 screen of `inst` that checks every LP the screen skipped.
+
+    A bound LP is skipped exactly when an optimum of an earlier column's
+    bound LP attains the side's proven limit, and the skipped bound equals
+    a cold solve of its LP.  An undecided line row gets no LP exactly when
+    an optimum of a bound LP meets it within the margin, and the cold
+    per-row oracle finds each such row not redundant."""
+    solved, sent = [], []
+    solve, lfgs = screening.solve_lp, screening.lfgs_screen
+
+    def recording_solve(problem, start=None):
+        solved.append((problem, solve(problem, start)))
+        return solved[-1][1]
+
+    def recording_lfgs(region, candidates, jobs=1):
+        sent.extend(candidates)
+        return lfgs(region, candidates, jobs=jobs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(screening, "solve_lp", recording_solve)
+        mp.setattr(screening, "lfgs_screen", recording_lfgs)
+        report = screening.eovl(inst)
+    assert report.lp_solved == len(solved) <= report.lp_count
+
+    # Bound LPs keep every row; line-flow LPs drop their own.
+    bound = [(int(np.flatnonzero(pb.objective)[0]), pb.sense, sol)
+             for pb, sol in solved if pb.n_rows == inst.rows.shape[0]]
+    points = np.array([sol.point for _, _, sol in bound
+                       if sol.status == "optimal"]).reshape(-1, inst.n_cols)
+    box = report.box
+    assert box.lp_solved == len(bound)
+    assert len(solved) - len(bound) == len(sent)
+    assert np.array_equal(box.points, points)
+
+    G = inst.n_gens
+    lo, hi = inst.bounds[:, 0].copy(), inst.bounds[:, 1].copy()
+    for g, gen in enumerate(inst.case.generators):
+        lo[g], hi[g] = gen.x_min * lo[G + g], gen.x_max * hi[G + g]
+    done = {(p, sense) for p, sense, _ in bound}
+    for p, origin in enumerate(box.provenance):
+        if origin != "lp_solved":
+            continue
+        earlier = np.array([sol.point[p] for q, _, sol in bound
+                            if q < p and sol.status == "optimal"])
+        for sense, value, limit in (("max", box.upper[p], hi[p]),
+                                    ("min", box.lower[p], lo[p])):
+            attained = np.any(np.abs(earlier - limit)
+                              <= 1e-9 * max(1.0, abs(limit)))
+            assert attained == ((p, sense) not in done), (p, sense)
+            if attained:
+                obj = np.zeros(inst.n_cols)
+                obj[p] = 1.0
+                cold = solve_lp(inst.lp(obj, sense=sense)).objective_value
+                assert abs(value - cold) <= 1e-9, (p, sense)
+
+    for lb in report.candidates:
+        if report.attribution.get(lb) == "vgs":
+            continue
+        coeffs, rhs = inst.row(lb)
+        witnessed = bool(len(points)) and (
+            np.max(points @ coeffs) > rhs - FEASIBILITY_TOL)
+        assert witnessed == (lb not in sent), lb
+        if witnessed:
+            assert not oracle.lp_redundancy(inst, lb), lb
+    return report

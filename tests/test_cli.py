@@ -15,7 +15,9 @@ from ucscreen.cli import (
     EXIT_PROPERTY,
     EXIT_SCREENING_INFEASIBLE,
     SchemeConfig,
+    dump_json,
     main,
+    run_scheme,
     verify_case,
 )
 from ucscreen.lp import NodeLimitExceeded, SimplexError
@@ -147,7 +149,20 @@ def test_verify_screens_once(name, scheme, beta, monkeypatch):
                                         scheme=scheme, beta=beta))
     assert all(v["passed"] for v in verdicts)
     s3, s2 = reports
-    assert len(calls) == s3.lp_count + s2.lp_count
+    assert len(calls) == s3.lp_solved + s2.lp_solved
+    if name == "fifty_bus":
+        assert s3.lp_solved < s3.lp_count
+
+
+@pytest.mark.parametrize("scheme, beta", [("s3", None), ("s4", 0.1)])
+def test_skips_do_not_depend_on_jobs(scheme, beta):
+    reports = [run_scheme(SchemeConfig(case_path=case_path("fifty_bus"),
+                                       scheme=scheme, beta=beta, jobs=jobs))
+               for jobs in (1, 8)]
+    docs = [dump_json(r.to_json_dict()) for r in reports]
+    assert docs[0] == docs[1]
+    solved = [r.screening.lp_solved for r in reports]
+    assert solved[0] == solved[1] < reports[0].screening.lp_count
 
 
 def test_verify_determinism(tmp_path):
@@ -284,6 +299,66 @@ def test_unwritable_out_is_input_error(argv, tmp_path, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {rest[-1]}")
+
+
+@pytest.mark.parametrize("argv", ["--out {missing}", "--out {directory}"])
+def test_gen_data_checks_out_before_generating(argv, tmp_path, capsys,
+                                               monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("generated samples for an unwritable --out")
+
+    monkeypatch.setattr(ucscreen.cli, "generate_dataset", must_not_run)
+    out = argv.format(missing=tmp_path / "missing" / "x.csv",
+                      directory=tmp_path).split()
+    code = run_cli("gen-data", "--case", case_path("five_bus"), "--beta", "0.1",
+                   "--n", "2", *out)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out[-1]}")
+
+
+def test_gen_data_late_write_error_is_input_error(tmp_path, capsys,
+                                                  monkeypatch):
+    def full_disk(ds, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ucscreen.cli, "write_dataset_csv", full_disk)
+    out = tmp_path / "x.csv"
+    code = run_cli("gen-data", "--case", case_path("five_bus"), "--beta", "0.1",
+                   "--n", "2", "--out", str(out))
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: cannot write {out}: No space left on device"]
+
+
+def test_gen_data_bad_beta_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run_cli("gen-data", "--case", case_path("five_bus"), "--beta", "1.5",
+                   "--n", "2", "--out", str(out))
+    assert code == EXIT_INPUT
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: --beta must be within [0, 1], got 1.5"]
+
+
+# five_bus has 5 buses and 2 units.
+@pytest.mark.parametrize("n_load, n_unit", [(3, 1), (5, 1)])
+@pytest.mark.parametrize("scheme", ["s5", "s6", "s7"])
+def test_dataset_shape_must_match_case(scheme, n_load, n_unit, tmp_path,
+                                       capsys):
+    rng = np.random.default_rng(3)
+    n = 8
+    ds = Dataset(rng.uniform(10.0, 40.0, size=(n, n_load)),
+                 rng.uniform(500.0, 900.0, size=n),
+                 np.ones((n, n_unit), dtype=int), n_train=6)
+    path = tmp_path / "shape.csv"
+    write_dataset_csv(ds, path)
+    code = run_cli("run", "--case", case_path("five_bus"), "--scheme", scheme,
+                   "--epsilon", "0.05", "--dataset", str(path))
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: dataset {path} has {n_load} load and {n_unit} unit "
+                   "columns; the case has 5 buses and 2 units"]
 
 
 def test_case_file_not_utf8_is_input_error(tmp_path, capsys):

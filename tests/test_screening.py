@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import CORPUS, enumerate_polygon_vertices
+import ucscreen.screening
+from conftest import CORPUS, enumerate_polygon_vertices, screen_checking_skips
 from ucscreen import oracle
 from ucscreen.case import case_to_json, parse_case
 from ucscreen.lp import LpUsageError, solve_lp
@@ -357,6 +358,29 @@ def test_warm_screening_matches_cold_solves(cases, name, scheme):
     report = lfgs_screen(inst)
     assert set(report.redundant) == {
         lb for lb in inst.candidates if oracle.lp_redundancy(inst, lb)}
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4"])
+@pytest.mark.parametrize("name", CORPUS + ("negcontrol",))
+def test_skipped_lps_match_cold_verdicts(cases, name, scheme):
+    inst = _region(cases[name], scheme)
+    s3 = screen_checking_skips(inst)
+    assert set(s3.redundant) == set(eovl(inst, use_vgs=False).redundant)
+
+
+def test_s2_solves_every_lp(cases, monkeypatch):
+    calls = []
+    solve_lp = ucscreen.screening.solve_lp
+
+    def counted(*args):
+        calls.append(1)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(ucscreen.screening, "solve_lp", counted)
+    for name in CORPUS:
+        calls.clear()
+        s2 = eovl(relaxed(cases[name]), use_vgs=False)
+        assert s2.lp_solved == s2.lp_count == len(calls), name
 
 
 def test_empty_region_raises_from_every_warm_pass(cases):
