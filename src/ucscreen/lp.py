@@ -9,13 +9,21 @@ to Bland's rule after a stall, which guarantees termination on degenerate
 instances.  Everything is deterministic: identical input bytes produce
 identical output bytes, which the screening reports rely on.
 
+The tableau is condensed (a dictionary): it stores one column per
+nonbasic variable and the right-hand side, never the unit columns of the
+basic ones.  With m rows and n standard-form columns, a pivot after
+phase 1 costs m * (n + 1) rather than m * (n + m + 1).  Each variable
+keeps a label in the full tableau's numbering, and every tie between
+columns goes to the lowest label, so the pivots are those of the full
+tableau.
+
 Phase 1 depends on the region only, never on the objective.  Screening
 solves many LPs over one region, or over that region less one row, so
 an `LpStart` runs phase 1 once per region and each LP given the start
-copies its feasible tableau and runs phase 2 alone.  Every such LP starts
-from the same basis, so results do not depend on the order or the thread
-the LPs run in.  Without a start, `solve_lp` runs both phases itself, as
-the brute-force oracles do.
+copies its feasible tableau, m rows by n + 1 columns, and runs phase 2
+alone.  Every such LP starts from the same basis, so results do not
+depend on the order or the thread the LPs run in.  Without a start,
+`solve_lp` runs both phases itself, as the brute-force oracles do.
 
 All three ways in (a cold solve, an `LpStart` and a `NodeStart`) share
 one standard form, `_standard_form`: A z <= b with z >= 0, plus two
@@ -220,11 +228,19 @@ def _standard_form(rows, rhs, lo, hi) -> _StandardForm:
 
 
 class _Tableau:
-    """Two-phase dense simplex working state for min c'z, A z <= b, z >= 0.
+    """Two-phase dense simplex working state for min c'z, A z <= b, z >= 0,
+    kept as a condensed (dictionary) tableau.
 
-    Columns are the ns structural columns, one slack per row (slack ns + i
-    belongs to row i), the artificials until phase 1 drops them, and the
-    right-hand side last.  `form` maps z back to the problem's variables.
+    Variables are numbered by label: the ns structural columns, then one
+    slack per row (slack ns + i belongs to input row i), then one
+    artificial per row with a negative right-hand side.  `T` stores only
+    the nonbasic columns, `nonbasic[q]` being the label of column q, and
+    the right-hand side last; `basis[r]` is the label basic in row r.  A
+    basic variable's full-tableau column is the unit vector of its row,
+    so it is never stored.  Every choice among tied columns takes the
+    lowest label, which makes the pivots those of the full tableau.  An
+    artificial never re-enters, and the artificials' columns are deleted
+    at the end of phase 1.  `form` maps z back to the problem's variables.
     """
 
     def __init__(self, form: _StandardForm):
@@ -233,20 +249,22 @@ class _Tableau:
         sigma = np.where(rhs >= 0.0, 1.0, -1.0)
         art_rows = np.nonzero(sigma < 0)[0]
         na = art_rows.size
-        width = ns + m + na + 1
-        T = np.zeros((m, width))
+        # Nonbasic at the start: the structural columns and the slacks of
+        # the rows whose artificial is basic.
+        T = np.zeros((m, ns + na + 1))
         T[:, :ns] = rows * sigma[:, None]
-        T[np.arange(m), ns + np.arange(m)] = sigma
-        T[art_rows, ns + m + np.arange(na)] = 1.0
+        T[art_rows, ns + np.arange(na)] = -1.0
         T[:, -1] = rhs * sigma
         basis = ns + np.arange(m)
         basis[art_rows] = ns + m + np.arange(na)
         self.T = T
         self.basis = basis
+        self.nonbasic = np.concatenate([np.arange(ns), ns + art_rows])
         self.form = form
         self.ns = ns
         self.m = m
-        self.na = na
+        self.n_labels = ns + m + na
+        self.art_start = ns + m
         self.iterations = 0
 
     def copy(self) -> "_Tableau":
@@ -254,27 +272,43 @@ class _Tableau:
         out = copy.copy(self)
         out.T = self.T.copy()
         out.basis = self.basis.copy()
+        out.nonbasic = self.nonbasic.copy()
         out.iterations = 0
         return out
 
     def _zrow(self, cost: np.ndarray) -> np.ndarray:
-        """Reduced costs, and minus the objective last, for `cost` over
-        the leading columns and zero over the rest."""
-        z = np.concatenate([cost, np.zeros(self.T.shape[1] - cost.size)])
-        cb = z[self.basis]
+        """Reduced costs of the nonbasic columns, and minus the objective
+        last, for `cost` over the leading labels and zero over the rest."""
+        full = np.zeros(self.n_labels)
+        full[:cost.size] = cost
+        z = np.append(full[self.nonbasic], 0.0)
+        cb = full[self.basis]
         if np.any(cb != 0.0):
             z -= cb @ self.T
         return z
 
+    def _lowest_label(self, cols: np.ndarray) -> int:
+        """The column among `cols` whose variable has the lowest label."""
+        return int(cols[np.argmin(self.nonbasic[cols])])
+
     def _pivot(self, zrow: np.ndarray, row: int, col: int) -> None:
+        """Swap nonbasic column `col` with the variable basic in `row`.
+
+        The entering column becomes e_row first, so the leaving variable's
+        column comes out of the usual update exactly as the full tableau
+        would compute it."""
         T = self.T
         piv = T[row, col]
-        T[row] /= piv
         colvals = T[:, col].copy()
         colvals[row] = 0.0
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        T[row] /= piv
         T -= np.outer(colvals, T[row])
-        zrow -= zrow[col] * T[row]
-        self.basis[row] = col
+        zcol = zrow[col]
+        zrow[col] = 0.0
+        zrow -= zcol * T[row]
+        self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
         self.iterations += 1
 
     def _leaving_row(self, col: int, bland: bool = False) -> int | None:
@@ -282,35 +316,34 @@ class _Tableau:
         column is positive, so nothing limits its increase."""
         T = self.T
         colvals = T[:, col]
-        pos = colvals > _RATIO_TOL
-        if not np.any(pos):
+        pos = np.nonzero(colvals > _RATIO_TOL)[0]
+        if pos.size == 0:
             return None
-        ratios = np.full(self.m, np.inf)
-        ratios[pos] = T[pos, -1] / colvals[pos]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + 1e-12)[0]
+        ratios = T[pos, -1] / colvals[pos]
+        ties = pos[ratios <= ratios.min() + 1e-12]
         if bland and ties.size > 1:
             return int(ties[np.argmin(self.basis[ties])])
         return int(ties[0])
 
-    def _iterate(self, zrow: np.ndarray, active: int) -> str:
-        """Run pivots until optimal/unbounded over the first `active` columns."""
+    def _iterate(self, zrow: np.ndarray) -> str:
+        """Run pivots until optimal or unbounded; artificials never enter."""
         stall = 0
         last_obj = -zrow[-1]
         bland = False
         while True:
             if self.iterations > _MAX_ITER:
                 raise SimplexError("simplex iteration limit exceeded")
-            rc = zrow[:active]
+            rc = np.where(self.nonbasic < self.art_start, zrow[:-1], np.inf)
             if bland:
                 neg = np.nonzero(rc < -_PIVOT_TOL)[0]
                 if neg.size == 0:
                     return "optimal"
-                col = int(neg[0])
+                col = self._lowest_label(neg)
             else:
-                col = int(np.argmin(rc))
-                if rc[col] >= -_PIVOT_TOL:
+                best = rc.min()
+                if best >= -_PIVOT_TOL:
                     return "optimal"
+                col = self._lowest_label(np.nonzero(rc == best)[0])
             row = self._leaving_row(col, bland)
             if row is None:
                 return "unbounded"
@@ -346,17 +379,17 @@ class _Tableau:
             if pivots == limit:
                 return "limit"
             ratios = np.maximum(zrow[cand], 0.0) / -entries[cand]
-            self._pivot(zrow, row, int(cand[np.argmin(ratios)]))
+            self._pivot(zrow, row,
+                        self._lowest_label(cand[ratios == ratios.min()]))
             pivots += 1
 
     def phase_one(self) -> bool:
         """Reach a feasible basis; False when the region is empty."""
-        ns, m, na = self.ns, self.m, self.na
-        if na > 0:
-            p1_cost = np.zeros(ns + m + na)
-            p1_cost[ns + m :] = 1.0
+        if self.n_labels > self.art_start:
+            p1_cost = np.zeros(self.n_labels)
+            p1_cost[self.art_start:] = 1.0
             zrow = self._zrow(p1_cost)
-            status = self._iterate(zrow, ns + m)  # artificials never re-enter
+            status = self._iterate(zrow)
             assert status == "optimal"  # phase-1 objective bounded below by 0
             if -zrow[-1] > FEASIBILITY_TOL:
                 return False
@@ -367,69 +400,77 @@ class _Tableau:
         """Minimize c'z from the current feasible basis."""
         zrow = self._zrow(c)
         self._z = zrow
-        # all non-rhs columns may enter (slack indices do not shift when
-        # dependent rows are dropped, so ns + self.m would undercount)
-        return self._iterate(zrow, self.T.shape[1] - 1)
+        return self._iterate(zrow)
+
+    def columns(self, labels: np.ndarray) -> np.ndarray:
+        """The full tableau's columns of `labels`: a basic variable's unit
+        vector, a nonbasic one's stored column."""
+        out = (self.basis[:, None] == labels).astype(float)
+        stored, at = np.nonzero(self.nonbasic[:, None] == labels)
+        out[:, at] = self.T[:, stored]
+        return out
 
     def drop_row(self, i: int) -> bool:
         """Delete input row i from a feasible tableau; it stays feasible.
 
         Row i's slack must be basic: it is the only variable of its
-        tableau row, so that row and the slack's column drop out and the
-        other rows no longer involve row i.  A nonbasic slack enters first
-        by one ratio-test pivot.  That pivot finds no leaving row only when
-        the region is unbounded in the direction that loosens row i; then
-        nothing changes and the result is False.
+        tableau row, so that row drops out and the other rows no longer
+        involve row i.  A nonbasic slack enters first by one ratio-test
+        pivot.  That pivot finds no leaving row only when the region is
+        unbounded in the direction that loosens row i; then nothing
+        changes and the result is False.  Labels above the slack's move
+        down by one.
         """
-        col = self.ns + i
-        at = np.nonzero(self.basis == col)[0]
+        label = self.ns + i
+        at = np.nonzero(self.basis == label)[0]
         if at.size:
             row = int(at[0])
         else:
+            col = int(np.nonzero(self.nonbasic == label)[0][0])
             row = self._leaving_row(col)
             if row is None:
                 return False
             self._pivot(np.zeros(self.T.shape[1]), row, col)
-        keep_rows = np.arange(self.m) != row
-        keep_cols = np.arange(self.T.shape[1]) != col
-        self.T = self.T[np.ix_(keep_rows, keep_cols)]
-        self.basis = self.basis[keep_rows]
-        self.basis[self.basis > col] -= 1
+        keep = np.arange(self.m) != row
+        self.T = self.T[keep]
+        self.basis = self.basis[keep]
+        self.basis[self.basis > label] -= 1
+        self.nonbasic[self.nonbasic > label] -= 1
         self.m -= 1
+        self.n_labels -= 1
         return True
 
-    def m_active_width(self) -> int:
-        return self.T.shape[1] - self.ns - 1
-
     def _drive_out_artificials(self) -> None:
-        """Pivot basic artificials out; drop dependent rows and art columns."""
-        ns, m = self.ns, self.m
-        art_start = ns + m
+        """Pivot basic artificials out; drop dependent rows and the
+        artificials' columns."""
         drop_rows = []
         for row in range(self.m):
-            if self.basis[row] < art_start:
+            if self.basis[row] < self.art_start:
                 continue
-            cand = np.nonzero(np.abs(self.T[row, : art_start]) > 1e-9)[0]
+            cand = np.nonzero((np.abs(self.T[row, :-1]) > 1e-9)
+                              & (self.nonbasic < self.art_start))[0]
             if cand.size == 0:
                 drop_rows.append(row)
                 continue
-            col = int(cand[0])
-            dummy = np.zeros(self.T.shape[1])
-            self._pivot(dummy, row, col)
+            self._pivot(np.zeros(self.T.shape[1]), row, self._lowest_label(cand))
         if drop_rows:
             keep = np.setdiff1d(np.arange(self.m), drop_rows)
             self.T = self.T[keep]
             self.basis = self.basis[keep]
             self.m = keep.size
-        # Remove artificial columns entirely so they can never re-enter.
-        self.T = np.concatenate([self.T[:, :art_start], self.T[:, -1:]], axis=1)
+        real = np.append(self.nonbasic < self.art_start, True)
+        self.T = self.T[:, real]
+        self.nonbasic = self.nonbasic[real[:-1]]
+        self.n_labels = self.art_start
 
     def extract(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (standard-form solution, reduced-cost row)."""
-        x = np.zeros(self.ns + self.m_active_width())
-        inb = self.basis < x.size
-        x[self.basis[inb]] = self.T[inb, -1]
-        return x, self._z
+        """Return (standard-form solution, reduced costs), both over the
+        labels."""
+        x = np.zeros(self.n_labels)
+        x[self.basis] = self.T[:, -1]
+        z = np.zeros(self.n_labels)
+        z[self.nonbasic] = self._z[:-1]
+        return x, z
 
 
 def _phase_one(form: _StandardForm):
@@ -459,6 +500,10 @@ class LpStart:
     once, under a lock, inside the first solve_lp call that needs it,
     which counts its pivots among its own; its verdict is shared
     read-only by every start made from this one, across threads.
+
+    Each LP copies the shared condensed tableau.  Dropping row i deletes
+    one tableau row: the row where i's slack is basic, after one
+    ratio-test pivot that makes the slack basic when it is not.
     """
 
     def __init__(self, region: LpProblem):
@@ -520,9 +565,11 @@ class NodeStart:
     not fix keeps its column and gets an upper-bound row and a lower-bound
     row, and a node's bounds change only those rows' right-hand sides.
     The root solves cold.  A child applies the change to its parent's
-    optimal tableau, whose basis stays dual feasible, and runs dual simplex
-    pivots to primal feasibility; after _DUAL_PIVOT_LIMIT of them it solves
-    cold in the same form.  A start serves one solve_lp call, which keeps
+    optimal tableau along the full tableau's columns of those rows'
+    slacks: the stored column of a nonbasic slack, the unit vector of its
+    row for a basic one.  The basis stays dual feasible, and dual simplex
+    pivots run to primal feasibility; after _DUAL_PIVOT_LIMIT of them the
+    node solves cold in the same form.  A start serves one solve_lp call, which keeps
     the node's final tableau for the starts that `child()` makes; the two
     children of a node share that tableau read-only.
     """
@@ -577,7 +624,7 @@ class NodeStart:
             delta = rhs - parent_rhs
             moved = np.nonzero(delta)[0]
             slack = tab.ns + self.first_bound_row + moved
-            tab.T[:, -1] += tab.T[:, slack] @ delta[moved]
+            tab.T[:, -1] += tab.columns(slack) @ delta[moved]
             verdict = tab.dual_simplex(
                 tab._zrow(c[tab.form.var] * tab.form.sign), _DUAL_PIVOT_LIMIT)
             if verdict == "infeasible":
@@ -641,10 +688,7 @@ def solve_lp(problem: LpProblem,
     obj_internal = float(c @ point)
     # Row duals are the reduced costs of the original rows' slack columns.
     # Rows dropped as dependent during phase 1 keep a zero multiplier.
-    duals = np.zeros(m)
-    slack_cols = np.arange(tab.ns, tab.ns + tab.m_active_width())
-    slack_rc = zrow[slack_cols]
-    duals[:m] = np.maximum(slack_rc[:m], 0.0)
+    duals = np.maximum(zrow[tab.ns:tab.ns + m], 0.0)
 
     # Lagrangian bound from the duals: exact at an exact optimum, and
     # independent of the standard-form transformations above.

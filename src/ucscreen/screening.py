@@ -26,8 +26,9 @@ paper's accounting (two LPs per bound column, one per undecided row);
 
 from __future__ import annotations
 
+import contextlib
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,13 +104,12 @@ class ScreeningReport:
             raise AssertionError("redundant rows outside the candidate set")
 
 
-def _solve_many(problems, starts, jobs: int):
-    """Solve LPs from their starts, optionally on a thread pool; result
+def _solve_many(problems, starts, pool: Executor | None):
+    """Solve LPs from their starts, on `pool` when one is given; result
     order is by input position, so reports do not depend on the schedule."""
-    if jobs <= 1 or len(problems) <= 1:
+    if pool is None or len(problems) <= 1:
         return [solve_lp(p, s) for p, s in zip(problems, starts)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(solve_lp, problems, starts))
+    return list(pool.map(solve_lp, problems, starts))
 
 
 def _proven_limits(inst: UcInstance) -> np.ndarray:
@@ -124,7 +124,8 @@ def _proven_limits(inst: UcInstance) -> np.ndarray:
     return limits
 
 
-def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
+def variable_bounds(inst: UcInstance,
+                    pool: Executor | None = None) -> BoundsBox:
     """Tight per-variable bounds over the relaxed region.
 
     Dispatch and status columns each have two LPs (max and min); load
@@ -165,7 +166,7 @@ def variable_bounds(inst: UcInstance, jobs: int = 1) -> BoundsBox:
         obj = np.zeros(n)
         obj[p] = 1.0
         solutions = _solve_many([inst.lp(obj, sense=s) for s in sides],
-                                [inst.lp_start] * len(sides), jobs)
+                                [inst.lp_start] * len(sides), pool)
         solved += len(sides)
         for side, sol in zip(sides, solutions):
             if sol.status == "infeasible":
@@ -222,7 +223,7 @@ def vgs_screen(inst: UcInstance, box: BoundsBox,
 
 
 def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None,
-                jobs: int = 1) -> ScreeningReport:
+                pool: Executor | None = None) -> ScreeningReport:
     """Line-flow-guided pass: per candidate, maximize the row with the row
     itself excluded and compare against its bound with the strict margin.
 
@@ -239,7 +240,7 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
         coeffs, _ = inst.row(lb)
         problems.append(inst.lp(coeffs, sense="max", skip_label=lb))
         starts.append(inst.lp_start.without_row(inst.row_index(lb)))
-    solutions = _solve_many(problems, starts, jobs)
+    solutions = _solve_many(problems, starts, pool)
     redundant = []
     for lb, sol in zip(candidates, solutions):
         _, bound = inst.row(lb)
@@ -283,32 +284,36 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
     solves every candidate's LP.  With both on, an undecided row that an
     optimal point of the bound pass proves kept gets no LP.
     The result is the vertex pass's report with the line-flow pass
-    folded in; it carries the box whenever the vertex pass ran.
+    folded in; it carries the box whenever the vertex pass ran.  With
+    `jobs` > 1 both passes run their LPs on one pool of that many threads.
     """
     if inst.binary_indices:
         raise LpUsageError("screening expects a binary-relaxed instance")
-    if use_vgs:
-        t0 = time.perf_counter()
-        box = variable_bounds(inst, jobs=jobs)
-        bounds_s = time.perf_counter() - t0
-        report = vgs_screen(inst, box)
-        report.lp_count = box.lp_count
-        report.lp_solved = box.lp_solved
-        report.wall_times["bounds"] = bounds_s
-    else:
-        report = ScreeningReport(candidates=inst.candidates, redundant=())
+    with (ThreadPoolExecutor(max_workers=jobs) if jobs > 1
+          else contextlib.nullcontext()) as pool:
+        if use_vgs:
+            t0 = time.perf_counter()
+            box = variable_bounds(inst, pool)
+            bounds_s = time.perf_counter() - t0
+            report = vgs_screen(inst, box)
+            report.lp_count = box.lp_count
+            report.lp_solved = box.lp_solved
+            report.wall_times["bounds"] = bounds_s
+        else:
+            report = ScreeningReport(candidates=inst.candidates, redundant=())
 
-    undecided = report.kept
-    if use_lfgs and undecided:
-        rest = (undecided if report.box is None
-                else _unwitnessed(inst, report.box.points, undecided))
-        part = lfgs_screen(inst, rest, jobs=jobs)
-        removed = set(report.redundant) | set(part.redundant)
-        report.redundant = tuple(lb for lb in report.candidates if lb in removed)
-        report.lp_count += len(undecided)
-        report.lp_solved += part.lp_solved
-        report.wall_times.update(part.wall_times)
-        report.attribution.update(part.attribution)
+        undecided = report.kept
+        if use_lfgs and undecided:
+            rest = (undecided if report.box is None
+                    else _unwitnessed(inst, report.box.points, undecided))
+            part = lfgs_screen(inst, rest, pool)
+            removed = set(report.redundant) | set(part.redundant)
+            report.redundant = tuple(lb for lb in report.candidates
+                                     if lb in removed)
+            report.lp_count += len(undecided)
+            report.lp_solved += part.lp_solved
+            report.wall_times.update(part.wall_times)
+            report.attribution.update(part.attribution)
     report.check_partition()
     return report
 

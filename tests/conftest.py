@@ -93,9 +93,9 @@ def screen_checking_skips(inst):
         solved.append((problem, solve(problem, start)))
         return solved[-1][1]
 
-    def recording_lfgs(region, candidates, jobs=1):
+    def recording_lfgs(region, candidates, pool=None):
         sent.extend(candidates)
-        return lfgs(region, candidates, jobs=jobs)
+        return lfgs(region, candidates, pool)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(screening, "solve_lp", recording_solve)

@@ -356,6 +356,75 @@ def test_warm_start_phase_one_runs_once_across_threads():
         s.objective_value for s in serial]
 
 
+def _random_region(rng):
+    """(rows, rhs, bounds) of a region around a seeded point y0.  Each of
+    the four bound kinds (fixed, shifted, mirrored, free) occurs.  Rows
+    with a negative right-hand side in the standard form get artificials;
+    the most negative one appears twice.  Two last rows make one equality
+    through y0, the one whose standard-form rhs is positive first: phase 1
+    then ends with the second row's artificial basic at zero, and the
+    drive-out pivots it out."""
+    n = int(rng.integers(4, 8))
+    kind = rng.permutation(np.resize(np.arange(4), n))
+    y0 = np.round(rng.normal(size=n), 3)
+    width = np.round(rng.uniform(0.1, 2.0, size=n), 3)
+    lo = np.where(kind == 0, y0, np.where(kind == 1, y0 - width, -np.inf))
+    hi = np.where(kind == 0, y0, np.where(kind == 2, y0 + width, np.inf))
+    capped = (kind == 1) & (rng.random(n) < 0.5)
+    hi[capped] = y0[capped] + width[capped]
+    while True:
+        m = int(rng.integers(3, 9))
+        rows = np.round(rng.normal(size=(m + 1, n)), 3)
+        flip = (rows @ y0 > 0) & (rng.random(m + 1) < 0.5)
+        rows[flip] *= -1.0
+        rhs = np.round(rows @ y0 + rng.uniform(0.01, 1.0, size=m + 1), 3)
+        rhs[m] = rows[m] @ y0
+        b = lp_module._standard_form(rows, rhs, lo, hi).b
+        if b[:m].min() < 0 and b[m] != 0:
+            break
+    k = int(np.argmin(b[:m]))
+    eq = np.sign(b[m]) * rows[m]
+    return (np.vstack([rows[:m], rows[k], eq, -eq]),
+            np.concatenate([rhs[:m], [rhs[k], eq @ y0, -(eq @ y0)]]),
+            np.column_stack([lo, hi]))
+
+
+def test_warm_starts_match_highs_on_random_regions(monkeypatch):
+    driven_out = []
+    drive_out = lp_module._Tableau._drive_out_artificials
+
+    def recording(self):
+        driven_out.append(bool(np.any(self.basis >= self.art_start)))
+        drive_out(self)
+
+    monkeypatch.setattr(lp_module._Tableau, "_drive_out_artificials", recording)
+    rng = np.random.default_rng(43)
+    statuses = {"optimal": 0, "unbounded": 0}
+    for _ in range(30):
+        rows, rhs, bounds = _random_region(rng)
+        start = LpStart(LpProblem(np.zeros(len(bounds)), rows, rhs,
+                                  bounds=bounds))
+        for sense in ("min", "max"):
+            c = np.round(rng.normal(size=len(bounds)), 3)
+            sign = 1.0 if sense == "min" else -1.0
+            for i in (None, *range(len(rhs))):
+                keep = np.arange(len(rhs)) != i
+                problem = LpProblem(c, rows[keep], rhs[keep], bounds=bounds,
+                                    sense=sense)
+                mine = solve_lp(problem, start if i is None
+                                else start.without_row(i))
+                ref = linprog(sign * c, A_ub=rows[keep], b_ub=rhs[keep],
+                              bounds=bounds, method="highs",
+                              options={"presolve": False})
+                assert mine.status == {0: "optimal", 3: "unbounded"}[ref.status]
+                statuses[mine.status] += 1
+                if mine.status == "optimal":
+                    assert abs(mine.objective_value - sign * ref.fun) <= (
+                        1e-6 * max(1.0, abs(ref.fun)))
+    assert min(statuses.values()) > 20
+    assert sum(driven_out) >= 30  # each shared phase 1 pivots one out
+
+
 # --- warm-started branch and bound ---
 
 
@@ -536,3 +605,67 @@ def test_node_start_rejects_another_region():
     assert solve_lp(node, root.child()).objective_value == 0.5
     with pytest.raises(LpUsageError):
         solve_lp(others[2], root.child())
+
+
+# --- the condensed tableau ---
+
+
+def _assert_condensed(tab):
+    """The tableau stores one column per nonbasic variable and the rhs;
+    each label of the standard form, and no artificial, is basic or
+    nonbasic exactly once."""
+    assert tab.T.shape == (tab.m, tab.nonbasic.size + 1)
+    assert tab.basis.size == tab.m
+    labels = np.sort(np.concatenate([tab.basis, tab.nonbasic]))
+    assert np.array_equal(labels, np.arange(tab.ns + tab.form.A.shape[0]))
+
+
+def test_tableau_stores_only_nonbasic_columns(cases):
+    from ucscreen.model import build_uc, milp_problem, relax_binaries
+
+    case = cases["fifty_bus"]
+    inst = relax_binaries(build_uc(case, case.nominal_load))
+    objective = np.zeros(inst.n_cols)
+    objective[0] = 1.0
+    solve_lp(inst.lp(objective), inst.lp_start)
+    shared = inst.lp_start._basis[0]
+    _assert_condensed(shared)
+    assert shared.T.shape[1] == shared.ns + 1  # no row was dependent
+
+    milp = milp_problem(build_uc(case, case.nominal_load))
+    root = NodeStart(milp)
+    assert solve_lp(milp.lp, root).status == "optimal"
+    child = root.child()
+    bounds = milp.lp.bounds.copy()
+    bounds[milp.binary_indices[0]] = (0.0, 0.0)
+    solve_lp(LpProblem(milp.lp.objective, milp.lp.rows, milp.lp.rhs,
+                       bounds=bounds), child)
+    for start in (root, child):
+        _assert_condensed(start._solved[0])
+
+
+def test_entering_variable_is_the_lowest_label_among_ties(monkeypatch):
+    # A degenerate LP on which Dantzig's rule meets three exact ties in
+    # reduced cost: labels 0 and 1 in phase 1, then 5 and 2 and 5 and 4 in
+    # phase 2, where the higher label's column is stored first.
+    entered, ties = [], []
+    pivot = lp_module._Tableau._pivot
+    lowest = lp_module._Tableau._lowest_label
+
+    def recording_pivot(self, zrow, row, col):
+        entered.append(int(self.nonbasic[col]))
+        pivot(self, zrow, row, col)
+
+    def recording_lowest(self, cols):
+        ties.append(self.nonbasic[cols].tolist())
+        return lowest(self, cols)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", recording_pivot)
+    monkeypatch.setattr(lp_module._Tableau, "_lowest_label", recording_lowest)
+    sol = solve_lp(LpProblem([1.0, -1.0, 1.0],
+                             [[0.0, 1.0, -1.0], [-1.0, -1.0, 0.0],
+                              [1.0, -1.0, 2.0]],
+                             [3.0, -1.0, 0.0], bounds=[(0, None)] * 3))
+    assert sol.status == "optimal" and sol.objective_value == -3.0
+    assert [t for t in ties if len(t) > 1] == [[0, 1], [5, 2], [5, 4]]
+    assert entered == [0, 1, 2, 4]  # the pivots of the full tableau

@@ -254,6 +254,24 @@ def test_screening_reports_are_schedule_independent(cases):
     assert a.lp_count == b.lp_count
 
 
+def test_one_thread_pool_per_screen(cases, monkeypatch):
+    made = []
+
+    class CountingPool(ucscreen.screening.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ucscreen.screening, "ThreadPoolExecutor", CountingPool)
+    inst = relaxed(cases["fifty_bus"])
+    report = eovl(inst, jobs=8)
+    assert len(made) == 1
+    # both passes ran LPs, the bound pass in many rounds of one column
+    assert report.box.lp_solved > 2 and report.lp_solved > report.box.lp_solved
+    assert eovl(inst, jobs=1).redundant == report.redundant
+    assert len(made) == 1
+
+
 def test_slack_bus_invariance(cases):
     for name, other_slack in (("five_bus", 3), ("nine_bus", 6)):
         case = cases[name]
