@@ -18,12 +18,12 @@ columns goes to the lowest label, so the pivots are those of the full
 tableau.
 
 Phase 1 depends on the region only, never on the objective.  Screening
-solves many LPs over one region, or over that region less one row, so
-an `LpStart` runs phase 1 once per region and each LP given the start
-copies its feasible tableau, m rows by n + 1 columns, and runs phase 2
-alone.  Every such LP starts from the same basis, so results do not
-depend on the order or the thread the LPs run in.  Without a start,
-`solve_lp` runs both phases itself, as the brute-force oracles do.
+solves many LPs over one region, so an `LpStart` runs phase 1 once per
+region and each LP given the start copies its feasible tableau, m rows
+by n + 1 columns, and runs phase 2 alone.  Every such LP starts from the
+same basis, so results do not depend on the order or the thread the LPs
+run in.  Without a start, `solve_lp` runs both phases itself, as the
+brute-force oracles do.
 
 All three ways in (a cold solve, an `LpStart` and a `NodeStart`) share
 one standard form, `_standard_form`: A z <= b with z >= 0, plus two
@@ -57,6 +57,10 @@ INTEGRALITY_TOL = 1e-6
 
 _PIVOT_TOL = 1e-9
 _RATIO_TOL = 1e-10
+# Dual ratios within this share of max(1, the least ratio) of it are tied,
+# as the primal ratio test ties within 1e-12, so a tie exact in exact
+# arithmetic does not go to whichever ratio rounds one ulp lower.
+_DUAL_TIE_RTOL = 1e-12
 _STALL_LIMIT = 60
 _MAX_ITER = 100_000
 # Dual simplex pivots a node may take from its parent's basis before it
@@ -379,8 +383,9 @@ class _Tableau:
             if pivots == limit:
                 return "limit"
             ratios = np.maximum(zrow[cand], 0.0) / -entries[cand]
-            self._pivot(zrow, row,
-                        self._lowest_label(cand[ratios == ratios.min()]))
+            least = ratios.min()
+            tied = ratios <= least + _DUAL_TIE_RTOL * max(1.0, least)
+            self._pivot(zrow, row, self._lowest_label(cand[tied]))
             pivots += 1
 
     def phase_one(self) -> bool:
@@ -410,54 +415,19 @@ class _Tableau:
         out[:, at] = self.T[:, stored]
         return out
 
-    def drop_row(self, i: int) -> bool:
-        """Delete input row i from a feasible tableau; it stays feasible.
-
-        Row i's slack must be basic: it is the only variable of its
-        tableau row, so that row drops out and the other rows no longer
-        involve row i.  A nonbasic slack enters first by one ratio-test
-        pivot.  That pivot finds no leaving row only when the region is
-        unbounded in the direction that loosens row i; then nothing
-        changes and the result is False.  Labels above the slack's move
-        down by one.
-        """
-        label = self.ns + i
-        at = np.nonzero(self.basis == label)[0]
-        if at.size:
-            row = int(at[0])
-        else:
-            col = int(np.nonzero(self.nonbasic == label)[0][0])
-            row = self._leaving_row(col)
-            if row is None:
-                return False
-            self._pivot(np.zeros(self.T.shape[1]), row, col)
-        keep = np.arange(self.m) != row
-        self.T = self.T[keep]
-        self.basis = self.basis[keep]
-        self.basis[self.basis > label] -= 1
-        self.nonbasic[self.nonbasic > label] -= 1
-        self.m -= 1
-        self.n_labels -= 1
-        return True
-
     def _drive_out_artificials(self) -> None:
-        """Pivot basic artificials out; drop dependent rows and the
-        artificials' columns."""
-        drop_rows = []
+        """Pivot basic artificials out and drop their columns.
+
+        A basic artificial's row always has a candidate: the artificial
+        and its row's slack start as +e_i and -e_i, go through the same
+        updates, and the artificial never re-enters, so while it is basic
+        in row r the slack's column is exactly -e_r."""
         for row in range(self.m):
             if self.basis[row] < self.art_start:
                 continue
             cand = np.nonzero((np.abs(self.T[row, :-1]) > 1e-9)
                               & (self.nonbasic < self.art_start))[0]
-            if cand.size == 0:
-                drop_rows.append(row)
-                continue
             self._pivot(np.zeros(self.T.shape[1]), row, self._lowest_label(cand))
-        if drop_rows:
-            keep = np.setdiff1d(np.arange(self.m), drop_rows)
-            self.T = self.T[keep]
-            self.basis = self.basis[keep]
-            self.m = keep.size
         real = np.append(self.nonbasic < self.art_start, True)
         self.T = self.T[:, real]
         self.nonbasic = self.nonbasic[real[:-1]]
@@ -495,46 +465,27 @@ class LpStart:
 
     The region is the rows, right-hand side and bounds of `region`; its
     objective and sense play no part.  `solve_lp(problem, start)` takes a
-    problem over exactly that region, with any objective, and the start
-    from `without_row(i)` takes the region less its row i.  Phase 1 runs
-    once, under a lock, inside the first solve_lp call that needs it,
-    which counts its pivots among its own; its verdict is shared
-    read-only by every start made from this one, across threads.
-
-    Each LP copies the shared condensed tableau.  Dropping row i deletes
-    one tableau row: the row where i's slack is basic, after one
-    ratio-test pivot that makes the slack basic when it is not.
+    problem over exactly that region, with any objective, and copies the
+    shared condensed tableau.  Phase 1 runs once, under a lock, inside the
+    first solve_lp call that needs it, which counts its pivots among its
+    own; its verdict is then shared read-only across threads.
     """
 
     def __init__(self, region: LpProblem):
         self.region = region
-        self.skip: int | None = None  # region row absent from the problem
         self._lock = threading.Lock()
-        self._basis: list = []  # phase 1's verdict, once run; copies share it
-
-    def without_row(self, i: int) -> "LpStart":
-        """This start for the region without its row i."""
-        if self.skip is not None or not 0 <= i < self.region.n_rows:
-            raise LpUsageError(f"cannot drop row {i} from this start")
-        out = copy.copy(self)  # shares the lock and the phase-1 verdict
-        out.skip = i
-        return out
+        self._basis: list = []  # phase 1's verdict, once run
 
     def _check(self, problem: LpProblem) -> None:
         r = self.region
-        rows, rhs = r.rows, r.rhs
-        if self.skip is not None:
-            keep = np.arange(r.n_rows) != self.skip
-            rows, rhs = rows[keep], rhs[keep]
-        if not (np.array_equal(problem.rows, rows)
-                and np.array_equal(problem.rhs, rhs)
+        if not (np.array_equal(problem.rows, r.rows)
+                and np.array_equal(problem.rhs, r.rhs)
                 and np.array_equal(problem.bounds, r.bounds)):
             raise LpUsageError("LP start was built for a different region")
 
     def _warm(self, problem: LpProblem, c: np.ndarray):
         """(pivots, tableau) for solve_lp: a private feasible tableau for
-        the problem, "infeasible", or None where the shared basis cannot
-        give one and the LP must be solved cold."""
+        the problem, "infeasible", or None when every variable is fixed."""
         self._check(problem)
         pivots = 0
         with self._lock:
@@ -547,12 +498,8 @@ class LpStart:
                 self._basis.append(verdict)
             shared = self._basis[0]
         if not isinstance(shared, _Tableau):
-            # An empty region may owe its emptiness to the dropped row.
-            return pivots, shared if self.skip is None else None
-        tab = shared.copy()
-        if self.skip is not None and not tab.drop_row(self.skip):
-            return pivots, None
-        return pivots, tab
+            return pivots, shared
+        return pivots, shared.copy()
 
 
 class NodeStart:
@@ -646,10 +593,8 @@ def solve_lp(problem: LpProblem,
     """Solve an LP; exact status classification, deterministic output.
 
     With an `LpStart` over the problem's region, the LP runs phase 2 from
-    the start's shared basis.  It solves cold where that basis cannot
-    serve: the region is empty but the dropped row may be the cause, or
-    the region is unbounded in the direction that loosens the dropped row.
-    With a `NodeStart`, the LP is one node of a branch-and-bound tree.
+    the start's shared basis.  With a `NodeStart`, the LP is one node of a
+    branch-and-bound tree.
     """
     m = problem.n_rows
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
@@ -687,7 +632,6 @@ def solve_lp(problem: LpProblem,
 
     obj_internal = float(c @ point)
     # Row duals are the reduced costs of the original rows' slack columns.
-    # Rows dropped as dependent during phase 1 keep a zero multiplier.
     duals = np.maximum(zrow[tab.ns:tab.ns + m], 0.0)
 
     # Lagrangian bound from the duals: exact at an exact optimum, and

@@ -147,21 +147,14 @@ class UcInstance:
         i = self.row_index(label)
         return self.rows[i], float(self.rhs[i])
 
-    def lp(self, objective: np.ndarray, sense: str = "min",
-           skip_label: RowLabel | None = None) -> LpProblem:
-        """LP over this instance's rows and bounds, optionally with one row
-        excluded."""
-        rows, rhs = self.rows, self.rhs
-        if skip_label is not None:
-            i = self.row_index(skip_label)
-            keep = np.arange(rows.shape[0]) != i
-            rows, rhs = rows[keep], rhs[keep]
-        return LpProblem(objective, rows, rhs, bounds=self.bounds, sense=sense)
+    def lp(self, objective: np.ndarray, sense: str = "min") -> LpProblem:
+        """LP over this instance's rows and bounds."""
+        return LpProblem(objective, self.rows, self.rhs, bounds=self.bounds,
+                         sense=sense)
 
     @cached_property
     def lp_start(self) -> LpStart:
-        """One phase 1 shared by every LP over these rows; LPs that exclude
-        a row take `lp_start.without_row(row_index(label))`."""
+        """One phase 1 shared by every LP over these rows and bounds."""
         return LpStart(self.lp(np.zeros(self.n_cols)))
 
     def without_rows(self, labels) -> "UcInstance":

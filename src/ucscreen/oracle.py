@@ -32,7 +32,7 @@ def lp_redundancy(inst: UcInstance, label: RowLabel) -> bool:
     if not label.is_line:
         raise ValueError(f"{label} is not a screening candidate")
     coeffs, bound = inst.row(label)
-    sol = solve_lp(inst.lp(coeffs, sense="max", skip_label=label))
+    sol = solve_lp(inst.without_rows([label]).lp(coeffs, sense="max"))
     if sol.status != "optimal":
         return False
     return sol.objective_value <= bound - FEASIBILITY_TOL

@@ -5,8 +5,8 @@ Three engines over the binary-relaxed instance:
 * vertex-guided: solve two LPs per decision variable to get a bounding
   box, then classify every candidate row at once with the sign-split
   box-maximum test (zero LPs per row);
-* line-flow-guided: one LP per candidate row, maximizing the row with
-  the row itself excluded;
+* line-flow-guided: one LP per candidate row, maximizing the row over
+  the whole region, the row itself included;
 * the ensemble: vertex-guided first, line-flow-guided on the undecided
   remainder, matching the line-flow-guided result at a fraction of the
   LP count.
@@ -104,12 +104,14 @@ class ScreeningReport:
             raise AssertionError("redundant rows outside the candidate set")
 
 
-def _solve_many(problems, starts, pool: Executor | None):
-    """Solve LPs from their starts, on `pool` when one is given; result
-    order is by input position, so reports do not depend on the schedule."""
+def _solve_many(inst: UcInstance, problems, pool: Executor | None):
+    """Solve LPs over the instance's region from its shared start, on
+    `pool` when one is given; result order is by input position, so
+    reports do not depend on the schedule."""
+    start = inst.lp_start
     if pool is None or len(problems) <= 1:
-        return [solve_lp(p, s) for p, s in zip(problems, starts)]
-    return list(pool.map(solve_lp, problems, starts))
+        return [solve_lp(p, start) for p in problems]
+    return list(pool.map(lambda p: solve_lp(p, start), problems))
 
 
 def _proven_limits(inst: UcInstance) -> np.ndarray:
@@ -165,8 +167,8 @@ def variable_bounds(inst: UcInstance,
                 sides.append(side)
         obj = np.zeros(n)
         obj[p] = 1.0
-        solutions = _solve_many([inst.lp(obj, sense=s) for s in sides],
-                                [inst.lp_start] * len(sides), pool)
+        solutions = _solve_many(inst, [inst.lp(obj, sense=s) for s in sides],
+                                pool)
         solved += len(sides)
         for side, sol in zip(sides, solutions):
             if sol.status == "infeasible":
@@ -224,23 +226,25 @@ def vgs_screen(inst: UcInstance, box: BoundsBox,
 
 def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None,
                 pool: Executor | None = None) -> ScreeningReport:
-    """Line-flow-guided pass: per candidate, maximize the row with the row
-    itself excluded and compare against its bound with the strict margin.
+    """Line-flow-guided pass: per candidate, maximize the row over the
+    region and compare against its bound with the strict margin.
 
-    Each LP starts from the instance's shared start less the candidate's
-    row, so the pass shares one phase 1 with the bound LPs."""
+    The paper's LP drops the row itself; keeping it changes no verdict.
+    If the maximum over the region is at most b_j - margin, it is also
+    the maximum over the region less row j: a point of that larger region
+    with a_j y > b_j would, on the segment to the optimum, give a point of
+    the region with a_j y = b_j, by convexity.  Redundant either way.  If
+    the maximum is above b_j - margin, so is the maximum over the larger
+    region: kept either way.  So every LP runs phase 2 from the
+    instance's shared start, as the bound LPs do."""
     if candidates is None:
         candidates = inst.candidates
     for lb in candidates:
         if not lb.is_line:
             raise LpUsageError(f"screening candidate {lb} is not a line row")
     t0 = time.perf_counter()
-    problems, starts = [], []
-    for lb in candidates:
-        coeffs, _ = inst.row(lb)
-        problems.append(inst.lp(coeffs, sense="max", skip_label=lb))
-        starts.append(inst.lp_start.without_row(inst.row_index(lb)))
-    solutions = _solve_many(problems, starts, pool)
+    problems = [inst.lp(inst.row(lb)[0], sense="max") for lb in candidates]
+    solutions = _solve_many(inst, problems, pool)
     redundant = []
     for lb, sol in zip(candidates, solutions):
         _, bound = inst.row(lb)
@@ -265,7 +269,7 @@ def _unwitnessed(inst: UcInstance, points: np.ndarray,
                  candidates: tuple[RowLabel, ...]) -> tuple[RowLabel, ...]:
     """The candidates that no point of the region proves kept.  A point p
     with rows[j] @ p > rhs[j] - FEASIBILITY_TOL proves row j kept: the
-    maximum over the region less row j is at least rows[j] @ p."""
+    row's maximum over the region is at least rows[j] @ p."""
     if not (len(points) and candidates):
         return candidates
     idx = np.array([inst.row_index(lb) for lb in candidates], dtype=int)

@@ -87,15 +87,21 @@ def screen_checking_skips(inst):
     an optimum of a bound LP meets it within the margin, and the cold
     per-row oracle finds each such row not redundant."""
     solved, sent = [], []
+    in_lfgs = False  # set while the line-flow pass runs
     solve, lfgs = screening.solve_lp, screening.lfgs_screen
 
     def recording_solve(problem, start=None):
-        solved.append((problem, solve(problem, start)))
+        solved.append((problem, solve(problem, start), in_lfgs))
         return solved[-1][1]
 
     def recording_lfgs(region, candidates, pool=None):
+        nonlocal in_lfgs
         sent.extend(candidates)
-        return lfgs(region, candidates, pool)
+        in_lfgs = True
+        try:
+            return lfgs(region, candidates, pool)
+        finally:
+            in_lfgs = False
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(screening, "solve_lp", recording_solve)
@@ -103,9 +109,8 @@ def screen_checking_skips(inst):
         report = screening.eovl(inst)
     assert report.lp_solved == len(solved) <= report.lp_count
 
-    # Bound LPs keep every row; line-flow LPs drop their own.
     bound = [(int(np.flatnonzero(pb.objective)[0]), pb.sense, sol)
-             for pb, sol in solved if pb.n_rows == inst.rows.shape[0]]
+             for pb, sol, line_flow in solved if not line_flow]
     points = np.array([sol.point for _, _, sol in bound
                        if sol.status == "optimal"]).reshape(-1, inst.n_cols)
     box = report.box

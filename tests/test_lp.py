@@ -245,8 +245,7 @@ def test_milp_guards():
 # --- shared phase-1 starts ---
 
 # A box 1 <= y1 <= 3, 0.5 <= y2 <= 2 with a diagonal cut, where each
-# lower bound and the cut appear twice, so the region stays bounded
-# whichever single row is dropped.
+# lower bound and the cut appear twice: once tight, once implied.
 BOX_ROWS = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, -1.0],
                      [0.0, -1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
 BOX_RHS = np.array([-1.0, 0.0, 3.0, -0.5, 0.0, 2.0, 4.0, 5.0])
@@ -261,46 +260,53 @@ def _assert_same(warm, cold):
         assert abs(warm.dual_bound - cold.dual_bound) <= 1e-9
 
 
-def test_warm_start_matches_cold_for_full_and_dropped_rows():
+def test_warm_start_matches_cold():
     start = LpStart(LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS))
     for c in OBJECTIVES:
         for sense in ("min", "max"):
             problem = LpProblem(c, BOX_ROWS, BOX_RHS, sense=sense)
             _assert_same(solve_lp(problem, start), solve_lp(problem))
-    # Row i is tight at the shared basis when its slack is nonbasic.
-    phase_one = start._basis[0]
-    tight = [i for i in range(len(BOX_RHS))
-             if phase_one.ns + i not in phase_one.basis]
-    assert tight and len(tight) < len(BOX_RHS)  # both re-basing branches
-    for i in range(len(BOX_RHS)):
-        keep = np.arange(len(BOX_RHS)) != i
-        for c in OBJECTIVES:
-            for sense in ("min", "max"):
-                problem = LpProblem(c, BOX_ROWS[keep], BOX_RHS[keep], sense=sense)
-                warm = solve_lp(problem, start.without_row(i))
-                _assert_same(warm, solve_lp(problem))
-                assert np.all(problem.rows @ warm.point <= problem.rhs + 1e-9)
 
 
-def test_warm_start_drop_that_unbounds_the_region_solves_cold():
-    # y >= 1 and a vacuous row: no row limits y once y >= 1 is gone, so
-    # the slack of y >= 1 finds no leaving row and the LP solves cold.
+def _row_kept_verdicts(rows, rhs):
+    """Per row j, (verdict, maximum) of a_j y from the region's shared
+    start and of the cold LP over the region less row j; the verdict is
+    redundant when the maximum clears rhs[j] by FEASIBILITY_TOL."""
+    start = LpStart(LpProblem(np.zeros(rows.shape[1]), rows, rhs))
+    out = []
+    for j in range(len(rhs)):
+        keep = np.arange(len(rhs)) != j
+        kept = solve_lp(LpProblem(rows[j], rows, rhs, sense="max"), start)
+        dropped = solve_lp(LpProblem(rows[j], rows[keep], rhs[keep],
+                                     sense="max"))
+        out.append(tuple(
+            (sol.status == "optimal"
+             and sol.objective_value <= rhs[j] - FEASIBILITY_TOL,
+             sol.objective_value) for sol in (kept, dropped)))
+    return out
+
+
+def test_row_kept_gives_the_row_dropped_verdict():
+    verdicts = _row_kept_verdicts(BOX_ROWS, BOX_RHS)
+    for (kept, kept_max), (dropped, dropped_max) in verdicts:
+        assert kept == dropped
+        if kept:
+            assert abs(kept_max - dropped_max) <= 1e-9
+    # Each twin pair has one tight, kept row and one implied, redundant one.
+    assert [kept for (kept, _), _ in verdicts] == [
+        False, True, False, False, True, False, False, True]
+    # y >= 1 and a vacuous row: without y >= 1 the maximum of -y is
+    # unbounded, with it the maximum is its own bound; kept both ways.
     rows, rhs = np.array([[-1.0], [0.0]]), np.array([-1.0, 1.0])
-    start = LpStart(LpProblem([0.0], rows, rhs))
-    for c in ([1.0], [-1.0]):
-        problem = LpProblem(c, rows[1:], rhs[1:])
-        assert solve_lp(problem, start.without_row(0)).status == "unbounded"
-        assert solve_lp(problem).status == "unbounded"
+    (kept, kept_max), (dropped, dropped_max) = _row_kept_verdicts(rows, rhs)[0]
+    assert not kept and not dropped
+    assert kept_max == -1.0 and dropped_max is None
 
 
 def test_warm_start_on_empty_region():
     rows, rhs = np.array([[1.0], [-1.0], [1.0]]), np.array([0.0, -1.0, 4.0])
     start = LpStart(LpProblem([0.0], rows, rhs))
     assert solve_lp(LpProblem([1.0], rows, rhs), start).status == "infeasible"
-    # Without y >= 1 the region is y <= 0: the shared verdict cannot hold.
-    problem = LpProblem([-1.0], rows[[0, 2]], rhs[[0, 2]])
-    warm = solve_lp(problem, start.without_row(1))
-    assert warm.status == "optimal" and warm.objective_value == 0.0
 
 
 def test_warm_start_rejects_another_region():
@@ -308,10 +314,7 @@ def test_warm_start_rejects_another_region():
     with pytest.raises(LpUsageError):
         solve_lp(LpProblem([1.0, 0.0], BOX_ROWS, BOX_RHS + 1.0), start)
     with pytest.raises(LpUsageError):
-        solve_lp(LpProblem([1.0, 0.0], BOX_ROWS[1:], BOX_RHS[1:]),
-                 start.without_row(2))
-    with pytest.raises(LpUsageError):
-        start.without_row(len(BOX_RHS))
+        solve_lp(LpProblem([1.0, 0.0], BOX_ROWS[1:], BOX_RHS[1:]), start)
 
 
 def test_warm_start_pivot_accounting():
@@ -400,28 +403,43 @@ def test_warm_starts_match_highs_on_random_regions(monkeypatch):
     monkeypatch.setattr(lp_module._Tableau, "_drive_out_artificials", recording)
     rng = np.random.default_rng(43)
     statuses = {"optimal": 0, "unbounded": 0}
+    verdicts = {True: 0, False: 0}
     for _ in range(30):
         rows, rhs, bounds = _random_region(rng)
         start = LpStart(LpProblem(np.zeros(len(bounds)), rows, rhs,
                                   bounds=bounds))
         for sense in ("min", "max"):
-            c = np.round(rng.normal(size=len(bounds)), 3)
             sign = 1.0 if sense == "min" else -1.0
-            for i in (None, *range(len(rhs))):
-                keep = np.arange(len(rhs)) != i
-                problem = LpProblem(c, rows[keep], rhs[keep], bounds=bounds,
-                                    sense=sense)
-                mine = solve_lp(problem, start if i is None
-                                else start.without_row(i))
-                ref = linprog(sign * c, A_ub=rows[keep], b_ub=rhs[keep],
-                              bounds=bounds, method="highs",
-                              options={"presolve": False})
+            for _ in range(4):
+                c = np.round(rng.normal(size=len(bounds)), 3)
+                mine = solve_lp(LpProblem(c, rows, rhs, bounds=bounds,
+                                          sense=sense), start)
+                ref = linprog(sign * c, A_ub=rows, b_ub=rhs, bounds=bounds,
+                              method="highs", options={"presolve": False})
                 assert mine.status == {0: "optimal", 3: "unbounded"}[ref.status]
                 statuses[mine.status] += 1
                 if mine.status == "optimal":
                     assert abs(mine.objective_value - sign * ref.fun) <= (
                         1e-6 * max(1.0, abs(ref.fun)))
+        # Row i's maximum with row i kept gives the verdict of HiGHS over
+        # the region less row i, and its value when redundant.
+        for i in range(len(rhs)):
+            keep = np.arange(len(rhs)) != i
+            mine = solve_lp(LpProblem(rows[i], rows, rhs, bounds=bounds,
+                                      sense="max"), start)
+            ref = linprog(-rows[i], A_ub=rows[keep], b_ub=rhs[keep],
+                          bounds=bounds, method="highs",
+                          options={"presolve": False})
+            redundant = (mine.status == "optimal"
+                         and mine.objective_value <= rhs[i] - FEASIBILITY_TOL)
+            assert redundant == (ref.status == 0
+                                 and -ref.fun <= rhs[i] - FEASIBILITY_TOL), i
+            verdicts[redundant] += 1
+            if redundant:
+                assert abs(mine.objective_value + ref.fun) <= (
+                    1e-6 * max(1.0, abs(ref.fun)))
     assert min(statuses.values()) > 20
+    assert min(verdicts.values()) > 20
     assert sum(driven_out) >= 30  # each shared phase 1 pivots one out
 
 
@@ -630,7 +648,7 @@ def test_tableau_stores_only_nonbasic_columns(cases):
     solve_lp(inst.lp(objective), inst.lp_start)
     shared = inst.lp_start._basis[0]
     _assert_condensed(shared)
-    assert shared.T.shape[1] == shared.ns + 1  # no row was dependent
+    assert shared.T.shape[1] == shared.ns + 1
 
     milp = milp_problem(build_uc(case, case.nominal_load))
     root = NodeStart(milp)
@@ -669,3 +687,16 @@ def test_entering_variable_is_the_lowest_label_among_ties(monkeypatch):
     assert sol.status == "optimal" and sol.objective_value == -3.0
     assert [t for t in ties if len(t) > 1] == [[0, 1], [5, 2], [5, 4]]
     assert entered == [0, 1, 2, 4]  # the pivots of the full tableau
+
+
+def test_dual_ratio_ties_within_rounding_go_to_the_lowest_label():
+    # Both ratios are 1/3 in exact arithmetic, but 0.1 / 0.3 rounds one
+    # ulp above 1.0 / 3.0; the tie still goes to label 0.
+    form = lp_module._standard_form(np.array([[-0.3, -3.0]]), np.array([1.0]),
+                                    np.zeros(2), np.full(2, np.inf))
+    tab = lp_module._Tableau(form)
+    tab.T[0, -1] = -1.0
+    zrow = tab._zrow(np.array([0.1, 1.0]))
+    assert 0.1 / 0.3 != 1.0 / 3.0
+    assert tab.dual_simplex(zrow, 10) == "feasible"
+    assert tab.basis.tolist() == [0]

@@ -40,7 +40,7 @@ def test_lp_carries_instance_bounds(cases):
                                          1.2 * case.nominal_load),
                              commitment_fixes=((1, 0),)))
     row = inst.row_labels[0]
-    for lp in (inst.lp(inst.cost), inst.lp(inst.cost, skip_label=row),
+    for lp in (inst.lp(inst.cost), inst.without_rows([row]).lp(inst.cost),
                milp_problem(inst).lp):
         assert np.array_equal(lp.bounds, inst.bounds)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from conftest import screen_checking_skips
+from ucscreen import oracle
 from ucscreen.case import parse_case
 from ucscreen.model import CutSet, apply_cuts, build_uc, relax_binaries
 from ucscreen.screening import eovl
@@ -45,3 +46,6 @@ def test_skips_keep_every_verdict(inst):
     assert set(s3.redundant) == set(s2.redundant)
     assert s3.lp_solved <= s3.lp_count
     assert s2.lp_solved == s2.lp_count
+    # S2's LPs keep their own row; the oracle's cold LP drops it.
+    assert set(s2.redundant) == {lb for lb in inst.candidates
+                                 if oracle.lp_redundancy(inst, lb)}
