@@ -241,10 +241,13 @@ class _Tableau:
     the nonbasic columns, `nonbasic[q]` being the label of column q, and
     the right-hand side last; `basis[r]` is the label basic in row r.  A
     basic variable's full-tableau column is the unit vector of its row,
-    so it is never stored.  Every choice among tied columns takes the
-    lowest label, which makes the pivots those of the full tableau.  An
-    artificial never re-enters, and the artificials' columns are deleted
-    at the end of phase 1.  `form` maps z back to the problem's variables.
+    so it is never stored.  The objective row `z` (reduced costs, then
+    minus the objective) is the last row of the one buffer that `T`
+    heads, so a pivot is a single rank-one update.  Every choice among
+    tied columns takes the lowest label, which makes the pivots those of
+    the full tableau.  An artificial never re-enters, and the
+    artificials' columns are deleted at the end of phase 1.  `form` maps
+    z back to the problem's variables.
     """
 
     def __init__(self, form: _StandardForm):
@@ -255,13 +258,13 @@ class _Tableau:
         na = art_rows.size
         # Nonbasic at the start: the structural columns and the slacks of
         # the rows whose artificial is basic.
-        T = np.zeros((m, ns + na + 1))
-        T[:, :ns] = rows * sigma[:, None]
-        T[art_rows, ns + np.arange(na)] = -1.0
-        T[:, -1] = rhs * sigma
+        buf = np.zeros((m + 1, ns + na + 1))
+        buf[:m, :ns] = rows * sigma[:, None]
+        buf[art_rows, ns + np.arange(na)] = -1.0
+        buf[:m, -1] = rhs * sigma
         basis = ns + np.arange(m)
         basis[art_rows] = ns + m + np.arange(na)
-        self.T = T
+        self._set_buffer(buf)
         self.basis = basis
         self.nonbasic = np.concatenate([np.arange(ns), ns + art_rows])
         self.form = form
@@ -271,21 +274,29 @@ class _Tableau:
         self.art_start = ns + m
         self.iterations = 0
 
+    def _set_buffer(self, buf: np.ndarray) -> None:
+        self.buf = buf
+        self.T = buf[:-1]
+        self.z = buf[-1]
+
     def copy(self) -> "_Tableau":
         """An independent copy with a fresh pivot count."""
         out = copy.copy(self)
-        out.T = self.T.copy()
+        out._set_buffer(self.buf.copy())
         out.basis = self.basis.copy()
         out.nonbasic = self.nonbasic.copy()
         out.iterations = 0
         return out
 
     def _zrow(self, cost: np.ndarray) -> np.ndarray:
-        """Reduced costs of the nonbasic columns, and minus the objective
-        last, for `cost` over the leading labels and zero over the rest."""
+        """Set the objective row `z` to the reduced costs of the nonbasic
+        columns, and minus the objective last, for `cost` over the leading
+        labels and zero over the rest; return it."""
         full = np.zeros(self.n_labels)
         full[:cost.size] = cost
-        z = np.append(full[self.nonbasic], 0.0)
+        z = self.z
+        z[:-1] = full[self.nonbasic]
+        z[-1] = 0.0
         cb = full[self.basis]
         if np.any(cb != 0.0):
             z -= cb @ self.T
@@ -298,20 +309,18 @@ class _Tableau:
     def _pivot(self, zrow: np.ndarray, row: int, col: int) -> None:
         """Swap nonbasic column `col` with the variable basic in `row`.
 
-        The entering column becomes e_row first, so the leaving variable's
-        column comes out of the usual update exactly as the full tableau
-        would compute it."""
-        T = self.T
-        piv = T[row, col]
-        colvals = T[:, col].copy()
+        `zrow` is the objective row, the buffer's last row, so one rank-one
+        update of the buffer covers it.  The entering column becomes e_row
+        first, so the leaving variable's column comes out of the usual
+        update exactly as the full tableau would compute it."""
+        buf = self.buf
+        piv = buf[row, col]
+        colvals = buf[:, col].copy()
         colvals[row] = 0.0
-        T[:, col] = 0.0
-        T[row, col] = 1.0
-        T[row] /= piv
-        T -= np.outer(colvals, T[row])
-        zcol = zrow[col]
-        zrow[col] = 0.0
-        zrow -= zcol * T[row]
+        buf[:, col] = 0.0
+        buf[row, col] = 1.0
+        buf[row] /= piv
+        buf -= colvals[:, None] * buf[row]
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
         self.iterations += 1
 
@@ -320,11 +329,12 @@ class _Tableau:
         column is positive, so nothing limits its increase."""
         T = self.T
         colvals = T[:, col]
-        pos = np.nonzero(colvals > _RATIO_TOL)[0]
-        if pos.size == 0:
+        pos = colvals > _RATIO_TOL
+        if not pos.any():
             return None
-        ratios = T[pos, -1] / colvals[pos]
-        ties = pos[ratios <= ratios.min() + 1e-12]
+        ratios = np.divide(T[:, -1], colvals, out=np.full(self.m, np.inf),
+                           where=pos)
+        ties = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
         if bland and ties.size > 1:
             return int(ties[np.argmin(self.basis[ties])])
         return int(ties[0])
@@ -337,7 +347,9 @@ class _Tableau:
         while True:
             if self.iterations > _MAX_ITER:
                 raise SimplexError("simplex iteration limit exceeded")
-            rc = np.where(self.nonbasic < self.art_start, zrow[:-1], np.inf)
+            rc = zrow[:-1]
+            if self.n_labels > self.art_start:
+                rc = np.where(self.nonbasic < self.art_start, rc, np.inf)
             if bland:
                 neg = np.nonzero(rc < -_PIVOT_TOL)[0]
                 if neg.size == 0:
@@ -362,7 +374,8 @@ class _Tableau:
                     bland = True
 
     def dual_simplex(self, zrow: np.ndarray, limit: int) -> str:
-        """Pivot a dual-feasible basis to primal feasibility.
+        """Pivot a dual-feasible basis to primal feasibility; `zrow` is the
+        objective row as `_zrow` returned it, which the pivots update.
 
         Each pivot leaves on the most negative basic value and enters by
         the dual ratio test, which keeps every reduced cost >= 0.  Returns
@@ -403,9 +416,7 @@ class _Tableau:
 
     def phase_two(self, c: np.ndarray) -> str:
         """Minimize c'z from the current feasible basis."""
-        zrow = self._zrow(c)
-        self._z = zrow
-        return self._iterate(zrow)
+        return self._iterate(self._zrow(c))
 
     def columns(self, labels: np.ndarray) -> np.ndarray:
         """The full tableau's columns of `labels`: a basic variable's unit
@@ -421,15 +432,16 @@ class _Tableau:
         A basic artificial's row always has a candidate: the artificial
         and its row's slack start as +e_i and -e_i, go through the same
         updates, and the artificial never re-enters, so while it is basic
-        in row r the slack's column is exactly -e_r."""
+        in row r the slack's column is exactly -e_r.  The objective row
+        goes through these pivots too; phase 2 prices it afresh."""
         for row in range(self.m):
             if self.basis[row] < self.art_start:
                 continue
             cand = np.nonzero((np.abs(self.T[row, :-1]) > 1e-9)
                               & (self.nonbasic < self.art_start))[0]
-            self._pivot(np.zeros(self.T.shape[1]), row, self._lowest_label(cand))
+            self._pivot(self.z, row, self._lowest_label(cand))
         real = np.append(self.nonbasic < self.art_start, True)
-        self.T = self.T[:, real]
+        self._set_buffer(self.buf[:, real])
         self.nonbasic = self.nonbasic[real[:-1]]
         self.n_labels = self.art_start
 
@@ -439,7 +451,7 @@ class _Tableau:
         x = np.zeros(self.n_labels)
         x[self.basis] = self.T[:, -1]
         z = np.zeros(self.n_labels)
-        z[self.nonbasic] = self._z[:-1]
+        z[self.nonbasic] = self.z[:-1]
         return x, z
 
 
