@@ -20,15 +20,20 @@ tableau.
 Phase 1 depends on the region only, never on the objective.  Screening
 solves many LPs over one region, so an `LpStart` runs phase 1 once per
 region and each LP given the start copies its feasible tableau, m rows
-by n + 1 columns, and runs phase 2 alone.  Every such LP starts from the
-same basis, so results do not depend on the order or the thread the LPs
-run in.  Without a start, `solve_lp` runs both phases itself, as the
-brute-force oracles do.
+by n + 1 columns, and runs phase 2 alone.  A `VertexStart` over the same
+region copies instead a vertex: the optimal tableau of an earlier LP
+over the region, which is feasible for every objective and often close
+to the next LP's optimum.  On request it hands back the LP's own final
+tableau as a vertex for later LPs.  The caller picks each vertex, so an
+LP's result depends on the order or the thread the LPs run in only if
+the caller's picks do.  Without a start, `solve_lp` runs both phases
+itself, as the brute-force oracles do.
 
-All three ways in (a cold solve, an `LpStart` and a `NodeStart`) share
-one standard form, `_standard_form`: A z <= b with z >= 0, plus two
-arrays that map each column back to its variable and sign.  They reach a
-feasible basis through one phase-1 entry, `_phase_one`.
+Every way in (a cold solve, an `LpStart` or `VertexStart`, and a
+`NodeStart`) shares one standard form, `_standard_form`: A z <= b with
+z >= 0, plus two arrays that map each column back to its variable and
+sign.  They reach a feasible basis through one phase-1 entry,
+`_phase_one`.
 
 The MILP solver runs best-first branch and bound on LP relaxations,
 branching on the lowest-index fractional binary, down-branch first.
@@ -480,7 +485,9 @@ class LpStart:
     problem over exactly that region, with any objective, and copies the
     shared condensed tableau.  Phase 1 runs once, under a lock, inside the
     first solve_lp call that needs it, which counts its pivots among its
-    own; its verdict is then shared read-only across threads.
+    own; its verdict is then shared read-only across threads.  The start
+    holds that one tableau only: a `VertexStart` built on it copies the
+    vertex it is given, and the caller keeps the vertices.
     """
 
     def __init__(self, region: LpProblem):
@@ -512,6 +519,37 @@ class LpStart:
         if not isinstance(shared, _Tableau):
             return pivots, shared
         return pivots, shared.copy()
+
+
+class VertexStart:
+    """Start of one LP over the region of `shared`, an `LpStart`, from a
+    vertex: the optimal tableau of an earlier LP over that region, which
+    the LP copies before it runs phase 2.  With no vertex, the LP copies
+    the shared phase-1 basis instead.
+
+    With `keep`, the start hands back the LP's own final tableau: solve_lp
+    finishes it in place, and `tableau` holds it afterwards, to serve as a
+    later LP's vertex once the caller has checked the LP was optimal.
+    Without `keep`, the tableau is freed when the solve returns.
+    """
+
+    def __init__(self, shared: LpStart, vertex: "_Tableau | None" = None,
+                 keep: bool = False):
+        self.shared = shared
+        self.vertex = vertex
+        self.keep = keep
+        self.tableau: _Tableau | None = None
+
+    def _warm(self, problem: LpProblem, c: np.ndarray):
+        """(pivots, tableau) for solve_lp, as `LpStart._warm`."""
+        if self.vertex is None:
+            pivots, tab = self.shared._warm(problem, c)
+        else:
+            self.shared._check(problem)
+            pivots, tab = 0, self.vertex.copy()
+        if self.keep and isinstance(tab, _Tableau):
+            self.tableau = tab
+        return pivots, tab
 
 
 class NodeStart:
@@ -601,12 +639,14 @@ class NodeStart:
 
 
 def solve_lp(problem: LpProblem,
-             start: LpStart | NodeStart | None = None) -> LpSolution:
+             start: LpStart | VertexStart | NodeStart | None = None
+             ) -> LpSolution:
     """Solve an LP; exact status classification, deterministic output.
 
     With an `LpStart` over the problem's region, the LP runs phase 2 from
-    the start's shared basis.  With a `NodeStart`, the LP is one node of a
-    branch-and-bound tree.
+    the start's shared basis; with a `VertexStart`, from the start's
+    vertex.  With a `NodeStart`, the LP is one node of a branch-and-bound
+    tree.
     """
     m = problem.n_rows
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]

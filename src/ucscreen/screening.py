@@ -22,6 +22,19 @@ proves the row is kept.  Points come from the bound pass alone, so the
 skips depend on the region, never on `jobs`.  `lp_count` stays the
 paper's accounting (two LPs per bound column, one per undecided row);
 `lp_solved` counts the simplex runs actually made.
+
+The ensemble also starts each LP it solves from the best vertex found
+so far (the warm start of the same bound-tightening work).  One `eovl`
+call keeps a vertex store: the optimal tableau of each distinct optimal
+point its bound LPs reach.  An LP copies the stored tableau whose point
+scores best on its objective, the earliest among ties, and runs phase 2
+from it.  A bound round (one column, max and min) picks only from
+earlier rounds' vertices and adds its own afterwards, in input order;
+the line-flow pass picks from the finished store and adds nothing.  So
+every start, like every skip, depends on the region alone.  While the
+store is empty an LP starts from the shared phase-1 basis, which is how
+S2, with no bound pass, runs every LP.  The store is freed when the call
+returns.
 """
 
 from __future__ import annotations
@@ -33,7 +46,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ucscreen.lp import FEASIBILITY_TOL, LpUsageError, solve_lp
+from ucscreen.lp import (
+    FEASIBILITY_TOL,
+    LpUsageError,
+    SimplexError,
+    VertexStart,
+    solve_lp,
+)
 from ucscreen.model import RowLabel, UcInstance
 
 
@@ -104,14 +123,54 @@ class ScreeningReport:
             raise AssertionError("redundant rows outside the candidate set")
 
 
-def _solve_many(inst: UcInstance, problems, pool: Executor | None):
-    """Solve LPs over the instance's region from its shared start, on
-    `pool` when one is given; result order is by input position, so
-    reports do not depend on the schedule."""
-    start = inst.lp_start
+class _Vertices:
+    """One screen's vertex store: the optimal tableau of each distinct
+    optimal point (exact equality) its bound LPs reached, in the order
+    they were added."""
+
+    def __init__(self, inst: UcInstance):
+        self.shared = inst.lp_start
+        self.points = np.empty((0, inst.n_cols))
+        self.tableaux: list = []
+
+    def start(self, problem, keep: bool = False) -> VertexStart:
+        """A start at the stored vertex whose point scores best on the
+        problem's objective, the earliest among ties; at the shared
+        phase-1 basis while the store is empty."""
+        vertex = None
+        if self.tableaux:
+            score = self.points @ problem.objective
+            if problem.sense == "max":
+                score = -score
+            vertex = self.tableaux[int(np.argmin(score))]
+        return VertexStart(self.shared, vertex, keep)
+
+    def add(self, sol, start: VertexStart) -> None:
+        """Store the final tableau of a kept start whose LP reached an
+        optimal point not stored yet."""
+        if (sol.status != "optimal" or start.tableau is None
+                or np.any(np.all(self.points == sol.point, axis=1))):
+            return
+        self.points = np.vstack([self.points, sol.point])
+        self.tableaux.append(start.tableau)
+
+
+def _solve_many(vertices: _Vertices, problems, pool: Executor | None,
+                keep: bool = False):
+    """Solve LPs over the store's region, each from its best stored
+    vertex, on `pool` when one is given.  With `keep`, the LPs' optimal
+    vertices join the store afterwards, in input order.  Starts are
+    picked before any LP runs, and results are in input order, so
+    nothing depends on the schedule."""
+    starts = [vertices.start(p, keep) for p in problems]
     if pool is None or len(problems) <= 1:
-        return [solve_lp(p, start) for p in problems]
-    return list(pool.map(lambda p: solve_lp(p, start), problems))
+        solutions = [solve_lp(p, st) for p, st in zip(problems, starts)]
+    else:
+        solutions = list(pool.map(solve_lp, problems, starts))
+    if keep:
+        for sol, st in zip(solutions, starts):
+            vertices.add(sol, st)
+    return solutions
 
 
 def _proven_limits(inst: UcInstance) -> np.ndarray:
@@ -126,18 +185,21 @@ def _proven_limits(inst: UcInstance) -> np.ndarray:
     return limits
 
 
-def variable_bounds(inst: UcInstance,
-                    pool: Executor | None = None) -> BoundsBox:
+def variable_bounds(inst: UcInstance, pool: Executor | None = None,
+                    vertices: _Vertices | None = None) -> BoundsBox:
     """Tight per-variable bounds over the relaxed region.
 
     Dispatch and status columns each have two LPs (max and min); load
     columns keep their bounds from the load box without solving, and so
     do status columns a commitment fix pins (lower bound equal to upper).
-    Every bound LP runs phase 2 only, from the instance's shared start.
+    Every bound LP runs phase 2 only.
 
     The LPs run in rounds of one column, in column order.  A side whose
     proven limit an optimal point of an earlier round attains (within
-    ATTAIN_RTOL relative) takes that limit without its LP.
+    ATTAIN_RTOL relative) takes that limit without its LP.  Each LP starts
+    from the vertex of an earlier round that scores best on its objective
+    (the shared phase-1 basis in the first round), and the round's optimal
+    vertices join `vertices`, a new store when None, after the round.
     """
     if inst.binary_indices:
         raise LpUsageError("variable bounds expect a binary-relaxed instance")
@@ -150,6 +212,8 @@ def variable_bounds(inst: UcInstance,
         for p in range(n))
     lp_cols = [p for p in range(n) if provenance[p] == "lp_solved"]
     limits = _proven_limits(inst)
+    if vertices is None:
+        vertices = _Vertices(inst)
     side_bound = {"max": upper, "min": lower}
     points = np.empty((2 * len(lp_cols), n))
     n_points = solved = 0
@@ -167,8 +231,9 @@ def variable_bounds(inst: UcInstance,
                 sides.append(side)
         obj = np.zeros(n)
         obj[p] = 1.0
-        solutions = _solve_many(inst, [inst.lp(obj, sense=s) for s in sides],
-                                pool)
+        solutions = _solve_many(vertices,
+                                [inst.lp(obj, sense=s) for s in sides], pool,
+                                keep=True)
         solved += len(sides)
         for side, sol in zip(sides, solutions):
             if sol.status == "infeasible":
@@ -225,7 +290,8 @@ def vgs_screen(inst: UcInstance, box: BoundsBox,
 
 
 def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None,
-                pool: Executor | None = None) -> ScreeningReport:
+                pool: Executor | None = None,
+                vertices: _Vertices | None = None) -> ScreeningReport:
     """Line-flow-guided pass: per candidate, maximize the row over the
     region and compare against its bound with the strict margin.
 
@@ -235,8 +301,14 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
     with a_j y > b_j would, on the segment to the optimum, give a point of
     the region with a_j y = b_j, by convexity.  Redundant either way.  If
     the maximum is above b_j - margin, so is the maximum over the larger
-    region: kept either way.  So every LP runs phase 2 from the
-    instance's shared start, as the bound LPs do."""
+    region: kept either way.  So every LP runs phase 2 over the one
+    region, as the bound LPs do, from the finished bound pass's vertex
+    that scores best on its row (`vertices`, read only), or from the
+    shared phase-1 basis when that store is None or empty.
+
+    Since each LP keeps its own row, its maximum is at most b_j: a status
+    other than optimal or infeasible is a solver fault, and raises
+    SimplexError."""
     if candidates is None:
         candidates = inst.candidates
     for lb in candidates:
@@ -244,15 +316,19 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
             raise LpUsageError(f"screening candidate {lb} is not a line row")
     t0 = time.perf_counter()
     problems = [inst.lp(inst.row(lb)[0], sense="max") for lb in candidates]
-    solutions = _solve_many(inst, problems, pool)
+    if vertices is None:
+        vertices = _Vertices(inst)
+    solutions = _solve_many(vertices, problems, pool)
     redundant = []
     for lb, sol in zip(candidates, solutions):
         _, bound = inst.row(lb)
-        if sol.status == "unbounded":
-            continue  # no finite maximum certifies the row: it is kept
         if sol.status == "infeasible":
             raise ScreeningInfeasibleError(
                 f"screening LP for {lb} infeasible; relaxed region is empty")
+        if sol.status != "optimal":
+            raise SimplexError(
+                f"screening LP for {lb} ended {sol.status}, but its own row "
+                "bounds its maximum")
         if sol.objective_value <= bound - FEASIBILITY_TOL:
             redundant.append(lb)
     return ScreeningReport(
@@ -290,14 +366,18 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
     The result is the vertex pass's report with the line-flow pass
     folded in; it carries the box whenever the vertex pass ran.  With
     `jobs` > 1 both passes run their LPs on one pool of that many threads.
+
+    Both passes share one vertex store, which the bound pass fills and
+    the line-flow pass only reads; it is freed when the call returns.
     """
     if inst.binary_indices:
         raise LpUsageError("screening expects a binary-relaxed instance")
+    vertices = _Vertices(inst)
     with (ThreadPoolExecutor(max_workers=jobs) if jobs > 1
           else contextlib.nullcontext()) as pool:
         if use_vgs:
             t0 = time.perf_counter()
-            box = variable_bounds(inst, pool)
+            box = variable_bounds(inst, pool, vertices)
             bounds_s = time.perf_counter() - t0
             report = vgs_screen(inst, box)
             report.lp_count = box.lp_count
@@ -310,7 +390,7 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
         if use_lfgs and undecided:
             rest = (undecided if report.box is None
                     else _unwitnessed(inst, report.box.points, undecided))
-            part = lfgs_screen(inst, rest, pool)
+            part = lfgs_screen(inst, rest, pool, vertices)
             removed = set(report.redundant) | set(part.redundant)
             report.redundant = tuple(lb for lb in report.candidates
                                      if lb in removed)

@@ -94,12 +94,12 @@ def screen_checking_skips(inst):
         solved.append((problem, solve(problem, start), in_lfgs))
         return solved[-1][1]
 
-    def recording_lfgs(region, candidates, pool=None):
+    def recording_lfgs(region, candidates, pool=None, vertices=None):
         nonlocal in_lfgs
         sent.extend(candidates)
         in_lfgs = True
         try:
-            return lfgs(region, candidates, pool)
+            return lfgs(region, candidates, pool, vertices)
         finally:
             in_lfgs = False
 
@@ -149,3 +149,38 @@ def screen_checking_skips(inst):
         if witnessed:
             assert not oracle.lp_redundancy(inst, lb), lb
     return report
+
+
+def screen_checking_vertex_starts(inst):
+    """S3 screen of `inst` that re-solves cold every LP started from a
+    stored vertex.  Each must give the cold LP's status and, within 1e-9
+    relative, its objective, and so the same verdict for every candidate
+    row it maximizes.  Only the first bound round, max and min, may start
+    from the shared phase-1 basis.  Returns the number of vertex starts."""
+    warm, shared = [], []
+    solve = screening.solve_lp
+
+    def recording(problem, start=None):
+        sol = solve(problem, start)
+        (shared if start.vertex is None else warm).append((problem, sol))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(screening, "solve_lp", recording)
+        report = screening.eovl(inst)
+    assert len(shared) <= 2
+    assert len(warm) + len(shared) == report.lp_solved
+
+    idx = np.array([inst.row_index(lb) for lb in inst.candidates], dtype=int)
+    for problem, sol in warm:
+        cold = solve_lp(problem)
+        assert sol.status == cold.status
+        if cold.status != "optimal":
+            continue
+        value, ref = sol.objective_value, cold.objective_value
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+        same = np.all(inst.rows[idx] == problem.objective, axis=1)
+        for b in inst.rhs[idx[same]]:
+            assert ((value <= b - FEASIBILITY_TOL)
+                    == (ref <= b - FEASIBILITY_TOL))
+    return len(warm)

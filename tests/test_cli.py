@@ -1,7 +1,9 @@
 """CLI behavior: schemes, reports, exit codes, determinism."""
 
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from ucscreen.cli import (
     run_scheme,
     verify_case,
 )
-from ucscreen.lp import NodeLimitExceeded, SimplexError
+from ucscreen.lp import LpSolution, NodeLimitExceeded, SimplexError
 from ucscreen.predictors import (
     Dataset,
     DatasetError,
@@ -163,6 +165,55 @@ def test_skips_do_not_depend_on_jobs(scheme, beta):
     assert docs[0] == docs[1]
     solved = [r.screening.lp_solved for r in reports]
     assert solved[0] == solved[1] < reports[0].screening.lp_count
+
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
+@pytest.fixture(scope="module")
+def synth_paths(tmp_path_factory):
+    """Two seeded 24-bus ring-plus-chord cases, the benchmark's shape."""
+    out = {}
+    for i in range(2):
+        path = tmp_path_factory.mktemp("synth") / f"synth{i}.json"
+        path.write_text(json.dumps(gen.ring_chord_case(
+            (301, i), n_buses=24, n_chords=12, n_gens=8, beta=0.2,
+            tight_share=0.25, name=f"synth{i}")))
+        out[f"synth{i}"] = str(path)
+    return out
+
+
+@pytest.mark.parametrize("scheme, beta", [("s2", None), ("s3", None),
+                                          ("s4", 0.1)])
+@pytest.mark.parametrize("name", ["five_bus", "nine_bus", "fourteen_bus",
+                                  "thirty_bus", "fifty_bus", "negcontrol",
+                                  "synth0", "synth1"])
+def test_vertex_starts_do_not_depend_on_jobs(name, scheme, beta, synth_paths,
+                                             monkeypatch):
+    pivots = []
+    solve_lp = ucscreen.screening.solve_lp
+
+    def counted(*args):
+        sol = solve_lp(*args)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(ucscreen.screening, "solve_lp", counted)
+    path = synth_paths.get(name) or case_path(name)
+    docs, solved, totals = [], [], []
+    for jobs in (1, 8):
+        pivots.clear()
+        report = run_scheme(SchemeConfig(case_path=path, scheme=scheme,
+                                         beta=beta, jobs=jobs))
+        docs.append(dump_json(report.to_json_dict()))
+        solved.append(report.screening.lp_solved)
+        totals.append(sum(pivots))
+    assert docs[0] == docs[1]
+    assert solved[0] == solved[1] == len(pivots)
+    assert totals[0] == totals[1]
 
 
 def test_verify_determinism(tmp_path):
@@ -500,3 +551,22 @@ def test_solver_giving_up_is_input_error(error, monkeypatch, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {error}"]
+
+
+def test_line_flow_lp_ending_unbounded_is_a_solver_fault(monkeypatch, capsys):
+    # Each line-flow LP keeps its own row, which bounds its maximum; a
+    # solver that reports it unbounded anyway must not keep the row.
+    solve_lp = ucscreen.screening.solve_lp
+
+    def faulty(problem, start=None):
+        if np.count_nonzero(problem.objective) > 1:  # a line row
+            return LpSolution("unbounded", None, None)
+        return solve_lp(problem, start)
+
+    monkeypatch.setattr(ucscreen.screening, "solve_lp", faulty)
+    code = run_cli("run", "--case", case_path("five_bus"), "--scheme", "s2")
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: screening LP for line_")
+    assert "unbounded" in err[0]

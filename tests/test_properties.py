@@ -6,7 +6,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import screen_checking_skips
+from conftest import screen_checking_skips, screen_checking_vertex_starts
 from ucscreen import oracle
 from ucscreen.case import parse_case
 from ucscreen.model import CutSet, apply_cuts, build_uc, relax_binaries
@@ -49,3 +49,9 @@ def test_skips_keep_every_verdict(inst):
     # S2's LPs keep their own row; the oracle's cold LP drops it.
     assert set(s2.redundant) == {lb for lb in inst.candidates
                                  if oracle.lp_redundancy(inst, lb)}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(regions())
+def test_vertex_starts_match_cold_solves(inst):
+    screen_checking_vertex_starts(inst)

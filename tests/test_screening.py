@@ -2,12 +2,19 @@
 the ensemble, and model reduction."""
 
 import json
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import ucscreen.screening
-from conftest import CORPUS, enumerate_polygon_vertices, screen_checking_skips
+from conftest import (
+    CORPUS,
+    enumerate_polygon_vertices,
+    screen_checking_skips,
+    screen_checking_vertex_starts,
+)
 from ucscreen import oracle
 from ucscreen.case import case_to_json, parse_case
 from ucscreen.lp import LpUsageError, solve_lp
@@ -409,3 +416,76 @@ def test_empty_region_raises_from_every_warm_pass(cases):
         inst = relax_binaries(apply_cuts(build_uc(case, case.nominal_load), cut))
         with pytest.raises(ScreeningInfeasibleError):
             screen(inst)
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4"])
+@pytest.mark.parametrize("name", CORPUS + ("negcontrol",))
+def test_vertex_starts_match_cold_solves(cases, name, scheme):
+    warm = screen_checking_vertex_starts(_region(cases[name], scheme))
+    if name == "fifty_bus":
+        assert warm > 10
+
+
+def test_s2_never_starts_from_a_vertex(cases, monkeypatch):
+    starts = []
+    solve_lp = ucscreen.screening.solve_lp
+
+    def recording(problem, start=None):
+        starts.append((start.vertex, start.keep))
+        return solve_lp(problem, start)
+
+    monkeypatch.setattr(ucscreen.screening, "solve_lp", recording)
+    for name in CORPUS:
+        eovl(relaxed(cases[name]), use_vgs=False)
+    assert len(starts) > 100
+    assert all(vertex is None and not keep for vertex, keep in starts)
+
+
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_vertex_store_is_freed_when_the_screen_returns(cases, jobs,
+                                                       monkeypatch):
+    stored = []
+    solve_lp = ucscreen.screening.solve_lp
+
+    def recording(problem, start=None):
+        sol = solve_lp(problem, start)
+        if start.tableau is not None:
+            stored.append(weakref.ref(start.tableau))
+        return sol
+
+    monkeypatch.setattr(ucscreen.screening, "solve_lp", recording)
+    inst = relaxed(cases["fifty_bus"])
+    report = eovl(inst, jobs=jobs)
+    assert len(stored) == report.box.lp_solved > 0
+    assert all(ref() is None for ref in stored)
+
+
+def test_threads_share_vertices_without_changing_a_pivot(cases, monkeypatch):
+    # Eight threads copy the same stored vertices while the interpreter
+    # switches threads every microsecond; a vertex written by one LP while
+    # another copies it would change some LP's pivots or verdict.
+    counts = []
+    solve_lp = ucscreen.screening.solve_lp
+
+    def counted(problem, start=None):
+        sol = solve_lp(problem, start)
+        counts.append((problem.objective.tobytes(), problem.sense,
+                       sol.iterations, sol.objective_value))
+        return sol
+
+    monkeypatch.setattr(ucscreen.screening, "solve_lp", counted)
+    inst = _region(cases["fifty_bus"], "s4")
+    eovl(inst)  # runs the shared phase 1, whose pivots the first LP counts
+    counts.clear()
+    reference = eovl(inst)
+    expected = sorted(counts)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            counts.clear()
+            report = eovl(inst, jobs=8)
+            assert report.redundant == reference.redundant
+            assert sorted(counts) == expected
+    finally:
+        sys.setswitchinterval(interval)
