@@ -533,7 +533,7 @@ class VertexStart:
     Without `keep`, the tableau is freed when the solve returns.
     """
 
-    def __init__(self, shared: LpStart, vertex: "_Tableau | None" = None,
+    def __init__(self, shared: LpStart, vertex: _Tableau | None = None,
                  keep: bool = False):
         self.shared = shared
         self.vertex = vertex
