@@ -50,7 +50,8 @@ from __future__ import annotations
 import copy
 import heapq
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def _as_bounds_array(bounds, n: int) -> np.ndarray:
     """Normalize bounds input to an (n, 2) float array; None is no bound."""
     if bounds is None:
         return np.full((n, 2), (-np.inf, np.inf))
-    out = np.array(bounds, dtype=float)  # a None becomes NaN
+    out = np.asarray(bounds, dtype=float)  # a None becomes NaN
     if out.size == 0:
         out = out.reshape(0, 2)
     if out.shape != (n, 2):
@@ -132,7 +133,9 @@ class LpProblem:
             raise LpUsageError(
                 f"rows shape {self.rows.shape} incompatible with {n} variables"
             )
-        self.rhs = np.asarray(self.rhs, dtype=float).ravel()
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        if self.rhs.ndim != 1:
+            self.rhs = self.rhs.ravel()
         if self.rhs.size != self.rows.shape[0]:
             raise LpUsageError(
                 f"rhs length {self.rhs.size} != row count {self.rows.shape[0]}"
@@ -141,6 +144,10 @@ class LpProblem:
         if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
             bad = int(np.nonzero(self.bounds[:, 0] > self.bounds[:, 1])[0][0])
             raise LpUsageError(f"variable {bad} has lower bound above upper bound")
+        stuck = (self.bounds[:, 0] == np.inf) | (self.bounds[:, 1] == -np.inf)
+        if stuck.any():
+            raise LpUsageError(f"variable {int(np.argmax(stuck))} has both "
+                               "bounds at one infinity, which no number meets")
         if self.sense not in ("min", "max"):
             raise LpUsageError(f"sense must be 'min' or 'max', got {self.sense!r}")
 
@@ -153,22 +160,69 @@ class LpProblem:
         return self.rows.shape[0]
 
 
+def box_maximum(rows: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray) -> np.ndarray:
+    """Exact maximum of each of the (K, n) `rows` over the box lower <= p
+    <= upper: positive coefficients take the upper bound, negative the
+    lower (the unit-step sign split).  An infinite side a nonzero
+    coefficient reaches gives +inf, never NaN."""
+    pos = rows > 0
+    neg = rows < 0
+    out = np.zeros(rows.shape[0])
+    # Split sums keep 0 * inf out of the arithmetic.
+    out += np.sum(np.where(pos, rows * np.where(pos, upper, 0.0), 0.0), axis=1)
+    out += np.sum(np.where(neg, rows * np.where(neg, lower, 0.0), 0.0), axis=1)
+    return out
+
+
+def lagrangian_bound(objectives: np.ndarray, y: np.ndarray, rows: np.ndarray,
+                     rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                     zero_tol: float = 0.0) -> np.ndarray:
+    """Upper bound on max objectives[k] @ p over {rows @ p <= rhs} inside
+    the box lower <= p <= upper, for each k, from multipliers y[k] >= 0
+    over the rows: y[k] @ rhs + the box maximum of objectives[k] -
+    y[k] @ rows.  Any y >= 0 gives a valid bound; at an optimal basis's
+    duals it is the optimum.  Residual coefficients within `zero_tol` of
+    0 count as 0, which is exact only when the caller knows them to be
+    rounding noise."""
+    residual = objectives - y @ rows
+    if zero_tol:
+        residual[np.abs(residual) <= zero_tol] = 0.0
+    return y @ rhs + box_maximum(residual, lower, upper)
+
+
 @dataclass(frozen=True)
 class LpSolution:
     """Solver verdict.  point/objective_value are None unless optimal.
 
     row_duals holds one multiplier (>= 0) per input row, taken from the
-    final simplex basis; dual_bound is the Lagrangian bound they certify,
-    which equals objective_value at an exact optimum.
+    final simplex basis; dual_bound is the Lagrangian bound they certify
+    over the problem's own variable bounds, which equals objective_value
+    at an exact optimum.  No solve needs it, so it is computed on first
+    access, from `problem`.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective_value: float | None
     point: np.ndarray | None
     row_duals: np.ndarray | None = None
-    dual_bound: float | None = None
     iterations: int = 0
     nodes: int = 0
+    problem: LpProblem | None = field(default=None, repr=False,
+                                      compare=False)
+
+    @cached_property
+    def dual_bound(self) -> float | None:
+        p = self.problem
+        if self.row_duals is None or p is None:
+            return None
+        sign = 1.0 if p.sense == "max" else -1.0
+        c = sign * p.objective  # maximized
+        scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
+        bound = lagrangian_bound(c[None], self.row_duals[None], p.rows, p.rhs,
+                                 p.bounds[:, 0], p.bounds[:, 1],
+                                 zero_tol=1e-9 * scale)
+        return sign * float(bound[0])
 
 
 @dataclass
@@ -450,6 +504,20 @@ class _Tableau:
         self.nonbasic = self.nonbasic[real[:-1]]
         self.n_labels = self.art_start
 
+    def row_duals(self, costs: np.ndarray, n_rows: int) -> np.ndarray:
+        """Multipliers that this basis prices for each of the (K, n_vars)
+        `costs`, minimized over the problem's variables: the reduced costs,
+        clipped at 0, of the slacks of the first `n_rows` rows, as solve_lp
+        takes its row_duals from an optimal basis.  (K, n_rows)."""
+        form = self.form
+        full = np.zeros((costs.shape[0], self.n_labels))
+        full[:, :self.ns] = costs[:, form.var] * form.sign
+        slack = self.nonbasic - self.ns  # a slack's row, for slack labels
+        q = np.nonzero((slack >= 0) & (slack < n_rows))[0]
+        y = np.zeros((costs.shape[0], n_rows))
+        y[:, slack[q]] = np.maximum(-(full[:, self.basis] @ self.T)[:, q], 0.0)
+        return y
+
     def extract(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (standard-form solution, reduced costs), both over the
         labels."""
@@ -497,9 +565,9 @@ class LpStart:
 
     def _check(self, problem: LpProblem) -> None:
         r = self.region
-        if not (np.array_equal(problem.rows, r.rows)
-                and np.array_equal(problem.rhs, r.rhs)
-                and np.array_equal(problem.bounds, r.bounds)):
+        if not all(a is b or np.array_equal(a, b) for a, b in (
+                (problem.rows, r.rows), (problem.rhs, r.rhs),
+                (problem.bounds, r.bounds))):
             raise LpUsageError("LP start was built for a different region")
 
     def _warm(self, problem: LpProblem, c: np.ndarray):
@@ -666,9 +734,9 @@ def solve_lp(problem: LpProblem,
             if np.any(form.b < -FEASIBILITY_TOL):
                 return LpSolution("infeasible", None, None, iterations=pivots)
             point = form.base.copy()
-            obj = float(problem.objective @ point)
-            return LpSolution("optimal", obj, point, row_duals=np.zeros(m),
-                              dual_bound=obj, iterations=pivots)
+            return LpSolution("optimal", float(problem.objective @ point),
+                              point, row_duals=np.zeros(m),
+                              iterations=pivots, problem=problem)
     if tab == "infeasible":
         return LpSolution("infeasible", None, None, iterations=pivots)
 
@@ -681,30 +749,15 @@ def solve_lp(problem: LpProblem,
     xstd, zrow = tab.extract()
     point = form.base.copy()
     np.add.at(point, form.var, form.sign * xstd[:tab.ns])
-
-    obj_internal = float(c @ point)
-    # Row duals are the reduced costs of the original rows' slack columns.
-    duals = np.maximum(zrow[tab.ns:tab.ns + m], 0.0)
-
-    # Lagrangian bound from the duals: exact at an exact optimum, and
-    # independent of the standard-form transformations above.
-    r = c + problem.rows.T @ duals
-    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    r = np.where(np.abs(r) <= 1e-9 * scale, 0.0, r)
-    terms = np.zeros_like(r)
-    terms[r > 0] = r[r > 0] * lo[r > 0]
-    terms[r < 0] = r[r < 0] * hi[r < 0]
-    dual_internal = float(-duals @ problem.rhs + np.sum(terms))
-
-    obj = -obj_internal if flip else obj_internal
-    dual_bound = -dual_internal if flip else dual_internal
+    obj = float(c @ point)
     return LpSolution(
         "optimal",
-        obj,
+        -obj if flip else obj,
         point,
-        row_duals=duals,
-        dual_bound=dual_bound,
+        # Row duals are the reduced costs of the original rows' slack columns.
+        row_duals=np.maximum(zrow[tab.ns:tab.ns + m], 0.0),
         iterations=iterations,
+        problem=problem,
     )
 
 

@@ -84,8 +84,11 @@ def screen_checking_skips(inst):
     A bound LP is skipped exactly when an optimum of an earlier column's
     bound LP attains the side's proven limit, and the skipped bound equals
     a cold solve of its LP.  An undecided line row gets no LP exactly when
-    an optimum of a bound LP meets it within the margin, and the cold
-    per-row oracle finds each such row not redundant."""
+    an optimum of a bound LP meets it within the margin, or else when its
+    Lagrangian certificate passes.  The cold per-row oracle finds each
+    witnessed row not redundant and each certified row redundant, and each
+    certificate y is re-checked here with one product y @ rows: y >= 0 and
+    y @ rhs + the box maximum of (a_j - y @ rows) <= b_j - margin."""
     solved, sent = [], []
     in_lfgs = False  # set while the line-flow pass runs
     solve, lfgs = screening.solve_lp, screening.lfgs_screen
@@ -139,15 +142,28 @@ def screen_checking_skips(inst):
                 cold = solve_lp(inst.lp(obj, sense=sense)).objective_value
                 assert abs(value - cold) <= 1e-9, (p, sense)
 
+    assert np.all(np.isfinite(box.lower) & np.isfinite(box.upper))
     for lb in report.candidates:
         if report.attribution.get(lb) == "vgs":
             continue
         coeffs, rhs = inst.row(lb)
         witnessed = bool(len(points)) and (
             np.max(points @ coeffs) > rhs - FEASIBILITY_TOL)
-        assert witnessed == (lb not in sent), lb
+        certified = lb in report.certificates
+        assert not (witnessed and certified), lb
+        assert (witnessed or certified) == (lb not in sent), lb
         if witnessed:
             assert not oracle.lp_redundancy(inst, lb), lb
+        if certified:
+            y = report.certificates[lb]
+            assert y.shape == inst.rhs.shape and np.all(y >= 0), lb
+            residual = coeffs - y @ inst.rows
+            bound = y @ inst.rhs + np.sum(np.maximum(residual * box.upper,
+                                                     residual * box.lower))
+            assert bound <= rhs - FEASIBILITY_TOL, lb
+            assert report.attribution[lb] == "lfgs", lb
+            assert oracle.lp_redundancy(inst, lb), lb
+    assert set(report.certificates) <= set(report.redundant)
     return report
 
 

@@ -167,6 +167,19 @@ def test_skips_do_not_depend_on_jobs(scheme, beta):
     assert solved[0] == solved[1] < reports[0].screening.lp_count
 
 
+@pytest.mark.parametrize("scheme, beta", [("s3", None), ("s4", 0.1)])
+def test_certificates_do_not_depend_on_jobs(scheme, beta):
+    reports = [run_scheme(SchemeConfig(case_path=case_path("fifty_bus"),
+                                       scheme=scheme, beta=beta, jobs=jobs))
+               for jobs in (1, 2)]
+    docs = [dump_json(r.to_json_dict()) for r in reports]
+    assert docs[0] == docs[1]
+    assert reports[0].screening.lp_solved == reports[1].screening.lp_solved
+    one, two = (r.screening.certificates for r in reports)
+    assert one and list(one) == list(two)
+    assert all(np.array_equal(one[lb], two[lb]) for lb in one)
+
+
 _spec = importlib.util.spec_from_file_location(
     "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
 gen = importlib.util.module_from_spec(_spec)

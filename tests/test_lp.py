@@ -13,11 +13,13 @@ from conftest import brute_force_milp, enumerate_polygon_vertices
 from ucscreen.lp import (
     FEASIBILITY_TOL,
     LpProblem,
+    LpSolution,
     LpStart,
     LpUsageError,
     MilpProblem,
     NodeLimitExceeded,
     NodeStart,
+    VertexStart,
     solve_lp,
     solve_milp,
 )
@@ -143,6 +145,36 @@ def test_dimension_mismatch_raises():
         LpProblem([1.0], [[1.0]], [1.0, 2.0])
     with pytest.raises(LpUsageError):
         LpProblem([1.0], [[1.0]], [1.0], bounds=[(2.0, 1.0)])
+
+
+@pytest.mark.parametrize("pair", [(-np.inf, -np.inf), (np.inf, np.inf)])
+def test_bound_pair_at_one_infinity_is_rejected(pair):
+    # No number lies in such a pair; it once solved "optimal" at y0 = 0.
+    with pytest.raises(LpUsageError, match="variable 0"):
+        solve_lp(LpProblem([1, 1], [[1, 1]], [5], bounds=[pair, (0, 1)]))
+
+
+def test_dual_bound_waits_for_first_access():
+    rng = np.random.default_rng(21)
+    sol = None
+    while sol is None or sol.status != "optimal":
+        c, A, b, bounds = _random_problem(rng)
+        sol = solve_lp(LpProblem(c, A, b, bounds=bounds))
+    assert "dual_bound" not in vars(sol)
+    assert sol.dual_bound == vars(sol)["dual_bound"] is not None
+    assert LpSolution("optimal", 0.0, np.zeros(1)).dual_bound is None
+
+
+def test_row_duals_at_an_optimal_vertex_are_the_solution_duals():
+    region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
+    shared = LpStart(region)
+    for c in OBJECTIVES:
+        for sense in ("min", "max"):
+            start = VertexStart(shared, keep=True)
+            sol = solve_lp(LpProblem(c, BOX_ROWS, BOX_RHS, sense=sense), start)
+            cost = np.array(c) * (-1.0 if sense == "max" else 1.0)
+            priced = start.tableau.row_duals(cost[None], len(BOX_RHS))[0]
+            assert np.allclose(priced, sol.row_duals, rtol=0.0, atol=1e-12)
 
 
 # --- MILP ---

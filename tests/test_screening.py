@@ -1,9 +1,12 @@
 """Screening engine tests: bounds, the matrix criterion, per-line LPs,
 the ensemble, and model reduction."""
 
+import dataclasses
+import importlib.util
 import json
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,13 @@ from conftest import (
 )
 from ucscreen import oracle
 from ucscreen.case import case_to_json, parse_case
-from ucscreen.lp import LpUsageError, solve_lp
+from ucscreen.lp import (
+    FEASIBILITY_TOL,
+    LpProblem,
+    LpUsageError,
+    box_maximum,
+    solve_lp,
+)
 from ucscreen.model import (
     CutSet,
     RowLabel,
@@ -29,8 +38,11 @@ from ucscreen.model import (
 from ucscreen.screening import (
     BoundsBox,
     ScreeningInfeasibleError,
+    _Vertices,
+    balance_multiplier,
     box_row_maximum,
     eovl,
+    lagrangian_certificates,
     lfgs_screen,
     reduce_model,
     variable_bounds,
@@ -136,6 +148,109 @@ def test_omega_sign_split():
     box = BoundsBox(np.zeros(2), np.full(2, 3.0), ("lp_solved",) * 2)
     omega = box_row_maximum(rows, box) - rhs
     assert omega[0] == 1.0  # corner (3, 0) violates the limit: undecided
+
+
+# --- the balance-pair knapsack multiplier ---
+
+
+def _knapsack_bound(rows, balance, total, lam, lower, upper):
+    """lam * total + the box maximum of each rows[k] - lam[k] * balance."""
+    return lam * total + box_maximum(rows - lam[:, None] * balance,
+                                     lower, upper)
+
+
+def test_balance_multiplier_matches_every_breakpoint():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        K = int(rng.integers(1, 6))
+        rows = np.round(rng.normal(size=(K, n)), 2)
+        rows[rng.uniform(size=(K, n)) < 0.2] = 0.0
+        balance = rng.choice([-1.0, 0.0, 1.0, 0.5, -2.0], size=n)
+        lower = np.round(rng.normal(scale=3.0, size=n), 2)
+        upper = lower + np.round(rng.uniform(0.0, 5.0, size=n), 2)
+        ends = box_maximum(np.array([-balance, balance]), lower, upper)
+        total = rng.uniform(-ends[0], ends[1])  # the box meets the equality
+        lam = balance_multiplier(rows, balance, total, lower, upper)
+        found = _knapsack_bound(rows, balance, total, lam, lower, upper)
+        for k in range(K):
+            cols = np.nonzero(balance)[0]
+            breaks = rows[k, cols] / balance[cols] if cols.size else np.zeros(1)
+            every = _knapsack_bound(np.repeat(rows[k:k + 1], breaks.size, 0),
+                                    balance, total, breaks, lower, upper)
+            best = every.min()
+            assert abs(found[k] - best) <= 1e-9 * max(1.0, abs(best))
+
+
+def test_balance_multiplier_certifies_a_row_the_box_cannot():
+    # x1, x2 in [0, 8] with x1 + x2 = 10: x1 - x2 reaches 6 on the region
+    # but 8 on the box, so the limit x1 - x2 <= 7 is redundant and the
+    # vertex pass (y = 0) cannot tell.
+    row, balance = np.array([[1.0, -1.0]]), np.array([1.0, 1.0])
+    lower, upper = np.zeros(2), np.full(2, 8.0)
+    limit = 7.0 - 1e-7
+    assert box_maximum(row, lower, upper)[0] > limit
+    lam = balance_multiplier(row, balance, 10.0, lower, upper)
+    assert lam[0] == -1.0
+    bound = _knapsack_bound(row, balance, 10.0, lam, lower, upper)[0]
+    exact = solve_lp(LpProblem(row[0], [balance, -balance], [10.0, -10.0],
+                               bounds=np.column_stack([lower, upper]),
+                               sense="max"))
+    assert bound == exact.objective_value == 6.0 <= limit
+
+
+def test_balance_multiplier_with_infinite_box_sides_gives_no_nan():
+    rows = np.array([[1.0, -1.0, 0.0, 2.0], [0.0, 1.0, 3.0, 0.0],
+                     [1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    balance = np.array([1.0, 1.0, 0.0, -1.0])
+    for lower, upper in (
+            (np.array([0.0, -np.inf, 0.0, 0.0]), np.full(4, 5.0)),
+            (np.zeros(4), np.array([np.inf, 5.0, np.inf, 5.0])),
+            (np.full(4, -np.inf), np.full(4, np.inf))):
+        lam = balance_multiplier(rows, balance, 2.0, lower, upper)
+        assert not np.any(np.isnan(lam))
+        bound = _knapsack_bound(rows, balance, 2.0, lam, lower, upper)
+        assert not np.any(np.isnan(bound))
+
+
+def test_certificates_keep_the_strict_margin(cases):
+    # Move each certified row's limit to just above and just below its
+    # certificate's bound plus the margin; only the latter certifies.
+    inst = relaxed(cases["fifty_bus"])
+    box = variable_bounds(inst)
+    certs = lagrangian_certificates(inst, box, inst.candidates,
+                                    _Vertices(inst))
+    assert len(certs) > 10
+    for lb, y in certs.items():
+        j = inst.row_index(lb)
+        residual = inst.rows[j] - y @ inst.rows
+        bound = y @ inst.rhs + box_row_maximum(residual[None], box)[0]
+        for slack, passes in ((0.5, False), (2.0, True)):
+            rhs = inst.rhs.copy()
+            rhs[j] = bound + slack * FEASIBILITY_TOL
+            moved = dataclasses.replace(inst, rhs=rhs)
+            again = lagrangian_certificates(moved, box, (lb,),
+                                            _Vertices(moved))
+            assert (lb in again) == passes, (lb, slack)
+
+
+def test_lagrangian_certificates_use_both_multipliers():
+    # A benchmark-shaped synthetic case, where both kinds certify rows.
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    case = parse_case(json.dumps(gen.ring_chord_case(
+        (301, 0), n_buses=24, n_chords=12, n_gens=8, beta=0.2,
+        tight_share=0.25, name="synth0")))
+    pair = {RowLabel("balance_le"), RowLabel("balance_ge")}
+    kinds = []
+    for scheme in ("s3", "s4"):
+        inst = _region(case, scheme)
+        for y in eovl(inst).certificates.values():
+            support = {inst.row_labels[i] for i in np.nonzero(y)[0]}
+            kinds.append("balance" if support <= pair else "vertex")
+    assert kinds.count("balance") > 0 and kinds.count("vertex") > 0
 
 
 def test_five_bus_vgs_upper_split(cases):
