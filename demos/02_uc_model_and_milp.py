@@ -4,8 +4,8 @@ The model is held as one inequality system rows @ y <= rhs over
 y = [dispatch, status], with every row labeled: line limits (two rows per
 line), the power balance as a <=/>= pair, and status-scaled generation
 bounds.  The status unit box u in [0, 1] is not a row but a column bound,
-kept with the free dispatch columns in `inst.bounds`.  Solving the model
-as a MILP restores the binary statuses via branch and bound.
+kept with the dispatch columns' x >= 0 in `inst.bounds`.  Solving the
+model as a MILP restores the binary statuses via branch and bound.
 """
 
 from collections import Counter

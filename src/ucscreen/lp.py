@@ -26,14 +26,18 @@ over the region, which is feasible for every objective and often close
 to the next LP's optimum.  On request it hands back the LP's own final
 tableau as a vertex for later LPs.  The caller picks each vertex, so an
 LP's result depends on the order or the thread the LPs run in only if
-the caller's picks do.  Without a start, `solve_lp` runs both phases
-itself, as the brute-force oracles do.
+the caller's picks do.  Without a start, `solve_lp` solves from scratch
+(see `_cold` below), as the brute-force oracles do.
 
 Every way in (a cold solve, an `LpStart` or `VertexStart`, and a
 `NodeStart`) shares one standard form, `_standard_form`: A z <= b with
 z >= 0, plus two arrays that map each column back to its variable and
-sign.  They reach a feasible basis through one phase-1 entry,
-`_phase_one`.
+sign.  An `LpStart` reaches a feasible basis through the artificial
+phase 1, `_phase_one`, which ignores the objective.  A cold solve and a
+`NodeStart`'s root go through `_cold`: when every standard-form cost is
+>= 0, the slack basis is dual feasible whatever the signs of b, so dual
+simplex runs from it with no artificial and ends at the optimum, or
+proves the region empty; other costs take `_phase_one`.
 
 The MILP solver runs best-first branch and bound on LP relaxations,
 branching on the lowest-index fractional binary, down-branch first.
@@ -42,7 +46,9 @@ which each binary's bounds are two rows, and a `NodeStart` solves each
 child from its parent's optimal tableau by dual simplex pivots; only the
 root solves cold.  The point and cost returned come from one more cold
 LP with every binary fixed at the incumbent's value, so they depend on
-the commitment chosen and not on the path the tree took to it.
+the commitment chosen and not on the path the tree took to it.  With
+costs >= 0, as in unit commitment, both cold LPs start at their slack
+bases and run no phase 1.
 """
 
 from __future__ import annotations
@@ -71,7 +77,11 @@ _STALL_LIMIT = 60
 _MAX_ITER = 100_000
 # Dual simplex pivots a node may take from its parent's basis before it
 # solves cold.  Children rarely need more than a few dozen; a run far past
-# that is cycling or creeping through degenerate pivots.
+# that is cycling or creeping through degenerate pivots.  A cold LP from
+# its slack basis may take this many per started 500 rows before it falls
+# back to the artificial phase 1: its pivots grow with the rows, as the
+# roots of ring-plus-chord unit-commitment cases show (62 pivots with 382
+# rows, 161 with 762, 197 with 1,362).
 _DUAL_PIVOT_LIMIT = 200
 
 
@@ -296,23 +306,25 @@ class _Tableau:
 
     Variables are numbered by label: the ns structural columns, then one
     slack per row (slack ns + i belongs to input row i), then one
-    artificial per row with a negative right-hand side.  `T` stores only
-    the nonbasic columns, `nonbasic[q]` being the label of column q, and
-    the right-hand side last; `basis[r]` is the label basic in row r.  A
-    basic variable's full-tableau column is the unit vector of its row,
-    so it is never stored.  The objective row `z` (reduced costs, then
-    minus the objective) is the last row of the one buffer that `T`
-    heads, so a pivot is a single rank-one update.  Every choice among
-    tied columns takes the lowest label, which makes the pivots those of
-    the full tableau.  An artificial never re-enters, and the
+    artificial per row with a negative right-hand side.  Built without
+    artificials, every slack starts basic, a negative right-hand side
+    included, for dual simplex to make feasible (see `_cold`).  `T`
+    stores only the nonbasic columns, `nonbasic[q]` being the label of
+    column q, and the right-hand side last; `basis[r]` is the label basic
+    in row r.  A basic variable's full-tableau column is the unit vector
+    of its row, so it is never stored.  The objective row `z` (reduced
+    costs, then minus the objective) is the last row of the one buffer
+    that `T` heads, so a pivot is a single rank-one update.  Every choice
+    among tied columns takes the lowest label, which makes the pivots
+    those of the full tableau.  An artificial never re-enters, and the
     artificials' columns are deleted at the end of phase 1.  `form` maps
     z back to the problem's variables.
     """
 
-    def __init__(self, form: _StandardForm):
+    def __init__(self, form: _StandardForm, artificials: bool = True):
         rows, rhs = form.A, form.b
         m, ns = rows.shape
-        sigma = np.where(rhs >= 0.0, 1.0, -1.0)
+        sigma = np.where((rhs >= 0.0) | (not artificials), 1.0, -1.0)
         art_rows = np.nonzero(sigma < 0)[0]
         na = art_rows.size
         # Nonbasic at the start: the structural columns and the slacks of
@@ -365,13 +377,13 @@ class _Tableau:
         """The column among `cols` whose variable has the lowest label."""
         return int(cols[np.argmin(self.nonbasic[cols])])
 
-    def _pivot(self, zrow: np.ndarray, row: int, col: int) -> None:
+    def _pivot(self, row: int, col: int) -> None:
         """Swap nonbasic column `col` with the variable basic in `row`.
 
-        `zrow` is the objective row, the buffer's last row, so one rank-one
-        update of the buffer covers it.  The entering column becomes e_row
-        first, so the leaving variable's column comes out of the usual
-        update exactly as the full tableau would compute it."""
+        The objective row is the buffer's last row, so one rank-one update
+        of the buffer covers it.  The entering column becomes e_row first,
+        so the leaving variable's column comes out of the usual update
+        exactly as the full tableau would compute it."""
         buf = self.buf
         piv = buf[row, col]
         colvals = buf[:, col].copy()
@@ -422,7 +434,7 @@ class _Tableau:
             row = self._leaving_row(col, bland)
             if row is None:
                 return "unbounded"
-            self._pivot(zrow, row, col)
+            self._pivot(row, col)
             obj = -zrow[-1]
             if obj < last_obj - 1e-12:
                 stall = 0
@@ -457,7 +469,7 @@ class _Tableau:
             ratios = np.maximum(zrow[cand], 0.0) / -entries[cand]
             least = ratios.min()
             tied = ratios <= least + _DUAL_TIE_RTOL * max(1.0, least)
-            self._pivot(zrow, row, self._lowest_label(cand[tied]))
+            self._pivot(row, self._lowest_label(cand[tied]))
             pivots += 1
 
     def phase_one(self) -> bool:
@@ -498,7 +510,7 @@ class _Tableau:
                 continue
             cand = np.nonzero((np.abs(self.T[row, :-1]) > 1e-9)
                               & (self.nonbasic < self.art_start))[0]
-            self._pivot(self.z, row, self._lowest_label(cand))
+            self._pivot(row, self._lowest_label(cand))
         real = np.append(self.nonbasic < self.art_start, True)
         self._set_buffer(self.buf[:, real])
         self.nonbasic = self.nonbasic[real[:-1]]
@@ -543,6 +555,35 @@ def _phase_one(form: _StandardForm):
     if not tab.phase_one():
         return tab.iterations, "infeasible"
     return 0, tab
+
+
+def _cold(form: _StandardForm, cost: np.ndarray):
+    """Build the tableau of `form` for minimizing `cost` @ z and make it
+    feasible, returning (pivots, tableau) as `_phase_one` does.
+
+    When every cost is >= 0 and the form has a row, the slack basis is
+    dual feasible whatever the signs of the right-hand side, so the
+    tableau starts there with no artificial and dual simplex pivots run
+    to primal feasibility, which is also optimality (Koberstein, 2005,
+    the dual phase 1 for a dual-feasible start).  It can only end
+    feasible or prove the region empty; after _DUAL_PIVOT_LIMIT pivots
+    per started 500 rows it gives up, and the artificial phase 1 runs
+    from scratch, its pivots counted after the abandoned ones.  Any other
+    cost takes the artificial phase 1 directly.
+    """
+    m, ns = form.A.shape
+    pivots = 0
+    if ns and m and np.all(cost >= 0.0):
+        tab = _Tableau(form, artificials=False)
+        verdict = tab.dual_simplex(tab._zrow(cost),
+                                   _DUAL_PIVOT_LIMIT * -(-m // 500))
+        if verdict == "feasible":
+            return 0, tab
+        if verdict == "infeasible":
+            return tab.iterations, "infeasible"
+        pivots = tab.iterations
+    more, tab = _phase_one(form)
+    return pivots + more, tab
 
 
 class LpStart:
@@ -681,6 +722,7 @@ class NodeStart:
         lo0 = self.region.bounds[self.branch, 0]
         rhs = np.concatenate([problem.bounds[self.branch, 1] - lo0,
                               lo0 - problem.bounds[self.branch, 0]])
+        cost = c[self.form.var] * self.form.sign
         pivots, tab = 0, None
         if self._parent is not None:
             parent, parent_rhs = self._parent
@@ -690,15 +732,14 @@ class NodeStart:
             moved = np.nonzero(delta)[0]
             slack = tab.ns + self.first_bound_row + moved
             tab.T[:, -1] += tab.columns(slack) @ delta[moved]
-            verdict = tab.dual_simplex(
-                tab._zrow(c[tab.form.var] * tab.form.sign), _DUAL_PIVOT_LIMIT)
+            verdict = tab.dual_simplex(tab._zrow(cost), _DUAL_PIVOT_LIMIT)
             if verdict == "infeasible":
                 return tab.iterations, "infeasible"
             if verdict == "limit":
                 pivots, tab = tab.iterations, None
         if tab is None:
-            more, tab = _phase_one(
-                replace(self.form, b=np.concatenate([self.form.b, rhs])))
+            more, tab = _cold(
+                replace(self.form, b=np.concatenate([self.form.b, rhs])), cost)
             pivots += more
             if not isinstance(tab, _Tableau):
                 return pivots, tab
@@ -727,7 +768,7 @@ def solve_lp(problem: LpProblem,
     pivots, tab = (0, None) if start is None else start._warm(problem, c)
     if tab is None:
         form = _standard_form(problem.rows, problem.rhs, lo, hi)
-        more, tab = _phase_one(form)
+        more, tab = _cold(form, c[form.var] * form.sign)
         pivots += more
         if tab is None:
             # All variables fixed: feasibility is a direct check.
@@ -773,7 +814,10 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     explored first among equal bounds.  Each node LP runs through solve_lp
     with a `NodeStart`.  The point and objective returned are those of a
     cold LP with every binary fixed at the incumbent's value; `iterations`
-    counts the pivots of every LP solved, that one included.
+    counts the pivots of every LP solved, that one included.  When every
+    standard-form cost is >= 0, as with unit commitment's costs over its
+    nonnegative columns, the root LP and that final LP start at their
+    slack bases and run dual simplex, with no phase 1 (see `_cold`).
     """
     nbin = len(problem.binary_indices)
     if nbin > 60:

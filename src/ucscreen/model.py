@@ -4,9 +4,10 @@ The decision vector is y = [x, u] (dispatch MW, unit status) or
 y = [x, u, l] in load-range mode.  Every row coefficient lives in one
 labeled row of `rows @ y <= rhs`, including the power balance, which is
 encoded as a <=/>= pair so the whole model is a single inequality system.
-Every column bound lives in one `bounds` array and nowhere else: x is
-free, u lies in [0, 1], a load column in its range, and a commitment fix
-pins its status to [v, v].  Only the line-limit rows are ever screening
+Every column bound lives in one `bounds` array and nowhere else: x >= 0,
+u lies in [0, 1], a load column in its range, and a commitment fix pins
+its status to [v, v].  The bound on x is one the rows already imply
+(see `_core_rows`).  Only the line-limit rows are ever screening
 candidates.
 """
 
@@ -169,9 +170,15 @@ class UcInstance:
 
 
 def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
-    """Line/balance/generator rows and the column bounds (x free, u in
+    """Line/balance/generator rows and the column bounds (x >= 0, u in
     [0, 1], load columns free until a load range bounds them); load fixed
-    or as columns."""
+    or as columns.
+
+    The bound x >= 0 removes no point: the gen_lower rows give x >=
+    x_min * u, with u >= 0 and x_min >= 0, which the parser enforces.
+    Stated as a bound, it makes each dispatch column one shifted column
+    of the simplex's standard form rather than a free +/- pair, and with
+    the costs >= 0 it makes a cost LP's slack basis dual feasible."""
     G, L, N = case.n_gens, case.n_lines, case.n_buses
     range_mode = load is None
     ncols = 2 * G + (N if range_mode else 0)
@@ -229,6 +236,7 @@ def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
         add(RowLabel("gen_lower", g), r, 0.0)
 
     bounds = np.tile([-np.inf, np.inf], (ncols, 1))
+    bounds[:G] = (0.0, np.inf)
     bounds[G:2 * G] = (0.0, 1.0)
     return np.array(rows), np.array(rhs, dtype=float), bounds, labels
 

@@ -113,6 +113,115 @@ def test_random_lps_match_scipy():
     assert min(statuses.values()) > 5
 
 
+def _spy_cold_starts(monkeypatch):
+    """Record the verdict of each dual simplex run and count the
+    artificial phase 1 runs.  Without a start, every dual simplex run
+    starts from a slack basis; in branch and bound, children run it too."""
+    record = {"dual": [], "phase_one": 0}
+    dual_simplex = lp_module._Tableau.dual_simplex
+    phase_one = lp_module._phase_one
+
+    def recorded_dual(self, zrow, limit):
+        verdict = dual_simplex(self, zrow, limit)
+        record["dual"].append(verdict)
+        return verdict
+
+    def counted_phase_one(form):
+        record["phase_one"] += form.A.shape[1] > 0  # else nothing to pivot
+        return phase_one(form)
+
+    monkeypatch.setattr(lp_module._Tableau, "dual_simplex", recorded_dual)
+    monkeypatch.setattr(lp_module, "_phase_one", counted_phase_one)
+    return record
+
+
+def _nonnegative_cost_problem(rng):
+    """c >= 0 over y >= 0 (some y capped above, some fixed) and rows
+    whose right-hand sides take both signs: the dual start's case."""
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(1, 12))
+    A = np.round(rng.normal(size=(m, n)), 3)
+    b = np.round(rng.normal(scale=2.0, size=m), 3)
+    c = np.round(np.abs(rng.normal(size=n)), 3) * (rng.random(n) < 0.8)
+    bounds = []
+    for _ in range(n):
+        kind = rng.integers(0, 4)
+        hi = float(np.round(rng.uniform(0, 4), 3))
+        bounds.append((0.0, None) if kind < 2 else (0.0, hi) if kind == 2
+                      else (hi, hi))
+    return LpProblem(c, A, b, bounds=bounds)
+
+
+def test_dual_start_matches_scipy(monkeypatch):
+    record = _spy_cold_starts(monkeypatch)
+    rng = np.random.default_rng(53)
+    statuses = {"optimal": 0, "infeasible": 0}
+    started = 0
+    for _ in range(150):
+        p = _nonnegative_cost_problem(rng)
+        mine = solve_lp(p)
+        ref = linprog(p.objective, A_ub=p.rows, b_ub=p.rhs, bounds=p.bounds,
+                      method="highs", options={"presolve": False})
+        assert mine.status == {0: "optimal", 2: "infeasible"}[ref.status]
+        statuses[mine.status] += 1
+        started += bool(np.any(p.bounds[:, 0] < p.bounds[:, 1]))
+        if mine.status == "optimal":
+            assert abs(mine.objective_value - ref.fun) <= 1e-9 * max(
+                1.0, abs(ref.fun))
+            assert np.max(p.rows @ mine.point - p.rhs) <= 1e-7
+    assert min(statuses.values()) > 20
+    # Every LP with a column started from its slack basis, and none
+    # needed the artificial phase 1.
+    assert len(record["dual"]) == started
+    assert "limit" not in record["dual"] and record["phase_one"] == 0
+
+
+def test_dual_start_on_a_form_without_rows():
+    # No row and no finite upper bound: the standard form has columns but
+    # no row, and the optimum sits at the lower bounds.
+    sol = solve_lp(LpProblem([1.0, 0.5, 0.0], np.zeros((0, 3)), [],
+                             bounds=[(0, None), (2, None), (0, None)]))
+    assert sol.status == "optimal"
+    assert sol.objective_value == 1.0
+    assert sol.point.tolist() == [0.0, 2.0, 0.0]
+
+
+def _assert_same_optimum(a, b):
+    assert a.status == b.status
+    if a.status == "optimal":
+        assert abs(a.objective_value - b.objective_value) <= 1e-9 * max(
+            1.0, abs(a.objective_value))
+
+
+def test_dual_start_limit_falls_back_to_phase_one(monkeypatch):
+    record = _spy_cold_starts(monkeypatch)
+    rng = np.random.default_rng(59)
+    problems = [_nonnegative_cost_problem(rng) for _ in range(80)]
+    default = [solve_lp(p) for p in problems]
+    monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 0)
+    primal = [solve_lp(p) for p in problems]  # phase 1 and 2 alone
+    monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 1)
+    record["dual"].clear()
+    limited = [solve_lp(p) for p in problems]
+    started = [bool(np.any(p.bounds[:, 0] < p.bounds[:, 1])) for p in problems]
+    assert len(record["dual"]) == sum(started)
+    verdicts = iter(record["dual"])
+    fell_back = 0
+    for dual, a, zero, one in zip(started, default, primal, limited):
+        _assert_same_optimum(a, one)
+        if dual and next(verdicts) == "limit":
+            # the abandoned dual pivot counts on top of phases 1 and 2
+            assert one.iterations == zero.iterations + 1
+            fell_back += 1
+    assert fell_back > 20
+    # Branch and bound finds the same optima with its cold LPs cut short.
+    for prob in _random_milps(np.random.default_rng(61), 20):
+        monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 200)
+        a = solve_milp(prob, node_limit=1_000)
+        monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 1)
+        _assert_same_optimum(a, solve_milp(prob, node_limit=1_000))
+
+
 def test_weak_duality_dual_bound_from_final_basis():
     rng = np.random.default_rng(21)
     checked = 0
@@ -242,6 +351,33 @@ def test_milp_uc_two_unit_enumeration(cases):
     assert abs(mine.objective_value - best) <= 1e-9 * max(1, abs(best))
 
 
+def test_negative_cost_unit_takes_the_primal_path(cases, monkeypatch):
+    # The bundled costs are >= 0, so the root and final LPs start from
+    # their slack bases.  A unit paid to run makes one standard-form cost
+    # negative: both then take the artificial phase 1, with the same
+    # optimum as brute force.
+    import dataclasses
+
+    from ucscreen.model import build_uc, milp_problem
+
+    record = _spy_cold_starts(monkeypatch)
+    case = cases["five_bus"]
+    assert solve_milp(milp_problem(build_uc(case, case.nominal_load))
+                      ).status == "optimal"
+    assert record["phase_one"] == 0
+    gens = list(case.generators)
+    gens[0] = dataclasses.replace(gens[0], cost=-1.5)
+    case = dataclasses.replace(case, generators=tuple(gens))
+    prob = milp_problem(build_uc(case, case.nominal_load))
+    mine = solve_milp(prob)
+    assert record["phase_one"] >= 2
+    status, best = brute_force_milp(
+        prob.lp.objective, prob.lp.rows, prob.lp.rhs,
+        [tuple(pair) for pair in prob.lp.bounds], prob.binary_indices)
+    assert mine.status == status == "optimal"
+    assert abs(mine.objective_value - best) <= 1e-9 * max(1, abs(best))
+
+
 def test_milp_infeasible_when_demand_exceeds_capacity(cases):
     from ucscreen.model import build_uc, milp_problem
 
@@ -352,7 +488,7 @@ def test_warm_start_rejects_another_region():
 def test_warm_start_pivot_accounting():
     # With a zero objective phase 2 makes no pivot, so this is phase 1's.
     region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
-    phase_one = solve_lp(region).iterations
+    phase_one = solve_lp(region, LpStart(region)).iterations
     assert phase_one > 0
     # The first LP from a start runs the shared phase 1 and counts it, as
     # the cold solve does; every later LP skips it.
@@ -362,7 +498,9 @@ def test_warm_start_pivot_accounting():
         cold = solve_lp(problem).iterations
         assert solve_lp(problem, start).iterations == cold - (k and phase_one)
     # y1 + y2 >= 3 in the unit box: phase 1 pivots before it gives up.
-    empty = LpProblem([1.0, 1.0], [[-1.0, -1.0]], [-3.0],
+    # The negative costs keep the cold solve on phase 1 rather than on
+    # dual simplex from the slack basis.
+    empty = LpProblem([-1.0, -1.0], [[-1.0, -1.0]], [-3.0],
                       bounds=[(0, 1), (0, 1)])
     cold = solve_lp(empty)
     assert cold.status == "infeasible" and cold.iterations > 0
@@ -702,9 +840,9 @@ def test_entering_variable_is_the_lowest_label_among_ties(monkeypatch):
     pivot = lp_module._Tableau._pivot
     lowest = lp_module._Tableau._lowest_label
 
-    def recording_pivot(self, zrow, row, col):
+    def recording_pivot(self, row, col):
         entered.append(int(self.nonbasic[col]))
-        pivot(self, zrow, row, col)
+        pivot(self, row, col)
 
     def recording_lowest(self, cols):
         ties.append(self.nonbasic[cols].tolist())

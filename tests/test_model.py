@@ -29,8 +29,37 @@ def test_row_counts_by_construction(cases):
     assert inst.rows.shape == (18, 4)
     assert inst.binary_indices == (2, 3)
     assert len(inst.candidates) == 12
-    # x is free and u in [0, 1], as column bounds rather than rows
-    assert inst.bounds.tolist() == [[-np.inf, np.inf]] * 2 + [[0.0, 1.0]] * 2
+    # x >= 0 (implied by its generation rows) and u in [0, 1], as column
+    # bounds rather than rows
+    assert inst.bounds.tolist() == [[0.0, np.inf]] * 2 + [[0.0, 1.0]] * 2
+
+
+def test_dispatch_lower_bound_is_implied_by_the_rows(cases):
+    # x >= x_min u >= 0 by the generation rows, so the bound x >= 0 that
+    # the model states cuts nothing off: with x free again, each x_g's
+    # minimum over the relaxed region (fixed load and load box) is >= 0.
+    from ucscreen.lp import LpProblem, solve_lp
+
+    checked = 0
+    for case in cases.values():
+        full = build_uc(case, case.nominal_load)
+        box = CutSet(load_range=(0.8 * case.nominal_load,
+                                 1.2 * case.nominal_load))
+        for inst in (relax_binaries(full),
+                     relax_binaries(apply_cuts(full, box))):
+            G = inst.n_gens
+            assert inst.bounds[:G].tolist() == [[0.0, np.inf]] * G
+            free = inst.bounds.copy()
+            free[:G] = (-np.inf, np.inf)
+            for g in range(G):
+                objective = np.zeros(inst.n_cols)
+                objective[g] = 1.0
+                sol = solve_lp(LpProblem(objective, inst.rows, inst.rhs,
+                                         bounds=free))
+                assert sol.status == "optimal"
+                assert sol.objective_value >= -FEASIBILITY_TOL
+                checked += 1
+    assert checked >= 2 * sum(case.n_gens for case in cases.values())
 
 
 def test_lp_carries_instance_bounds(cases):
