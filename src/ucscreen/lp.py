@@ -36,8 +36,9 @@ sign.  An `LpStart` reaches a feasible basis through the artificial
 phase 1, `_phase_one`, which ignores the objective.  A cold solve and a
 `NodeStart`'s root go through `_cold`: when every standard-form cost is
 >= 0, the slack basis is dual feasible whatever the signs of b, so dual
-simplex runs from it with no artificial and ends at the optimum, or
-proves the region empty; other costs take `_phase_one`.
+simplex runs from it with no artificial and ends at the optimum.  If it
+finds the region empty or runs past its pivot limit, and for any other
+costs, `_phase_one` runs and gives the verdict.
 
 The MILP solver runs best-first branch and bound on LP relaxations,
 branching on the lowest-index fractional binary, down-branch first.
@@ -75,13 +76,11 @@ _RATIO_TOL = 1e-10
 _DUAL_TIE_RTOL = 1e-12
 _STALL_LIMIT = 60
 _MAX_ITER = 100_000
-# Dual simplex pivots a node may take from its parent's basis before it
-# solves cold.  Children rarely need more than a few dozen; a run far past
-# that is cycling or creeping through degenerate pivots.  A cold LP from
-# its slack basis may take this many per started 500 rows before it falls
-# back to the artificial phase 1: its pivots grow with the rows, as the
-# roots of ring-plus-chord unit-commitment cases show (62 pivots with 382
-# rows, 161 with 762, 197 with 1,362).
+# Dual simplex pivots a node may take from its parent's basis, or a cold
+# LP from its slack basis, before it falls back: a node to a cold solve,
+# a cold LP to the artificial phase 1.  Children rarely need more than a
+# few dozen; a run far past that is cycling or creeping through
+# degenerate pivots.
 _DUAL_PIVOT_LIMIT = 200
 
 
@@ -565,22 +564,20 @@ def _cold(form: _StandardForm, cost: np.ndarray):
     dual feasible whatever the signs of the right-hand side, so the
     tableau starts there with no artificial and dual simplex pivots run
     to primal feasibility, which is also optimality (Koberstein, 2005,
-    the dual phase 1 for a dual-feasible start).  It can only end
-    feasible or prove the region empty; after _DUAL_PIVOT_LIMIT pivots
-    per started 500 rows it gives up, and the artificial phase 1 runs
-    from scratch, its pivots counted after the abandoned ones.  Any other
-    cost takes the artificial phase 1 directly.
+    the dual phase 1 for a dual-feasible start).  Any other verdict runs
+    the artificial phase 1 from scratch, its pivots counted after the
+    abandoned ones: "limit" after _DUAL_PIVOT_LIMIT pivots, and
+    "infeasible" too, because dual simplex calls a row violated beyond
+    _PIVOT_TOL while phase 1 calls a region empty only when the
+    artificials sum to more than FEASIBILITY_TOL.  Any other cost takes
+    the artificial phase 1 directly.
     """
     m, ns = form.A.shape
     pivots = 0
     if ns and m and np.all(cost >= 0.0):
         tab = _Tableau(form, artificials=False)
-        verdict = tab.dual_simplex(tab._zrow(cost),
-                                   _DUAL_PIVOT_LIMIT * -(-m // 500))
-        if verdict == "feasible":
+        if tab.dual_simplex(tab._zrow(cost), _DUAL_PIVOT_LIMIT) == "feasible":
             return 0, tab
-        if verdict == "infeasible":
-            return tab.iterations, "infeasible"
         pivots = tab.iterations
     more, tab = _phase_one(form)
     return pivots + more, tab

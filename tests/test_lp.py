@@ -170,10 +170,38 @@ def test_dual_start_matches_scipy(monkeypatch):
                 1.0, abs(ref.fun))
             assert np.max(p.rows @ mine.point - p.rhs) <= 1e-7
     assert min(statuses.values()) > 20
-    # Every LP with a column started from its slack basis, and none
-    # needed the artificial phase 1.
+    # Every LP with a column started from its slack basis.  None reached
+    # the limit, and only the LPs dual simplex found empty ran the
+    # artificial phase 1, which gave the verdict.
     assert len(record["dual"]) == started
-    assert "limit" not in record["dual"] and record["phase_one"] == 0
+    assert "limit" not in record["dual"]
+    assert record["phase_one"] == record["dual"].count("infeasible") > 0
+
+
+def test_cold_verdict_keeps_the_feasibility_tolerance():
+    # x <= 1 and x >= 1 + gap.  A gap of 5e-8 is within FEASIBILITY_TOL,
+    # as it is within HiGHS's primal tolerance, so the region is not
+    # empty; dual simplex alone, at _PIVOT_TOL, would call it empty.  A
+    # gap of 5e-7 is not.
+    for gap, status in ((5e-8, "optimal"), (5e-7, "infeasible")):
+        p = LpProblem([1.0], [[1.0], [-1.0]], [1.0, -1.0 - gap],
+                      bounds=[(0, None)])
+        ref = linprog(p.objective, A_ub=p.rows, b_ub=p.rhs, bounds=p.bounds,
+                      method="highs", options={"presolve": False})
+        mine = solve_lp(p)
+        assert mine.status == status == {0: "optimal", 2: "infeasible"}[
+            ref.status]
+        if status == "optimal":
+            assert abs(mine.objective_value - ref.fun) <= 1e-9
+        # The branch-and-bound root and final LP go through the same cold
+        # start.  A row forces the binary u to 1, so the root is integral,
+        # no child solves, and the MILP is the LP plus 1.
+        milp = solve_milp(MilpProblem(LpProblem(
+            [1.0, 1.0], [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]],
+            [1.0, -1.0 - gap, -1.0], bounds=[(0, None), (0, 1)]), (1,)))
+        assert milp.status == status
+        if status == "optimal":
+            assert abs(milp.objective_value - (ref.fun + 1.0)) <= 1e-9
 
 
 def test_dual_start_on_a_form_without_rows():
