@@ -18,27 +18,28 @@ columns goes to the lowest label, so the pivots are those of the full
 tableau.
 
 Phase 1 depends on the region only, never on the objective.  Screening
-solves many LPs over one region, so an `LpStart` runs phase 1 once per
-region and each LP given the start copies its feasible tableau, m rows
-by n + 1 columns, and runs phase 2 alone.  A `VertexStart` over the same
-region copies instead a vertex: the optimal tableau of an earlier LP
-over the region, which is feasible for every objective and often close
-to the next LP's optimum.  On request it hands back the LP's own final
-tableau as a vertex for later LPs.  The caller picks each vertex, so an
-LP's result depends on the order or the thread the LPs run in only if
-the caller's picks do.  Without a start, `solve_lp` solves from scratch
-(see `_cold` below), as the brute-force oracles do.
+solves many LPs over one region, so `region_basis` runs phase 1 once per
+region, and each LP that a `VertexStart` gives that basis copies its
+feasible tableau, m rows by n + 1 columns, and runs phase 2 alone.  A
+`VertexStart` may instead give a vertex: the optimal tableau of an
+earlier LP over the region, which is feasible for every objective and
+often close to the next LP's optimum.  On request it hands back the LP's
+own final tableau as a vertex for later LPs.  The caller runs phase 1
+and picks each tableau, so an LP's result depends on the order or the
+thread the LPs run in only if the caller's picks do.  Without a start,
+`solve_lp` solves from scratch (see `_cold` below), as the brute-force
+oracles do.
 
-Every way in (a cold solve, an `LpStart` or `VertexStart`, and a
-`NodeStart`) shares one standard form, `_standard_form`: A z <= b with
-z >= 0, plus two arrays that map each column back to its variable and
-sign.  An `LpStart` reaches a feasible basis through the artificial
-phase 1, `_phase_one`, which ignores the objective.  A cold solve and a
-`NodeStart`'s root go through `_cold`: when every standard-form cost is
->= 0, the slack basis is dual feasible whatever the signs of b, so dual
-simplex runs from it with no artificial and ends at the optimum.  If it
-finds the region empty or runs past its pivot limit, and for any other
-costs, `_phase_one` runs and gives the verdict.
+Every way in (a cold solve, `region_basis` and a `NodeStart`) shares one
+standard form, `_standard_form`: A z <= b with z >= 0, plus two arrays
+that map each column back to its variable and sign.  `region_basis`
+reaches a feasible basis through the artificial phase 1, `_phase_one`,
+which ignores the objective.  A cold solve and a `NodeStart`'s root go
+through `_cold`: when every standard-form cost is >= 0, the slack basis
+is dual feasible whatever the signs of b, so dual simplex runs from it
+with no artificial and ends at the optimum.  If it finds the region
+empty or runs past its pivot limit, and for any other costs,
+`_phase_one` runs and gives the verdict.
 
 The MILP solver runs best-first branch and bound on LP relaxations,
 branching on the lowest-index fractional binary, down-branch first.
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import copy
 import heapq
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -583,55 +583,27 @@ def _cold(form: _StandardForm, cost: np.ndarray):
     return pivots + more, tab
 
 
-class LpStart:
-    """A feasible basis of one region, found by a single phase 1.
-
-    The region is the rows, right-hand side and bounds of `region`; its
-    objective and sense play no part.  `solve_lp(problem, start)` takes a
-    problem over exactly that region, with any objective, and copies the
-    shared condensed tableau.  Phase 1 runs once, under a lock, inside the
-    first solve_lp call that needs it, which counts its pivots among its
-    own; its verdict is then shared read-only across threads.  The start
-    holds that one tableau only: a `VertexStart` built on it copies the
-    vertex it is given, and the caller keeps the vertices.
-    """
-
-    def __init__(self, region: LpProblem):
-        self.region = region
-        self._lock = threading.Lock()
-        self._basis: list = []  # phase 1's verdict, once run
-
-    def _check(self, problem: LpProblem) -> None:
-        r = self.region
-        if not all(a is b or np.array_equal(a, b) for a, b in (
-                (problem.rows, r.rows), (problem.rhs, r.rhs),
-                (problem.bounds, r.bounds))):
-            raise LpUsageError("LP start was built for a different region")
-
-    def _warm(self, problem: LpProblem, c: np.ndarray):
-        """(pivots, tableau) for solve_lp: a private feasible tableau for
-        the problem, "infeasible", or None when every variable is fixed."""
-        self._check(problem)
-        pivots = 0
-        with self._lock:
-            if not self._basis:
-                r = self.region
-                pivots, verdict = _phase_one(_standard_form(
-                    r.rows, r.rhs, r.bounds[:, 0], r.bounds[:, 1]))
-                if isinstance(verdict, _Tableau):
-                    pivots = verdict.iterations  # its copies count from 0
-                self._basis.append(verdict)
-            shared = self._basis[0]
-        if not isinstance(shared, _Tableau):
-            return pivots, shared
-        return pivots, shared.copy()
+def region_basis(region: LpProblem):
+    """Phase 1 over the rows, right-hand side and bounds of `region`, whose
+    objective plays no part: (pivots, verdict), the verdict a feasible
+    tableau of the region, "infeasible" when the region is empty, or None
+    when every variable is fixed.  A `VertexStart` takes the pair."""
+    pivots, verdict = _phase_one(_standard_form(
+        region.rows, region.rhs, region.bounds[:, 0], region.bounds[:, 1]))
+    if isinstance(verdict, _Tableau):
+        pivots = verdict.iterations  # its copies count from 0
+    return pivots, verdict
 
 
 class VertexStart:
-    """Start of one LP over the region of `shared`, an `LpStart`, from a
-    vertex: the optimal tableau of an earlier LP over that region, which
-    the LP copies before it runs phase 2.  With no vertex, the LP copies
-    the shared phase-1 basis instead.
+    """Start of one LP over `region` from `basis`, a pair (pivots,
+    tableau): a feasible tableau of that region, which the LP copies
+    before it runs phase 2, and the pivots that reaching it cost, which
+    the LP counts as its own.  The tableau is a vertex, the optimal
+    tableau of an earlier LP over the region, or the region's phase-1
+    basis from `region_basis`; the caller passes phase 1's pivots to one
+    LP only.  Phase 1's other verdicts pass through: the LP is
+    "infeasible", or solves cold when every variable is fixed (None).
 
     With `keep`, the start hands back the LP's own final tableau: solve_lp
     finishes it in place, and `tableau` holds it afterwards, to serve as a
@@ -639,23 +611,27 @@ class VertexStart:
     Without `keep`, the tableau is freed when the solve returns.
     """
 
-    def __init__(self, shared: LpStart, vertex: _Tableau | None = None,
-                 keep: bool = False):
-        self.shared = shared
-        self.vertex = vertex
+    def __init__(self, region: LpProblem, basis, keep: bool = False):
+        self.region = region
+        self.pivots, self.vertex = basis
         self.keep = keep
         self.tableau: _Tableau | None = None
 
     def _warm(self, problem: LpProblem, c: np.ndarray):
-        """(pivots, tableau) for solve_lp, as `LpStart._warm`."""
-        if self.vertex is None:
-            pivots, tab = self.shared._warm(problem, c)
-        else:
-            self.shared._check(problem)
-            pivots, tab = 0, self.vertex.copy()
-        if self.keep and isinstance(tab, _Tableau):
-            self.tableau = tab
-        return pivots, tab
+        """(pivots, tableau) for solve_lp: a private feasible tableau for
+        the problem, "infeasible", or None when every variable is fixed;
+        the pivots are those outside the tableau's own count."""
+        r = self.region
+        if not all(a is b or np.array_equal(a, b) for a, b in (
+                (problem.rows, r.rows), (problem.rhs, r.rhs),
+                (problem.bounds, r.bounds))):
+            raise LpUsageError("LP start was built for a different region")
+        tab = self.vertex
+        if isinstance(tab, _Tableau):
+            tab = tab.copy()
+            if self.keep:
+                self.tableau = tab
+        return self.pivots, tab
 
 
 class NodeStart:
@@ -672,9 +648,12 @@ class NodeStart:
     slacks: the stored column of a nonbasic slack, the unit vector of its
     row for a basic one.  The basis stays dual feasible, and dual simplex
     pivots run to primal feasibility; after _DUAL_PIVOT_LIMIT of them the
-    node solves cold in the same form.  A start serves one solve_lp call, which keeps
-    the node's final tableau for the starts that `child()` makes; the two
-    children of a node share that tableau read-only.
+    node solves cold in the same form.  So does a node that dual simplex
+    finds empty on a row violated by FEASIBILITY_TOL or less, so that
+    phase 1 gives that verdict, as in `_cold`.  A start serves one
+    solve_lp call, which keeps the node's final tableau for the starts
+    that `child()` makes; the two children of a node share that tableau
+    read-only.
     """
 
     def __init__(self, milp: MilpProblem):
@@ -713,7 +692,7 @@ class NodeStart:
             raise LpUsageError("node start was built for a different region")
 
     def _warm(self, problem: LpProblem, c: np.ndarray):
-        """(pivots, tableau) for solve_lp, as `LpStart._warm`; a pivot
+        """(pivots, tableau) for solve_lp, as `VertexStart._warm`; a pivot
         count outside the tableau's own is dual pivots given up on."""
         self._check(problem)
         lo0 = self.region.bounds[self.branch, 0]
@@ -730,9 +709,9 @@ class NodeStart:
             slack = tab.ns + self.first_bound_row + moved
             tab.T[:, -1] += tab.columns(slack) @ delta[moved]
             verdict = tab.dual_simplex(tab._zrow(cost), _DUAL_PIVOT_LIMIT)
-            if verdict == "infeasible":
+            if verdict == "infeasible" and tab.T[:, -1].min() < -FEASIBILITY_TOL:
                 return tab.iterations, "infeasible"
-            if verdict == "limit":
+            if verdict != "feasible":
                 pivots, tab = tab.iterations, None
         if tab is None:
             more, tab = _cold(
@@ -745,13 +724,12 @@ class NodeStart:
 
 
 def solve_lp(problem: LpProblem,
-             start: LpStart | VertexStart | NodeStart | None = None
-             ) -> LpSolution:
+             start: VertexStart | NodeStart | None = None) -> LpSolution:
     """Solve an LP; exact status classification, deterministic output.
 
-    With an `LpStart` over the problem's region, the LP runs phase 2 from
-    the start's shared basis; with a `VertexStart`, from the start's
-    vertex.  With a `NodeStart`, the LP is one node of a branch-and-bound
+    With a `VertexStart` over the problem's region, the LP runs phase 2
+    from a copy of the start's tableau, a vertex or the region's phase-1
+    basis.  With a `NodeStart`, the LP is one node of a branch-and-bound
     tree.
     """
     m = problem.n_rows

@@ -21,9 +21,9 @@ import numpy as np
 from ucscreen.case import GridCase, PtdfMatrix, compute_ptdf
 from ucscreen.lp import (
     LpProblem,
-    LpStart,
     LpUsageError,
     MilpProblem,
+    region_basis,
     solve_lp,
     solve_milp,
 )
@@ -154,9 +154,10 @@ class UcInstance:
                          sense=sense)
 
     @cached_property
-    def lp_start(self) -> LpStart:
-        """One phase 1 shared by every LP over these rows and bounds."""
-        return LpStart(self.lp(np.zeros(self.n_cols)))
+    def region_basis(self):
+        """Phase 1 over these rows and bounds, run on first access:
+        (pivots, verdict) as `lp.region_basis` gives them."""
+        return region_basis(self.lp(np.zeros(self.n_cols)))
 
     def without_rows(self, labels) -> "UcInstance":
         labels = set(labels)

@@ -44,9 +44,11 @@ from it.  A bound round (one column, max and min) picks only from
 earlier rounds' vertices and adds its own afterwards, in input order;
 the line-flow pass picks from the finished store and adds nothing.  So
 every start, like every skip, depends on the region alone.  While the
-store is empty an LP starts from the shared phase-1 basis, which is how
-S2, with no bound pass, runs every LP.  The store is freed when the call
-returns.
+store is empty an LP starts from the region's phase-1 basis, which is
+how S2, with no bound pass, runs every LP.  Phase 1 runs once per
+instance, when the first start is picked, so its pivots count on the
+first LP in input order whatever `jobs` is.  The store is freed when the
+call returns.
 """
 
 from __future__ import annotations
@@ -146,21 +148,28 @@ class _Vertices:
     they were added."""
 
     def __init__(self, inst: UcInstance):
-        self.shared = inst.lp_start
+        self.inst = inst
+        self.region = inst.lp(np.zeros(inst.n_cols))
         self.points = np.empty((0, inst.n_cols))
         self.tableaux: list = []
 
     def start(self, problem, keep: bool = False) -> VertexStart:
         """A start at the stored vertex whose point scores best on the
-        problem's objective, the earliest among ties; at the shared
-        phase-1 basis while the store is empty."""
-        vertex = None
+        problem's objective, the earliest among ties; at the instance's
+        phase-1 basis while the store is empty.  Phase 1 runs here, in
+        the caller's thread, for the instance's first such start, whose
+        LP counts its pivots."""
         if self.tableaux:
             score = self.points @ problem.objective
             if problem.sense == "max":
                 score = -score
-            vertex = self.tableaux[int(np.argmin(score))]
-        return VertexStart(self.shared, vertex, keep)
+            basis = (0, self.tableaux[int(np.argmin(score))])
+        else:
+            # cached_property stores its value in vars() on first access
+            fresh = "region_basis" not in vars(self.inst)
+            pivots, verdict = self.inst.region_basis
+            basis = (pivots if fresh else 0, verdict)
+        return VertexStart(self.region, basis, keep)
 
     def add(self, sol, start: VertexStart) -> None:
         """Store the final tableau of a kept start whose LP reached an
@@ -215,7 +224,7 @@ def variable_bounds(inst: UcInstance, pool: Executor | None = None,
     proven limit an optimal point of an earlier round attains (within
     ATTAIN_RTOL relative) takes that limit without its LP.  Each LP starts
     from the vertex of an earlier round that scores best on its objective
-    (the shared phase-1 basis in the first round), and the round's optimal
+    (the phase-1 basis in the first round), and the round's optimal
     vertices join `vertices`, a new store when None, after the round.
     """
     if inst.binary_indices:
@@ -315,7 +324,7 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
     region: kept either way.  So every LP runs phase 2 over the one
     region, as the bound LPs do, from the finished bound pass's vertex
     that scores best on its row (`vertices`, read only), or from the
-    shared phase-1 basis when that store is None or empty.
+    region's phase-1 basis when that store is None or empty.
 
     Since each LP keeps its own row, its maximum is at most b_j: a status
     other than optimal or infeasible is a solver fault, and raises

@@ -172,13 +172,15 @@ def screen_checking_vertex_starts(inst):
     stored vertex.  Each must give the cold LP's status and, within 1e-9
     relative, its objective, and so the same verdict for every candidate
     row it maximizes.  Only the first bound round, max and min, may start
-    from the shared phase-1 basis.  Returns the number of vertex starts."""
+    from the instance's phase-1 basis.  Returns the number of vertex
+    starts."""
     warm, shared = [], []
     solve = screening.solve_lp
 
     def recording(problem, start=None):
         sol = solve(problem, start)
-        (shared if start.vertex is None else warm).append((problem, sol))
+        basis = inst.region_basis[1]
+        (shared if start.vertex is basis else warm).append((problem, sol))
         return sol
 
     with pytest.MonkeyPatch.context() as mp:

@@ -2,11 +2,11 @@
 
 import heapq
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import milp as scipy_milp
 
 import ucscreen.lp as lp_module
 from conftest import brute_force_milp, enumerate_polygon_vertices
@@ -14,12 +14,12 @@ from ucscreen.lp import (
     FEASIBILITY_TOL,
     LpProblem,
     LpSolution,
-    LpStart,
     LpUsageError,
     MilpProblem,
     NodeLimitExceeded,
     NodeStart,
     VertexStart,
+    region_basis,
     solve_lp,
     solve_milp,
 )
@@ -194,14 +194,26 @@ def test_cold_verdict_keeps_the_feasibility_tolerance():
         if status == "optimal":
             assert abs(mine.objective_value - ref.fun) <= 1e-9
         # The branch-and-bound root and final LP go through the same cold
-        # start.  A row forces the binary u to 1, so the root is integral,
-        # no child solves, and the MILP is the LP plus 1.
-        milp = solve_milp(MilpProblem(LpProblem(
-            [1.0, 1.0], [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]],
-            [1.0, -1.0 - gap, -1.0], bounds=[(0, None), (0, 1)]), (1,)))
-        assert milp.status == status
-        if status == "optimal":
-            assert abs(milp.objective_value - (ref.fun + 1.0)) <= 1e-9
+        # start.  A row u >= 1 forces the binary u to 1, so the root is
+        # integral and no child solves.  With u >= 0.5 the root is
+        # fractional, and the child u = 1 starts from the root's tableau
+        # by dual simplex.  Either way the MILP is the LP plus 1.
+        for u_min in (1.0, 0.5):
+            rows = [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]
+            rhs = [1.0, -1.0 - gap, -u_min]
+            milp = solve_milp(MilpProblem(LpProblem(
+                [1.0, 1.0], rows, rhs, bounds=[(0, None), (0, 1)]), (1,)))
+            assert milp.status == status
+            if status == "optimal":
+                assert abs(milp.objective_value - (ref.fun + 1.0)) <= 1e-9
+                # HiGHS's MILP tolerance (1e-6) also accepts the larger
+                # gap, so only the optimal case is compared with it.
+                highs = scipy_milp([1.0, 1.0], integrality=[0, 1],
+                                   bounds=Bounds([0, 0], [np.inf, 1]),
+                                   constraints=LinearConstraint(
+                                       rows, -np.inf, rhs))
+                assert highs.status == 0
+                assert abs(milp.objective_value - highs.fun) <= FEASIBILITY_TOL
 
 
 def test_dual_start_on_a_form_without_rows():
@@ -304,10 +316,10 @@ def test_dual_bound_waits_for_first_access():
 
 def test_row_duals_at_an_optimal_vertex_are_the_solution_duals():
     region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
-    shared = LpStart(region)
+    basis = region_basis(region)
     for c in OBJECTIVES:
         for sense in ("min", "max"):
-            start = VertexStart(shared, keep=True)
+            start = VertexStart(region, basis, keep=True)
             sol = solve_lp(LpProblem(c, BOX_ROWS, BOX_RHS, sense=sense), start)
             cost = np.array(c) * (-1.0 if sense == "max" else 1.0)
             priced = start.tableau.row_duals(cost[None], len(BOX_RHS))[0]
@@ -456,23 +468,33 @@ def _assert_same(warm, cold):
         assert abs(warm.dual_bound - cold.dual_bound) <= 1e-9
 
 
+def _phase_one_starts(region):
+    """Starts for LPs over `region` from one phase-1 basis, as the vertex
+    store hands them out: the first counts phase 1's pivots."""
+    pivots, basis = region_basis(region)
+    yield VertexStart(region, (pivots, basis))
+    while True:
+        yield VertexStart(region, (0, basis))
+
+
 def test_warm_start_matches_cold():
-    start = LpStart(LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS))
+    starts = _phase_one_starts(LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS))
     for c in OBJECTIVES:
         for sense in ("min", "max"):
             problem = LpProblem(c, BOX_ROWS, BOX_RHS, sense=sense)
-            _assert_same(solve_lp(problem, start), solve_lp(problem))
+            _assert_same(solve_lp(problem, next(starts)), solve_lp(problem))
 
 
 def _row_kept_verdicts(rows, rhs):
-    """Per row j, (verdict, maximum) of a_j y from the region's shared
-    start and of the cold LP over the region less row j; the verdict is
+    """Per row j, (verdict, maximum) of a_j y from the region's phase-1
+    basis and of the cold LP over the region less row j; the verdict is
     redundant when the maximum clears rhs[j] by FEASIBILITY_TOL."""
-    start = LpStart(LpProblem(np.zeros(rows.shape[1]), rows, rhs))
+    starts = _phase_one_starts(LpProblem(np.zeros(rows.shape[1]), rows, rhs))
     out = []
     for j in range(len(rhs)):
         keep = np.arange(len(rhs)) != j
-        kept = solve_lp(LpProblem(rows[j], rows, rhs, sense="max"), start)
+        kept = solve_lp(LpProblem(rows[j], rows, rhs, sense="max"),
+                        next(starts))
         dropped = solve_lp(LpProblem(rows[j], rows[keep], rhs[keep],
                                      sense="max"))
         out.append(tuple(
@@ -501,12 +523,15 @@ def test_row_kept_gives_the_row_dropped_verdict():
 
 def test_warm_start_on_empty_region():
     rows, rhs = np.array([[1.0], [-1.0], [1.0]]), np.array([0.0, -1.0, 4.0])
-    start = LpStart(LpProblem([0.0], rows, rhs))
+    region = LpProblem([0.0], rows, rhs)
+    assert region_basis(region)[1] == "infeasible"
+    start = VertexStart(region, region_basis(region))
     assert solve_lp(LpProblem([1.0], rows, rhs), start).status == "infeasible"
 
 
 def test_warm_start_rejects_another_region():
-    start = LpStart(LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS))
+    region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
+    start = VertexStart(region, region_basis(region))
     with pytest.raises(LpUsageError):
         solve_lp(LpProblem([1.0, 0.0], BOX_ROWS, BOX_RHS + 1.0), start)
     with pytest.raises(LpUsageError):
@@ -516,15 +541,17 @@ def test_warm_start_rejects_another_region():
 def test_warm_start_pivot_accounting():
     # With a zero objective phase 2 makes no pivot, so this is phase 1's.
     region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
-    phase_one = solve_lp(region, LpStart(region)).iterations
-    assert phase_one > 0
-    # The first LP from a start runs the shared phase 1 and counts it, as
-    # the cold solve does; every later LP skips it.
-    start = LpStart(region)
+    phase_one = solve_lp(region, VertexStart(region, region_basis(region))
+                         ).iterations
+    assert phase_one == region_basis(region)[0] > 0
+    # The first LP from a basis counts phase 1's pivots, as the cold solve
+    # does; every later LP skips them.
+    starts = _phase_one_starts(region)
     for k, c in enumerate(OBJECTIVES):
         problem = LpProblem(c, BOX_ROWS, BOX_RHS)
         cold = solve_lp(problem).iterations
-        assert solve_lp(problem, start).iterations == cold - (k and phase_one)
+        assert (solve_lp(problem, next(starts)).iterations
+                == cold - (k and phase_one))
     # y1 + y2 >= 3 in the unit box: phase 1 pivots before it gives up.
     # The negative costs keep the cold solve on phase 1 rather than on
     # dual simplex from the slack basis.
@@ -532,29 +559,50 @@ def test_warm_start_pivot_accounting():
                       bounds=[(0, 1), (0, 1)])
     cold = solve_lp(empty)
     assert cold.status == "infeasible" and cold.iterations > 0
-    assert solve_lp(empty, LpStart(empty)).iterations == cold.iterations
+    start = VertexStart(empty, region_basis(empty))
+    assert solve_lp(empty, start).iterations == cold.iterations
 
 
-def test_warm_start_phase_one_runs_once_across_threads():
-    problems = [LpProblem(c, BOX_ROWS, BOX_RHS, sense=s)
-                for c in OBJECTIVES for s in ("min", "max")] * 6
-    region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
-    serial = [solve_lp(p, s) for p, s in
-              zip(problems, [LpStart(region)] * len(problems))]
-    start = LpStart(region)
+def test_phase_one_runs_once_per_instance_across_threads(cases,
+                                                         monkeypatch):
+    # Sixteen threads screen a fresh instance twice while the interpreter
+    # switches threads every microsecond.  Phase 1 runs once, in the
+    # calling thread.  The first screen's pivots equal a one-thread
+    # screen's, phase 1's included; the second's lack phase 1's.
+    import ucscreen.screening as screening
+    from ucscreen.model import build_uc, relax_binaries
+
+    case = cases["fifty_bus"]
+    calls, pivots = [], []
+    phase_one, solve = lp_module._phase_one, screening.solve_lp
+
+    def counted(form):
+        calls.append(form.A.shape)
+        return phase_one(form)
+
+    def counted_pivots(problem, start=None):
+        sol = solve(problem, start)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(lp_module, "_phase_one", counted)
+    monkeypatch.setattr(screening, "solve_lp", counted_pivots)
+    serial = screening.eovl(relax_binaries(build_uc(case, case.nominal_load)))
+    assert len(calls) == 1
+    expected = sum(pivots)
+    calls.clear()
+    inst = relax_binaries(build_uc(case, case.nominal_load))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            futures = [pool.submit(solve_lp, p, start) for p in problems]
-            threaded = [f.result(timeout=60) for f in futures]
+        for skipped in (0, 1):
+            pivots.clear()
+            report = screening.eovl(inst, jobs=16)
+            assert report.redundant == serial.redundant
+            assert sum(pivots) == expected - skipped * inst.region_basis[0]
     finally:
         sys.setswitchinterval(interval)
-    # A second phase 1 would add its pivots again.
-    assert (sum(s.iterations for s in threaded)
-            == sum(s.iterations for s in serial))
-    assert [s.objective_value for s in threaded] == [
-        s.objective_value for s in serial]
+    assert len(calls) == 1 and inst.region_basis[0] > 0
 
 
 def _random_region(rng):
@@ -604,14 +652,14 @@ def test_warm_starts_match_highs_on_random_regions(monkeypatch):
     verdicts = {True: 0, False: 0}
     for _ in range(30):
         rows, rhs, bounds = _random_region(rng)
-        start = LpStart(LpProblem(np.zeros(len(bounds)), rows, rhs,
-                                  bounds=bounds))
+        starts = _phase_one_starts(LpProblem(np.zeros(len(bounds)), rows,
+                                             rhs, bounds=bounds))
         for sense in ("min", "max"):
             sign = 1.0 if sense == "min" else -1.0
             for _ in range(4):
                 c = np.round(rng.normal(size=len(bounds)), 3)
                 mine = solve_lp(LpProblem(c, rows, rhs, bounds=bounds,
-                                          sense=sense), start)
+                                          sense=sense), next(starts))
                 ref = linprog(sign * c, A_ub=rows, b_ub=rhs, bounds=bounds,
                               method="highs", options={"presolve": False})
                 assert mine.status == {0: "optimal", 3: "unbounded"}[ref.status]
@@ -624,7 +672,7 @@ def test_warm_starts_match_highs_on_random_regions(monkeypatch):
         for i in range(len(rhs)):
             keep = np.arange(len(rhs)) != i
             mine = solve_lp(LpProblem(rows[i], rows, rhs, bounds=bounds,
-                                      sense="max"), start)
+                                      sense="max"), next(starts))
             ref = linprog(-rows[i], A_ub=rows[keep], b_ub=rhs[keep],
                           bounds=bounds, method="highs",
                           options={"presolve": False})
@@ -843,8 +891,7 @@ def test_tableau_stores_only_nonbasic_columns(cases):
     inst = relax_binaries(build_uc(case, case.nominal_load))
     objective = np.zeros(inst.n_cols)
     objective[0] = 1.0
-    solve_lp(inst.lp(objective), inst.lp_start)
-    shared = inst.lp_start._basis[0]
+    shared = inst.region_basis[1]
     _assert_condensed(shared)
     assert shared.T.shape[1] == shared.ns + 1
 

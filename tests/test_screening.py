@@ -5,12 +5,15 @@ import dataclasses
 import importlib.util
 import json
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ucscreen.lp
 import ucscreen.screening
 from conftest import (
     CORPUS,
@@ -20,6 +23,7 @@ from conftest import (
 )
 from ucscreen import oracle
 from ucscreen.case import case_to_json, parse_case
+from ucscreen.cli import SchemeConfig, verify_case
 from ucscreen.lp import (
     FEASIBILITY_TOL,
     LpProblem,
@@ -407,6 +411,55 @@ def test_slack_bus_invariance(cases):
         assert set(eovl(relaxed(moved)).redundant) == set(base.redundant)
 
 
+def _degenerate_variants(cases):
+    """(label, case, unit) for variants of five_bus and nine_bus: one in
+    which the unit has x_min == x_max, so its two generation rows form an
+    equality pair, and one with an exact twin of line 0 (same endpoints,
+    susceptance and limits), whose rows repeat the line's."""
+    for name, unit in (("five_bus", 0), ("nine_bus", 2)):
+        doc = json.loads(case_to_json(cases[name]))
+        fixed = json.loads(json.dumps(doc))
+        fixed["generators"][unit]["x_min"] = fixed["generators"][unit]["x_max"]
+        twin = json.loads(json.dumps(doc))
+        twin["lines"].append(dict(twin["lines"][0]))
+        yield f"{name} fixed unit", parse_case(json.dumps(fixed)), unit
+        yield f"{name} twin line", parse_case(json.dumps(twin)), unit
+
+
+def test_degenerate_regions_screen_like_the_oracle(cases, tmp_path,
+                                                    monkeypatch):
+    driven = []
+    drive_out = ucscreen.lp._Tableau._drive_out_artificials
+
+    def recording(self):
+        driven.append(int(np.sum(self.basis >= self.art_start)))
+        drive_out(self)
+
+    monkeypatch.setattr(ucscreen.lp._Tableau, "_drive_out_artificials",
+                        recording)
+    for label, case, unit in _degenerate_variants(cases):
+        full = build_uc(case, case.nominal_load)
+        committed = apply_cuts(full, CutSet(commitment_fixes=((unit, 1),)))
+        for inst in (relax_binaries(full), relax_binaries(committed)):
+            driven.clear()
+            s3 = eovl(inst)
+            s2 = eovl(inst, use_vgs=False)
+            direct = {lb for lb in inst.candidates
+                      if oracle.lp_redundancy(inst, lb)}
+            assert set(s3.redundant) == set(s2.redundant) == direct, label
+        if label.endswith("fixed unit"):
+            # In the committed region, screened last, the unit's equality
+            # pair has a negative right-hand side, so phase 1 ends with
+            # the pair's artificial basic, besides the balance pair's.
+            assert driven[0] >= 2, label
+        path = tmp_path / "case.json"
+        path.write_text(case_to_json(case), encoding="utf-8")
+        for scheme, beta in (("s3", None), ("s4", 0.1)):
+            verdicts = verify_case(SchemeConfig(case_path=str(path),
+                                                scheme=scheme, beta=beta))
+            assert [v["passed"] for v in verdicts] == [True] * 4, label
+
+
 def test_monotonicity_under_cuts(cases):
     for name in ("five_bus", "nine_bus", "fourteen_bus"):
         case = cases[name]
@@ -551,9 +604,12 @@ def test_s2_never_starts_from_a_vertex(cases, monkeypatch):
 
     monkeypatch.setattr(ucscreen.screening, "solve_lp", recording)
     for name in CORPUS:
-        eovl(relaxed(cases[name]), use_vgs=False)
-    assert len(starts) > 100
-    assert all(vertex is None and not keep for vertex, keep in starts)
+        starts.clear()
+        inst = relaxed(cases[name])
+        eovl(inst, use_vgs=False)
+        assert len(starts) == len(inst.candidates) > 0, name
+        basis = inst.region_basis[1]
+        assert all(vertex is basis and not keep for vertex, keep in starts)
 
 
 @pytest.mark.parametrize("jobs", [1, 8])
@@ -589,18 +645,57 @@ def test_threads_share_vertices_without_changing_a_pivot(cases, monkeypatch):
         return sol
 
     monkeypatch.setattr(ucscreen.screening, "solve_lp", counted)
-    inst = _region(cases["fifty_bus"], "s4")
-    eovl(inst)  # runs the shared phase 1, whose pivots the first LP counts
-    counts.clear()
-    reference = eovl(inst)
+    # Each screen is of a fresh instance, so each runs phase 1.
+    reference = eovl(_region(cases["fifty_bus"], "s4"))
     expected = sorted(counts)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             counts.clear()
-            report = eovl(inst, jobs=8)
+            report = eovl(_region(cases["fifty_bus"], "s4"), jobs=8)
             assert report.redundant == reference.redundant
             assert sorted(counts) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4"])
+def test_pivots_do_not_depend_on_the_thread_schedule(cases, scheme,
+                                                     monkeypatch):
+    # Phase 1 runs when the first start is picked, before any LP runs, so
+    # its pivots count on the first LP in input order under any schedule:
+    # every LP's pivots, in input order, equal a one-thread screen's.
+    # Under threads each max LP waits a little, so a bound round's min LP
+    # usually runs first.
+    batches = []
+    solve_many = ucscreen.screening._solve_many
+    solve_lp = ucscreen.screening.solve_lp
+
+    def max_last(problem, start=None):
+        if problem.sense == "max" and threading.current_thread().name != (
+                "MainThread"):
+            time.sleep(0.002)
+        return solve_lp(problem, start)
+
+    def recording(vertices, problems, pool, keep=False):
+        solutions = solve_many(vertices, problems, pool, keep)
+        batches.append([(p.objective.tobytes(), p.sense, sol.iterations,
+                         sol.objective_value)
+                        for p, sol in zip(problems, solutions)])
+        return solutions
+
+    monkeypatch.setattr(ucscreen.screening, "_solve_many", recording)
+    monkeypatch.setattr(ucscreen.screening, "solve_lp", max_last)
+    eovl(_region(cases["fifty_bus"], scheme))
+    expected = list(batches)
+    assert sum(len(b) for b in expected) > 10
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            batches.clear()
+            eovl(_region(cases["fifty_bus"], scheme), jobs=8)
+            assert batches == expected
     finally:
         sys.setswitchinterval(interval)
