@@ -1,6 +1,6 @@
 """Dense LP and branch-and-bound MILP solvers.
 
-The LP solver is a two-phase tableau simplex over problems of the form
+The LP solver is a tableau simplex over problems of the form
 
     min/max  c @ y   subject to   A @ y <= b,   lo <= y <= hi
 
@@ -11,35 +11,33 @@ identical output bytes, which the screening reports rely on.
 
 The tableau is condensed (a dictionary): it stores one column per
 nonbasic variable and the right-hand side, never the unit columns of the
-basic ones.  With m rows and n standard-form columns, a pivot after
-phase 1 costs m * (n + 1) rather than m * (n + m + 1).  Each variable
-keeps a label in the full tableau's numbering, and every tie between
-columns goes to the lowest label, so the pivots are those of the full
-tableau.
+basic ones.  With m rows and n standard-form columns, a pivot costs
+m * (n + 1) rather than m * (n + m + 1).  Each variable keeps a label in
+the full tableau's numbering, and every tie between columns goes to the
+lowest label, so the pivots are those of the full tableau.
 
-Phase 1 depends on the region only, never on the objective.  Screening
-solves many LPs over one region, so `region_basis` runs phase 1 once per
-region, and each LP that a `VertexStart` gives that basis copies its
+Every way in (a cold solve, `region_basis` and a `NodeStart`) shares one
+standard form, `_standard_form`: A z <= b with z >= 0, plus two arrays
+that map each column back to its variable and sign.  There is one way to
+a feasible basis, `_cold`: the slack basis, which is dual feasible for
+any prices >= 0 whatever the signs of b, and dual simplex from it
+(Koberstein, 2005, the dual phase 1 for a dual-feasible start; Chvatal,
+1983).  The prices are the LP's own costs when they are >= 0 and not all
+0, so the basis it ends at is optimal; otherwise they are ones, and
+primal phase 2 follows with the real costs.
+
+Screening solves many LPs over one region, so `region_basis` makes the
+region's slack basis feasible once, priced at ones, which depend on the
+region alone.  Each LP that a `VertexStart` gives that basis copies its
 feasible tableau, m rows by n + 1 columns, and runs phase 2 alone.  A
 `VertexStart` may instead give a vertex: the optimal tableau of an
 earlier LP over the region, which is feasible for every objective and
 often close to the next LP's optimum.  On request it hands back the LP's
-own final tableau as a vertex for later LPs.  The caller runs phase 1
-and picks each tableau, so an LP's result depends on the order or the
-thread the LPs run in only if the caller's picks do.  Without a start,
-`solve_lp` solves from scratch (see `_cold` below), as the brute-force
-oracles do.
-
-Every way in (a cold solve, `region_basis` and a `NodeStart`) shares one
-standard form, `_standard_form`: A z <= b with z >= 0, plus two arrays
-that map each column back to its variable and sign.  `region_basis`
-reaches a feasible basis through the artificial phase 1, `_phase_one`,
-which ignores the objective.  A cold solve and a `NodeStart`'s root go
-through `_cold`: when every standard-form cost is >= 0, the slack basis
-is dual feasible whatever the signs of b, so dual simplex runs from it
-with no artificial and ends at the optimum.  If it finds the region
-empty or runs past its pivot limit, and for any other costs,
-`_phase_one` runs and gives the verdict.
+own final tableau as a vertex for later LPs.  The caller computes the
+region's basis and picks each tableau, so an LP's result depends on the
+order or the thread the LPs run in only if the caller's picks do.
+Without a start, `solve_lp` solves from scratch through `_cold`, as the
+brute-force oracles do.
 
 The MILP solver runs best-first branch and bound on LP relaxations,
 branching on the lowest-index fractional binary, down-branch first.
@@ -49,16 +47,15 @@ child from its parent's optimal tableau by dual simplex pivots; only the
 root solves cold.  The point and cost returned come from one more cold
 LP with every binary fixed at the incumbent's value, so they depend on
 the commitment chosen and not on the path the tree took to it.  With
-costs >= 0, as in unit commitment, both cold LPs start at their slack
-bases and run no phase 1.
+costs >= 0, as in unit commitment, both cold LPs end at their optimum
+when dual simplex makes the slack basis feasible.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,14 +71,10 @@ _RATIO_TOL = 1e-10
 # as the primal ratio test ties within 1e-12, so a tie exact in exact
 # arithmetic does not go to whichever ratio rounds one ulp lower.
 _DUAL_TIE_RTOL = 1e-12
+# Pivots without progress before primal or dual simplex turns to Bland's
+# rule for the rest of the run.
 _STALL_LIMIT = 60
 _MAX_ITER = 100_000
-# Dual simplex pivots a node may take from its parent's basis, or a cold
-# LP from its slack basis, before it falls back: a node to a cold solve,
-# a cold LP to the artificial phase 1.  Children rarely need more than a
-# few dozen; a run far past that is cycling or creeping through
-# degenerate pivots.
-_DUAL_PIVOT_LIMIT = 200
 
 
 class LpUsageError(ValueError):
@@ -185,19 +178,14 @@ def box_maximum(rows: np.ndarray, lower: np.ndarray,
 
 
 def lagrangian_bound(objectives: np.ndarray, y: np.ndarray, rows: np.ndarray,
-                     rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                     zero_tol: float = 0.0) -> np.ndarray:
+                     rhs: np.ndarray, lower: np.ndarray,
+                     upper: np.ndarray) -> np.ndarray:
     """Upper bound on max objectives[k] @ p over {rows @ p <= rhs} inside
     the box lower <= p <= upper, for each k, from multipliers y[k] >= 0
     over the rows: y[k] @ rhs + the box maximum of objectives[k] -
     y[k] @ rows.  Any y >= 0 gives a valid bound; at an optimal basis's
-    duals it is the optimum.  Residual coefficients within `zero_tol` of
-    0 count as 0, which is exact only when the caller knows them to be
-    rounding noise."""
-    residual = objectives - y @ rows
-    if zero_tol:
-        residual[np.abs(residual) <= zero_tol] = 0.0
-    return y @ rhs + box_maximum(residual, lower, upper)
+    duals it is the optimum."""
+    return y @ rhs + box_maximum(objectives - y @ rows, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -205,10 +193,7 @@ class LpSolution:
     """Solver verdict.  point/objective_value are None unless optimal.
 
     row_duals holds one multiplier (>= 0) per input row, taken from the
-    final simplex basis; dual_bound is the Lagrangian bound they certify
-    over the problem's own variable bounds, which equals objective_value
-    at an exact optimum.  No solve needs it, so it is computed on first
-    access, from `problem`.
+    final simplex basis.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -217,21 +202,6 @@ class LpSolution:
     row_duals: np.ndarray | None = None
     iterations: int = 0
     nodes: int = 0
-    problem: LpProblem | None = field(default=None, repr=False,
-                                      compare=False)
-
-    @cached_property
-    def dual_bound(self) -> float | None:
-        p = self.problem
-        if self.row_duals is None or p is None:
-            return None
-        sign = 1.0 if p.sense == "max" else -1.0
-        c = sign * p.objective  # maximized
-        scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-        bound = lagrangian_bound(c[None], self.row_duals[None], p.rows, p.rhs,
-                                 p.bounds[:, 0], p.bounds[:, 1],
-                                 zero_tol=1e-9 * scale)
-        return sign * float(bound[0])
 
 
 @dataclass
@@ -300,48 +270,35 @@ def _standard_form(rows, rhs, lo, hi) -> _StandardForm:
 
 
 class _Tableau:
-    """Two-phase dense simplex working state for min c'z, A z <= b, z >= 0,
-    kept as a condensed (dictionary) tableau.
+    """Dense simplex working state for min c'z, A z <= b, z >= 0, kept as
+    a condensed (dictionary) tableau at the slack basis to start.
 
     Variables are numbered by label: the ns structural columns, then one
-    slack per row (slack ns + i belongs to input row i), then one
-    artificial per row with a negative right-hand side.  Built without
-    artificials, every slack starts basic, a negative right-hand side
-    included, for dual simplex to make feasible (see `_cold`).  `T`
-    stores only the nonbasic columns, `nonbasic[q]` being the label of
-    column q, and the right-hand side last; `basis[r]` is the label basic
-    in row r.  A basic variable's full-tableau column is the unit vector
-    of its row, so it is never stored.  The objective row `z` (reduced
-    costs, then minus the objective) is the last row of the one buffer
-    that `T` heads, so a pivot is a single rank-one update.  Every choice
-    among tied columns takes the lowest label, which makes the pivots
-    those of the full tableau.  An artificial never re-enters, and the
-    artificials' columns are deleted at the end of phase 1.  `form` maps
-    z back to the problem's variables.
+    slack per row (slack ns + i belongs to input row i).  Every slack
+    starts basic, a negative right-hand side included, for dual simplex to
+    make feasible (see `_cold`).  `T` stores only the nonbasic columns,
+    `nonbasic[q]` being the label of column q, and the right-hand side
+    last; `basis[r]` is the label basic in row r.  A basic variable's
+    full-tableau column is the unit vector of its row, so it is never
+    stored.  The objective row `z` (reduced costs, then minus the
+    objective) is the last row of the one buffer that `T` heads, so a
+    pivot is a single rank-one update.  Every choice among tied columns
+    takes the lowest label, which makes the pivots those of the full
+    tableau.  `form` maps z back to the problem's variables.
     """
 
-    def __init__(self, form: _StandardForm, artificials: bool = True):
-        rows, rhs = form.A, form.b
-        m, ns = rows.shape
-        sigma = np.where((rhs >= 0.0) | (not artificials), 1.0, -1.0)
-        art_rows = np.nonzero(sigma < 0)[0]
-        na = art_rows.size
-        # Nonbasic at the start: the structural columns and the slacks of
-        # the rows whose artificial is basic.
-        buf = np.zeros((m + 1, ns + na + 1))
-        buf[:m, :ns] = rows * sigma[:, None]
-        buf[art_rows, ns + np.arange(na)] = -1.0
-        buf[:m, -1] = rhs * sigma
-        basis = ns + np.arange(m)
-        basis[art_rows] = ns + m + np.arange(na)
+    def __init__(self, form: _StandardForm):
+        m, ns = form.A.shape
+        buf = np.zeros((m + 1, ns + 1))
+        buf[:m, :ns] = form.A
+        buf[:m, -1] = form.b
         self._set_buffer(buf)
-        self.basis = basis
-        self.nonbasic = np.concatenate([np.arange(ns), ns + art_rows])
+        self.basis = ns + np.arange(m)
+        self.nonbasic = np.arange(ns)
         self.form = form
         self.ns = ns
         self.m = m
-        self.n_labels = ns + m + na
-        self.art_start = ns + m
+        self.n_labels = ns + m
         self.iterations = 0
 
     def _set_buffer(self, buf: np.ndarray) -> None:
@@ -360,8 +317,8 @@ class _Tableau:
 
     def _zrow(self, cost: np.ndarray) -> np.ndarray:
         """Set the objective row `z` to the reduced costs of the nonbasic
-        columns, and minus the objective last, for `cost` over the leading
-        labels and zero over the rest; return it."""
+        columns, and minus the objective last, for `cost` over the
+        structural labels and zero over the slacks; return it."""
         full = np.zeros(self.n_labels)
         full[:cost.size] = cost
         z = self.z
@@ -409,80 +366,93 @@ class _Tableau:
             return int(ties[np.argmin(self.basis[ties])])
         return int(ties[0])
 
-    def _iterate(self, zrow: np.ndarray) -> str:
-        """Run pivots until optimal or unbounded; artificials never enter."""
+    def _primal_pivot(self, zrow: np.ndarray, bland: bool):
+        """(row, column) of the next primal pivot, or "optimal" when no
+        reduced cost is negative, or "unbounded"."""
+        rc = zrow[:-1]
+        if bland:
+            neg = np.nonzero(rc < -_PIVOT_TOL)[0]
+            if neg.size == 0:
+                return "optimal"
+            col = self._lowest_label(neg)
+        else:
+            best = rc.min()
+            if best >= -_PIVOT_TOL:
+                return "optimal"
+            col = self._lowest_label(np.nonzero(rc == best)[0])
+        row = self._leaving_row(col, bland)
+        return "unbounded" if row is None else (row, col)
+
+    def _dual_pivot(self, zrow: np.ndarray, bland: bool):
+        """(row, column) of the next dual simplex pivot, or "feasible", or
+        "infeasible".
+
+        The leaving row is the most negative basic value, or under Bland's
+        rule the violated row whose basic label is lowest.  A row with no
+        entry below -_PIVOT_TOL proves the region empty when its value is
+        below -FEASIBILITY_TOL; within that tolerance it counts as
+        satisfied, and the next row in the same order is tried.  The
+        entering column passes the dual ratio test, which keeps every
+        reduced cost >= 0; ties go to the lowest label."""
+        T = self.T
+        rhs = T[:, -1]
+        if not bland:  # the usual case: the most negative row can move
+            row = int(np.argmin(rhs))
+            if rhs[row] >= -_PIVOT_TOL:
+                return "feasible"
+            entries = T[row, :-1]
+            cand = np.nonzero(entries < -_PIVOT_TOL)[0]
+        if bland or cand.size == 0:
+            rows = np.nonzero(rhs < -_PIVOT_TOL)[0]
+            key = self.basis[rows] if bland else rhs[rows]
+            for row in rows[np.argsort(key, kind="stable")]:
+                entries = T[row, :-1]
+                cand = np.nonzero(entries < -_PIVOT_TOL)[0]
+                if cand.size:
+                    break
+                if rhs[row] < -FEASIBILITY_TOL:
+                    return "infeasible"
+            else:
+                return "feasible"
+        ratios = np.maximum(zrow[cand], 0.0) / -entries[cand]
+        least = ratios.min()
+        tied = ratios <= least + _DUAL_TIE_RTOL * max(1.0, least)
+        return int(row), self._lowest_label(cand[tied])
+
+    def _iterate(self, zrow: np.ndarray, dual: bool = False) -> str:
+        """Pivot until a verdict; `zrow` is the objective row as `_zrow`
+        returned it, which the pivots update.
+
+        Primal simplex lowers the objective and ends "optimal" or
+        "unbounded"; dual simplex, from a basis whose reduced costs are
+        >= 0, raises it and ends "feasible", which is optimal for the
+        costs priced, or "infeasible".  Either uses Dantzig's rule until
+        _STALL_LIMIT pivots in a row leave the objective where it was,
+        and Bland's rule from then on."""
+        choose = self._dual_pivot if dual else self._primal_pivot
+        sign = -1.0 if dual else 1.0  # progress raises sign * zrow[-1]
         stall = 0
-        last_obj = -zrow[-1]
+        last = sign * zrow[-1]
         bland = False
         while True:
             if self.iterations > _MAX_ITER:
                 raise SimplexError("simplex iteration limit exceeded")
-            rc = zrow[:-1]
-            if self.n_labels > self.art_start:
-                rc = np.where(self.nonbasic < self.art_start, rc, np.inf)
-            if bland:
-                neg = np.nonzero(rc < -_PIVOT_TOL)[0]
-                if neg.size == 0:
-                    return "optimal"
-                col = self._lowest_label(neg)
-            else:
-                best = rc.min()
-                if best >= -_PIVOT_TOL:
-                    return "optimal"
-                col = self._lowest_label(np.nonzero(rc == best)[0])
-            row = self._leaving_row(col, bland)
-            if row is None:
-                return "unbounded"
-            self._pivot(row, col)
-            obj = -zrow[-1]
-            if obj < last_obj - 1e-12:
+            bland = bland or stall >= _STALL_LIMIT
+            pick = choose(zrow, bland)
+            if isinstance(pick, str):
+                return pick
+            self._pivot(*pick)
+            progress = sign * zrow[-1]
+            if progress > last + 1e-12:
                 stall = 0
-                last_obj = obj
+                last = progress
             else:
                 stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
 
-    def dual_simplex(self, zrow: np.ndarray, limit: int) -> str:
-        """Pivot a dual-feasible basis to primal feasibility; `zrow` is the
-        objective row as `_zrow` returned it, which the pivots update.
-
-        Each pivot leaves on the most negative basic value and enters by
-        the dual ratio test, which keeps every reduced cost >= 0.  Returns
-        "feasible", "infeasible" when a negative row has no negative entry
-        (no z >= 0 satisfies it), or "limit" when `limit` pivots did not
-        suffice.
-        """
-        T = self.T
-        pivots = 0
-        while True:
-            row = int(np.argmin(T[:, -1]))
-            if T[row, -1] >= -_PIVOT_TOL:
-                return "feasible"
-            entries = T[row, :-1]
-            cand = np.nonzero(entries < -_PIVOT_TOL)[0]
-            if cand.size == 0:
-                return "infeasible"
-            if pivots == limit:
-                return "limit"
-            ratios = np.maximum(zrow[cand], 0.0) / -entries[cand]
-            least = ratios.min()
-            tied = ratios <= least + _DUAL_TIE_RTOL * max(1.0, least)
-            self._pivot(row, self._lowest_label(cand[tied]))
-            pivots += 1
-
-    def phase_one(self) -> bool:
-        """Reach a feasible basis; False when the region is empty."""
-        if self.n_labels > self.art_start:
-            p1_cost = np.zeros(self.n_labels)
-            p1_cost[self.art_start:] = 1.0
-            zrow = self._zrow(p1_cost)
-            status = self._iterate(zrow)
-            assert status == "optimal"  # phase-1 objective bounded below by 0
-            if -zrow[-1] > FEASIBILITY_TOL:
-                return False
-            self._drive_out_artificials()
-        return True
+    def dual_simplex(self, zrow: np.ndarray) -> str:
+        """Pivot a dual-feasible basis to primal feasibility: "feasible"
+        or "infeasible" (see `_iterate`)."""
+        return self._iterate(zrow, dual=True)
 
     def phase_two(self, c: np.ndarray) -> str:
         """Minimize c'z from the current feasible basis."""
@@ -495,25 +465,6 @@ class _Tableau:
         stored, at = np.nonzero(self.nonbasic[:, None] == labels)
         out[:, at] = self.T[:, stored]
         return out
-
-    def _drive_out_artificials(self) -> None:
-        """Pivot basic artificials out and drop their columns.
-
-        A basic artificial's row always has a candidate: the artificial
-        and its row's slack start as +e_i and -e_i, go through the same
-        updates, and the artificial never re-enters, so while it is basic
-        in row r the slack's column is exactly -e_r.  The objective row
-        goes through these pivots too; phase 2 prices it afresh."""
-        for row in range(self.m):
-            if self.basis[row] < self.art_start:
-                continue
-            cand = np.nonzero((np.abs(self.T[row, :-1]) > 1e-9)
-                              & (self.nonbasic < self.art_start))[0]
-            self._pivot(row, self._lowest_label(cand))
-        real = np.append(self.nonbasic < self.art_start, True)
-        self._set_buffer(self.buf[:, real])
-        self.nonbasic = self.nonbasic[real[:-1]]
-        self.n_labels = self.art_start
 
     def row_duals(self, costs: np.ndarray, n_rows: int) -> np.ndarray:
         """Multipliers that this basis prices for each of the (K, n_vars)
@@ -539,60 +490,55 @@ class _Tableau:
         return x, z
 
 
-def _phase_one(form: _StandardForm):
-    """Build the tableau of `form` and run phase 1 on it.
+def _cold(form: _StandardForm, cost: np.ndarray):
+    """Make the slack-basis tableau of `form` feasible for minimizing
+    `cost` @ z.  Returns (pivots, verdict) as the starts' `_warm` does: 0
+    and a feasible tableau, whose own count holds the pivots; the pivots
+    and "infeasible" when the region is empty; or 0 and None when every
+    variable is fixed, so there is no column and feasibility is a direct
+    check on `form.b`.
 
-    Returns (pivots, tableau) as the starts' `_warm` does: 0 and a
-    feasible tableau, whose own count holds the phase-1 pivots; the
-    phase-1 pivots and "infeasible" when the region is empty; or 0 and
-    None when every variable is fixed, so there is no column and
-    feasibility is a direct check on `form.b`.
+    With prices >= 0 the slack basis is dual feasible whatever the signs
+    of the right-hand side, so dual simplex runs from it to primal
+    feasibility.  When every cost is >= 0 and one is > 0 the prices are
+    the costs, and the feasible basis is optimal.  Otherwise, a negative
+    cost or none at all, they are ones, and primal phase 2 follows with
+    the real costs.  Zero prices would tie every dual ratio at 0 and
+    leave each entering column to the lowest label alone; on a 100-bus
+    load-box region that ran to _MAX_ITER.
     """
-    if form.A.shape[1] == 0:
+    m, ns = form.A.shape
+    if ns == 0:
         return 0, None
     tab = _Tableau(form)
-    if not tab.phase_one():
-        return tab.iterations, "infeasible"
+    if m:
+        if not (np.all(cost >= 0.0) and np.any(cost > 0.0)):
+            cost = np.ones(ns)
+        if tab.dual_simplex(tab._zrow(cost)) == "infeasible":
+            return tab.iterations, "infeasible"
     return 0, tab
 
 
-def _cold(form: _StandardForm, cost: np.ndarray):
-    """Build the tableau of `form` for minimizing `cost` @ z and make it
-    feasible, returning (pivots, tableau) as `_phase_one` does.
-
-    When every cost is >= 0 and the form has a row, the slack basis is
-    dual feasible whatever the signs of the right-hand side, so the
-    tableau starts there with no artificial and dual simplex pivots run
-    to primal feasibility, which is also optimality (Koberstein, 2005,
-    the dual phase 1 for a dual-feasible start).  Any other verdict runs
-    the artificial phase 1 from scratch, its pivots counted after the
-    abandoned ones: "limit" after _DUAL_PIVOT_LIMIT pivots, and
-    "infeasible" too, because dual simplex calls a row violated beyond
-    _PIVOT_TOL while phase 1 calls a region empty only when the
-    artificials sum to more than FEASIBILITY_TOL.  Any other cost takes
-    the artificial phase 1 directly.
-    """
-    m, ns = form.A.shape
-    pivots = 0
-    if ns and m and np.all(cost >= 0.0):
-        tab = _Tableau(form, artificials=False)
-        if tab.dual_simplex(tab._zrow(cost), _DUAL_PIVOT_LIMIT) == "feasible":
-            return 0, tab
-        pivots = tab.iterations
-    more, tab = _phase_one(form)
-    return pivots + more, tab
-
-
 def region_basis(region: LpProblem):
-    """Phase 1 over the rows, right-hand side and bounds of `region`, whose
-    objective plays no part: (pivots, verdict), the verdict a feasible
-    tableau of the region, "infeasible" when the region is empty, or None
-    when every variable is fixed.  A `VertexStart` takes the pair."""
-    pivots, verdict = _phase_one(_standard_form(
-        region.rows, region.rhs, region.bounds[:, 0], region.bounds[:, 1]))
+    """A feasible basis of the rows, right-hand side and bounds of
+    `region`, whose objective plays no part: `_cold` priced at ones, so
+    the basis is a function of the region alone.  (pivots, verdict), the
+    verdict a feasible tableau of the region, "infeasible" when the region
+    is empty, or None when every variable is fixed.  A `VertexStart` takes
+    the pair."""
+    form = _standard_form(region.rows, region.rhs, region.bounds[:, 0],
+                          region.bounds[:, 1])
+    pivots, verdict = _cold(form, np.zeros(form.A.shape[1]))
     if isinstance(verdict, _Tableau):
         pivots = verdict.iterations  # its copies count from 0
     return pivots, verdict
+
+
+def _same_arrays(*pairs) -> bool:
+    """Whether the two arrays of each pair are equal: the same object,
+    which is the usual case since callers pass a region's own arrays
+    through, or equal in shape and every entry."""
+    return all(a is b or np.array_equal(a, b) for a, b in pairs)
 
 
 class VertexStart:
@@ -600,9 +546,9 @@ class VertexStart:
     tableau): a feasible tableau of that region, which the LP copies
     before it runs phase 2, and the pivots that reaching it cost, which
     the LP counts as its own.  The tableau is a vertex, the optimal
-    tableau of an earlier LP over the region, or the region's phase-1
-    basis from `region_basis`; the caller passes phase 1's pivots to one
-    LP only.  Phase 1's other verdicts pass through: the LP is
+    tableau of an earlier LP over the region, or the region's feasible
+    basis from `region_basis`; the caller passes that basis's pivots to
+    one LP only.  `region_basis`'s other verdicts pass through: the LP is
     "infeasible", or solves cold when every variable is fixed (None).
 
     With `keep`, the start hands back the LP's own final tableau: solve_lp
@@ -622,9 +568,8 @@ class VertexStart:
         the problem, "infeasible", or None when every variable is fixed;
         the pivots are those outside the tableau's own count."""
         r = self.region
-        if not all(a is b or np.array_equal(a, b) for a, b in (
-                (problem.rows, r.rows), (problem.rhs, r.rhs),
-                (problem.bounds, r.bounds))):
+        if not _same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs),
+                            (problem.bounds, r.bounds)):
             raise LpUsageError("LP start was built for a different region")
         tab = self.vertex
         if isinstance(tab, _Tableau):
@@ -647,13 +592,11 @@ class NodeStart:
     optimal tableau along the full tableau's columns of those rows'
     slacks: the stored column of a nonbasic slack, the unit vector of its
     row for a basic one.  The basis stays dual feasible, and dual simplex
-    pivots run to primal feasibility; after _DUAL_PIVOT_LIMIT of them the
-    node solves cold in the same form.  So does a node that dual simplex
-    finds empty on a row violated by FEASIBILITY_TOL or less, so that
-    phase 1 gives that verdict, as in `_cold`.  A start serves one
-    solve_lp call, which keeps the node's final tableau for the starts
-    that `child()` makes; the two children of a node share that tableau
-    read-only.
+    pivots run to primal feasibility or prove the node empty, with the
+    same guard against stalling and the same tolerance as `_cold`'s.  A
+    start serves one solve_lp call, which keeps the node's final tableau
+    for the starts that `child()` makes; the two children of a node share
+    that tableau read-only.
     """
 
     def __init__(self, milp: MilpProblem):
@@ -686,21 +629,23 @@ class NodeStart:
         lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
         inside = (lo >= r.bounds[:, 0]) & (hi <= r.bounds[:, 1])
         same = np.all(problem.bounds == r.bounds, axis=1)
-        if not (np.array_equal(problem.rows, r.rows)
-                and np.array_equal(problem.rhs, r.rhs)
+        if not (_same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs))
                 and np.all(np.where(self.binary, inside, same))):
             raise LpUsageError("node start was built for a different region")
 
     def _warm(self, problem: LpProblem, c: np.ndarray):
-        """(pivots, tableau) for solve_lp, as `VertexStart._warm`; a pivot
-        count outside the tableau's own is dual pivots given up on."""
+        """(pivots, tableau) for solve_lp, as `VertexStart._warm`."""
         self._check(problem)
         lo0 = self.region.bounds[self.branch, 0]
         rhs = np.concatenate([problem.bounds[self.branch, 1] - lo0,
                               lo0 - problem.bounds[self.branch, 0]])
         cost = c[self.form.var] * self.form.sign
-        pivots, tab = 0, None
-        if self._parent is not None:
+        if self._parent is None:
+            pivots, tab = _cold(
+                replace(self.form, b=np.concatenate([self.form.b, rhs])), cost)
+            if not isinstance(tab, _Tableau):
+                return pivots, tab
+        else:
             parent, parent_rhs = self._parent
             self._parent = None
             tab = parent.copy()
@@ -708,19 +653,10 @@ class NodeStart:
             moved = np.nonzero(delta)[0]
             slack = tab.ns + self.first_bound_row + moved
             tab.T[:, -1] += tab.columns(slack) @ delta[moved]
-            verdict = tab.dual_simplex(tab._zrow(cost), _DUAL_PIVOT_LIMIT)
-            if verdict == "infeasible" and tab.T[:, -1].min() < -FEASIBILITY_TOL:
+            if tab.dual_simplex(tab._zrow(cost)) == "infeasible":
                 return tab.iterations, "infeasible"
-            if verdict != "feasible":
-                pivots, tab = tab.iterations, None
-        if tab is None:
-            more, tab = _cold(
-                replace(self.form, b=np.concatenate([self.form.b, rhs])), cost)
-            pivots += more
-            if not isinstance(tab, _Tableau):
-                return pivots, tab
         self._solved = (tab, rhs)  # phase 2 in solve_lp finishes it in place
-        return pivots, tab
+        return 0, tab
 
 
 def solve_lp(problem: LpProblem,
@@ -728,9 +664,10 @@ def solve_lp(problem: LpProblem,
     """Solve an LP; exact status classification, deterministic output.
 
     With a `VertexStart` over the problem's region, the LP runs phase 2
-    from a copy of the start's tableau, a vertex or the region's phase-1
+    from a copy of the start's tableau, a vertex or the region's feasible
     basis.  With a `NodeStart`, the LP is one node of a branch-and-bound
-    tree.
+    tree.  Without a start, or when every variable is fixed, it solves
+    cold (see `_cold`).
     """
     m = problem.n_rows
     lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
@@ -752,7 +689,7 @@ def solve_lp(problem: LpProblem,
             point = form.base.copy()
             return LpSolution("optimal", float(problem.objective @ point),
                               point, row_duals=np.zeros(m),
-                              iterations=pivots, problem=problem)
+                              iterations=pivots)
     if tab == "infeasible":
         return LpSolution("infeasible", None, None, iterations=pivots)
 
@@ -773,7 +710,6 @@ def solve_lp(problem: LpProblem,
         # Row duals are the reduced costs of the original rows' slack columns.
         row_duals=np.maximum(zrow[tab.ns:tab.ns + m], 0.0),
         iterations=iterations,
-        problem=problem,
     )
 
 
@@ -789,10 +725,13 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     explored first among equal bounds.  Each node LP runs through solve_lp
     with a `NodeStart`.  The point and objective returned are those of a
     cold LP with every binary fixed at the incumbent's value; `iterations`
-    counts the pivots of every LP solved, that one included.  When every
-    standard-form cost is >= 0, as with unit commitment's costs over its
-    nonnegative columns, the root LP and that final LP start at their
-    slack bases and run dual simplex, with no phase 1 (see `_cold`).
+    counts the pivots of every LP solved, that one included.  The root LP
+    and that final LP start at their slack bases and run dual simplex
+    (see `_cold`); when every standard-form cost is >= 0 and one is > 0,
+    as with unit commitment's costs over its nonnegative columns, that
+    ends at the optimum with no primal pivot.  Every other node runs dual
+    simplex from its parent's optimal tableau, to its optimum or to a
+    proof that it is empty.
     """
     nbin = len(problem.binary_indices)
     if nbin > 60:

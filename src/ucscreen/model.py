@@ -155,8 +155,8 @@ class UcInstance:
 
     @cached_property
     def region_basis(self):
-        """Phase 1 over these rows and bounds, run on first access:
-        (pivots, verdict) as `lp.region_basis` gives them."""
+        """A feasible basis of these rows and bounds, found on first
+        access: (pivots, verdict) as `lp.region_basis` gives them."""
         return region_basis(self.lp(np.zeros(self.n_cols)))
 
     def without_rows(self, labels) -> "UcInstance":

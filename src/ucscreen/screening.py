@@ -44,11 +44,11 @@ from it.  A bound round (one column, max and min) picks only from
 earlier rounds' vertices and adds its own afterwards, in input order;
 the line-flow pass picks from the finished store and adds nothing.  So
 every start, like every skip, depends on the region alone.  While the
-store is empty an LP starts from the region's phase-1 basis, which is
-how S2, with no bound pass, runs every LP.  Phase 1 runs once per
-instance, when the first start is picked, so its pivots count on the
-first LP in input order whatever `jobs` is.  The store is freed when the
-call returns.
+store is empty an LP starts from the region's feasible basis
+(`lp.region_basis`), which is how S2, with no bound pass, runs every LP.
+That basis is computed once per instance, when the first start is
+picked, so its pivots count on the first LP in input order whatever
+`jobs` is.  The store is freed when the call returns.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ class _Vertices:
     def start(self, problem, keep: bool = False) -> VertexStart:
         """A start at the stored vertex whose point scores best on the
         problem's objective, the earliest among ties; at the instance's
-        phase-1 basis while the store is empty.  Phase 1 runs here, in
-        the caller's thread, for the instance's first such start, whose
-        LP counts its pivots."""
+        feasible basis while the store is empty.  That basis is computed
+        here, in the caller's thread, for the instance's first such
+        start, whose LP counts its pivots."""
         if self.tableaux:
             score = self.points @ problem.objective
             if problem.sense == "max":
@@ -224,8 +224,9 @@ def variable_bounds(inst: UcInstance, pool: Executor | None = None,
     proven limit an optimal point of an earlier round attains (within
     ATTAIN_RTOL relative) takes that limit without its LP.  Each LP starts
     from the vertex of an earlier round that scores best on its objective
-    (the phase-1 basis in the first round), and the round's optimal
-    vertices join `vertices`, a new store when None, after the round.
+    (the region's feasible basis in the first round), and the round's
+    optimal vertices join `vertices`, a new store when None, after the
+    round.
     """
     if inst.binary_indices:
         raise LpUsageError("variable bounds expect a binary-relaxed instance")
@@ -272,6 +273,10 @@ def variable_bounds(inst: UcInstance, pool: Executor | None = None,
                 side_bound[side][p] = sol.objective_value
                 points[n_points] = sol.point
                 n_points += 1
+    # Both LPs of a column the region fixes can end an ulp on the wrong
+    # side of each other; the box keeps both values rather than call a
+    # region empty that has optimal points.
+    lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
     return BoundsBox(lower, upper, provenance, lp_count=2 * len(lp_cols),
                      lp_solved=solved, points=points[:n_points].copy())
 
@@ -324,7 +329,7 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
     region: kept either way.  So every LP runs phase 2 over the one
     region, as the bound LPs do, from the finished bound pass's vertex
     that scores best on its row (`vertices`, read only), or from the
-    region's phase-1 basis when that store is None or empty.
+    region's feasible basis when that store is None or empty.
 
     Since each LP keeps its own row, its maximum is at most b_j: a status
     other than optimal or infeasible is a solver fault, and raises

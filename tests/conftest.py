@@ -172,8 +172,8 @@ def screen_checking_vertex_starts(inst):
     stored vertex.  Each must give the cold LP's status and, within 1e-9
     relative, its objective, and so the same verdict for every candidate
     row it maximizes.  Only the first bound round, max and min, may start
-    from the instance's phase-1 basis.  Returns the number of vertex
-    starts."""
+    from the instance's feasible basis (`region_basis`).  Returns the
+    number of vertex starts."""
     warm, shared = [], []
     solve = screening.solve_lp
 

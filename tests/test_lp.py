@@ -13,12 +13,12 @@ from conftest import brute_force_milp, enumerate_polygon_vertices
 from ucscreen.lp import (
     FEASIBILITY_TOL,
     LpProblem,
-    LpSolution,
     LpUsageError,
     MilpProblem,
     NodeLimitExceeded,
     NodeStart,
     VertexStart,
+    lagrangian_bound,
     region_basis,
     solve_lp,
     solve_milp,
@@ -114,24 +114,33 @@ def test_random_lps_match_scipy():
 
 
 def _spy_cold_starts(monkeypatch):
-    """Record the verdict of each dual simplex run and count the
-    artificial phase 1 runs.  Without a start, every dual simplex run
-    starts from a slack basis; in branch and bound, children run it too."""
-    record = {"dual": [], "phase_one": 0}
+    """Record the verdict of each dual simplex run, the pivots of each
+    primal phase 2 and the number of objective rows priced at ones.
+    Without a start, every dual simplex run starts from a slack basis; in
+    branch and bound, children run it too."""
+    record = {"dual": [], "primal": [], "ones": 0}
     dual_simplex = lp_module._Tableau.dual_simplex
-    phase_one = lp_module._phase_one
+    phase_two = lp_module._Tableau.phase_two
+    zrow = lp_module._Tableau._zrow
 
-    def recorded_dual(self, zrow, limit):
-        verdict = dual_simplex(self, zrow, limit)
+    def recorded_zrow(self, cost):
+        record["ones"] += bool(np.all(cost == 1.0))
+        return zrow(self, cost)
+
+    def recorded_dual(self, zrow):
+        verdict = dual_simplex(self, zrow)
         record["dual"].append(verdict)
         return verdict
 
-    def counted_phase_one(form):
-        record["phase_one"] += form.A.shape[1] > 0  # else nothing to pivot
-        return phase_one(form)
+    def counted_phase_two(self, c):
+        before = self.iterations
+        status = phase_two(self, c)
+        record["primal"].append(self.iterations - before)
+        return status
 
     monkeypatch.setattr(lp_module._Tableau, "dual_simplex", recorded_dual)
-    monkeypatch.setattr(lp_module, "_phase_one", counted_phase_one)
+    monkeypatch.setattr(lp_module._Tableau, "phase_two", counted_phase_two)
+    monkeypatch.setattr(lp_module._Tableau, "_zrow", recorded_zrow)
     return record
 
 
@@ -156,7 +165,7 @@ def test_dual_start_matches_scipy(monkeypatch):
     record = _spy_cold_starts(monkeypatch)
     rng = np.random.default_rng(53)
     statuses = {"optimal": 0, "infeasible": 0}
-    started = 0
+    started, empty = 0, 0
     for _ in range(150):
         p = _nonnegative_cost_problem(rng)
         mine = solve_lp(p)
@@ -164,25 +173,27 @@ def test_dual_start_matches_scipy(monkeypatch):
                       method="highs", options={"presolve": False})
         assert mine.status == {0: "optimal", 2: "infeasible"}[ref.status]
         statuses[mine.status] += 1
-        started += bool(np.any(p.bounds[:, 0] < p.bounds[:, 1]))
+        column = bool(np.any(p.bounds[:, 0] < p.bounds[:, 1]))
+        started += column
+        empty += column and mine.status == "infeasible"
         if mine.status == "optimal":
             assert abs(mine.objective_value - ref.fun) <= 1e-9 * max(
                 1.0, abs(ref.fun))
             assert np.max(p.rows @ mine.point - p.rhs) <= 1e-7
     assert min(statuses.values()) > 20
-    # Every LP with a column started from its slack basis.  None reached
-    # the limit, and only the LPs dual simplex found empty ran the
-    # artificial phase 1, which gave the verdict.
+    # Every LP with a column started from its slack basis, and dual
+    # simplex gave every verdict: an empty region, or a basis at which
+    # phase 2 had nothing left to do whenever a cost was > 0.
     assert len(record["dual"]) == started
-    assert "limit" not in record["dual"]
-    assert record["phase_one"] == record["dual"].count("infeasible") > 0
+    assert record["dual"].count("infeasible") == empty > 20
+    assert sum(record["primal"]) == 0
 
 
 def test_cold_verdict_keeps_the_feasibility_tolerance():
     # x <= 1 and x >= 1 + gap.  A gap of 5e-8 is within FEASIBILITY_TOL,
     # as it is within HiGHS's primal tolerance, so the region is not
-    # empty; dual simplex alone, at _PIVOT_TOL, would call it empty.  A
-    # gap of 5e-7 is not.
+    # empty: dual simplex counts the row left at -5e-8, which no pivot
+    # can raise, as satisfied.  A gap of 5e-7 is not.
     for gap, status in ((5e-8, "optimal"), (5e-7, "infeasible")):
         p = LpProblem([1.0], [[1.0], [-1.0]], [1.0, -1.0 - gap],
                       bounds=[(0, None)])
@@ -233,33 +244,87 @@ def _assert_same_optimum(a, b):
             1.0, abs(a.objective_value))
 
 
-def test_dual_start_limit_falls_back_to_phase_one(monkeypatch):
-    record = _spy_cold_starts(monkeypatch)
-    rng = np.random.default_rng(59)
-    problems = [_nonnegative_cost_problem(rng) for _ in range(80)]
-    default = [solve_lp(p) for p in problems]
-    monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 0)
-    primal = [solve_lp(p) for p in problems]  # phase 1 and 2 alone
-    monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 1)
-    record["dual"].clear()
-    limited = [solve_lp(p) for p in problems]
-    started = [bool(np.any(p.bounds[:, 0] < p.bounds[:, 1])) for p in problems]
-    assert len(record["dual"]) == sum(started)
-    verdicts = iter(record["dual"])
-    fell_back = 0
-    for dual, a, zero, one in zip(started, default, primal, limited):
-        _assert_same_optimum(a, one)
-        if dual and next(verdicts) == "limit":
-            # the abandoned dual pivot counts on top of phases 1 and 2
-            assert one.iterations == zero.iterations + 1
-            fell_back += 1
-    assert fell_back > 20
-    # Branch and bound finds the same optima with its cold LPs cut short.
-    for prob in _random_milps(np.random.default_rng(61), 20):
-        monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 200)
-        a = solve_milp(prob, node_limit=1_000)
-        monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 1)
-        _assert_same_optimum(a, solve_milp(prob, node_limit=1_000))
+def _solve_by_bland(monkeypatch, solve, problems):
+    """Solve each problem by the default rules, then with no stall allowed,
+    so that primal and dual simplex both pivot by Bland's rule from the
+    first pivot on.  Each forced result must have the default's status
+    and optimum.  Returns the forced results and the pivots of each kind
+    (primal, dual) made by Bland's rule, the only rule that ran."""
+    default = [solve(p) for p in problems]
+    pivots = {}  # (pivot kind, by Bland's rule) -> pivots
+    for name in ("_primal_pivot", "_dual_pivot"):
+        real = getattr(lp_module._Tableau, name)
+
+        def counted(self, zrow, rule, real=real, name=name):
+            pick = real(self, zrow, rule)
+            key = (name, bool(rule))
+            pivots[key] = pivots.get(key, 0) + (not isinstance(pick, str))
+            return pick
+
+        monkeypatch.setattr(lp_module._Tableau, name, counted)
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    forced = [solve(p) for p in problems]
+    assert sorted(pivots) == [("_dual_pivot", True), ("_primal_pivot", True)]
+    for a, b in zip(default, forced):
+        _assert_same_optimum(a, b)
+    return forced, pivots
+
+
+def test_bland_from_the_first_pivot_gives_the_same_lp_optima(monkeypatch):
+    # The LPs of test_dual_start_matches_scipy, whose costs are >= 0, and
+    # those of test_random_lps_match_scipy, whose costs take both signs,
+    # so that primal phase 2 pivots too.  Both also match HiGHS.
+    rng = np.random.default_rng(53)
+    lps = [_nonnegative_cost_problem(rng) for _ in range(150)]
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        c, A, b, bounds = _random_problem(rng)
+        lps.append(LpProblem(c, A, b, bounds=bounds))
+    forced, pivots = _solve_by_bland(monkeypatch, solve_lp, lps)
+    assert min(pivots.values()) > 100
+    for p, sol in zip(lps, forced):
+        ref = linprog(p.objective, A_ub=p.rows if p.n_rows else None,
+                      b_ub=p.rhs if p.n_rows else None, bounds=p.bounds,
+                      method="highs", options={"presolve": False})
+        assert sol.status == {0: "optimal", 2: "infeasible",
+                              3: "unbounded"}[ref.status]
+        if sol.status == "optimal":
+            assert abs(sol.objective_value - ref.fun) <= 1e-9 * max(
+                1.0, abs(ref.fun))
+
+
+def test_bland_from_the_first_pivot_gives_the_same_milp_optima(monkeypatch):
+    milps = _random_milps(np.random.default_rng(61), 20)
+    forced, pivots = _solve_by_bland(
+        monkeypatch, lambda p: solve_milp(p, node_limit=1_000), milps)
+    assert min(pivots.values()) > 10
+    for p, sol in zip(milps, forced):
+        lp = p.lp
+        ref = scipy_milp(lp.objective, integrality=np.isin(
+            np.arange(lp.n_vars), p.binary_indices).astype(int),
+            bounds=Bounds(lp.bounds[:, 0], lp.bounds[:, 1]),
+            constraints=LinearConstraint(lp.rows, -np.inf, lp.rhs))
+        assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
+        if sol.status == "optimal":
+            assert abs(sol.objective_value - ref.fun) <= 1e-6 * max(
+                1.0, abs(ref.fun))
+
+
+def _dual_bound(problem, sol):
+    """The Lagrangian bound that sol.row_duals certify over the problem's
+    own variable bounds, which equals the optimum at an exact optimal
+    basis.  Residual costs within 1e-9 (relative to the largest cost) of 0
+    are the final basis's rounding noise and count as 0, so that a free
+    basic variable's residual does not make the bound infinite."""
+    sign = 1.0 if problem.sense == "max" else -1.0
+    c = sign * problem.objective  # maximized
+    y = sol.row_duals[None]
+    priced = (y @ problem.rows)[0]  # as lagrangian_bound computes it
+    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
+    c = np.where(np.abs(c - priced) <= 1e-9 * scale, priced, c)
+    return sign * float(lagrangian_bound(
+        c[None], y, problem.rows, problem.rhs, problem.bounds[:, 0],
+        problem.bounds[:, 1])[0])
 
 
 def test_weak_duality_dual_bound_from_final_basis():
@@ -267,12 +332,13 @@ def test_weak_duality_dual_bound_from_final_basis():
     checked = 0
     while checked < 40:
         c, A, b, bounds = _random_problem(rng)
-        sol = solve_lp(LpProblem(c, A, b, bounds=bounds))
+        problem = LpProblem(c, A, b, bounds=bounds)
+        sol = solve_lp(problem)
         if sol.status != "optimal":
             continue
         checked += 1
         assert sol.row_duals is not None and np.all(sol.row_duals >= 0)
-        assert abs(sol.objective_value - sol.dual_bound) <= 1e-7 * max(
+        assert abs(sol.objective_value - _dual_bound(problem, sol)) <= 1e-7 * max(
             1, abs(sol.objective_value))
 
 
@@ -301,17 +367,6 @@ def test_bound_pair_at_one_infinity_is_rejected(pair):
     # No number lies in such a pair; it once solved "optimal" at y0 = 0.
     with pytest.raises(LpUsageError, match="variable 0"):
         solve_lp(LpProblem([1, 1], [[1, 1]], [5], bounds=[pair, (0, 1)]))
-
-
-def test_dual_bound_waits_for_first_access():
-    rng = np.random.default_rng(21)
-    sol = None
-    while sol is None or sol.status != "optimal":
-        c, A, b, bounds = _random_problem(rng)
-        sol = solve_lp(LpProblem(c, A, b, bounds=bounds))
-    assert "dual_bound" not in vars(sol)
-    assert sol.dual_bound == vars(sol)["dual_bound"] is not None
-    assert LpSolution("optimal", 0.0, np.zeros(1)).dual_bound is None
 
 
 def test_row_duals_at_an_optimal_vertex_are_the_solution_duals():
@@ -392,10 +447,11 @@ def test_milp_uc_two_unit_enumeration(cases):
 
 
 def test_negative_cost_unit_takes_the_primal_path(cases, monkeypatch):
-    # The bundled costs are >= 0, so the root and final LPs start from
-    # their slack bases.  A unit paid to run makes one standard-form cost
-    # negative: both then take the artificial phase 1, with the same
-    # optimum as brute force.
+    # The bundled costs are >= 0, so the root and final LPs' dual simplex
+    # runs are priced at those costs and end at the optimum: no LP makes
+    # a primal pivot.  A unit paid to run makes one standard-form cost
+    # negative: both are then priced at ones, and primal phase 2 ends at
+    # the same optimum as brute force.
     import dataclasses
 
     from ucscreen.model import build_uc, milp_problem
@@ -404,13 +460,14 @@ def test_negative_cost_unit_takes_the_primal_path(cases, monkeypatch):
     case = cases["five_bus"]
     assert solve_milp(milp_problem(build_uc(case, case.nominal_load))
                       ).status == "optimal"
-    assert record["phase_one"] == 0
+    assert record["primal"] and sum(record["primal"]) == 0
+    assert record["ones"] == 0
     gens = list(case.generators)
     gens[0] = dataclasses.replace(gens[0], cost=-1.5)
     case = dataclasses.replace(case, generators=tuple(gens))
     prob = milp_problem(build_uc(case, case.nominal_load))
     mine = solve_milp(prob)
-    assert record["phase_one"] >= 2
+    assert record["ones"] >= 2
     status, best = brute_force_milp(
         prob.lp.objective, prob.lp.rows, prob.lp.rhs,
         [tuple(pair) for pair in prob.lp.bounds], prob.binary_indices)
@@ -450,7 +507,7 @@ def test_milp_guards():
         MilpProblem(lp2, (0,))
 
 
-# --- shared phase-1 starts ---
+# --- shared starts at the region's feasible basis ---
 
 # A box 1 <= y1 <= 3, 0.5 <= y2 <= 2 with a diagonal cut, where each
 # lower bound and the cut appear twice: once tight, once implied.
@@ -461,16 +518,17 @@ OBJECTIVES = ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
               [1.0, 1.0], [1.0, -1.0], [-2.0, 1.0])
 
 
-def _assert_same(warm, cold):
+def _assert_same(problem, warm, cold):
     assert warm.status == cold.status
     if cold.status == "optimal":
         assert abs(warm.objective_value - cold.objective_value) <= 1e-9
-        assert abs(warm.dual_bound - cold.dual_bound) <= 1e-9
+        assert abs(_dual_bound(problem, warm)
+                   - _dual_bound(problem, cold)) <= 1e-9
 
 
-def _phase_one_starts(region):
-    """Starts for LPs over `region` from one phase-1 basis, as the vertex
-    store hands them out: the first counts phase 1's pivots."""
+def _region_starts(region):
+    """Starts for LPs over `region` from one `region_basis`, as the
+    vertex store hands them out: the first counts its pivots."""
     pivots, basis = region_basis(region)
     yield VertexStart(region, (pivots, basis))
     while True:
@@ -478,18 +536,19 @@ def _phase_one_starts(region):
 
 
 def test_warm_start_matches_cold():
-    starts = _phase_one_starts(LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS))
+    starts = _region_starts(LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS))
     for c in OBJECTIVES:
         for sense in ("min", "max"):
             problem = LpProblem(c, BOX_ROWS, BOX_RHS, sense=sense)
-            _assert_same(solve_lp(problem, next(starts)), solve_lp(problem))
+            _assert_same(problem, solve_lp(problem, next(starts)),
+                         solve_lp(problem))
 
 
 def _row_kept_verdicts(rows, rhs):
-    """Per row j, (verdict, maximum) of a_j y from the region's phase-1
+    """Per row j, (verdict, maximum) of a_j y from the region's feasible
     basis and of the cold LP over the region less row j; the verdict is
     redundant when the maximum clears rhs[j] by FEASIBILITY_TOL."""
-    starts = _phase_one_starts(LpProblem(np.zeros(rows.shape[1]), rows, rhs))
+    starts = _region_starts(LpProblem(np.zeros(rows.shape[1]), rows, rhs))
     out = []
     for j in range(len(rhs)):
         keep = np.arange(len(rhs)) != j
@@ -539,22 +598,25 @@ def test_warm_start_rejects_another_region():
 
 
 def test_warm_start_pivot_accounting():
-    # With a zero objective phase 2 makes no pivot, so this is phase 1's.
+    # With a zero objective phase 2 makes no pivot, so this is the dual
+    # phase's, priced at ones.
     region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
     phase_one = solve_lp(region, VertexStart(region, region_basis(region))
                          ).iterations
     assert phase_one == region_basis(region)[0] > 0
-    # The first LP from a basis counts phase 1's pivots, as the cold solve
-    # does; every later LP skips them.
-    starts = _phase_one_starts(region)
+    # The first LP from a basis counts the dual phase's pivots, as the
+    # cold solve does; every later LP skips them.  The variables are free,
+    # so a nonzero cost gives a free variable's +z, -z pair opposite
+    # signs, and each cold solve is priced at ones too.
+    starts = _region_starts(region)
     for k, c in enumerate(OBJECTIVES):
         problem = LpProblem(c, BOX_ROWS, BOX_RHS)
         cold = solve_lp(problem).iterations
         assert (solve_lp(problem, next(starts)).iterations
                 == cold - (k and phase_one))
-    # y1 + y2 >= 3 in the unit box: phase 1 pivots before it gives up.
-    # The negative costs keep the cold solve on phase 1 rather than on
-    # dual simplex from the slack basis.
+    # y1 + y2 >= 3 in the unit box: dual simplex pivots before it finds
+    # the region empty.  The negative costs price the cold solve at ones,
+    # as `region_basis` is.
     empty = LpProblem([-1.0, -1.0], [[-1.0, -1.0]], [-3.0],
                       bounds=[(0, 1), (0, 1)])
     cold = solve_lp(empty)
@@ -566,26 +628,28 @@ def test_warm_start_pivot_accounting():
 def test_phase_one_runs_once_per_instance_across_threads(cases,
                                                          monkeypatch):
     # Sixteen threads screen a fresh instance twice while the interpreter
-    # switches threads every microsecond.  Phase 1 runs once, in the
-    # calling thread.  The first screen's pivots equal a one-thread
-    # screen's, phase 1's included; the second's lack phase 1's.
+    # switches threads every microsecond.  The region's feasible basis is
+    # computed once, in the calling thread.  The first screen's pivots
+    # equal a one-thread screen's, the basis's included; the second's
+    # lack the basis's.
+    import ucscreen.model as model
     import ucscreen.screening as screening
     from ucscreen.model import build_uc, relax_binaries
 
     case = cases["fifty_bus"]
     calls, pivots = [], []
-    phase_one, solve = lp_module._phase_one, screening.solve_lp
+    basis, solve = model.region_basis, screening.solve_lp
 
-    def counted(form):
-        calls.append(form.A.shape)
-        return phase_one(form)
+    def counted(region):
+        calls.append(region.rows.shape)
+        return basis(region)
 
     def counted_pivots(problem, start=None):
         sol = solve(problem, start)
         pivots.append(sol.iterations)
         return sol
 
-    monkeypatch.setattr(lp_module, "_phase_one", counted)
+    monkeypatch.setattr(model, "region_basis", counted)
     monkeypatch.setattr(screening, "solve_lp", counted_pivots)
     serial = screening.eovl(relax_binaries(build_uc(case, case.nominal_load)))
     assert len(calls) == 1
@@ -607,12 +671,13 @@ def test_phase_one_runs_once_per_instance_across_threads(cases,
 
 def _random_region(rng):
     """(rows, rhs, bounds) of a region around a seeded point y0.  Each of
-    the four bound kinds (fixed, shifted, mirrored, free) occurs.  Rows
-    with a negative right-hand side in the standard form get artificials;
-    the most negative one appears twice.  Two last rows make one equality
-    through y0, the one whose standard-form rhs is positive first: phase 1
-    then ends with the second row's artificial basic at zero, and the
-    drive-out pivots it out."""
+    the four bound kinds (fixed, shifted, mirrored, free) occurs.  Some
+    rows have a negative right-hand side in the standard form, so the
+    slack basis is infeasible; the most negative one appears twice, a tie
+    for dual simplex's leaving row.  Two last rows make one equality
+    through y0, the one whose standard-form rhs is positive first: their
+    slacks sum to zero, so every feasible basis is degenerate, with one of
+    them basic at zero."""
     n = int(rng.integers(4, 8))
     kind = rng.permutation(np.resize(np.arange(4), n))
     y0 = np.round(rng.normal(size=n), 3)
@@ -638,22 +703,21 @@ def _random_region(rng):
             np.column_stack([lo, hi]))
 
 
-def test_warm_starts_match_highs_on_random_regions(monkeypatch):
-    driven_out = []
-    drive_out = lp_module._Tableau._drive_out_artificials
-
-    def recording(self):
-        driven_out.append(bool(np.any(self.basis >= self.art_start)))
-        drive_out(self)
-
-    monkeypatch.setattr(lp_module._Tableau, "_drive_out_artificials", recording)
+def test_warm_starts_match_highs_on_random_regions():
     rng = np.random.default_rng(43)
     statuses = {"optimal": 0, "unbounded": 0}
     verdicts = {True: 0, False: 0}
     for _ in range(30):
         rows, rhs, bounds = _random_region(rng)
-        starts = _phase_one_starts(LpProblem(np.zeros(len(bounds)), rows,
-                                             rhs, bounds=bounds))
+        region = LpProblem(np.zeros(len(bounds)), rows, rhs, bounds=bounds)
+        # Dual simplex pivots the slack basis to a feasible one, at which
+        # a slack of the equality pair is basic at zero.
+        pivots, tab = region_basis(region)
+        assert pivots > 0 and tab.T[:, -1].min() >= -FEASIBILITY_TOL
+        pair = tab.ns + len(rhs) - np.arange(1, 3)
+        at = np.isin(tab.basis, pair)
+        assert at.any() and np.all(np.abs(tab.T[at, -1]) <= 1e-9)
+        starts = _region_starts(region)
         for sense in ("min", "max"):
             sign = 1.0 if sense == "min" else -1.0
             for _ in range(4):
@@ -686,7 +750,6 @@ def test_warm_starts_match_highs_on_random_regions(monkeypatch):
                     1e-6 * max(1.0, abs(ref.fun)))
     assert min(statuses.values()) > 20
     assert min(verdicts.values()) > 20
-    assert sum(driven_out) >= 30  # each shared phase 1 pivots one out
 
 
 # --- warm-started branch and bound ---
@@ -807,39 +870,14 @@ def test_milp_iterations_count_every_lp(cases, monkeypatch):
         assert 2 * first.iterations == sum(pivots for _, _, pivots in calls)
 
 
-def test_dual_pivot_limit_falls_back_to_cold(cases, monkeypatch):
-    problems = _bundled_milps(cases) + _random_milps(np.random.default_rng(31), 30)
-    cold_starts = []
-    phase_one = lp_module._Tableau.phase_one
-
-    def counting(self):
-        cold_starts.append(1)
-        return phase_one(self)
-
-    monkeypatch.setattr(lp_module._Tableau, "phase_one", counting)
-    default = [solve_milp(p, node_limit=1_000) for p in problems]
-    default_cold = len(cold_starts)
-    monkeypatch.setattr(lp_module, "_DUAL_PIVOT_LIMIT", 0)
-    forced = [solve_milp(p, node_limit=1_000) for p in problems]
-    assert len(cold_starts) - default_cold > default_cold
-    # the warm start is what saves the pivots
-    assert (sum(s.iterations for s in default)
-            < sum(s.iterations for s in forced))
-    for a, b in zip(default, forced):
-        assert a.status == b.status
-        if a.status == "optimal":
-            assert abs(a.objective_value - b.objective_value) <= 1e-9 * max(
-                1.0, abs(a.objective_value))
-
-
 def test_dual_simplex_ends_at_an_optimal_basis(cases, monkeypatch):
     # The dual ratio test keeps every reduced cost >= 0, so a basis made
     # primal feasible is optimal and phase 2 has nothing left to do.
     ends = []
     dual_simplex = lp_module._Tableau.dual_simplex
 
-    def checked(self, zrow, limit):
-        verdict = dual_simplex(self, zrow, limit)
+    def checked(self, zrow):
+        verdict = dual_simplex(self, zrow)
         if verdict == "feasible":
             ends.append((zrow[:-1].min(), self.T[:, -1].min()))
         return verdict
@@ -876,8 +914,7 @@ def test_node_start_rejects_another_region():
 
 def _assert_condensed(tab):
     """The tableau stores one column per nonbasic variable and the rhs;
-    each label of the standard form, and no artificial, is basic or
-    nonbasic exactly once."""
+    each label of the standard form is basic or nonbasic exactly once."""
     assert tab.T.shape == (tab.m, tab.nonbasic.size + 1)
     assert tab.basis.size == tab.m
     labels = np.sort(np.concatenate([tab.basis, tab.nonbasic]))
@@ -908,9 +945,11 @@ def test_tableau_stores_only_nonbasic_columns(cases):
 
 
 def test_entering_variable_is_the_lowest_label_among_ties(monkeypatch):
-    # A degenerate LP on which Dantzig's rule meets three exact ties in
-    # reduced cost: labels 0 and 1 in phase 1, then 5 and 2 and 5 and 4 in
-    # phase 2, where the higher label's column is stored first.
+    # A degenerate LP that meets three exact ties: labels 0 and 1 in the
+    # dual ratio test of the dual phase (priced at ones, since a cost is
+    # negative), then 5 and 2 and 4 and 5 in Dantzig's rule on phase 2's
+    # reduced costs, the first with the higher label's column stored
+    # first.
     entered, ties = [], []
     pivot = lp_module._Tableau._pivot
     lowest = lp_module._Tableau._lowest_label
@@ -930,7 +969,7 @@ def test_entering_variable_is_the_lowest_label_among_ties(monkeypatch):
                               [1.0, -1.0, 2.0]],
                              [3.0, -1.0, 0.0], bounds=[(0, None)] * 3))
     assert sol.status == "optimal" and sol.objective_value == -3.0
-    assert [t for t in ties if len(t) > 1] == [[0, 1], [5, 2], [5, 4]]
+    assert [t for t in ties if len(t) > 1] == [[0, 1], [5, 2], [4, 5]]
     assert entered == [0, 1, 2, 4]  # the pivots of the full tableau
 
 
@@ -943,5 +982,5 @@ def test_dual_ratio_ties_within_rounding_go_to_the_lowest_label():
     tab.T[0, -1] = -1.0
     zrow = tab._zrow(np.array([0.1, 1.0]))
     assert 0.1 / 0.3 != 1.0 / 3.0
-    assert tab.dual_simplex(zrow, 10) == "feasible"
+    assert tab.dual_simplex(zrow) == "feasible"
     assert tab.basis.tolist() == [0]

@@ -1,4 +1,5 @@
-"""Property tests over seeded ring-plus-chord cases from bench/gen.py."""
+"""Property and regression tests over seeded ring-plus-chord cases from
+bench/gen.py."""
 
 import importlib.util
 import json
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import screen_checking_skips, screen_checking_vertex_starts
 from ucscreen import oracle
 from ucscreen.case import parse_case
+from ucscreen.lp import FEASIBILITY_TOL
 from ucscreen.model import CutSet, apply_cuts, build_uc, relax_binaries
 from ucscreen.screening import eovl
 
@@ -55,3 +57,19 @@ def test_skips_keep_every_verdict(inst):
 @given(regions())
 def test_vertex_starts_match_cold_solves(inst):
     screen_checking_vertex_starts(inst)
+
+
+def test_region_basis_of_a_100_bus_load_box_is_cheap():
+    # The S4 region (+-10% load box) of the 100-bus ring-plus-chord case:
+    # dual simplex from the slack basis, priced at ones, ends feasible in
+    # fewer pivots than the region has rows.  Priced at zero it ran to the
+    # 100,000-pivot cap.
+    doc = gen.ring_chord_case(7, n_buses=100, n_chords=50, n_gens=20,
+                              beta=0.1, tight_share=0.25, name="ring100")
+    case = parse_case(json.dumps(doc))
+    load = case.nominal_load
+    inst = relax_binaries(apply_cuts(build_uc(case, load), CutSet(
+        load_range=(0.9 * load, 1.1 * load))))
+    pivots, tab = inst.region_basis
+    assert tab.T[:, -1].min() >= -FEASIBILITY_TOL
+    assert 0 < pivots < tab.m

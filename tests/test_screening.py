@@ -22,7 +22,7 @@ from conftest import (
     screen_checking_vertex_starts,
 )
 from ucscreen import oracle
-from ucscreen.case import case_to_json, parse_case
+from ucscreen.case import case_to_json, compute_ptdf, parse_case
 from ucscreen.cli import SchemeConfig, verify_case
 from ucscreen.lp import (
     FEASIBILITY_TOL,
@@ -412,46 +412,52 @@ def test_slack_bus_invariance(cases):
 
 
 def _degenerate_variants(cases):
-    """(label, case, unit) for variants of five_bus and nine_bus: one in
-    which the unit has x_min == x_max, so its two generation rows form an
-    equality pair, and one with an exact twin of line 0 (same endpoints,
-    susceptance and limits), whose rows repeat the line's."""
+    """(label, case, unit) for variants of five_bus and nine_bus:
+    - the unit has x_min == x_max, so its two generation rows form an
+      equality pair;
+    - an exact twin of line 0 (same endpoints, susceptance and limits),
+      whose rows repeat the line's;
+    - every line's limit on the side its flow takes at the full-model
+      optimum moved to that flow, so every line row binds there and the
+      optimum stays optimal;
+    - line 0's susceptance at 1e-6 of its own, so the susceptance matrix
+      has one entry near zero and the line's PTDF row is near zero."""
     for name, unit in (("five_bus", 0), ("nine_bus", 2)):
-        doc = json.loads(case_to_json(cases[name]))
+        case = cases[name]
+        doc = json.loads(case_to_json(case))
         fixed = json.loads(json.dumps(doc))
         fixed["generators"][unit]["x_min"] = fixed["generators"][unit]["x_max"]
         twin = json.loads(json.dumps(doc))
         twin["lines"].append(dict(twin["lines"][0]))
+        binding = json.loads(json.dumps(doc))
+        x = solve_uc(build_uc(case, case.nominal_load)).dispatch
+        flow = compute_ptdf(case).entries @ (case.gen_bus_matrix() @ x
+                                             - case.nominal_load)
+        for line, f in zip(binding["lines"], flow.tolist()):
+            line["f_max" if f >= 0 else "f_min"] = f
+        weak = json.loads(json.dumps(doc))
+        weak["lines"][0]["susceptance"] *= 1e-6
         yield f"{name} fixed unit", parse_case(json.dumps(fixed)), unit
         yield f"{name} twin line", parse_case(json.dumps(twin)), unit
+        yield f"{name} binding limits", parse_case(json.dumps(binding)), unit
+        yield f"{name} weak line", parse_case(json.dumps(weak)), unit
 
 
-def test_degenerate_regions_screen_like_the_oracle(cases, tmp_path,
-                                                    monkeypatch):
-    driven = []
-    drive_out = ucscreen.lp._Tableau._drive_out_artificials
-
-    def recording(self):
-        driven.append(int(np.sum(self.basis >= self.art_start)))
-        drive_out(self)
-
-    monkeypatch.setattr(ucscreen.lp._Tableau, "_drive_out_artificials",
-                        recording)
+def test_degenerate_regions_screen_like_the_oracle(cases, tmp_path):
     for label, case, unit in _degenerate_variants(cases):
         full = build_uc(case, case.nominal_load)
         committed = apply_cuts(full, CutSet(commitment_fixes=((unit, 1),)))
         for inst in (relax_binaries(full), relax_binaries(committed)):
-            driven.clear()
             s3 = eovl(inst)
             s2 = eovl(inst, use_vgs=False)
             direct = {lb for lb in inst.candidates
                       if oracle.lp_redundancy(inst, lb)}
             assert set(s3.redundant) == set(s2.redundant) == direct, label
-        if label.endswith("fixed unit"):
-            # In the committed region, screened last, the unit's equality
-            # pair has a negative right-hand side, so phase 1 ends with
-            # the pair's artificial basic, besides the balance pair's.
-            assert driven[0] >= 2, label
+            # The screens started from this basis: dual simplex made the
+            # slack basis feasible, the balance pair's negative side too.
+            pivots, tab = inst.region_basis
+            assert pivots > 0, label
+            assert tab.T[:, -1].min() >= -FEASIBILITY_TOL, label
         path = tmp_path / "case.json"
         path.write_text(case_to_json(case), encoding="utf-8")
         for scheme, beta in (("s3", None), ("s4", 0.1)):
@@ -523,7 +529,7 @@ def test_removing_binding_row_shifts_optimum(cases):
     assert loose.cost < full.cost - 1e-6
 
 
-# --- shared phase-1 start against cold solves ---
+# --- shared region basis against cold solves ---
 
 
 def _region(case, scheme):
@@ -645,7 +651,7 @@ def test_threads_share_vertices_without_changing_a_pivot(cases, monkeypatch):
         return sol
 
     monkeypatch.setattr(ucscreen.screening, "solve_lp", counted)
-    # Each screen is of a fresh instance, so each runs phase 1.
+    # Each screen is of a fresh instance, so each finds the region's basis.
     reference = eovl(_region(cases["fifty_bus"], "s4"))
     expected = sorted(counts)
     interval = sys.getswitchinterval()
@@ -663,9 +669,10 @@ def test_threads_share_vertices_without_changing_a_pivot(cases, monkeypatch):
 @pytest.mark.parametrize("scheme", ["s3", "s4"])
 def test_pivots_do_not_depend_on_the_thread_schedule(cases, scheme,
                                                      monkeypatch):
-    # Phase 1 runs when the first start is picked, before any LP runs, so
-    # its pivots count on the first LP in input order under any schedule:
-    # every LP's pivots, in input order, equal a one-thread screen's.
+    # The region's basis is found when the first start is picked, before
+    # any LP runs, so its pivots count on the first LP in input order
+    # under any schedule: every LP's pivots, in input order, equal a
+    # one-thread screen's.
     # Under threads each max LP waits a little, so a bound round's min LP
     # usually runs first.
     batches = []
