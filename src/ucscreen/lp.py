@@ -16,6 +16,24 @@ m * (n + 1) rather than m * (n + m + 1).  Each variable keeps a label in
 the full tableau's numbering, and every tie between columns goes to the
 lowest label, so the pivots are those of the full tableau.
 
+At the sizes screening meets, tens to hundreds of rows, a numpy call's
+fixed cost is as large as its arithmetic, so the kernel is written to a
+budget of calls.  A primal pivot makes about 35 (choice, ratio test,
+rank-one update and progress check), a dual pivot with one entering
+candidate about 26; the loop uses only numpy's C methods, never the
+Python-level wrappers that cost several times more (`np.argmin`,
+`np.nonzero`, `np.full`, `ndarray.min` and `.any`).  Ties are resolved
+by label only when a count shows one, the primal ratio test writes into
+a buffer that each tableau owns, and a dual ratio test with one
+candidate computes no ratio.  An LP's own work outside its pivots is
+one tableau copy, one objective row and the read-out: `LpProblem`
+checks a region's rows, right-hand side and bounds once, and the LPs
+made from it by `with_objective` or `with_bounds` check only what they
+change.  Bland's rule pivots regardless of a pivot's size, and the
+dense tableau is never refactorized, so a tableau that Bland's rule has
+pivoted, or that was copied from one, is flagged, and solve_lp checks
+such an LP's point against every row (see `_check_rows`).
+
 Every way in (a cold solve, `region_basis` and a `NodeStart`) shares one
 standard form, `_standard_form`: A z <= b with z >= 0, plus two arrays
 that map each column back to its variable and sign.  There is one way to
@@ -53,7 +71,6 @@ when dual simplex makes the slack basis feasible.
 
 from __future__ import annotations
 
-import copy
 import heapq
 from dataclasses import dataclass, replace
 
@@ -82,7 +99,8 @@ class LpUsageError(ValueError):
 
 
 class SimplexError(RuntimeError):
-    """Simplex iteration cap reached; indicates numerical breakdown."""
+    """Simplex iteration cap reached, or a point found after Bland's rule
+    pivoted that violates a row; either indicates numerical breakdown."""
 
 
 class NodeLimitExceeded(RuntimeError):
@@ -98,8 +116,9 @@ class NodeLimitExceeded(RuntimeError):
         self.bound = bound
 
 
-def _as_bounds_array(bounds, n: int) -> np.ndarray:
-    """Normalize bounds input to an (n, 2) float array; None is no bound."""
+def _checked_bounds(bounds, n: int) -> np.ndarray:
+    """Normalize bounds input to an (n, 2) float array, None being no
+    bound, and check that every pair admits a number."""
     if bounds is None:
         return np.full((n, 2), (-np.inf, np.inf))
     out = np.asarray(bounds, dtype=float)  # a None becomes NaN
@@ -108,16 +127,36 @@ def _as_bounds_array(bounds, n: int) -> np.ndarray:
     if out.shape != (n, 2):
         raise LpUsageError(f"expected {n} bound pairs, got shape {out.shape}")
     nan = np.isnan(out)
-    if nan.any():
+    if np.count_nonzero(nan):
         if np.any(nan & (np.array(bounds, dtype=object) != None)):  # noqa: E711
             raise LpUsageError("a variable bound is NaN")
         out = np.where(nan, (-np.inf, np.inf), out)
+    lo, hi = out[:, 0], out[:, 1]
+    inverted = lo > hi
+    if np.count_nonzero(inverted):
+        raise LpUsageError(f"variable {int(inverted.argmax())} has lower "
+                           "bound above upper bound")
+    stuck = (lo == np.inf) | (hi == -np.inf)
+    if np.count_nonzero(stuck):
+        raise LpUsageError(f"variable {int(stuck.argmax())} has both "
+                           "bounds at one infinity, which no number meets")
     return out
+
+
+def _checked_sense(sense: str) -> str:
+    if sense not in ("min", "max"):
+        raise LpUsageError(f"sense must be 'min' or 'max', got {sense!r}")
+    return sense
 
 
 @dataclass
 class LpProblem:
-    """min or max `objective @ y` s.t. `rows @ y <= rhs`, `lo <= y <= hi`."""
+    """min or max `objective @ y` s.t. `rows @ y <= rhs`, `lo <= y <= hi`.
+
+    Every field is checked when the problem is made.  `with_objective`
+    and `with_bounds` derive a problem over the same checked arrays and
+    check only what they change, so the many LPs over one region pay for
+    the region's checks once."""
 
     objective: np.ndarray
     rows: np.ndarray
@@ -142,16 +181,8 @@ class LpProblem:
             raise LpUsageError(
                 f"rhs length {self.rhs.size} != row count {self.rows.shape[0]}"
             )
-        self.bounds = _as_bounds_array(self.bounds, n)
-        if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
-            bad = int(np.nonzero(self.bounds[:, 0] > self.bounds[:, 1])[0][0])
-            raise LpUsageError(f"variable {bad} has lower bound above upper bound")
-        stuck = (self.bounds[:, 0] == np.inf) | (self.bounds[:, 1] == -np.inf)
-        if stuck.any():
-            raise LpUsageError(f"variable {int(np.argmax(stuck))} has both "
-                               "bounds at one infinity, which no number meets")
-        if self.sense not in ("min", "max"):
-            raise LpUsageError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        self.bounds = _checked_bounds(self.bounds, n)
+        _checked_sense(self.sense)
 
     @property
     def n_vars(self) -> int:
@@ -160,6 +191,24 @@ class LpProblem:
     @property
     def n_rows(self) -> int:
         return self.rows.shape[0]
+
+    def with_objective(self, objective, sense: str = "min") -> "LpProblem":
+        """This problem's rows, rhs and bounds under another objective and
+        sense."""
+        objective = np.asarray(objective, dtype=float).ravel()
+        if objective.size != self.n_vars:
+            raise LpUsageError(f"objective has {objective.size} entries "
+                               f"for {self.n_vars} variables")
+        return self._with(objective=objective, sense=_checked_sense(sense))
+
+    def with_bounds(self, bounds) -> "LpProblem":
+        """This problem with other variable bounds."""
+        return self._with(bounds=_checked_bounds(bounds, self.n_vars))
+
+    def _with(self, **fields) -> "LpProblem":
+        out = object.__new__(LpProblem)
+        out.__dict__.update(self.__dict__, **fields)
+        return out
 
 
 def box_maximum(rows: np.ndarray, lower: np.ndarray,
@@ -285,6 +334,15 @@ class _Tableau:
     pivot is a single rank-one update.  Every choice among tied columns
     takes the lowest label, which makes the pivots those of the full
     tableau.  `form` maps z back to the problem's variables.
+
+    Per pivot (see the module docstring's budget): 15 numpy calls for
+    the rank-one update on the pivot row's view and the label swap; 16
+    for a Dantzig choice and its ratio test, 7 for a dual choice with one
+    candidate, and 4 for the progress check.  The primal ratio test
+    writes into `_ratios`, a buffer of this tableau's own, so tableaux
+    in different threads share nothing they write.  `by_bland` is set
+    once Bland's rule has made a pivot on this tableau or on the one it
+    was copied from, and stays set in every copy.
     """
 
     def __init__(self, form: _StandardForm):
@@ -292,23 +350,28 @@ class _Tableau:
         buf = np.zeros((m + 1, ns + 1))
         buf[:m, :ns] = form.A
         buf[:m, -1] = form.b
-        self._set_buffer(buf)
-        self.basis = ns + np.arange(m)
-        self.nonbasic = np.arange(ns)
         self.form = form
         self.ns = ns
         self.m = m
         self.n_labels = ns + m
+        self._set_buffer(buf)
+        self.basis = ns + np.arange(m)
+        self.nonbasic = np.arange(ns)
         self.iterations = 0
+        self.by_bland = False
 
     def _set_buffer(self, buf: np.ndarray) -> None:
         self.buf = buf
         self.T = buf[:-1]
         self.z = buf[-1]
+        self.rhs = buf[:-1, -1]  # the basic variables' values
+        self._ratios = np.empty(self.m)
 
     def copy(self) -> "_Tableau":
         """An independent copy with a fresh pivot count."""
-        out = copy.copy(self)
+        out = object.__new__(_Tableau)
+        out.form, out.ns, out.m = self.form, self.ns, self.m
+        out.n_labels, out.by_bland = self.n_labels, self.by_bland
         out._set_buffer(self.buf.copy())
         out.basis = self.basis.copy()
         out.nonbasic = self.nonbasic.copy()
@@ -325,13 +388,13 @@ class _Tableau:
         z[:-1] = full[self.nonbasic]
         z[-1] = 0.0
         cb = full[self.basis]
-        if np.any(cb != 0.0):
+        if np.count_nonzero(cb):
             z -= cb @ self.T
         return z
 
     def _lowest_label(self, cols: np.ndarray) -> int:
         """The column among `cols` whose variable has the lowest label."""
-        return int(cols[np.argmin(self.nonbasic[cols])])
+        return int(cols[self.nonbasic[cols].argmin()])
 
     def _pivot(self, row: int, col: int) -> None:
         """Swap nonbasic column `col` with the variable basic in `row`.
@@ -341,45 +404,56 @@ class _Tableau:
         so the leaving variable's column comes out of the usual update
         exactly as the full tableau would compute it."""
         buf = self.buf
-        piv = buf[row, col]
+        prow = buf[row]
+        piv = prow[col]
         colvals = buf[:, col].copy()
         colvals[row] = 0.0
         buf[:, col] = 0.0
-        buf[row, col] = 1.0
-        buf[row] /= piv
-        buf -= colvals[:, None] * buf[row]
-        self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
+        prow[col] = 1.0
+        prow /= piv
+        buf -= colvals[:, None] * prow
+        basis, nonbasic = self.basis, self.nonbasic
+        basis[row], nonbasic[col] = nonbasic[col], basis[row]
         self.iterations += 1
 
     def _leaving_row(self, col: int, bland: bool = False) -> int | None:
-        """Ratio test for entering column `col`; None when no entry of the
-        column is positive, so nothing limits its increase."""
-        T = self.T
-        colvals = T[:, col]
-        pos = colvals > _RATIO_TOL
-        if not pos.any():
+        """Ratio test for entering column `col`: the first row of least
+        ratio (within 1e-12), or under Bland's rule the one whose basic
+        label is lowest; None when no entry of the column is positive, so
+        nothing limits its increase."""
+        if not self.m:
             return None
-        ratios = np.divide(T[:, -1], colvals, out=np.full(self.m, np.inf),
-                           where=pos)
-        ties = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
-        if bland and ties.size > 1:
-            return int(ties[np.argmin(self.basis[ties])])
-        return int(ties[0])
+        colvals = self.T[:, col]
+        pos = colvals > _RATIO_TOL
+        ratios = self._ratios
+        ratios.fill(np.inf)
+        np.divide(self.rhs, colvals, out=ratios, where=pos)
+        least = ratios[ratios.argmin()]
+        if least == np.inf and not np.count_nonzero(pos):
+            return None
+        ties = ratios <= least + 1e-12
+        if bland:
+            ties = ties.nonzero()[0]
+            return int(ties[self.basis[ties].argmin()])
+        return int(ties.argmax())
 
     def _primal_pivot(self, zrow: np.ndarray, bland: bool):
         """(row, column) of the next primal pivot, or "optimal" when no
         reduced cost is negative, or "unbounded"."""
         rc = zrow[:-1]
         if bland:
-            neg = np.nonzero(rc < -_PIVOT_TOL)[0]
+            neg = (rc < -_PIVOT_TOL).nonzero()[0]
             if neg.size == 0:
                 return "optimal"
             col = self._lowest_label(neg)
         else:
-            best = rc.min()
+            col = int(rc.argmin())
+            best = rc[col]
             if best >= -_PIVOT_TOL:
                 return "optimal"
-            col = self._lowest_label(np.nonzero(rc == best)[0])
+            tied = rc == best
+            if np.count_nonzero(tied) > 1:
+                col = self._lowest_label(tied.nonzero()[0])
         row = self._leaving_row(col, bland)
         return "unbounded" if row is None else (row, col)
 
@@ -393,30 +467,35 @@ class _Tableau:
         below -FEASIBILITY_TOL; within that tolerance it counts as
         satisfied, and the next row in the same order is tried.  The
         entering column passes the dual ratio test, which keeps every
-        reduced cost >= 0; ties go to the lowest label."""
+        reduced cost >= 0; ties go to the lowest label, and a single
+        candidate enters without a ratio."""
         T = self.T
-        rhs = T[:, -1]
+        rhs = self.rhs
         if not bland:  # the usual case: the most negative row can move
-            row = int(np.argmin(rhs))
+            row = int(rhs.argmin())
             if rhs[row] >= -_PIVOT_TOL:
                 return "feasible"
             entries = T[row, :-1]
-            cand = np.nonzero(entries < -_PIVOT_TOL)[0]
+            cand = (entries < -_PIVOT_TOL).nonzero()[0]
         if bland or cand.size == 0:
-            rows = np.nonzero(rhs < -_PIVOT_TOL)[0]
+            rows = (rhs < -_PIVOT_TOL).nonzero()[0]
             key = self.basis[rows] if bland else rhs[rows]
-            for row in rows[np.argsort(key, kind="stable")]:
+            for row in rows[key.argsort(kind="stable")]:
                 entries = T[row, :-1]
-                cand = np.nonzero(entries < -_PIVOT_TOL)[0]
+                cand = (entries < -_PIVOT_TOL).nonzero()[0]
                 if cand.size:
                     break
                 if rhs[row] < -FEASIBILITY_TOL:
                     return "infeasible"
             else:
                 return "feasible"
+        if cand.size == 1:
+            return int(row), int(cand[0])
         ratios = np.maximum(zrow[cand], 0.0) / -entries[cand]
-        least = ratios.min()
+        least = ratios[ratios.argmin()]
         tied = ratios <= least + _DUAL_TIE_RTOL * max(1.0, least)
+        if np.count_nonzero(tied) == 1:
+            return int(row), int(cand[tied.argmax()])
         return int(row), self._lowest_label(cand[tied])
 
     def _iterate(self, zrow: np.ndarray, dual: bool = False) -> str:
@@ -442,6 +521,8 @@ class _Tableau:
             if isinstance(pick, str):
                 return pick
             self._pivot(*pick)
+            if bland:
+                self.by_bland = True
             progress = sign * zrow[-1]
             if progress > last + 1e-12:
                 stall = 0
@@ -593,10 +674,13 @@ class NodeStart:
     slacks: the stored column of a nonbasic slack, the unit vector of its
     row for a basic one.  The basis stays dual feasible, and dual simplex
     pivots run to primal feasibility or prove the node empty, with the
-    same guard against stalling and the same tolerance as `_cold`'s.  A
-    start serves one solve_lp call, which keeps the node's final tableau
-    for the starts that `child()` makes; the two children of a node share
-    that tableau read-only.
+    same guard against stalling and the same tolerance as `_cold`'s.  The
+    prices are the node's costs, or ones when every standard-form cost is
+    0, as the root's `_cold` priced them: by induction every node's basis
+    is then optimal for ones, and no dual ratio test ties every column at
+    0.  A start serves one solve_lp call, which keeps the node's final
+    tableau for the starts that `child()` makes; the two children of a
+    node share that tableau read-only.
     """
 
     def __init__(self, milp: MilpProblem):
@@ -606,6 +690,11 @@ class NodeStart:
         self.binary = np.zeros(region.n_vars, dtype=bool)
         self.binary[list(milp.binary_indices)] = True
         self.branch = np.nonzero(self.binary & (lo < hi))[0]
+        self.branch_lo = lo[self.branch]
+        # A node's bounds lie in [floor, ceil]: a binary's within the
+        # region's, every other variable's equal to them.
+        self.floor = np.column_stack([lo, np.where(self.binary, -np.inf, hi)])
+        self.ceil = np.column_stack([np.where(self.binary, np.inf, lo), hi])
         open_hi = hi.copy()
         open_hi[self.branch] = np.inf  # bound rows are added below
         form = _standard_form(region.rows, region.rhs, lo, open_hi)
@@ -620,25 +709,21 @@ class NodeStart:
 
     def child(self) -> "NodeStart":
         """A start for a child of this node, once solve_lp has solved it."""
-        out = copy.copy(self)  # shares the standard form
-        out._parent, out._solved = self._solved, None
+        out = object.__new__(NodeStart)  # shares the standard form
+        out.__dict__.update(self.__dict__, _parent=self._solved, _solved=None)
         return out
 
     def _check(self, problem: LpProblem) -> None:
-        r = self.region
-        lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
-        inside = (lo >= r.bounds[:, 0]) & (hi <= r.bounds[:, 1])
-        same = np.all(problem.bounds == r.bounds, axis=1)
+        r, b = self.region, problem.bounds
         if not (_same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs))
-                and np.all(np.where(self.binary, inside, same))):
+                and not np.count_nonzero((b < self.floor) | (b > self.ceil))):
             raise LpUsageError("node start was built for a different region")
 
     def _warm(self, problem: LpProblem, c: np.ndarray):
         """(pivots, tableau) for solve_lp, as `VertexStart._warm`."""
         self._check(problem)
-        lo0 = self.region.bounds[self.branch, 0]
-        rhs = np.concatenate([problem.bounds[self.branch, 1] - lo0,
-                              lo0 - problem.bounds[self.branch, 0]])
+        lo0, bounds = self.branch_lo, problem.bounds[self.branch]
+        rhs = np.concatenate([bounds[:, 1] - lo0, lo0 - bounds[:, 0]])
         cost = c[self.form.var] * self.form.sign
         if self._parent is None:
             pivots, tab = _cold(
@@ -653,6 +738,8 @@ class NodeStart:
             moved = np.nonzero(delta)[0]
             slack = tab.ns + self.first_bound_row + moved
             tab.T[:, -1] += tab.columns(slack) @ delta[moved]
+            if not np.count_nonzero(cost):
+                cost = np.ones(cost.size)  # as the root's `_cold` priced it
             if tab.dual_simplex(tab._zrow(cost)) == "infeasible":
                 return tab.iterations, "infeasible"
         self._solved = (tab, rhs)  # phase 2 in solve_lp finishes it in place
@@ -670,16 +757,14 @@ def solve_lp(problem: LpProblem,
     cold (see `_cold`).
     """
     m = problem.n_rows
-    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
-    c = problem.objective.copy()
     flip = problem.sense == "max"
-    if flip:
-        c = -c
+    c = -problem.objective if flip else problem.objective
 
     # pivots counts those outside the tableau's own count
     pivots, tab = (0, None) if start is None else start._warm(problem, c)
     if tab is None:
-        form = _standard_form(problem.rows, problem.rhs, lo, hi)
+        form = _standard_form(problem.rows, problem.rhs, problem.bounds[:, 0],
+                              problem.bounds[:, 1])
         more, tab = _cold(form, c[form.var] * form.sign)
         pivots += more
         if tab is None:
@@ -702,6 +787,8 @@ def solve_lp(problem: LpProblem,
     xstd, zrow = tab.extract()
     point = form.base.copy()
     np.add.at(point, form.var, form.sign * xstd[:tab.ns])
+    if tab.by_bland:
+        _check_rows(problem, point)
     obj = float(c @ point)
     return LpSolution(
         "optimal",
@@ -713,9 +800,16 @@ def solve_lp(problem: LpProblem,
     )
 
 
-def _with_bounds(lp: LpProblem, bounds: np.ndarray) -> LpProblem:
-    return LpProblem(lp.objective, lp.rows, lp.rhs, bounds=bounds,
-                     sense="min")
+def _check_rows(problem: LpProblem, point: np.ndarray) -> None:
+    """Raise SimplexError unless `point` meets every row of `problem`
+    within FEASIBILITY_TOL * max(1, |rhs|)."""
+    excess = problem.rows @ point - problem.rhs
+    bad = excess > FEASIBILITY_TOL * np.maximum(1.0, np.abs(problem.rhs))
+    if bad.any():
+        row = int(bad.argmax())
+        raise SimplexError(
+            f"simplex point violates row {row} by {excess[row]:.3g} after "
+            "Bland's rule pivoted; the tableau has drifted")
 
 
 def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution:
@@ -739,7 +833,7 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     lp = problem.lp
     flip = lp.sense == "max"
     cmin = -lp.objective if flip else lp.objective
-    base = LpProblem(cmin, lp.rows, lp.rhs, bounds=lp.bounds, sense="min")
+    base = lp.with_objective(cmin)
     bidx = np.array(problem.binary_indices, dtype=int)
 
     def fractional(point: np.ndarray) -> np.ndarray:
@@ -767,7 +861,7 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
                 bound=min(est, best_obj),
             )
         nodes += 1
-        sol = solve_lp(_with_bounds(base, bnds), node)
+        sol = solve_lp(base.with_bounds(bnds), node)
         pivots += sol.iterations
         if sol.status == "infeasible":
             continue
@@ -789,7 +883,7 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
             for i in bidx:
                 v = 1.0 if sol.point[i] > INTEGRALITY_TOL else 0.0
                 hb[i] = (v, v)
-            hsol = solve_lp(_with_bounds(base, hb), node.child())
+            hsol = solve_lp(base.with_bounds(hb), node.child())
             pivots += hsol.iterations
             if hsol.status == "optimal" and fractional(hsol.point).size == 0:
                 if hsol.objective_value < best_obj:
@@ -807,7 +901,7 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
                           nodes=nodes)
     fixed = base.bounds.copy()
     fixed[bidx] = (best.point[bidx] > 0.5)[:, None].astype(float)
-    final = solve_lp(_with_bounds(base, fixed))
+    final = solve_lp(base.with_bounds(fixed))
     pivots += final.iterations
     if final.status == "optimal":
         best = final

@@ -94,7 +94,9 @@ class CutSet:
 @dataclass(frozen=True, eq=False)
 class UcInstance:
     """Compact system rows @ y <= rhs, bounds[:, 0] <= y <= bounds[:, 1],
-    with cost vector and row labels."""
+    with cost vector and row labels.  `region` is the LpProblem of those
+    rows and bounds with a zero objective, checked once when the instance
+    is made."""
 
     rows: np.ndarray
     rhs: np.ndarray
@@ -120,6 +122,10 @@ class UcInstance:
         self.rhs.flags.writeable = False
         self.bounds.flags.writeable = False
         self.cost.flags.writeable = False
+        # LpProblem checks the rows, rhs and bounds here, once; every LP
+        # of the instance shares the checked arrays (see `lp`).
+        object.__setattr__(self, "region", LpProblem(
+            np.zeros(self.n_cols), self.rows, self.rhs, bounds=self.bounds))
 
     @property
     def n_gens(self) -> int:
@@ -149,15 +155,15 @@ class UcInstance:
         return self.rows[i], float(self.rhs[i])
 
     def lp(self, objective: np.ndarray, sense: str = "min") -> LpProblem:
-        """LP over this instance's rows and bounds."""
-        return LpProblem(objective, self.rows, self.rhs, bounds=self.bounds,
-                         sense=sense)
+        """LP over this instance's rows and bounds; only the objective and
+        the sense are checked, the rest was when the instance was made."""
+        return self.region.with_objective(objective, sense)
 
     @cached_property
     def region_basis(self):
         """A feasible basis of these rows and bounds, found on first
         access: (pivots, verdict) as `lp.region_basis` gives them."""
-        return region_basis(self.lp(np.zeros(self.n_cols)))
+        return region_basis(self.region)
 
     def without_rows(self, labels) -> "UcInstance":
         labels = set(labels)

@@ -149,7 +149,7 @@ class _Vertices:
 
     def __init__(self, inst: UcInstance):
         self.inst = inst
-        self.region = inst.lp(np.zeros(inst.n_cols))
+        self.region = inst.region
         self.points = np.empty((0, inst.n_cols))
         self.tableaux: list = []
 
@@ -161,9 +161,8 @@ class _Vertices:
         start, whose LP counts its pivots."""
         if self.tableaux:
             score = self.points @ problem.objective
-            if problem.sense == "max":
-                score = -score
-            basis = (0, self.tableaux[int(np.argmin(score))])
+            best = score.argmax() if problem.sense == "max" else score.argmin()
+            basis = (0, self.tableaux[best])
         else:
             # cached_property stores its value in vars() on first access
             fresh = "region_basis" not in vars(self.inst)
@@ -175,9 +174,9 @@ class _Vertices:
         """Store the final tableau of a kept start whose LP reached an
         optimal point not stored yet."""
         if (sol.status != "optimal" or start.tableau is None
-                or np.any(np.all(self.points == sol.point, axis=1))):
+                or (self.points == sol.point).all(axis=1).any()):
             return
-        self.points = np.vstack([self.points, sol.point])
+        self.points = np.concatenate([self.points, sol.point[None]])
         self.tableaux.append(start.tableau)
 
 

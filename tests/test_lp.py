@@ -860,6 +860,41 @@ def test_warm_branch_and_bound_matches_brute_force(monkeypatch):
     assert "infeasible" in warm and "optimal" in warm
 
 
+def test_zero_cost_branch_and_bound_matches_brute_force(monkeypatch):
+    # With every cost 0 the root prices its dual simplex at ones (see
+    # `_cold`), and each child keeps those prices, so no dual simplex runs
+    # with every reduced cost at 0, where every ratio ties and the
+    # objective never moves.
+    problems = [MilpProblem(LpProblem(np.zeros(p.lp.n_vars), p.lp.rows,
+                                      p.lp.rhs, bounds=p.lp.bounds),
+                            p.binary_indices)
+                for p in _random_milps(np.random.default_rng(5), 200)]
+    calls = _spy_node_lps(monkeypatch)
+    priced = []
+    dual_simplex = lp_module._Tableau.dual_simplex
+
+    def spy(self, zrow):
+        priced.append(bool(np.count_nonzero(zrow[:-1])))
+        return dual_simplex(self, zrow)
+
+    monkeypatch.setattr(lp_module._Tableau, "dual_simplex", spy)
+    statuses = set()
+    for prob in problems:
+        lp = prob.lp
+        mine = solve_milp(prob, node_limit=1_000)
+        status, _ = brute_force_milp(
+            lp.objective, lp.rows, lp.rhs, [tuple(pair) for pair in lp.bounds],
+            prob.binary_indices)
+        assert mine.status == status
+        statuses.add(status)
+        if status == "optimal":
+            assert mine.objective_value == 0.0
+            assert np.max(lp.rows @ mine.point - lp.rhs) <= FEASIBILITY_TOL
+    assert statuses == {"optimal", "infeasible"}
+    assert sum(started for started, _, _ in calls) > 50  # children ran
+    assert priced and all(priced)
+
+
 def test_milp_iterations_count_every_lp(cases, monkeypatch):
     calls = _spy_node_lps(monkeypatch)
     for prob in _bundled_milps(cases, per_case=1)[:4]:

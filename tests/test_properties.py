@@ -5,12 +5,15 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import screen_checking_skips, screen_checking_vertex_starts
 from ucscreen import oracle
 from ucscreen.case import parse_case
-from ucscreen.lp import FEASIBILITY_TOL
+import ucscreen.lp as lp_module
+from ucscreen.lp import FEASIBILITY_TOL, MilpProblem, SimplexError, solve_milp
 from ucscreen.model import CutSet, apply_cuts, build_uc, relax_binaries
 from ucscreen.screening import eovl
 
@@ -59,17 +62,56 @@ def test_vertex_starts_match_cold_solves(inst):
     screen_checking_vertex_starts(inst)
 
 
+def _ring_case(seed, n_buses):
+    """The ring-plus-chord case of `n_buses` with n_buses/2 chords and
+    n_buses/5 units, beta 0.1 and 25% tight lines."""
+    doc = gen.ring_chord_case(seed, n_buses=n_buses, n_chords=n_buses // 2,
+                              n_gens=n_buses // 5, beta=0.1, tight_share=0.25,
+                              name=f"ring{n_buses}")
+    return parse_case(json.dumps(doc))
+
+
+def _load_box(case):
+    """The case's UC model over its +-10% load box."""
+    load = case.nominal_load
+    return apply_cuts(build_uc(case, load),
+                      CutSet(load_range=(0.9 * load, 1.1 * load)))
+
+
 def test_region_basis_of_a_100_bus_load_box_is_cheap():
     # The S4 region (+-10% load box) of the 100-bus ring-plus-chord case:
     # dual simplex from the slack basis, priced at ones, ends feasible in
     # fewer pivots than the region has rows.  Priced at zero it ran to the
     # 100,000-pivot cap.
-    doc = gen.ring_chord_case(7, n_buses=100, n_chords=50, n_gens=20,
-                              beta=0.1, tight_share=0.25, name="ring100")
-    case = parse_case(json.dumps(doc))
-    load = case.nominal_load
-    inst = relax_binaries(apply_cuts(build_uc(case, load), CutSet(
-        load_range=(0.9 * load, 1.1 * load))))
+    inst = relax_binaries(_load_box(_ring_case(7, 100)))
     pivots, tab = inst.region_basis
     assert tab.T[:, -1].min() >= -FEASIBILITY_TOL
     assert 0 < pivots < tab.m
+
+
+def test_zero_cost_milp_over_a_100_bus_load_box_is_solved():
+    # The same region with its binaries and every cost 0.  Each child
+    # prices its dual simplex at ones, as the root does; priced at zero,
+    # the round-up child's dual simplex ran to the 100,000-pivot cap.
+    inst = _load_box(_ring_case(7, 100))
+    sol = solve_milp(MilpProblem(inst.lp(np.zeros(inst.n_cols)),
+                                 inst.binary_indices))
+    assert sol.status == "optimal" and sol.objective_value == 0.0
+    assert sol.iterations < 10_000
+    assert np.max(inst.rows @ sol.point - inst.rhs) <= FEASIBILITY_TOL
+    u = sol.point[list(inst.binary_indices)]
+    assert np.all((u == 0.0) | (u == 1.0))
+
+
+def test_screen_raises_when_bland_pivots_leave_a_drifted_tableau(monkeypatch):
+    # With no stall allowed, primal and dual simplex pivot by Bland's rule
+    # from the first pivot.  On this case the dense tableau drifts until
+    # LP points violate rows by up to 5e-2 of max(1, |rhs|), and S3
+    # removed 190 rows where the default removes 145.  Each such LP's
+    # point is checked against its rows, so the screen raises instead.
+    case = _ring_case(3, 90)
+    assert len(eovl(relax_binaries(build_uc(case, case.nominal_load)))
+               .redundant) == 145
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    with pytest.raises(SimplexError, match="Bland"):
+        eovl(relax_binaries(build_uc(case, case.nominal_load)))
