@@ -57,16 +57,25 @@ order or the thread the LPs run in only if the caller's picks do.
 Without a start, `solve_lp` solves from scratch through `_cold`, as the
 brute-force oracles do.
 
-The MILP solver runs best-first branch and bound on LP relaxations,
-branching on the lowest-index fractional binary, down-branch first.
-A branch changes only bounds, so every node shares one standard form in
-which each binary's bounds are two rows, and a `NodeStart` solves each
-child from its parent's optimal tableau by dual simplex pivots; only the
-root solves cold.  The point and cost returned come from one more cold
-LP with every binary fixed at the incumbent's value, so they depend on
-the commitment chosen and not on the path the tree took to it.  With
-costs >= 0, as in unit commitment, both cold LPs end at their optimum
-when dual simplex makes the slack basis feasible.
+The MILP solver runs best-first branch and bound on LP relaxations.  At
+a node whose LP optimum has a fractional binary it rounds every binary
+above INTEGRALITY_TOL up and checks that point against every row, one
+matrix-vector product and no LP (simple rounding; Achterberg, Constraint
+Integer Programming, 2007).  A point that meets every row is an
+incumbent and may close the node.  Otherwise the node branches,
+down-branch first, on the lowest-index fractional binary with a nonzero
+coefficient in a row the rounded point violates: only a fix of such a
+binary can repair that row (cf. Achterberg, Koch & Martin, "Branching
+rules revisited", 2005).  Unit commitment puts no cost on status, so a
+rounded commitment often costs exactly the node's bound.  A branch
+changes only bounds, so every node shares one standard form in which
+each binary's bounds are two rows, and a `NodeStart` solves each child
+from its parent's optimal tableau by dual simplex pivots; only the root
+solves cold.  The point and cost returned come from one more cold LP
+with every binary fixed at the incumbent's value, so they depend on the
+commitment chosen and not on the path the tree took to it.  With costs
+>= 0, as in unit commitment, both cold LPs end at their optimum when
+dual simplex makes the slack basis feasible.
 """
 
 from __future__ import annotations
@@ -107,7 +116,9 @@ class NodeLimitExceeded(RuntimeError):
     """Branch-and-bound node budget exhausted.
 
     Carries the best incumbent found so far (may be None) and the best
-    lower bound among open nodes.
+    lower bound among open nodes.  The incumbent is a node LP's integral
+    optimum or a node's rounded point (see `solve_milp`), with its cost
+    as `objective_value`, both for the problem turned into a minimisation.
     """
 
     def __init__(self, message: str, incumbent=None, bound: float | None = None):
@@ -800,30 +811,53 @@ def solve_lp(problem: LpProblem,
     )
 
 
+def _violated_rows(problem: LpProblem, point: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `problem` that `point` exceeds by more than
+    FEASIBILITY_TOL * max(1, |rhs|)."""
+    excess = problem.rows @ point - problem.rhs
+    return excess > FEASIBILITY_TOL * np.maximum(1.0, np.abs(problem.rhs))
+
+
 def _check_rows(problem: LpProblem, point: np.ndarray) -> None:
     """Raise SimplexError unless `point` meets every row of `problem`
-    within FEASIBILITY_TOL * max(1, |rhs|)."""
-    excess = problem.rows @ point - problem.rhs
-    bad = excess > FEASIBILITY_TOL * np.maximum(1.0, np.abs(problem.rhs))
+    (see `_violated_rows`)."""
+    bad = _violated_rows(problem, point)
     if bad.any():
         row = int(bad.argmax())
+        excess = problem.rows[row] @ point - problem.rhs[row]
         raise SimplexError(
-            f"simplex point violates row {row} by {excess[row]:.3g} after "
+            f"simplex point violates row {row} by {excess:.3g} after "
             "Bland's rule pivoted; the tableau has drifted")
+
+
+def _no_better(value: float, incumbent: LpSolution | None) -> bool:
+    """Whether a cost of `value` cannot improve on the incumbent's within
+    OPTIMALITY_TOL; false while there is no incumbent."""
+    if incumbent is None:
+        return False
+    best = incumbent.objective_value
+    return value >= best - OPTIMALITY_TOL * max(1.0, abs(best))
 
 
 def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution:
     """Globally optimal best-first branch and bound over the binaries.
 
-    Branching is deterministic: lowest fractional index first, down-branch
-    explored first among equal bounds.  Each node LP runs through solve_lp
-    with a `NodeStart`.  The point and objective returned are those of a
-    cold LP with every binary fixed at the incumbent's value; `iterations`
-    counts the pivots of every LP solved, that one included.  The root LP
-    and that final LP start at their slack bases and run dual simplex
-    (see `_cold`); when every standard-form cost is >= 0 and one is > 0,
-    as with unit commitment's costs over its nonnegative columns, that
-    ends at the optimum with no primal pivot.  Every other node runs dual
+    Each node LP runs through solve_lp with a `NodeStart`.  At a node
+    whose LP optimum has a fractional binary, simple rounding (Achterberg,
+    2007) rounds every binary above INTEGRALITY_TOL up, keeps the other
+    values, and checks that point against every row, with no LP: a point
+    that meets them all is an incumbent at its own cost, and closes the
+    node when that cost meets the node's bound.  Otherwise the node
+    branches, down-branch first, on the lowest-index fractional binary
+    in a row that the rounded point violates, or on the lowest-index
+    fractional binary when snapping near-integral binaries made the only
+    violations.  The point and objective returned are those of a cold LP
+    with every binary fixed at the incumbent's value; `iterations` counts
+    the pivots of every LP solved, that one included.  The root LP and
+    that final LP start at their slack bases and run dual simplex (see
+    `_cold`); when every standard-form cost is >= 0 and one is > 0, as
+    with unit commitment's costs over its nonnegative columns, that ends
+    at the optimum with no primal pivot.  Every other node runs dual
     simplex from its parent's optimal tableau, to its optimum or to a
     proof that it is empty.
     """
@@ -835,12 +869,8 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     cmin = -lp.objective if flip else lp.objective
     base = lp.with_objective(cmin)
     bidx = np.array(problem.binary_indices, dtype=int)
+    bin_rows = base.rows[:, bidx]
 
-    def fractional(point: np.ndarray) -> np.ndarray:
-        vals = point[bidx]
-        return bidx[np.abs(vals - np.round(vals)) > INTEGRALITY_TOL]
-
-    best_obj = np.inf
     best: LpSolution | None = None
     nodes = 0
     pivots = 0
@@ -848,17 +878,16 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     heap: list[tuple[float, int, np.ndarray, NodeStart]] = []
     heapq.heappush(heap, (-np.inf, seq, base.bounds.copy(),
                           NodeStart(MilpProblem(base, problem.binary_indices))))
-    seeded = False
 
     while heap:
         est, _, bnds, node = heapq.heappop(heap)
-        if est >= best_obj - OPTIMALITY_TOL * max(1.0, abs(best_obj)):
+        if _no_better(est, best):
             continue
         if nodes >= node_limit:
             raise NodeLimitExceeded(
                 f"node limit {node_limit} exceeded",
                 incumbent=best,
-                bound=min(est, best_obj),
+                bound=est if best is None else min(est, best.objective_value),
             )
         nodes += 1
         sol = solve_lp(base.with_bounds(bnds), node)
@@ -869,27 +898,26 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
             return LpSolution("unbounded", None, None, iterations=pivots,
                               nodes=nodes)
         val = sol.objective_value
-        if val >= best_obj - OPTIMALITY_TOL * max(1.0, abs(best_obj)):
+        if _no_better(val, best):
             continue
-        frac = fractional(sol.point)
-        if frac.size == 0:
-            best_obj = val
+        vals = sol.point[bidx]
+        frac = np.abs(vals - np.round(vals)) > INTEGRALITY_TOL
+        if not frac.any():
             best = sol
             continue
-        if not seeded:
-            # Round-up heuristic: commit every fractionally-active binary.
-            seeded = True
-            hb = bnds.copy()
-            for i in bidx:
-                v = 1.0 if sol.point[i] > INTEGRALITY_TOL else 0.0
-                hb[i] = (v, v)
-            hsol = solve_lp(base.with_bounds(hb), node.child())
-            pivots += hsol.iterations
-            if hsol.status == "optimal" and fractional(hsol.point).size == 0:
-                if hsol.objective_value < best_obj:
-                    best_obj = hsol.objective_value
-                    best = hsol
-        var = int(frac[0])
+        rounded = sol.point.copy()
+        rounded[bidx] = vals > INTEGRALITY_TOL
+        bad = _violated_rows(base, rounded)
+        if not bad.any():
+            cost = float(cmin @ rounded)
+            if not _no_better(cost, best):
+                best = LpSolution("optimal", cost, rounded)
+            if _no_better(val, best):
+                continue
+        needed = frac & (bin_rows[bad] != 0).any(axis=0)
+        if not needed.any():
+            needed = frac
+        var = int(bidx[needed.argmax()])
         for v in (0.0, 1.0):  # down-branch first
             child = bnds.copy()
             child[var] = (v, v)

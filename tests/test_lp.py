@@ -507,6 +507,15 @@ def test_milp_guards():
         MilpProblem(lp2, (0,))
 
 
+def test_pruning_keeps_every_node_until_the_first_incumbent():
+    # With no incumbent no bound prunes a node, -inf and +inf included.
+    for value in (-np.inf, -1e300, 0.0, 1e300, np.inf):
+        assert not lp_module._no_better(value, None)
+    incumbent = lp_module.LpSolution("optimal", 2.0, np.zeros(1))
+    assert lp_module._no_better(2.0 - 1e-10, incumbent)
+    assert not lp_module._no_better(2.0 - 1e-8, incumbent)
+
+
 # --- shared starts at the region's feasible basis ---
 
 # A box 1 <= y1 <= 3, 0.5 <= y2 <= 2 with a diagonal cut, where each
@@ -864,11 +873,13 @@ def test_zero_cost_branch_and_bound_matches_brute_force(monkeypatch):
     # With every cost 0 the root prices its dual simplex at ones (see
     # `_cold`), and each child keeps those prices, so no dual simplex runs
     # with every reduced cost at 0, where every ratio ties and the
-    # objective never moves.
+    # objective never moves.  Any rounded point that meets every row
+    # closes its node at cost 0, so it takes 300 MILPs for more than 50
+    # children to run.
     problems = [MilpProblem(LpProblem(np.zeros(p.lp.n_vars), p.lp.rows,
                                       p.lp.rhs, bounds=p.lp.bounds),
                             p.binary_indices)
-                for p in _random_milps(np.random.default_rng(5), 200)]
+                for p in _random_milps(np.random.default_rng(5), 300)]
     calls = _spy_node_lps(monkeypatch)
     priced = []
     dual_simplex = lp_module._Tableau.dual_simplex
@@ -893,6 +904,69 @@ def test_zero_cost_branch_and_bound_matches_brute_force(monkeypatch):
     assert statuses == {"optimal", "infeasible"}
     assert sum(started for started, _, _ in calls) > 50  # children ran
     assert priced and all(priced)
+
+
+def test_branch_and_bound_solves_one_lp_per_node_and_the_final_lp(
+        cases, monkeypatch):
+    # The rounding check needs no LP, so the only LP outside the tree is
+    # the final one with every binary fixed.
+    calls = _spy_node_lps(monkeypatch)
+    branched = 0
+    for prob in _bundled_milps(cases):
+        calls.clear()
+        sol = solve_milp(prob, node_limit=100)
+        assert sol.status == "optimal"
+        assert len(calls) == sol.nodes + 1
+        branched += sol.nodes > 1
+    assert branched >= 3
+
+
+def test_feasible_rounding_closes_the_root(monkeypatch):
+    # Two units (u0, u1, x0, x1) with x_g <= 2 u_g, x0 + x1 >= 3 and no
+    # cost on status: the root LP runs unit 0 at its limit and leaves
+    # u1 = 0.5.  Rounding u1 up meets every row at the root's own cost.
+    c = [0.0, 0.0, 1.0, 2.0]
+    A = [[-2.0, 0.0, 1.0, 0.0], [0.0, -2.0, 0.0, 1.0], [0.0, 0.0, -1.0, -1.0]]
+    b = [0.0, 0.0, -3.0]
+    bounds = [(0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (0.0, 2.0)]
+    root = solve_lp(LpProblem(c, A, b, bounds=bounds))
+    assert 0.0 < root.point[1] < 1.0
+    status, best = brute_force_milp(c, A, b, bounds, (0, 1))
+    calls = _spy_node_lps(monkeypatch)
+    mine = solve_milp(MilpProblem(LpProblem(c, A, b, bounds=bounds), (0, 1)))
+    assert mine.status == status == "optimal"
+    assert mine.objective_value == best == 4.0
+    assert mine.nodes == 1
+    assert len(calls) == 2
+
+
+def test_branching_takes_a_binary_that_a_violated_row_needs(monkeypatch):
+    # (u0, u1, x, y): x <= 2 u0 with x >= 1.5 leaves u0 = 0.75, which
+    # rounds up within every row; u1 + y <= 1.5 with y >= 0.8 and u1
+    # paid to run leaves u1 = 0.7, and rounding it up breaks that row.
+    # The tree branches on u1, not on the lower index u0.
+    c = [0.01, -1.0, 1.0, 0.0]
+    A = [[-2.0, 0.0, 1.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+         [0.0, 0.0, 0.0, -1.0]]
+    b = [0.0, -1.5, 1.5, -0.8]
+    bounds = [(0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (0.0, 2.0)]
+    root = solve_lp(LpProblem(c, A, b, bounds=bounds))
+    assert np.allclose(root.point[:2], [0.75, 0.7])
+    status, best = brute_force_milp(c, A, b, bounds, (0, 1))
+    seen = []
+    real = lp_module.solve_lp
+
+    def spy(problem, start=None):
+        seen.append(problem.bounds.copy())
+        return real(problem, start)
+
+    monkeypatch.setattr(lp_module, "solve_lp", spy)
+    mine = solve_milp(MilpProblem(LpProblem(c, A, b, bounds=bounds), (0, 1)))
+    assert mine.status == status == "optimal"
+    assert abs(mine.objective_value - best) <= 1e-9
+    first_child = seen[1]
+    assert first_child[1].tolist() == [0.0, 0.0]  # down-branch on u1
+    assert first_child[0].tolist() == [0.0, 1.0]
 
 
 def test_milp_iterations_count_every_lp(cases, monkeypatch):
