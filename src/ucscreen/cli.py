@@ -82,6 +82,16 @@ class PropertyViolation(RuntimeError):
         self.detail = detail
 
 
+def _check_beta(beta: float | None) -> None:
+    if beta is not None and not 0.0 <= beta <= 1.0:  # NaN fails as well
+        raise InputError(f"--beta must be within [0, 1], got {beta}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy seeds are non-negative
+        raise InputError(f"--seed must be >= 0, got {seed}")
+
+
 @dataclass
 class SchemeConfig:
     """Resolved run configuration; validates scheme prerequisites."""
@@ -112,16 +122,14 @@ class SchemeConfig:
             raise InputError(f"scheme {self.scheme} needs --dataset")
         if self.jobs < 1:
             raise InputError("--jobs must be >= 1")
-        # NaN fails every comparison, so these reject it too
-        if self.beta is not None and not 0.0 <= self.beta <= 1.0:
-            raise InputError(f"--beta must be within [0, 1], got {self.beta}")
+        _check_beta(self.beta)
+        # NaN fails every comparison, so this rejects it too
         if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
             raise InputError(
                 f"--epsilon must be a finite number >= 0, got {self.epsilon}")
         if self.k is not None and (self.k < 1 or self.k % 2 == 0):
             raise InputError(f"--k must be an odd positive integer, got {self.k}")
-        if self.seed < 0:  # numpy seeds are non-negative
-            raise InputError(f"--seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,20 +268,11 @@ def _drop_labels(full: UcInstance, config: SchemeConfig) -> tuple[RowLabel, ...]
     return tuple(labels)
 
 
-def _final_model(full: UcInstance, redundant, drop: tuple[RowLabel, ...],
-                 cuts: CutSet) -> UcInstance:
-    """The model solved against the full one: screened rows and --drop-row
-    rows deleted, and status fixes carried over (schemes s6/s7)."""
-    reduced = reduce_model(full, redundant).without_rows(drop)
-    if cuts.commitment_fixes:
-        reduced = apply_cuts(reduced, CutSet(commitment_fixes=cuts.commitment_fixes))
-    return reduced
-
-
 def _screen(config: SchemeConfig, *, use_vgs: bool = True,
             use_lfgs: bool = True):
-    """(case, full model, --drop-row labels, cuts, relaxed cut model,
-    its screening report) for one scheme run."""
+    """One scheme run's chain, build -> cuts -> relax -> screen -> reduce
+    -> drop -> fixes: (case, full model, relaxed cut model, its screening
+    report, the model solved against the full one)."""
     case = _load_case(config.case_path)
     dataset = _load_dataset(config, case)
     full = build_uc(case, case.nominal_load)
@@ -285,16 +284,18 @@ def _screen(config: SchemeConfig, *, use_vgs: bool = True,
                       jobs=config.jobs)
     except ScreeningInfeasibleError as exc:
         _classify_screening_failure(full, exc)
-    return case, full, drop, cuts, screened, report
+    reduced = reduce_model(full, report.redundant).without_rows(drop)
+    reduced = apply_cuts(reduced, CutSet(commitment_fixes=cuts.commitment_fixes))
+    return case, full, screened, report, reduced
 
 
 def run_scheme(config: SchemeConfig) -> RunReport:
     """Execute one scheme: screen, reduce, and verify/measure the gap."""
     t0 = time.perf_counter()
-    case, full, drop, cuts, _, report = _screen(
+    case, full, _, report, reduced = _screen(
         config, use_vgs=config.scheme != "s2", use_lfgs=config.scheme != "s1")
 
-    gap = verify_zero_gap(full, _final_model(full, report.redundant, drop, cuts))
+    gap = verify_zero_gap(full, reduced)
     if gap.full_status != "optimal":
         raise InputError(
             f"case is {gap.full_status} at its nominal load; nothing to report")
@@ -324,7 +325,7 @@ def verify_case(config: SchemeConfig) -> list[dict]:
     Every property reads one S3 screen of the scheme's region.  Stops at
     the first failure, so the last verdict names the violated property.
     """
-    _, full, drop, cuts, screened, s3 = _screen(config)
+    _, full, screened, s3, reduced = _screen(config)
     verdicts: list[dict] = []
 
     def record(name: str, failure: str | None) -> bool:
@@ -353,7 +354,7 @@ def verify_case(config: SchemeConfig) -> list[dict]:
     if not record("ensemble_equivalence", failure):
         return verdicts
 
-    gap = verify_zero_gap(full, _final_model(full, s3.redundant, drop, cuts))
+    gap = verify_zero_gap(full, reduced)
     failure = None
     if config.scheme in ZERO_GAP_SCHEMES and not gap.zero_gap:
         failure = (f"reduction changed the optimum: full={gap.full_cost} "
@@ -449,10 +450,8 @@ def main(argv=None) -> int:
         if args.command == "gen-data":
             if args.n < 0:
                 raise InputError(f"--n must be >= 0, got {args.n}")
-            if args.seed < 0:  # numpy seeds are non-negative
-                raise InputError(f"--seed must be >= 0, got {args.seed}")
-            if not 0.0 <= args.beta <= 1.0:
-                raise InputError(f"--beta must be within [0, 1], got {args.beta}")
+            _check_seed(args.seed)
+            _check_beta(args.beta)
             case = _load_case(args.case)
             with _writing(args.out):  # fail before solving any sample
                 open(args.out, "a", encoding="utf-8").close()

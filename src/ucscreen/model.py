@@ -118,10 +118,8 @@ class UcInstance:
         object.__setattr__(self, "_row_of", row_of)
         if self.bounds.shape != (self.rows.shape[1], 2):
             raise LpUsageError("one (lower, upper) bound pair per column required")
-        self.rows.flags.writeable = False
-        self.rhs.flags.writeable = False
-        self.bounds.flags.writeable = False
-        self.cost.flags.writeable = False
+        for a in (self.rows, self.rhs, self.bounds, self.cost):
+            a.flags.writeable = False
         # LpProblem checks the rows, rhs and bounds here, once; every LP
         # of the instance shares the checked arrays (see `lp`).
         object.__setattr__(self, "region", LpProblem(
@@ -150,6 +148,10 @@ class UcInstance:
         except KeyError:
             raise LpUsageError(f"no row labeled {label}") from None
 
+    def rows_of(self, labels) -> np.ndarray:
+        """Row indices of `labels`, in their order."""
+        return np.array([self.row_index(lb) for lb in labels], dtype=int)
+
     def row(self, label: RowLabel) -> tuple[np.ndarray, float]:
         i = self.row_index(label)
         return self.rows[i], float(self.rhs[i])
@@ -166,20 +168,20 @@ class UcInstance:
         return region_basis(self.region)
 
     def without_rows(self, labels) -> "UcInstance":
-        labels = set(labels)
-        keep = [i for i, lb in enumerate(self.row_labels) if lb not in labels]
-        return replace(
-            self,
-            rows=self.rows[keep].copy(),
-            rhs=self.rhs[keep].copy(),
-            row_labels=tuple(self.row_labels[i] for i in keep),
-        )
+        """The instance less the rows `labels` name; raises LpUsageError
+        for a label that names no row."""
+        keep = np.ones(len(self.row_labels), dtype=bool)
+        keep[self.rows_of(labels)] = False
+        kept = tuple(lb for lb, k in zip(self.row_labels, keep) if k)
+        return replace(self, rows=self.rows[keep], rhs=self.rhs[keep],
+                       row_labels=kept)
 
 
 def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
-    """Line/balance/generator rows and the column bounds (x >= 0, u in
-    [0, 1], load columns free until a load range bounds them); load fixed
-    or as columns.
+    """Line/balance/generator rows, built as blocks, with their rhs, the
+    column bounds (x >= 0, u in [0, 1], load columns free until a load
+    range bounds them), the cost and the row labels; load fixed or as
+    columns.
 
     The bound x >= 0 removes no point: the gen_lower rows give x >=
     x_min * u, with u >= 0 and x_min >= 0, which the parser enforces.
@@ -189,63 +191,47 @@ def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
     G, L, N = case.n_gens, case.n_lines, case.n_buses
     range_mode = load is None
     ncols = 2 * G + (N if range_mode else 0)
-    PB = ptdf.entries @ case.gen_bus_matrix()  # (L, G)
     fmax = np.array([ln.f_max for ln in case.lines])
     fmin = np.array([ln.f_min for ln in case.lines])
     xmax = np.array([g.x_max for g in case.generators])
     xmin = np.array([g.x_min for g in case.generators])
+    gens = np.arange(G)
 
-    rows, rhs, labels = [], [], []
-
-    def add(label: RowLabel, coeffs: np.ndarray, bound: float) -> None:
-        rows.append(coeffs)
-        rhs.append(bound)
-        labels.append(label)
-
-    pl = None if range_mode else ptdf.entries @ load
-    for j in range(L):
-        r = np.zeros(ncols)
-        r[:G] = PB[j]
-        if range_mode:
-            r[2 * G:] = -ptdf.entries[j]
-            add(RowLabel("line_upper", j), r, fmax[j])
-        else:
-            add(RowLabel("line_upper", j), r, fmax[j] + pl[j])
-    for j in range(L):
-        r = np.zeros(ncols)
-        r[:G] = -PB[j]
-        if range_mode:
-            r[2 * G:] = ptdf.entries[j]
-            add(RowLabel("line_lower", j), r, -fmin[j])
-        else:
-            add(RowLabel("line_lower", j), r, -fmin[j] - pl[j])
-
-    r = np.zeros(ncols)
-    r[:G] = 1.0
+    line_upper, line_lower = np.zeros((L, ncols)), np.zeros((L, ncols))
+    line_upper[:, :G] = ptdf.entries @ case.gen_bus_matrix()
+    line_lower[:, :G] = -line_upper[:, :G]
+    balance = np.zeros(ncols)
+    balance[:G] = 1.0
     if range_mode:
-        r[2 * G:] = -1.0
-        add(RowLabel("balance_le"), r, 0.0)
-        add(RowLabel("balance_ge"), -r, 0.0)
+        line_upper[:, 2 * G:] = -ptdf.entries
+        line_lower[:, 2 * G:] = ptdf.entries
+        balance[2 * G:] = -1.0
+        line_rhs = [fmax, -fmin]
+        balance_rhs = [0.0, 0.0]
     else:
+        flow = ptdf.entries @ load
+        line_rhs = [fmax + flow, -fmin - flow]
         total = float(np.sum(load))
-        add(RowLabel("balance_le"), r, total)
-        add(RowLabel("balance_ge"), -r, -total)
+        balance_rhs = [total, -total]
+    gen_upper, gen_lower = np.zeros((G, ncols)), np.zeros((G, ncols))
+    gen_upper[gens, gens], gen_upper[gens, G + gens] = 1.0, -xmax
+    gen_lower[gens, gens], gen_lower[gens, G + gens] = -1.0, xmin
 
-    for g in range(G):
-        r = np.zeros(ncols)
-        r[g] = 1.0
-        r[G + g] = -xmax[g]
-        add(RowLabel("gen_upper", g), r, 0.0)
-    for g in range(G):
-        r = np.zeros(ncols)
-        r[g] = -1.0
-        r[G + g] = xmin[g]
-        add(RowLabel("gen_lower", g), r, 0.0)
+    rows = np.vstack([line_upper, line_lower, balance, -balance,
+                      gen_upper, gen_lower])
+    rhs = np.concatenate([*line_rhs, balance_rhs, np.zeros(2 * G)])
+    labels = tuple(
+        [RowLabel(kind, j) for kind in LINE_ROW_KINDS for j in range(L)]
+        + [RowLabel("balance_le"), RowLabel("balance_ge")]
+        + [RowLabel(kind, g) for kind in ("gen_upper", "gen_lower")
+           for g in range(G)])
 
     bounds = np.tile([-np.inf, np.inf], (ncols, 1))
     bounds[:G] = (0.0, np.inf)
     bounds[G:2 * G] = (0.0, 1.0)
-    return np.array(rows), np.array(rhs, dtype=float), bounds, labels
+    cost = np.zeros(ncols)
+    cost[:G] = [g.cost for g in case.generators]
+    return rows, rhs, bounds, cost, labels
 
 
 def build_uc(case: GridCase, load) -> UcInstance:
@@ -256,13 +242,11 @@ def build_uc(case: GridCase, load) -> UcInstance:
         raise LpUsageError(
             f"load has {load.size} entries for {case.n_buses} buses")
     ptdf = compute_ptdf(case)
-    rows, rhs, bounds, labels = _core_rows(case, ptdf, load)
+    rows, rhs, bounds, cost, labels = _core_rows(case, ptdf, load)
     G = case.n_gens
-    cost = np.zeros(len(bounds))
-    cost[:G] = [g.cost for g in case.generators]
     load = load.copy()
     load.flags.writeable = False
-    return UcInstance(rows, rhs, bounds, cost, tuple(labels),
+    return UcInstance(rows, rhs, bounds, cost, labels,
                       tuple(range(G, 2 * G)), case, ptdf, load)
 
 
@@ -293,23 +277,23 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
         if lo.size != case.n_buses:
             raise LpUsageError(
                 f"load range has {lo.size} entries for {case.n_buses} buses")
-        rows, rhs, bounds, labels = _core_rows(case, ptdf, None)
+        rows, rhs, bounds, cost, labels = _core_rows(case, ptdf, None)
         bounds[2 * G:, 0], bounds[2 * G:, 1] = lo, hi
-        cost = np.zeros(len(bounds))
-        cost[:G] = inst.cost[:G]
-        binary = inst.binary_indices  # positions of u are unchanged
-        out = UcInstance(rows, rhs, bounds, cost, tuple(labels), binary,
+        # the positions of u, and so the binary marks, are unchanged
+        out = UcInstance(rows, rhs, bounds, cost, labels, inst.binary_indices,
                          case, ptdf, None, CutSet(load_range=cuts.load_range))
-        rest = CutSet(cost_bound=cuts.cost_bound,
-                      commitment_fixes=cuts.commitment_fixes)
-        return apply_cuts(out, rest) if not rest.is_empty else out
+        return apply_cuts(out, CutSet(cost_bound=cuts.cost_bound,
+                                      commitment_fixes=cuts.commitment_fixes))
 
     rows, rhs, labels = inst.rows, inst.rhs, inst.row_labels
+    cost_bound = inst.cuts.cost_bound
     if cuts.cost_bound is not None:
-        r = np.zeros(inst.n_cols)
-        r[:G] = inst.cost[:G]
-        rows = np.vstack([rows, r])
-        rhs = np.append(rhs, float(cuts.cost_bound))
+        if cost_bound is not None:
+            raise LpUsageError(f"instance already has a cost cut at "
+                               f"{cost_bound}; apply one cost bound")
+        cost_bound = cuts.cost_bound
+        rows = np.vstack([rows, inst.cost])
+        rhs = np.append(rhs, float(cost_bound))
         labels += (RowLabel("cost_cut"),)
 
     bounds = inst.bounds.copy()
@@ -318,20 +302,10 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
             raise LpUsageError(f"commitment fix names unit {k}, have {G} units")
         bounds[G + k] = v
 
-    merged = CutSet(
-        cost_bound=cuts.cost_bound if cuts.cost_bound is not None
-        else inst.cuts.cost_bound,
-        commitment_fixes=inst.cuts.commitment_fixes + cuts.commitment_fixes,
-        load_range=inst.cuts.load_range,
-    )
-    return replace(
-        inst,
-        rows=rows,
-        rhs=rhs,
-        bounds=bounds,
-        row_labels=labels,
-        cuts=merged,
-    )
+    merged = CutSet(cost_bound, inst.cuts.commitment_fixes + cuts.commitment_fixes,
+                    inst.cuts.load_range)
+    return replace(inst, rows=rows, rhs=rhs, bounds=bounds, row_labels=labels,
+                   cuts=merged)
 
 
 @dataclass(frozen=True, eq=False)

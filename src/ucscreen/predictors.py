@@ -21,6 +21,9 @@ from ucscreen.case import GridCase
 from ucscreen.lp import LpUsageError
 from ucscreen.model import UcInfeasibleError, build_uc, solve_uc
 
+TRAIN_FRACTION = 0.8   # share of a dataset's records that train the predictors
+ATTEMPT_BUDGET = 100   # load draws per record before generation gives up
+
 
 class DatasetError(RuntimeError):
     """Dataset generation gave up (too many infeasible samples), or a
@@ -88,9 +91,7 @@ def sample_load(case: GridCase, beta: float, rng: np.random.Generator) -> np.nda
     return rng.uniform((1.0 - beta) * base, (1.0 + beta) * base)
 
 
-def generate_dataset(case: GridCase, beta: float, n: int, seed: int, *,
-                     train_fraction: float = 0.8,
-                     attempt_budget: int = 100) -> Dataset:
+def generate_dataset(case: GridCase, beta: float, n: int, seed: int) -> Dataset:
     """Solve n UC instances at random in-range loads.
 
     Infeasible draws are discarded and redrawn from the same per-record
@@ -106,7 +107,7 @@ def generate_dataset(case: GridCase, beta: float, n: int, seed: int, *,
     attempts_total = 0
     for i in range(n):
         rng = np.random.default_rng((seed, i))
-        for attempt in range(attempt_budget):
+        for attempt in range(ATTEMPT_BUDGET):
             attempts_total += 1
             load = sample_load(case, beta, rng)
             try:
@@ -120,9 +121,9 @@ def generate_dataset(case: GridCase, beta: float, n: int, seed: int, *,
         else:
             rate = i / max(attempts_total, 1)
             raise DatasetError(
-                f"record {i}: no feasible load in {attempt_budget} draws "
+                f"record {i}: no feasible load in {ATTEMPT_BUDGET} draws "
                 f"(feasibility rate so far {rate:.3f})")
-    n_train = int(round(train_fraction * n))
+    n_train = int(round(TRAIN_FRACTION * n))
     return Dataset(loads, costs, commitments, n_train, seed=seed,
                    feasibility_rate=(n / attempts_total) if n else 1.0)
 
@@ -206,7 +207,7 @@ def write_dataset_csv(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def read_dataset_csv(path, *, train_fraction: float = 0.8) -> Dataset:
+def read_dataset_csv(path) -> Dataset:
     """Read the CSV format back; the split marker is recomputed from the
     train fraction (the file carries records only)."""
     try:
@@ -246,5 +247,5 @@ def read_dataset_csv(path, *, train_fraction: float = 0.8) -> Dataset:
         np.array(loads).reshape(n, n_load),
         np.array(costs, dtype=float),
         np.array(commitments, dtype=int).reshape(n, n_u),
-        n_train=int(round(train_fraction * n)),
+        n_train=int(round(TRAIN_FRACTION * n)),
     )

@@ -18,10 +18,11 @@ The ensemble skips every LP whose answer a known point already gives
 (the filtering rule of optimization-based bound tightening).  A bound
 LP's optimum that attains another column's proven limit settles that
 bound, and one that nearly meets or violates an undecided line row
-proves the row is kept.  Points come from the bound pass alone, so the
-skips depend on the region, never on `jobs`.  `lp_count` stays the
-paper's accounting (two LPs per bound column, one per undecided row);
-`lp_solved` counts the simplex runs actually made.
+proves the row is kept.  The points are the bound pass's optima, read
+from the vertex store below, so the skips depend on the region, never
+on `jobs`.  `lp_count` stays the paper's accounting (two LPs per bound
+column, one per undecided row); `lp_solved` counts the simplex runs
+actually made.
 
 An undecided row that no point proves kept next faces a Lagrangian box
 bound, the vertex pass's test applied to a_j - R^T y for multipliers
@@ -87,26 +88,26 @@ class BoundsBox:
     """Per-column bounds of the relaxed region, with provenance.
 
     `lp_count` is the paper's two bound LPs per column of provenance
-    "lp_solved"; the field `lp_solved` counts those actually solved, and
-    `points` holds their optimal points, one per row."""
+    "lp_solved"; the field `lp_solved` counts those actually solved.
+    Their optimal points live in the screen's vertex store."""
 
     lower: np.ndarray
     upper: np.ndarray
     provenance: tuple[str, ...]  # lp_solved | load_box | fixed_by_cut
-    lp_count: int = 0
     lp_solved: int = 0
-    points: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(self.lower > self.upper):
             raise ScreeningInfeasibleError(
                 "bounds box is empty (lower above upper)")
-        if self.points is None:
-            self.points = np.empty((0, self.n_cols))
 
     @property
     def n_cols(self) -> int:
         return self.lower.size
+
+    @property
+    def lp_count(self) -> int:
+        return 2 * self.provenance.count("lp_solved")
 
 
 @dataclass(eq=False)
@@ -149,7 +150,6 @@ class _Vertices:
 
     def __init__(self, inst: UcInstance):
         self.inst = inst
-        self.region = inst.region
         self.points = np.empty((0, inst.n_cols))
         self.tableaux: list = []
 
@@ -168,7 +168,7 @@ class _Vertices:
             fresh = "region_basis" not in vars(self.inst)
             pivots, verdict = self.inst.region_basis
             basis = (pivots if fresh else 0, verdict)
-        return VertexStart(self.region, basis, keep)
+        return VertexStart(self.inst.region, basis, keep)
 
     def add(self, sol, start: VertexStart) -> None:
         """Store the final tableau of a kept start whose LP reached an
@@ -225,7 +225,8 @@ def variable_bounds(inst: UcInstance, pool: Executor | None = None,
     from the vertex of an earlier round that scores best on its objective
     (the region's feasible basis in the first round), and the round's
     optimal vertices join `vertices`, a new store when None, after the
-    round.
+    round.  Every bound LP starts from a tableau, as no dispatch column is
+    ever fixed, so the store holds every earlier round's optimum, once.
     """
     if inst.binary_indices:
         raise LpUsageError("variable bounds expect a binary-relaxed instance")
@@ -241,13 +242,12 @@ def variable_bounds(inst: UcInstance, pool: Executor | None = None,
     if vertices is None:
         vertices = _Vertices(inst)
     side_bound = {"max": upper, "min": lower}
-    points = np.empty((2 * len(lp_cols), n))
-    n_points = solved = 0
+    solved = 0
 
     for p in lp_cols:
         limit = limits[p, ::-1]  # (max side, min side)
         attained = np.isfinite(limit) & np.any(
-            np.abs(points[:n_points, p, None] - limit)
+            np.abs(vertices.points[:, p, None] - limit)
             <= ATTAIN_RTOL * np.maximum(1.0, np.abs(limit)), axis=0)
         sides = []
         for side, lim, hit in zip(("max", "min"), limit, attained):
@@ -270,14 +270,11 @@ def variable_bounds(inst: UcInstance, pool: Executor | None = None,
                 side_bound[side][p] = np.inf if side == "max" else -np.inf
             else:
                 side_bound[side][p] = sol.objective_value
-                points[n_points] = sol.point
-                n_points += 1
     # Both LPs of a column the region fixes can end an ulp on the wrong
     # side of each other; the box keeps both values rather than call a
     # region empty that has optimal points.
     lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
-    return BoundsBox(lower, upper, provenance, lp_count=2 * len(lp_cols),
-                     lp_solved=solved, points=points[:n_points].copy())
+    return BoundsBox(lower, upper, provenance, lp_solved=solved)
 
 
 def box_row_maximum(rows: np.ndarray, box: BoundsBox) -> np.ndarray:
@@ -298,9 +295,8 @@ def vgs_screen(inst: UcInstance, box: BoundsBox,
     if candidates is None:
         candidates = inst.candidates
     t0 = time.perf_counter()
-    idx = np.array([inst.row_index(lb) for lb in candidates], dtype=int)
-    rows = inst.rows[idx]
-    omega = box_row_maximum(rows, box) - inst.rhs[idx]
+    idx = inst.rows_of(candidates)
+    omega = box_row_maximum(inst.rows[idx], box) - inst.rhs[idx]
     redundant = tuple(lb for lb, w in zip(candidates, omega)
                       if w < -FEASIBILITY_TOL)
     return ScreeningReport(
@@ -339,13 +335,13 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
         if not lb.is_line:
             raise LpUsageError(f"screening candidate {lb} is not a line row")
     t0 = time.perf_counter()
-    problems = [inst.lp(inst.row(lb)[0], sense="max") for lb in candidates]
+    idx = inst.rows_of(candidates)
+    problems = [inst.lp(a, sense="max") for a in inst.rows[idx]]
     if vertices is None:
         vertices = _Vertices(inst)
     solutions = _solve_many(vertices, problems, pool)
     redundant = []
-    for lb, sol in zip(candidates, solutions):
-        _, bound = inst.row(lb)
+    for lb, sol, bound in zip(candidates, solutions, inst.rhs[idx]):
         if sol.status == "infeasible":
             raise ScreeningInfeasibleError(
                 f"screening LP for {lb} infeasible; relaxed region is empty")
@@ -372,7 +368,7 @@ def _unwitnessed(inst: UcInstance, points: np.ndarray,
     row's maximum over the region is at least rows[j] @ p."""
     if not (len(points) and candidates):
         return candidates
-    idx = np.array([inst.row_index(lb) for lb in candidates], dtype=int)
+    idx = inst.rows_of(candidates)
     best = np.max(inst.rows[idx] @ points.T, axis=1)
     witnessed = best > inst.rhs[idx] - FEASIBILITY_TOL
     return tuple(lb for lb, w in zip(candidates, witnessed) if not w)
@@ -429,13 +425,12 @@ def lagrangian_certificates(inst: UcInstance, box: BoundsBox,
     Both depend on the region and the finished bound pass alone."""
     if not candidates:
         return {}
-    idx = np.array([inst.row_index(lb) for lb in candidates], dtype=int)
+    idx = inst.rows_of(candidates)
     rows, limit = inst.rows[idx], inst.rhs[idx] - FEASIBILITY_TOL
     lo, hi = box.lower, box.upper
     y = np.zeros((idx.size, inst.rows.shape[0]))
 
-    pair = np.array([inst.row_index(RowLabel("balance_le")),
-                     inst.row_index(RowLabel("balance_ge"))])
+    pair = inst.rows_of((RowLabel("balance_le"), RowLabel("balance_ge")))
     lam = balance_multiplier(rows, inst.rows[pair[0]], inst.rhs[pair[0]],
                              lo, hi)
     y[:, pair] = np.column_stack([np.maximum(lam, 0.0), np.maximum(-lam, 0.0)])
@@ -481,8 +476,7 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
             box = variable_bounds(inst, pool, vertices)
             bounds_s = time.perf_counter() - t0
             report = vgs_screen(inst, box)
-            report.lp_count = box.lp_count
-            report.lp_solved = box.lp_solved
+            report.lp_count, report.lp_solved = box.lp_count, box.lp_solved
             report.wall_times["bounds"] = bounds_s
         else:
             report = ScreeningReport(candidates=inst.candidates, redundant=())
@@ -492,31 +486,29 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
             t0 = time.perf_counter()
             rest = undecided
             if report.box is not None:
-                rest = _unwitnessed(inst, report.box.points, undecided)
+                rest = _unwitnessed(inst, vertices.points, undecided)
                 report.certificates = lagrangian_certificates(
                     inst, report.box, rest, vertices)
                 rest = tuple(lb for lb in rest
                              if lb not in report.certificates)
             part = lfgs_screen(inst, rest, pool, vertices)
-            removed = (set(report.redundant) | set(report.certificates)
-                       | set(part.redundant))
-            report.redundant = tuple(lb for lb in report.candidates
-                                     if lb in removed)
-            report.lp_count += len(undecided)
-            report.lp_solved += part.lp_solved
-            report.wall_times["lfgs"] = time.perf_counter() - t0
             report.attribution.update(
                 (lb, "lfgs") for lb in report.certificates)
             report.attribution.update(part.attribution)
+            report.redundant = tuple(lb for lb in report.candidates
+                                     if lb in report.attribution)
+            report.lp_count += len(undecided)
+            report.lp_solved += part.lp_solved
+            report.wall_times["lfgs"] = time.perf_counter() - t0
     report.check_partition()
     return report
 
 
 def reduce_model(full: UcInstance, redundant) -> UcInstance:
-    """Delete certified-redundant line rows; all other labels survive."""
+    """Delete certified-redundant line rows; all other labels survive.
+    Raises LpUsageError for a label that is not a line row of `full`."""
     redundant = tuple(redundant)
     for lb in redundant:
         if not lb.is_line:
             raise LpUsageError(f"refusing to delete non-line row {lb}")
-        full.row_index(lb)  # raises for unknown labels
     return full.without_rows(redundant)

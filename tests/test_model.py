@@ -206,6 +206,83 @@ def test_load_range_row_shapes(cases):
                    CutSet(load_range=(lo, hi)))
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("box", [False, True])
+def test_rows_equal_their_definitions_bit_for_bit(cases, box):
+    # The simplex's pivots depend on every bit of the rows, the sign of
+    # each zero included, so each block must be exactly its definition:
+    # +0.0 wherever a row does not touch a column.
+    for case in cases.values():
+        nominal = case.nominal_load
+        inst = build_uc(case, nominal)
+        if box:
+            inst = apply_cuts(inst, CutSet(load_range=(0.9 * nominal,
+                                                       1.1 * nominal)))
+        G, L = case.n_gens, case.n_lines
+        P = inst.ptdf.entries
+        PB = P @ case.gen_bus_matrix()
+        fmax = np.array([ln.f_max for ln in case.lines])
+        fmin = np.array([ln.f_min for ln in case.lines])
+        xmax = np.array([g.x_max for g in case.generators])
+        xmin = np.array([g.x_min for g in case.generators])
+        x, u, load = slice(0, G), slice(G, 2 * G), slice(2 * G, None)
+        upper, lower = slice(0, L), slice(L, 2 * L)
+        le, ge = 2 * L, 2 * L + 1
+        gen_upper = slice(2 * L + 2, 2 * L + 2 + G)
+        gen_lower = slice(2 * L + 2 + G, 2 * L + 2 + 2 * G)
+        rows, rhs = inst.rows, inst.rhs
+        assert inst.row_labels == (
+            tuple(RowLabel("line_upper", j) for j in range(L))
+            + tuple(RowLabel("line_lower", j) for j in range(L))
+            + (RowLabel("balance_le"), RowLabel("balance_ge"))
+            + tuple(RowLabel("gen_upper", g) for g in range(G))
+            + tuple(RowLabel("gen_lower", g) for g in range(G)))
+
+        assert _same_bits(rows[upper, x], PB)
+        assert _same_bits(rows[lower, x], -PB)
+        assert _same_bits(rows[:2 * L, u], 0.0)
+        assert _same_bits(rows[le, x], 1.0) and _same_bits(rows[le, u], 0.0)
+        assert _same_bits(rows[ge], -rows[le])
+        diagonal = np.eye(G, dtype=bool)
+        assert _same_bits(rows[gen_upper, x], np.where(diagonal, 1.0, 0.0))
+        assert _same_bits(rows[gen_lower, x], np.where(diagonal, -1.0, 0.0))
+        assert _same_bits(rows[gen_upper, u], np.diag(-xmax))
+        assert _same_bits(rows[gen_lower, u], np.diag(xmin))
+        assert _same_bits(rows[gen_upper.start:, load], 0.0)
+        assert _same_bits(rhs[gen_upper.start:], 0.0)
+        if box:
+            assert _same_bits(rows[upper, load], -P)
+            assert _same_bits(rows[lower, load], P)
+            assert _same_bits(rows[le, load], -1.0)
+            assert _same_bits(rhs[:2 * L], np.concatenate([fmax, -fmin]))
+            assert _same_bits(rhs[[le, ge]], 0.0)
+            assert _same_bits(inst.bounds[load],
+                              np.column_stack([0.9 * nominal, 1.1 * nominal]))
+        else:
+            flow, total = P @ nominal, float(np.sum(nominal))
+            assert rows.shape[1] == 2 * G
+            assert _same_bits(rhs[:2 * L],
+                              np.concatenate([fmax + flow, -fmin - flow]))
+            assert _same_bits(rhs[[le, ge]], [total, -total])
+        assert _same_bits(inst.bounds[x], [0.0, np.inf])
+        assert _same_bits(inst.bounds[u], [0.0, 1.0])
+
+
+def test_second_cost_cut_names_the_first(cases):
+    case = cases["five_bus"]
+    cut = apply_cuts(build_uc(case, case.nominal_load),
+                     CutSet(cost_bound=100.0))
+    with pytest.raises(LpUsageError,
+                       match=r"already has a cost cut at 100\.0"):
+        apply_cuts(cut, CutSet(cost_bound=90.0))
+
+
 def test_commit_fix_rows_pin_status(cases):
     case = cases["five_bus"]
     inst = build_uc(case, case.nominal_load)
