@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -44,7 +45,11 @@ class Generator:
 
 @dataclass(frozen=True, eq=False)
 class GridCase:
-    """Physical system description; immutable after parsing."""
+    """Physical system description; immutable after parsing.
+
+    Its PTDF depends on the case alone, so `ptdf` computes it on first
+    use and keeps it: every model built from one case shares one matrix.
+    A copy made by `dataclasses.replace` computes its own."""
 
     buses: tuple[int, ...]
     lines: tuple[Line, ...]
@@ -67,6 +72,11 @@ class GridCase:
 
     def bus_index(self, bus: int) -> int:
         return self.buses.index(bus)
+
+    @cached_property
+    def ptdf(self) -> PtdfMatrix:
+        """The case's PTDF, from `compute_ptdf` on first access."""
+        return compute_ptdf(self)
 
     def gen_bus_matrix(self) -> np.ndarray:
         """(n_buses, n_gens) incidence mapping generation onto buses."""

@@ -5,12 +5,17 @@ Exit codes: 0 success, 2 input error (a solver giving up included),
 3 screening infeasibility, 4 property violation.  Reports are canonical JSON: keys sorted, no
 volatile content unless --timings is given, so identical runs (and runs
 with different --jobs) produce identical bytes.
+
+`main` may be called many times in one process.  The argument parser is
+built on the first call and kept; each call parses its argv into a fresh
+namespace, so no value of one call reaches the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -284,7 +289,11 @@ def _screen(config: SchemeConfig, *, use_vgs: bool = True,
                       jobs=config.jobs)
     except ScreeningInfeasibleError as exc:
         _classify_screening_failure(full, exc)
-    reduced = reduce_model(full, report.redundant).without_rows(drop)
+    reduced = reduce_model(full, report.redundant)
+    # a row the screen removed is already gone from the reduced model
+    drop = [lb for lb in drop if lb not in report.redundant]
+    if drop:
+        reduced = reduced.without_rows(drop)
     reduced = apply_cuts(reduced, CutSet(commitment_fixes=cuts.commitment_fixes))
     return case, full, screened, report, reduced
 
@@ -413,7 +422,10 @@ def _config_from_args(args) -> SchemeConfig:
     )
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call: not at import, which
+    would cost every importer the build, and not per call."""
     parser = argparse.ArgumentParser(
         prog="ucscreen",
         description="LP-based redundant line-limit screening for DC unit commitment")
@@ -434,8 +446,11 @@ def main(argv=None) -> int:
 
     p_ver = subs.add_parser("verify", help="run the invariant suite on a case")
     _add_common(p_ver)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             report = run_scheme(_config_from_args(args))

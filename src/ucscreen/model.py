@@ -9,6 +9,13 @@ u lies in [0, 1], a load column in its range, and a commitment fix pins
 its status to [v, v].  The bound on x is one the rows already imply
 (see `_core_rows`).  Only the line-limit rows are ever screening
 candidates.
+
+`build_uc` and a load range's rebuild make instances whose every field
+is checked.  An instance derived from another keeps what it does not
+change: `relax_binaries`, a cut that only pins statuses, and
+`without_rows` share the parent's checked arrays, and the last two check
+only what they change, as `LpProblem.with_bounds` does.  A derivation
+that changes nothing returns the instance itself.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ucscreen.case import GridCase, PtdfMatrix, compute_ptdf
+from ucscreen.case import GridCase, PtdfMatrix
 from ucscreen.lp import (
     LpProblem,
     LpUsageError,
@@ -96,7 +103,8 @@ class UcInstance:
     """Compact system rows @ y <= rhs, bounds[:, 0] <= y <= bounds[:, 1],
     with cost vector and row labels.  `region` is the LpProblem of those
     rows and bounds with a zero objective, checked once when the instance
-    is made."""
+    is made; an instance derived through `_with` keeps the checks of its
+    parent's fields."""
 
     rows: np.ndarray
     rhs: np.ndarray
@@ -168,13 +176,33 @@ class UcInstance:
         return region_basis(self.region)
 
     def without_rows(self, labels) -> "UcInstance":
-        """The instance less the rows `labels` name; raises LpUsageError
-        for a label that names no row."""
+        """The instance less the rows `labels` name, or the instance
+        itself when `labels` is empty; raises LpUsageError for a label
+        that names no row.  The rows left need no check: they are rows
+        of this instance, with distinct labels."""
+        if not labels:
+            return self
         keep = np.ones(len(self.row_labels), dtype=bool)
         keep[self.rows_of(labels)] = False
         kept = tuple(lb for lb, k in zip(self.row_labels, keep) if k)
-        return replace(self, rows=self.rows[keep], rhs=self.rhs[keep],
-                       row_labels=kept)
+        rows, rhs = self.rows[keep], self.rhs[keep]
+        rows.flags.writeable = rhs.flags.writeable = False
+        return self._with(rows=rows, rhs=rhs, row_labels=kept,
+                          _row_of={lb: i for i, lb in enumerate(kept)},
+                          region=self.region._with(rows=rows, rhs=rhs))
+
+    def _with(self, **fields) -> "UcInstance":
+        """This instance with `fields` replaced, made without
+        `__post_init__`.  The caller passes only read-only arrays that
+        keep every check true, and with new rows, rhs or bounds also the
+        `region` (and with new rows the `_row_of` map) that goes with
+        them.  The cached `region_basis` carries over only when the
+        region does."""
+        out = object.__new__(UcInstance)
+        out.__dict__.update(self.__dict__, **fields)
+        if "region" in fields:
+            out.__dict__.pop("region_basis", None)
+        return out
 
 
 def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
@@ -241,7 +269,7 @@ def build_uc(case: GridCase, load) -> UcInstance:
     if load.size != case.n_buses:
         raise LpUsageError(
             f"load has {load.size} entries for {case.n_buses} buses")
-    ptdf = compute_ptdf(case)
+    ptdf = case.ptdf
     rows, rhs, bounds, cost, labels = _core_rows(case, ptdf, load)
     G = case.n_gens
     load = load.copy()
@@ -251,9 +279,11 @@ def build_uc(case: GridCase, load) -> UcInstance:
 
 
 def relax_binaries(inst: UcInstance) -> UcInstance:
-    """Binary relaxation u in [0,1]: identical rows and bounds, binary
-    marks cleared."""
-    return replace(inst, binary_indices=())
+    """Binary relaxation u in [0,1]: the same rows, bounds and region,
+    binary marks cleared; the instance itself when it has none."""
+    if not inst.binary_indices:
+        return inst
+    return inst._with(binary_indices=())
 
 
 def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
@@ -262,6 +292,8 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
 
     Returns a new instance.  A load range can only be applied to an
     uncut fixed-load instance (the rows are rebuilt around the l columns).
+    Status fixes alone change only the bounds, so the instance they make
+    keeps its parent's rows, labels and their checks.
     """
     if cuts.is_empty:
         return inst
@@ -285,16 +317,10 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
         return apply_cuts(out, CutSet(cost_bound=cuts.cost_bound,
                                       commitment_fixes=cuts.commitment_fixes))
 
-    rows, rhs, labels = inst.rows, inst.rhs, inst.row_labels
     cost_bound = inst.cuts.cost_bound
-    if cuts.cost_bound is not None:
-        if cost_bound is not None:
-            raise LpUsageError(f"instance already has a cost cut at "
-                               f"{cost_bound}; apply one cost bound")
-        cost_bound = cuts.cost_bound
-        rows = np.vstack([rows, inst.cost])
-        rhs = np.append(rhs, float(cost_bound))
-        labels += (RowLabel("cost_cut"),)
+    if cuts.cost_bound is not None and cost_bound is not None:
+        raise LpUsageError(f"instance already has a cost cut at "
+                           f"{cost_bound}; apply one cost bound")
 
     bounds = inst.bounds.copy()
     for k, v in cuts.commitment_fixes:
@@ -302,10 +328,16 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
             raise LpUsageError(f"commitment fix names unit {k}, have {G} units")
         bounds[G + k] = v
 
-    merged = CutSet(cost_bound, inst.cuts.commitment_fixes + cuts.commitment_fixes,
+    merged = CutSet(cost_bound if cuts.cost_bound is None else cuts.cost_bound,
+                    inst.cuts.commitment_fixes + cuts.commitment_fixes,
                     inst.cuts.load_range)
-    return replace(inst, rows=rows, rhs=rhs, bounds=bounds, row_labels=labels,
-                   cuts=merged)
+    if cuts.cost_bound is None:
+        bounds.flags.writeable = False
+        return inst._with(bounds=bounds, region=inst.region.with_bounds(bounds),
+                          cuts=merged)
+    return replace(inst, rows=np.vstack([inst.rows, inst.cost]),
+                   rhs=np.append(inst.rhs, float(cuts.cost_bound)), bounds=bounds,
+                   row_labels=inst.row_labels + (RowLabel("cost_cut"),), cuts=merged)
 
 
 @dataclass(frozen=True, eq=False)

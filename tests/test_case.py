@@ -1,6 +1,8 @@
 """Case parsing, validation, and PTDF tests."""
 
+import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +177,38 @@ def test_line_reorder_permutes_ptdf_rows(cases):
     shuffled = compute_ptdf(parse_case(json.dumps(doc)))
     original = compute_ptdf(case)
     assert np.allclose(shuffled.entries, original.entries[perm], atol=1e-12)
+
+
+def test_case_keeps_one_ptdf(monkeypatch):
+    """Every model built from one case shares its PTDF, computed once;
+    a copy with other lines computes its own.  Calls are counted
+    wherever a module of the package binds `compute_ptdf`, as a tracer
+    that rebinds it would count them."""
+    from ucscreen.predictors import generate_dataset
+
+    computed = []
+
+    def counting(case):
+        computed.append(case)
+        return compute_ptdf(case)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ucscreen":
+            for attr, value in list(vars(module).items()):
+                if value is compute_ptdf:
+                    monkeypatch.setattr(module, attr, counting)
+    case = load_bundled_case("nine_bus")
+    generate_dataset(case, 0.1, 5, seed=3)
+    assert computed == [case]
+    fresh = compute_ptdf(case)
+    assert np.array_equal(case.ptdf.entries, fresh.entries)
+    assert np.array_equal(np.signbit(case.ptdf.entries), np.signbit(fresh.entries))
+    assert case.ptdf.slack_bus == fresh.slack_bus
+    assert not case.ptdf.entries.flags.writeable
+
+    copy = dataclasses.replace(case, lines=case.lines[::-1])
+    assert np.array_equal(copy.ptdf.entries, fresh.entries[::-1])
+    assert computed == [case, copy]
 
 
 def test_bundled_corpus_parses(cases):

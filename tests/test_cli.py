@@ -130,6 +130,60 @@ def test_verify_negative_control_names_property(tmp_path, capsys):
     assert "zero_gap" in capsys.readouterr().err
 
 
+def test_drop_row_the_screen_removed_changes_nothing(tmp_path):
+    """--drop-row of a row the screen already removed: the reduced model
+    is the one the run without the flag solves."""
+    plain, dropped = tmp_path / "plain.json", tmp_path / "dropped.json"
+    argv = ["run", "--case", case_path("fifty_bus"), "--scheme", "s3"]
+    assert run_cli(*argv, "--out", str(plain)) == EXIT_OK
+    assert run_cli(*argv, "--drop-row", "line_upper(0)",
+                   "--out", str(dropped)) == EXIT_OK
+    a, b = read(plain), read(dropped)
+    assert "line_upper(0)" in a["redundant_rows"]
+    assert b["config"].pop("drop_rows") == ["line_upper(0)"]
+    assert a["config"].pop("drop_rows") == []
+    assert a == b
+
+
+def test_main_reused_in_one_process(tmp_path, capsys):
+    """Calls of `main` in one process give the bytes that the first call
+    of each argv in a process gives, and leave nothing to the next call:
+    the negative control's dropped row stays out of the run without it."""
+    neg = case_path("negcontrol")
+    calls = {
+        "run-drop": (["run", "--case", neg, "--scheme", "s3",
+                      "--drop-row", "line_upper(1)"], EXIT_PROPERTY),
+        "run": (["run", "--case", neg, "--scheme", "s3"], EXIT_OK),
+        "gen-data": (["gen-data", "--case", case_path("five_bus"), "--beta",
+                      "0.1", "--n", "3", "--seed", "2"], EXIT_OK),
+        "verify": (["verify", "--case", neg, "--scheme", "s3"], EXIT_OK),
+        "bad-flag": (["run", "--case", neg, "--no-such-flag"], EXIT_INPUT),
+    }
+
+    def call(key):
+        argv, code = calls[key]
+        out = tmp_path / key
+        try:
+            assert main([*argv, "--out", str(out)]) == code
+        except SystemExit as exc:  # argparse rejects the argv
+            assert exc.code == code
+        err = capsys.readouterr().err
+        # the run's one-line summary ends with its wall time
+        err = "\n".join(line.rsplit(", ", 1)[0] for line in err.splitlines())
+        body = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return err, body
+
+    first = {}
+    for key in calls:
+        ucscreen.cli._parser.cache_clear()  # as in a fresh process
+        first[key] = call(key)
+    assert first["run"][1] is not None and first["bad-flag"][1] is None
+    assert json.loads(first["run"][1])["config"]["drop_rows"] == []
+    for key in [*calls, *reversed(calls)]:
+        assert call(key) == first[key], key
+
+
 @pytest.mark.parametrize("name, scheme, beta", [("nine_bus", "s3", None),
                                                 ("fifty_bus", "s4", 0.1)])
 def test_verify_screens_once(name, scheme, beta, monkeypatch):

@@ -1,5 +1,6 @@
 """UC instance construction, cuts, and solve tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -165,6 +166,29 @@ def test_apply_cuts_empty_is_identity(cases):
     inst = build_uc(cases["five_bus"], cases["five_bus"].nominal_load)
     same = apply_cuts(inst, CutSet())
     assert same is inst
+
+
+def test_derived_instances_equal_checked_ones(cases):
+    """relax_binaries, status fixes and without_rows skip the checks of
+    what they keep, and give what a fully checked instance over the same
+    fields gives; a derivation that changes nothing is the identity."""
+    case = cases["nine_bus"]
+    relaxed = relax_binaries(build_uc(case, case.nominal_load))
+    assert relax_binaries(relaxed) is relaxed
+    assert relaxed.without_rows(()) is relaxed
+    relaxed.region_basis  # a derived region must not inherit it
+    for derived in (apply_cuts(relaxed, CutSet(commitment_fixes=((1, 0),))),
+                    relaxed.without_rows([RowLabel("line_upper", 2)])):
+        checked = dataclasses.replace(derived)
+        assert "region_basis" not in vars(derived)
+        assert derived._row_of == checked._row_of
+        for name in ("rows", "rhs", "bounds"):
+            got = getattr(derived, name)
+            assert getattr(derived.region, name) is got
+            assert not got.flags.writeable
+            assert np.array_equal(got, getattr(checked, name))
+        a, b = eovl(derived), eovl(checked)
+        assert (a.redundant, a.lp_count) == (b.redundant, b.lp_count)
 
 
 def test_huge_cost_bound_changes_nothing(cases):
