@@ -70,12 +70,16 @@ rules revisited", 2005).  Unit commitment puts no cost on status, so a
 rounded commitment often costs exactly the node's bound.  A branch
 changes only bounds, so every node shares one standard form in which
 each binary's bounds are two rows, and a `NodeStart` solves each child
-from its parent's optimal tableau by dual simplex pivots; only the root
-solves cold.  The point and cost returned come from one more cold LP
-with every binary fixed at the incumbent's value, so they depend on the
-commitment chosen and not on the path the tree took to it.  With costs
->= 0, as in unit commitment, both cold LPs end at their optimum when
-dual simplex makes the slack basis feasible.
+from its parent's optimal tableau by dual simplex pivots.  The root
+solves cold, unless the caller passes a `MilpReference`: the optimal
+root of a MILP with the same rows, bounds, costs and binaries at another
+right-hand side, from which the root starts the way a child starts from
+its parent.  Unit commitment at many loads of one case is such a family.
+The point and cost returned come from one more cold LP with every binary
+fixed at the incumbent's value, so they depend on the commitment chosen
+and not on the path the tree took to it, nor on the root's start.  With
+costs >= 0, as in unit commitment, both cold LPs end at their optimum
+when dual simplex makes the slack basis feasible.
 """
 
 from __future__ import annotations
@@ -680,10 +684,12 @@ class NodeStart:
     whole tree has one standard form in which each binary that `milp` does
     not fix keeps its column and gets an upper-bound row and a lower-bound
     row, and a node's bounds change only those rows' right-hand sides.
-    The root solves cold.  A child applies the change to its parent's
-    optimal tableau along the full tableau's columns of those rows'
-    slacks: the stored column of a nonbasic slack, the unit vector of its
-    row for a basic one.  The basis stays dual feasible, and dual simplex
+    The root solves cold, or, made by `_rooted` from a `MilpReference`'s
+    tree, starts from the reference root as a child does.  A child applies
+    the change in b to its parent's optimal tableau along the full
+    tableau's columns of the moved rows' slacks: the stored column of a
+    nonbasic slack, the unit vector of its row for a basic one.  The basis
+    stays dual feasible, and dual simplex
     pivots run to primal feasibility or prove the node empty, with the
     same guard against stalling and the same tolerance as `_cold`'s.  The
     prices are the node's costs, or ones when every standard-form cost is
@@ -709,14 +715,27 @@ class NodeStart:
         open_hi = hi.copy()
         open_hi[self.branch] = np.inf  # bound rows are added below
         form = _standard_form(region.rows, region.rhs, lo, open_hi)
-        self.first_bound_row = form.A.shape[0]
         unit = np.zeros((self.branch.size, form.A.shape[1]))
         unit[np.arange(self.branch.size),
              np.searchsorted(form.var, self.branch)] = 1.0
-        # b stops at the region's rows: each node appends its bound rows'.
+        # b stops before the bound rows: each node appends their rhs.
         self.form = replace(form, A=np.vstack([form.A, unit, -unit]))
-        self._parent = None  # (tableau, bound-row rhs) of the parent
+        self._parent = None  # (tableau, b) of the parent
         self._solved = None  # the same for this node, once solved
+
+    def _rooted(self, region: LpProblem, parent) -> "NodeStart":
+        """The root start of a tree over `region`, whose rows, bounds and
+        costs are this tree's and whose rhs may differ: this tree's
+        standard form with region's own b, and `parent`, a (tableau, b)
+        pair to start from, or None to solve cold."""
+        form = self.form
+        b = form.b.copy()  # past the region's rows: shifted upper bounds
+        b[:region.n_rows] = region.rhs - region.rows @ form.base
+        out = object.__new__(NodeStart)
+        out.__dict__.update(self.__dict__, region=region,
+                            form=replace(form, b=b), _parent=parent,
+                            _solved=None)
+        return out
 
     def child(self) -> "NodeStart":
         """A start for a child of this node, once solve_lp has solved it."""
@@ -734,27 +753,82 @@ class NodeStart:
         """(pivots, tableau) for solve_lp, as `VertexStart._warm`."""
         self._check(problem)
         lo0, bounds = self.branch_lo, problem.bounds[self.branch]
-        rhs = np.concatenate([bounds[:, 1] - lo0, lo0 - bounds[:, 0]])
+        b = np.concatenate([self.form.b, bounds[:, 1] - lo0, lo0 - bounds[:, 0]])
         cost = c[self.form.var] * self.form.sign
         if self._parent is None:
-            pivots, tab = _cold(
-                replace(self.form, b=np.concatenate([self.form.b, rhs])), cost)
+            pivots, tab = _cold(replace(self.form, b=b), cost)
             if not isinstance(tab, _Tableau):
                 return pivots, tab
         else:
-            parent, parent_rhs = self._parent
+            parent, parent_b = self._parent
             self._parent = None
             tab = parent.copy()
-            delta = rhs - parent_rhs
+            delta = b - parent_b
             moved = np.nonzero(delta)[0]
-            slack = tab.ns + self.first_bound_row + moved
-            tab.T[:, -1] += tab.columns(slack) @ delta[moved]
+            tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
             if not np.count_nonzero(cost):
                 cost = np.ones(cost.size)  # as the root's `_cold` priced it
             if tab.dual_simplex(tab._zrow(cost)) == "infeasible":
                 return tab.iterations, "infeasible"
-        self._solved = (tab, rhs)  # phase 2 in solve_lp finishes it in place
+        self._solved = (tab, b)  # phase 2 in solve_lp finishes it in place
         return 0, tab
+
+
+class MilpReference:
+    """The optimal root of one MILP, the reference, from which the roots
+    of MILPs that differ from it in their right-hand side alone start.
+
+    It holds the reference's branch-and-bound tree, whose standard form
+    (A, var, sign, base) such a MILP's tree reuses with its own b, and,
+    once solved, the reference root's optimal tableau.  A root that
+    starts from it applies its change in b to a copy of that tableau, as
+    a `NodeStart` child applies its bounds', and runs dual simplex
+    pivots to its own optimum (Koberstein, 2005, dual simplex after a
+    change of the right-hand side).  `solve_milp` solves the reference
+    root cold in the first call that needs it, or takes it from that
+    call's own root when the call's rhs equals the reference's.  A
+    reference whose root is not optimal serves no start, and its MILPs
+    solve their roots cold.  The tableau is a function of the reference
+    MILP alone, so no result depends on the order in which the MILPs
+    that share it are solved.
+    """
+
+    def __init__(self, problem: MilpProblem):
+        lp = problem.lp
+        self.problem = problem
+        self.base = lp.with_objective(-lp.objective if lp.sense == "max"
+                                      else lp.objective)
+        self.tree = NodeStart(MilpProblem(self.base, problem.binary_indices))
+        self.root = None  # (tableau, b) once solved; False when not optimal
+
+    def _check(self, problem: MilpProblem) -> None:
+        mine, lp = self.problem.lp, problem.lp
+        if not (problem.binary_indices == self.problem.binary_indices
+                and lp.sense == mine.sense
+                and _same_arrays((lp.rows, mine.rows), (lp.bounds, mine.bounds),
+                                 (lp.objective, mine.objective))):
+            raise LpUsageError("MILP reference was built for other rows, "
+                               "bounds, costs or binaries")
+
+    def _start(self, problem: MilpProblem, base: LpProblem) -> NodeStart:
+        """The root start of `problem`, `base` being its LP as a
+        minimisation: cold when its rhs is the reference's, which makes it
+        its own reference, or when the reference root is not optimal;
+        otherwise from the reference root, solved first if need be."""
+        self._check(problem)
+        if _same_arrays((base.rhs, self.base.rhs)):
+            return self.tree._rooted(base, None)
+        if self.root is None:
+            node = self.tree._rooted(self.base, None)
+            self._keep(node, solve_lp(self.base, node))
+        return self.tree._rooted(base, self.root or None)
+
+    def _keep(self, root: NodeStart, sol: LpSolution) -> None:
+        """Take `root`, solved cold at the reference's rhs, as the
+        reference root, unless one is known already."""
+        if self.root is None:
+            self.root = (root._solved if sol.status == "optimal"
+                         else None) or False
 
 
 def solve_lp(problem: LpProblem,
@@ -839,7 +913,8 @@ def _no_better(value: float, incumbent: LpSolution | None) -> bool:
     return value >= best - OPTIMALITY_TOL * max(1.0, abs(best))
 
 
-def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution:
+def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
+               reference: MilpReference | None = None) -> LpSolution:
     """Globally optimal best-first branch and bound over the binaries.
 
     Each node LP runs through solve_lp with a `NodeStart`.  At a node
@@ -853,13 +928,22 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     fractional binary when snapping near-integral binaries made the only
     violations.  The point and objective returned are those of a cold LP
     with every binary fixed at the incumbent's value; `iterations` counts
-    the pivots of every LP solved, that one included.  The root LP and
-    that final LP start at their slack bases and run dual simplex (see
-    `_cold`); when every standard-form cost is >= 0 and one is > 0, as
-    with unit commitment's costs over its nonnegative columns, that ends
-    at the optimum with no primal pivot.  Every other node runs dual
-    simplex from its parent's optimal tableau, to its optimum or to a
-    proof that it is empty.
+    the pivots of every LP solved, that one included.  That final LP
+    starts at its slack basis and runs dual simplex (see `_cold`); when
+    every standard-form cost is >= 0 and one is > 0, as with unit
+    commitment's costs over its nonnegative columns, that ends at the
+    optimum with no primal pivot.  Every other node runs dual simplex
+    from its parent's optimal tableau, to its optimum or to a proof that
+    it is empty.
+
+    The root runs the same way from `reference`'s root when one is given
+    and that root is optimal (see `MilpReference`), and cold otherwise.
+    A root whose rhs equals the reference's solves cold, and becomes the
+    reference root if there is none yet.  Otherwise a reference not yet
+    solved is solved here first, in its own solve_lp call, whose pivots
+    `iterations` leaves out, so that it counts the same pivots whichever
+    MILP pays for the reference.  Raises LpUsageError when `reference`
+    was built for other rows, bounds, costs or binaries.
     """
     nbin = len(problem.binary_indices)
     if nbin > 60:
@@ -875,9 +959,11 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
     nodes = 0
     pivots = 0
     seq = 0
+    if reference is None:
+        reference = MilpReference(problem)  # its own: a cold root
+    root = reference._start(problem, base)
     heap: list[tuple[float, int, np.ndarray, NodeStart]] = []
-    heapq.heappush(heap, (-np.inf, seq, base.bounds.copy(),
-                          NodeStart(MilpProblem(base, problem.binary_indices))))
+    heapq.heappush(heap, (-np.inf, seq, base.bounds.copy(), root))
 
     while heap:
         est, _, bnds, node = heapq.heappop(heap)
@@ -892,6 +978,8 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000) -> LpSolution
         nodes += 1
         sol = solve_lp(base.with_bounds(bnds), node)
         pivots += sol.iterations
+        if node is root:
+            reference._keep(root, sol)
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":

@@ -10,12 +10,19 @@ its status to [v, v].  The bound on x is one the rows already imply
 (see `_core_rows`).  Only the line-limit rows are ever screening
 candidates.
 
-`build_uc` and a load range's rebuild make instances whose every field
-is checked.  An instance derived from another keeps what it does not
-change: `relax_binaries`, a cut that only pins statuses, and
-`without_rows` share the parent's checked arrays, and the last two check
-only what they change, as `LpProblem.with_bounds` does.  A derivation
-that changes nothing returns the instance itself.
+Each case's instance at its nominal load is made once, with every field
+checked, and kept with the case (see `_CaseModels`).  `build_uc` gives
+it the rhs of another load, and a load range's rebuild its own rows and
+bounds, each checked; both keep its row labels and their map.  An
+instance derived from another keeps what it does not change:
+`relax_binaries`, a cut that only pins statuses, and `without_rows`
+share the parent's checked arrays, and the last two check only what
+they change, as `LpProblem.with_bounds` does.  A derivation that
+changes nothing returns the instance itself.
+
+`solve_uc` starts the branch-and-bound root of an uncut fixed-load
+instance from the optimal root of its rows at the nominal load, one
+`lp.MilpReference` per case and row set, kept with the case as well.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from ucscreen.lp import (
     LpProblem,
     LpUsageError,
     MilpProblem,
+    MilpReference,
     region_basis,
     solve_lp,
     solve_milp,
@@ -124,6 +132,9 @@ class UcInstance:
         if len(row_of) != len(self.row_labels):
             raise LpUsageError("row labels must be unique")
         object.__setattr__(self, "_row_of", row_of)
+        # Positions of these rows among the case's fixed-load rows, set on
+        # the instances that `build_uc` and `without_rows` make.
+        object.__setattr__(self, "_core", None)
         if self.bounds.shape != (self.rows.shape[1], 2):
             raise LpUsageError("one (lower, upper) bound pair per column required")
         for a in (self.rows, self.rhs, self.bounds, self.cost):
@@ -189,15 +200,16 @@ class UcInstance:
         rows.flags.writeable = rhs.flags.writeable = False
         return self._with(rows=rows, rhs=rhs, row_labels=kept,
                           _row_of={lb: i for i, lb in enumerate(kept)},
-                          region=self.region._with(rows=rows, rhs=rhs))
+                          region=self.region._with(rows=rows, rhs=rhs),
+                          _core=None if self._core is None else self._core[keep])
 
     def _with(self, **fields) -> "UcInstance":
         """This instance with `fields` replaced, made without
         `__post_init__`.  The caller passes only read-only arrays that
         keep every check true, and with new rows, rhs or bounds also the
-        `region` (and with new rows the `_row_of` map) that goes with
-        them.  The cached `region_basis` carries over only when the
-        region does."""
+        `region` (and with new rows the `_row_of` map and `_core`
+        positions) that goes with them.  The cached `region_basis` carries
+        over only when the region does."""
         out = object.__new__(UcInstance)
         out.__dict__.update(self.__dict__, **fields)
         if "region" in fields:
@@ -205,11 +217,11 @@ class UcInstance:
         return out
 
 
-def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
+def _core_rows(case: GridCase, load: np.ndarray | None):
     """Line/balance/generator rows, built as blocks, with their rhs, the
     column bounds (x >= 0, u in [0, 1], load columns free until a load
-    range bounds them), the cost and the row labels; load fixed or as
-    columns.
+    range bounds them) and the cost; load fixed or as columns.  Their
+    labels are `_core_labels`.
 
     The bound x >= 0 removes no point: the gen_lower rows give x >=
     x_min * u, with u >= 0 and x_min >= 0, which the parser enforces.
@@ -219,11 +231,11 @@ def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
     G, L, N = case.n_gens, case.n_lines, case.n_buses
     range_mode = load is None
     ncols = 2 * G + (N if range_mode else 0)
-    fmax = np.array([ln.f_max for ln in case.lines])
-    fmin = np.array([ln.f_min for ln in case.lines])
+    limits = fmax, fmin = _line_limits(case)
     xmax = np.array([g.x_max for g in case.generators])
     xmin = np.array([g.x_min for g in case.generators])
     gens = np.arange(G)
+    ptdf = case.ptdf
 
     line_upper, line_lower = np.zeros((L, ncols)), np.zeros((L, ncols))
     line_upper[:, :G] = ptdf.entries @ case.gen_bus_matrix()
@@ -234,48 +246,100 @@ def _core_rows(case: GridCase, ptdf: PtdfMatrix, load: np.ndarray | None):
         line_upper[:, 2 * G:] = -ptdf.entries
         line_lower[:, 2 * G:] = ptdf.entries
         balance[2 * G:] = -1.0
-        line_rhs = [fmax, -fmin]
-        balance_rhs = [0.0, 0.0]
+        rhs = np.concatenate([fmax, -fmin, [0.0, 0.0], np.zeros(2 * G)])
     else:
-        flow = ptdf.entries @ load
-        line_rhs = [fmax + flow, -fmin - flow]
-        total = float(np.sum(load))
-        balance_rhs = [total, -total]
+        rhs = _load_rhs(case, limits, load)
     gen_upper, gen_lower = np.zeros((G, ncols)), np.zeros((G, ncols))
     gen_upper[gens, gens], gen_upper[gens, G + gens] = 1.0, -xmax
     gen_lower[gens, gens], gen_lower[gens, G + gens] = -1.0, xmin
 
     rows = np.vstack([line_upper, line_lower, balance, -balance,
                       gen_upper, gen_lower])
-    rhs = np.concatenate([*line_rhs, balance_rhs, np.zeros(2 * G)])
-    labels = tuple(
-        [RowLabel(kind, j) for kind in LINE_ROW_KINDS for j in range(L)]
-        + [RowLabel("balance_le"), RowLabel("balance_ge")]
-        + [RowLabel(kind, g) for kind in ("gen_upper", "gen_lower")
-           for g in range(G)])
-
     bounds = np.tile([-np.inf, np.inf], (ncols, 1))
     bounds[:G] = (0.0, np.inf)
     bounds[G:2 * G] = (0.0, 1.0)
     cost = np.zeros(ncols)
     cost[:G] = [g.cost for g in case.generators]
-    return rows, rhs, bounds, cost, labels
+    return rows, rhs, bounds, cost
+
+
+def _core_labels(case: GridCase) -> tuple[RowLabel, ...]:
+    """Labels of `_core_rows`' rows, in order, in either mode."""
+    return tuple(
+        [RowLabel(kind, j) for kind in LINE_ROW_KINDS
+         for j in range(case.n_lines)]
+        + [RowLabel("balance_le"), RowLabel("balance_ge")]
+        + [RowLabel(kind, g) for kind in ("gen_upper", "gen_lower")
+           for g in range(case.n_gens)])
+
+
+def _line_limits(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
+    """(f_max, f_min) of the case's lines."""
+    return (np.array([ln.f_max for ln in case.lines]),
+            np.array([ln.f_min for ln in case.lines]))
+
+
+def _load_rhs(case: GridCase, limits, load: np.ndarray) -> np.ndarray:
+    """The fixed-load rows' rhs at `load`: the line limits, `limits` as
+    `_line_limits` gives them, shifted by the load's flows, the balance
+    pair at the total load, and 0 for the generator rows."""
+    fmax, fmin = limits
+    flow = case.ptdf.entries @ load
+    total = float(np.sum(load))
+    return np.concatenate([fmax + flow, -fmin - flow, [total, -total],
+                           np.zeros(2 * case.n_gens)])
+
+
+class _CaseModels:
+    """What this module derives from one case alone, kept in the case's
+    `derived` store for as long as the case lives.
+
+    `nominal` is the case's instance at its nominal load, made and checked
+    once.  Every fixed-load instance that `build_uc` makes is `nominal`
+    with its own rhs and load, so all of them share its rows, bounds, cost,
+    labels, label map and their checks; a load range's instance shares its
+    labels and label map.  `nominal` is kept without its case, which
+    holds this store: the cycle would keep each case alive until the
+    cyclic garbage collector ran.  `references` holds one `MilpReference`
+    per row set: the MILP of those rows at the nominal load, whose root
+    every uncut MILP over the same rows starts from (see `solve_uc`).  The
+    key is the bytes of the rows' positions among `nominal`'s rows."""
+
+    def __init__(self, case: GridCase):
+        G = case.n_gens
+        self.limits = _line_limits(case)
+        load = np.array(case.nominal_load, dtype=float).ravel()
+        load.flags.writeable = False
+        rows, rhs, bounds, cost = _core_rows(case, load)
+        self.nominal = UcInstance(rows, rhs, bounds, cost, _core_labels(case),
+                                  tuple(range(G, 2 * G)), None, case.ptdf, load)
+        object.__setattr__(self.nominal, "_core", np.arange(rows.shape[0]))
+        self.references: dict[bytes, MilpReference] = {}
+
+
+def _case_models(case: GridCase) -> _CaseModels:
+    models = case.derived.get("model")
+    if models is None:
+        models = case.derived["model"] = _CaseModels(case)
+    return models
 
 
 def build_uc(case: GridCase, load) -> UcInstance:
     """UC model at a fixed load: line limits via PTDF, balance pair and
-    status-scaled generation bounds, with u in [0, 1] and marked binary."""
+    status-scaled generation bounds, with u in [0, 1] and marked binary.
+    Only the rhs depends on the load; the rest is the case's own, checked
+    once per case (see `_CaseModels`)."""
     load = np.asarray(load, dtype=float).ravel()
     if load.size != case.n_buses:
         raise LpUsageError(
             f"load has {load.size} entries for {case.n_buses} buses")
-    ptdf = case.ptdf
-    rows, rhs, bounds, cost, labels = _core_rows(case, ptdf, load)
-    G = case.n_gens
+    models = _case_models(case)
+    rhs = _load_rhs(case, models.limits, load)
+    nominal = models.nominal
     load = load.copy()
-    load.flags.writeable = False
-    return UcInstance(rows, rhs, bounds, cost, labels,
-                      tuple(range(G, 2 * G)), case, ptdf, load)
+    load.flags.writeable = rhs.flags.writeable = False
+    return nominal._with(case=case, rhs=rhs, load=load,
+                         region=nominal.region._with(rhs=rhs))
 
 
 def relax_binaries(inst: UcInstance) -> UcInstance:
@@ -297,7 +361,7 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
     """
     if cuts.is_empty:
         return inst
-    case, ptdf = inst.case, inst.ptdf
+    case = inst.case
     G = inst.n_gens
 
     if cuts.load_range is not None:
@@ -309,11 +373,18 @@ def apply_cuts(inst: UcInstance, cuts: CutSet) -> UcInstance:
         if lo.size != case.n_buses:
             raise LpUsageError(
                 f"load range has {lo.size} entries for {case.n_buses} buses")
-        rows, rhs, bounds, cost, labels = _core_rows(case, ptdf, None)
+        rows, rhs, bounds, cost = _core_rows(case, None)
         bounds[2 * G:, 0], bounds[2 * G:, 1] = lo, hi
-        # the positions of u, and so the binary marks, are unchanged
-        out = UcInstance(rows, rhs, bounds, cost, labels, inst.binary_indices,
-                         case, ptdf, None, CutSet(load_range=cuts.load_range))
+        for a in (rows, rhs, bounds, cost):
+            a.flags.writeable = False
+        # The labels and their map are the fixed-load rows', checked once
+        # per case; the positions of u, and so the binary marks, are
+        # unchanged.
+        out = _case_models(case).nominal._with(
+            case=case, rows=rows, rhs=rhs, bounds=bounds, cost=cost,
+            binary_indices=inst.binary_indices, load=None,
+            cuts=CutSet(load_range=cuts.load_range), _core=None,
+            region=LpProblem(np.zeros(rows.shape[1]), rows, rhs, bounds=bounds))
         return apply_cuts(out, CutSet(cost_bound=cuts.cost_bound,
                                       commitment_fixes=cuts.commitment_fixes))
 
@@ -352,12 +423,39 @@ def milp_problem(inst: UcInstance) -> MilpProblem:
     return MilpProblem(inst.lp(inst.cost), inst.binary_indices)
 
 
+def _reference(inst: UcInstance) -> MilpReference | None:
+    """The branch-and-bound reference of an uncut fixed-load instance:
+    the MILP of its rows at the case's nominal load, made on first use
+    and kept with the case (see `_CaseModels`).  None for an instance
+    with cuts or in range mode, whose roots solve cold."""
+    if inst._core is None or not inst.cuts.is_empty:
+        return None
+    models = _case_models(inst.case)
+    key = inst._core.tobytes()
+    ref = models.references.get(key)
+    if ref is None:
+        rhs = models.nominal.rhs[inst._core]
+        rhs.flags.writeable = False
+        ref = models.references[key] = MilpReference(MilpProblem(
+            inst.region._with(rhs=rhs).with_objective(inst.cost),
+            inst.binary_indices))
+    return ref
+
+
 def solve_uc(inst: UcInstance) -> UcSolution:
-    """Solve the instance as a MILP; raises UcInfeasibleError when empty."""
+    """Solve the instance as a MILP; raises UcInfeasibleError when empty.
+
+    An uncut fixed-load instance starts its branch-and-bound root from
+    the reference of its rows, the optimal root at the case's nominal
+    load (see `lp.MilpReference`), so the many loads of one case skip
+    most of the root's pivots.  The reference is a function of the case
+    and the rows alone, and the point and cost returned come from a cold
+    LP with the commitment fixed, so the result does not depend on which
+    loads were solved before."""
     G = inst.n_gens
     u_bounds = inst.bounds[G:2 * G]
     if inst.binary_indices:
-        sol = solve_milp(milp_problem(inst))
+        sol = solve_milp(milp_problem(inst), reference=_reference(inst))
     elif np.any(u_bounds[:, 0] < u_bounds[:, 1]):
         raise LpUsageError(
             "instance has relaxed statuses that are not fixed by cuts; "

@@ -610,7 +610,7 @@ def test_bad_flag_value_is_input_error(argv, capsys):
     NodeLimitExceeded("node limit 100000 exceeded"),
 ])
 def test_solver_giving_up_is_input_error(error, monkeypatch, capsys):
-    def give_up(problem):
+    def give_up(problem, *, reference=None):
         raise error
 
     monkeypatch.setattr(ucscreen.model, "solve_milp", give_up)

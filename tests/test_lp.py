@@ -15,6 +15,7 @@ from ucscreen.lp import (
     LpProblem,
     LpUsageError,
     MilpProblem,
+    MilpReference,
     NodeLimitExceeded,
     NodeStart,
     VertexStart,
@@ -1093,3 +1094,69 @@ def test_dual_ratio_ties_within_rounding_go_to_the_lowest_label():
     assert 0.1 / 0.3 != 1.0 / 3.0
     assert tab.dual_simplex(zrow) == "feasible"
     assert tab.basis.tolist() == [0]
+
+
+# --- roots started from a reference ---
+
+
+def test_reference_roots_match_cold_roots_on_random_milps(monkeypatch):
+    """Each random MILP, a quarter of them at zero cost, is the reference
+    of three MILPs with other right-hand sides.  Solved from it, each
+    ends where a cold solve ends; the reference's own rhs solves cold
+    and becomes the reference root when it is optimal."""
+    rng = np.random.default_rng(41)
+    calls = _spy_node_lps(monkeypatch)
+    warm = optimal = 0
+    for i, prob in enumerate(_random_milps(rng, 80)):
+        lp = prob.lp
+        objective = np.zeros(lp.n_vars) if i % 4 == 0 else lp.objective
+        prob = MilpProblem(LpProblem(objective, lp.rows, lp.rhs,
+                                     bounds=lp.bounds), prob.binary_indices)
+        reference = MilpReference(prob)
+        shifts = [np.zeros(lp.n_rows)] + [
+            np.round(rng.normal(scale=0.5, size=lp.n_rows), 3) for _ in range(3)]
+        for shift in shifts:
+            other = MilpProblem(LpProblem(objective, lp.rows, lp.rhs + shift,
+                                          bounds=lp.bounds), prob.binary_indices)
+            calls.clear()
+            mine = solve_milp(other, node_limit=1_000, reference=reference)
+            cold = solve_milp(other, node_limit=1_000)
+            if not np.any(shift):
+                assert not calls[0][0]  # its own reference: a cold root
+                assert bool(reference.root) == (calls[0][1] == "optimal")
+                assert mine.iterations == cold.iterations
+            elif reference.root:
+                assert any(started for started, _, _ in calls[:2])
+                warm += 1
+            assert mine.status == cold.status and mine.nodes >= 1
+            if mine.status == "optimal":
+                optimal += 1
+                assert abs(mine.objective_value - cold.objective_value) <= \
+                    1e-9 * max(1.0, abs(cold.objective_value))
+                assert np.max(lp.rows @ mine.point - other.lp.rhs) <= FEASIBILITY_TOL
+    assert optimal > 100 and warm > 100
+
+
+def test_reference_rejects_other_rows_bounds_costs_or_binaries():
+    lp = LpProblem([1.0, -1.0], [[1.0, 1.0]], [1.5], bounds=[(0, 1), (0, 3)])
+    reference = MilpReference(MilpProblem(lp, (0,)))
+    others = [
+        MilpProblem(LpProblem(lp.objective, [[1.0, 2.0]], lp.rhs,
+                              bounds=lp.bounds), (0,)),
+        MilpProblem(LpProblem(lp.objective, lp.rows, lp.rhs,
+                              bounds=[(0, 1), (0, 2)]), (0,)),
+        MilpProblem(LpProblem([2.0, -1.0], lp.rows, lp.rhs,
+                              bounds=lp.bounds), (0,)),
+        MilpProblem(LpProblem(lp.objective, lp.rows, lp.rhs, bounds=lp.bounds,
+                              sense="max"), (0,)),
+        MilpProblem(lp, ()),
+    ]
+    for other in others:
+        with pytest.raises(LpUsageError):
+            solve_milp(other, reference=reference)
+    assert reference.root is None  # no check passed, so nothing was solved
+    shifted = MilpProblem(LpProblem(lp.objective, lp.rows, [2.5],
+                                    bounds=lp.bounds), (0,))
+    mine = solve_milp(shifted, reference=reference)
+    assert reference.root
+    assert mine.objective_value == solve_milp(shifted).objective_value == -2.5

@@ -1,13 +1,19 @@
 """UC instance construction, cuts, and solve tests."""
 
 import dataclasses
+import importlib.util
 import itertools
+import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ucscreen.model as model_module
 from conftest import brute_force_milp
-from ucscreen.lp import FEASIBILITY_TOL, LpUsageError
+from ucscreen.case import load_bundled_case, parse_case
+from ucscreen.lp import FEASIBILITY_TOL, LpUsageError, solve_milp
 from ucscreen.model import (
     CutSet,
     RowLabel,
@@ -18,7 +24,12 @@ from ucscreen.model import (
     relax_binaries,
     solve_uc,
 )
-from ucscreen.screening import eovl
+from ucscreen.screening import eovl, reduce_model
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 def test_row_counts_by_construction(cases):
@@ -419,3 +430,170 @@ def test_row_label_parse_roundtrip():
     for lb in (RowLabel("line_upper", 3), RowLabel("balance_le"),
                RowLabel("commit_fix_ge", 11)):
         assert RowLabel.parse(str(lb)) == lb
+
+
+# --- branch-and-bound references ---
+
+
+def _range_case():
+    """The benchmark's load-range case: 30 buses, 14 units, beta 0.2."""
+    return parse_case(json.dumps(gen.ring_chord_case(
+        (2,), n_buses=30, n_chords=15, n_gens=14, beta=0.2,
+        tight_share=0.25, name="range")))
+
+
+def _loads(case, count, seed, beta=0.2):
+    nominal = case.nominal_load
+    return np.random.default_rng(seed).uniform(
+        (1 - beta) * nominal, (1 + beta) * nominal, size=(count, nominal.size))
+
+
+def _spy_milps(monkeypatch):
+    """Record (solution, reference passed) for each MILP solve_uc runs."""
+    calls = []
+
+    def spy(problem, **kwargs):
+        sol = solve_milp(problem, **kwargs)
+        calls.append((sol, kwargs.get("reference")))
+        return sol
+
+    monkeypatch.setattr(model_module, "solve_milp", spy)
+    return calls
+
+
+def _as_uc(inst, sol):
+    G = inst.n_gens
+    commitment = tuple(int(round(sol.point[G + g])) for g in range(G))
+    return commitment, sol.point[:G].tobytes(), float(sol.objective_value)
+
+
+def test_reference_roots_give_the_cold_results_bit_for_bit(monkeypatch):
+    """solve_uc starts each root from its rows' reference, and returns
+    exactly what a cold solve_milp returns, at eight seeded loads of the
+    range case (full and reduced) and of two bundled cases."""
+    calls = _spy_milps(monkeypatch)
+    range_case = _range_case()
+    box = CutSet(load_range=(0.8 * range_case.nominal_load,
+                             1.2 * range_case.nominal_load))
+    redundant = eovl(relax_binaries(apply_cuts(
+        build_uc(range_case, range_case.nominal_load), box))).redundant
+    assert redundant
+    warm = 0
+    for case, reduce in ((range_case, True), (load_bundled_case("thirty_bus"),
+                                               False),
+                         (load_bundled_case("fifty_bus"), False)):
+        for load in _loads(case, 8, seed=11, beta=0.05):
+            full = build_uc(case, load)
+            for inst in (full, reduce_model(full, redundant)) if reduce else (full,):
+                calls.clear()
+                mine = solve_uc(inst)
+                (sol, reference), = calls
+                assert reference is not None and reference.root
+                cold = solve_milp(milp_problem(inst))
+                assert (mine.commitment, mine.dispatch.tobytes(), mine.cost) \
+                    == _as_uc(inst, cold)
+                warm += sol.iterations < cold.iterations
+    assert warm >= 12  # the reference saved pivots
+
+
+def test_reference_results_do_not_depend_on_the_order_of_loads(monkeypatch):
+    """The same loads, the nominal one among them, solved in two orders,
+    each on a freshly parsed case, give the same solutions and pivot
+    counts: the reference is a function of the case and rows alone."""
+    text = json.dumps(gen.ring_chord_case(
+        (2,), n_buses=30, n_chords=15, n_gens=14, beta=0.2,
+        tight_share=0.25, name="range"))
+    loads = list(_loads(parse_case(text), 5, seed=3))
+    loads.insert(2, parse_case(text).nominal_load)
+    runs = []
+    for order in (range(len(loads)), reversed(range(len(loads)))):
+        case = parse_case(text)
+        calls = _spy_milps(monkeypatch)
+        got = {}
+        for k in order:
+            full = build_uc(case, loads[k])
+            reduced = full.without_rows([RowLabel("line_upper", 0),
+                                         RowLabel("line_lower", 3)])
+            for name, inst in (("full", full), ("reduced", reduced)):
+                solve_uc(inst)
+                sol = calls[-1][0]
+                got[k, name] = (sol.point.tobytes(), sol.objective_value,
+                                sol.iterations, sol.nodes)
+        runs.append(got)
+        assert len(case.derived["model"].references) == 2
+    assert runs[0] == runs[1]
+
+
+def test_reference_is_per_case_and_only_for_uncut_fixed_loads(monkeypatch):
+    case = load_bundled_case("nine_bus")
+    load = case.nominal_load * 1.02
+    calls = _spy_milps(monkeypatch)
+    solve_uc(build_uc(case, load))
+    (_, reference), = calls
+    assert case.derived["model"].references == {
+        np.arange(build_uc(case, load).rows.shape[0]).tobytes(): reference}
+
+    copy = dataclasses.replace(case)
+    assert "derived" not in vars(copy)
+    solve_uc(build_uc(copy, load))
+    assert calls[-1][1] is not None and calls[-1][1] is not reference
+    assert copy.derived["model"] is not case.derived["model"]
+
+    inst = build_uc(case, load)
+    cut = [apply_cuts(inst, CutSet(commitment_fixes=((0, 1),))),
+           apply_cuts(inst, CutSet(cost_bound=1e6)),
+           apply_cuts(inst, CutSet(load_range=(0.9 * case.nominal_load,
+                                               1.1 * case.nominal_load)))]
+    for other in cut:
+        calls.clear()
+        solve_uc(other)
+        assert calls[0][1] is None
+    # an instance rebuilt through its constructor has no reference
+    calls.clear()
+    solve_uc(dataclasses.replace(inst))
+    assert calls[0][1] is None
+
+    # What the case keeps does not keep the case: it goes with its last
+    # reference, with no cyclic garbage collection.
+    gone = weakref.ref(case)
+    del case, inst, cut, other
+    assert gone() is None
+
+
+def test_infeasible_nominal_load_leaves_every_root_cold(monkeypatch):
+    base = load_bundled_case("five_bus")
+    capacity = sum(g.x_max for g in base.generators)
+    scale = 1.2 * capacity / float(np.sum(base.nominal_load))
+    case = dataclasses.replace(base, nominal_load=base.nominal_load * scale)
+    calls = _spy_milps(monkeypatch)
+    inst = build_uc(case, base.nominal_load)  # a feasible sample
+    mine = solve_uc(inst)
+    (_, reference), = calls
+    assert reference.root is False  # solved first, and found empty
+    cold = solve_milp(milp_problem(inst))
+    assert (mine.commitment, mine.dispatch.tobytes(), mine.cost) \
+        == _as_uc(inst, cold)
+    assert calls[0][0].iterations == cold.iterations
+    for load in (case.nominal_load * 1.01, case.nominal_load):
+        with pytest.raises(UcInfeasibleError):
+            solve_uc(build_uc(case, load))
+
+
+def test_builds_share_the_case_rows_and_labels(cases):
+    case = cases["fourteen_bus"]
+    a, b = build_uc(case, case.nominal_load), build_uc(case, case.nominal_load * 1.1)
+    for name in ("rows", "bounds", "cost", "row_labels", "_row_of"):
+        assert getattr(a, name) is getattr(b, name)
+    assert a.rhs is not b.rhs and not b.rhs.flags.writeable
+    checked = dataclasses.replace(b)
+    for name in ("rows", "rhs", "bounds", "cost"):
+        assert np.array_equal(getattr(b, name), getattr(checked, name))
+    assert b.row_labels == checked.row_labels and b._row_of == checked._row_of
+    assert b.region.rhs is b.rhs and "region_basis" not in vars(b)
+    ranged = apply_cuts(a, CutSet(load_range=(0.9 * case.nominal_load,
+                                              1.1 * case.nominal_load)))
+    assert ranged.row_labels is a.row_labels
+    rechecked = dataclasses.replace(ranged)
+    for name in ("rows", "rhs", "bounds", "cost"):
+        assert np.array_equal(getattr(ranged, name), getattr(rechecked, name))
+        assert not getattr(ranged, name).flags.writeable
