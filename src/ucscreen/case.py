@@ -48,9 +48,9 @@ class GridCase:
     """Physical system description; immutable after parsing.
 
     Its PTDF depends on the case alone, so `ptdf` computes it on first
-    use and keeps it: every model built from one case shares one matrix.
-    `derived` keeps, the same way, what the model layer derives from the
-    case alone.  A copy made by `dataclasses.replace` computes its own."""
+    use and keeps it: every model built from one case shares one matrix,
+    and no model holds another.  A copy made by `dataclasses.replace`
+    computes its own."""
 
     buses: tuple[int, ...]
     lines: tuple[Line, ...]
@@ -78,14 +78,6 @@ class GridCase:
     def ptdf(self) -> PtdfMatrix:
         """The case's PTDF, from `compute_ptdf` on first access."""
         return compute_ptdf(self)
-
-    @cached_property
-    def derived(self) -> dict:
-        """What other layers derive from this case alone, kept as long as
-        the case lives; `model` keeps the case's checked instance at the
-        nominal load and its branch-and-bound references here.  Empty on
-        first access."""
-        return {}
 
     def gen_bus_matrix(self) -> np.ndarray:
         """(n_buses, n_gens) incidence mapping generation onto buses."""

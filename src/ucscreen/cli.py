@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from ucscreen.case import (
@@ -97,9 +97,11 @@ def _check_seed(seed: int) -> None:
         raise InputError(f"--seed must be >= 0, got {seed}")
 
 
-@dataclass
+@dataclasses.dataclass
 class SchemeConfig:
-    """Resolved run configuration; validates scheme prerequisites."""
+    """Resolved run configuration; validates scheme prerequisites.  Each
+    field is the destination of the run option of its name (see
+    `_add_common`)."""
 
     case_path: str
     scheme: str
@@ -113,6 +115,7 @@ class SchemeConfig:
     drop_rows: tuple[str, ...] = ()
 
     def __post_init__(self):
+        self.drop_rows = tuple(self.drop_rows)
         if self.scheme not in SCHEMES:
             raise InputError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.scheme == "s4" and self.beta is None:
@@ -137,20 +140,15 @@ class SchemeConfig:
         _check_seed(self.seed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "case": self.case_path,
-            "scheme": self.scheme,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "dataset": self.dataset_path,
-            "oracle_cost": self.oracle_cost,
-            "seed": self.seed,
-            "drop_rows": list(self.drop_rows),
-        }
+        """Every field but `jobs`, on which no report depends, with the
+        paths under the names of their options."""
+        out = dataclasses.asdict(self)
+        del out["jobs"]
+        out["case"], out["dataset"] = out.pop("case_path"), out.pop("dataset_path")
+        return out
 
 
-@dataclass
+@dataclasses.dataclass
 class RunReport:
     """Everything a scheme run produced, serializable as canonical JSON."""
 
@@ -181,14 +179,7 @@ class RunReport:
             "n_v": self.n_v,
             "lp_count": self.screening.lp_count,
             "r": self.r_ratio,
-            "gap": {
-                "full_status": self.gap.full_status,
-                "reduced_status": self.gap.reduced_status,
-                "full_cost": self.gap.full_cost,
-                "reduced_cost": self.gap.reduced_cost,
-                "gap": self.gap.gap,
-                "commitment_match": self.gap.commitment_match,
-            },
+            "gap": dataclasses.asdict(self.gap),
             "timings": timings,
             "config": self.config.to_json_dict(),
         }
@@ -391,35 +382,29 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--case", required=True, help="case JSON path")
+    """The options of `run` and `verify`, one per `SchemeConfig` field,
+    and --out."""
+    sub.add_argument("--case", dest="case_path", metavar="CASE", required=True,
+                     help="case JSON path")
     sub.add_argument("--scheme", default="s3", choices=SCHEMES)
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--epsilon", type=float, default=None)
     sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--dataset", default=None)
+    sub.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
+                     default=None)
     sub.add_argument("--oracle-cost", action="store_true")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--drop-row", action="append", default=[],
-                     metavar="LABEL",
+    sub.add_argument("--drop-row", dest="drop_rows", action="append",
+                     default=[], metavar="LABEL",
                      help="forcibly delete an extra row from the reduced "
                           "model (negative-control hook); repeatable")
     sub.add_argument("--out", default=None, help="write the JSON report here")
 
 
 def _config_from_args(args) -> SchemeConfig:
-    return SchemeConfig(
-        case_path=args.case,
-        scheme=args.scheme,
-        beta=args.beta,
-        epsilon=args.epsilon,
-        k=args.k,
-        dataset_path=args.dataset,
-        oracle_cost=args.oracle_cost,
-        seed=args.seed,
-        jobs=args.jobs,
-        drop_rows=tuple(args.drop_row),
-    )
+    return SchemeConfig(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(SchemeConfig)})
 
 
 @functools.cache

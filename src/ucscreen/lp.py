@@ -67,19 +67,25 @@ down-branch first, on the lowest-index fractional binary with a nonzero
 coefficient in a row the rounded point violates: only a fix of such a
 binary can repair that row (cf. Achterberg, Koch & Martin, "Branching
 rules revisited", 2005).  Unit commitment puts no cost on status, so a
-rounded commitment often costs exactly the node's bound.  A branch
-changes only bounds, so every node shares one standard form in which
-each binary's bounds are two rows, and a `NodeStart` solves each child
-from its parent's optimal tableau by dual simplex pivots.  The root
-solves cold, unless the caller passes a `MilpReference`: the optimal
-root of a MILP with the same rows, bounds, costs and binaries at another
-right-hand side, from which the root starts the way a child starts from
-its parent.  Unit commitment at many loads of one case is such a family.
-The point and cost returned come from one more cold LP with every binary
-fixed at the incumbent's value, so they depend on the commitment chosen
-and not on the path the tree took to it, nor on the root's start.  With
-costs >= 0, as in unit commitment, both cold LPs end at their optimum
-when dual simplex makes the slack basis feasible.
+rounded commitment often costs exactly the node's bound.  A branch is
+one step, a binary fixed at 0 or 1, and changes only bounds, so every
+node shares one standard form in which each binary's bounds are two
+rows.  A `NodeStart` holds a node's own bounds and right-hand side;
+`child(var, value)` copies both and sets var's bound pair and the
+right-hand sides of its two bound rows, and the child solves from its
+parent's optimal tableau by dual simplex pivots.  A node's LP gets no
+check of its own: its bounds are its parent's, checked, with one binary
+fixed.  The root solves cold, unless the caller passes a
+`MilpReference`: a MILP with the same rows, bounds, costs and binaries
+at another right-hand side, whose optimal root is solved cold, in its
+own LP, by the first call whose right-hand side differs from it, and
+from which later roots start the way a child starts from its parent.
+Unit commitment at many loads of one case is such a family.  The point
+and cost returned come from one more cold LP with every binary fixed at
+the incumbent's value, so they depend on the commitment chosen and not
+on the path the tree took to it, nor on the root's start.  With costs
+>= 0, as in unit commitment, both cold LPs end at their optimum when
+dual simplex makes the slack basis feasible.
 """
 
 from __future__ import annotations
@@ -158,6 +164,14 @@ def _checked_bounds(bounds, n: int) -> np.ndarray:
     return out
 
 
+def _nan_free(vector: np.ndarray, name: str) -> None:
+    """Raise LpUsageError naming the first NaN entry of `vector`.  One dot
+    product tests for one: a sum of squares is >= 0, infinite entries and
+    overflow included, unless an entry is NaN."""
+    if not vector @ vector >= 0.0:
+        raise LpUsageError(f"{name} entry {int(np.isnan(vector).argmax())} is NaN")
+
+
 def _checked_sense(sense: str) -> str:
     if sense not in ("min", "max"):
         raise LpUsageError(f"sense must be 'min' or 'max', got {sense!r}")
@@ -168,7 +182,9 @@ def _checked_sense(sense: str) -> str:
 class LpProblem:
     """min or max `objective @ y` s.t. `rows @ y <= rhs`, `lo <= y <= hi`.
 
-    Every field is checked when the problem is made.  `with_objective`
+    Every field is checked when the problem is made: no entry may be NaN,
+    nor a row entry infinite.  An infinite rhs entry is allowed: +inf sets
+    no limit, and -inf makes the problem infeasible.  `with_objective`
     and `with_bounds` derive a problem over the same checked arrays and
     check only what they change, so the many LPs over one region pay for
     the region's checks once."""
@@ -181,6 +197,7 @@ class LpProblem:
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float).ravel()
+        _nan_free(self.objective, "objective")
         n = self.objective.size
         self.rows = np.asarray(self.rows, dtype=float)
         if self.rows.size == 0:
@@ -189,6 +206,9 @@ class LpProblem:
             raise LpUsageError(
                 f"rows shape {self.rows.shape} incompatible with {n} variables"
             )
+        if not np.isfinite(self.rows).all():
+            i, j = np.argwhere(~np.isfinite(self.rows))[0]
+            raise LpUsageError(f"row {i} has a non-finite entry in column {j}")
         self.rhs = np.asarray(self.rhs, dtype=float)
         if self.rhs.ndim != 1:
             self.rhs = self.rhs.ravel()
@@ -196,6 +216,7 @@ class LpProblem:
             raise LpUsageError(
                 f"rhs length {self.rhs.size} != row count {self.rows.shape[0]}"
             )
+        _nan_free(self.rhs, "rhs")
         self.bounds = _checked_bounds(self.bounds, n)
         _checked_sense(self.sense)
 
@@ -214,6 +235,7 @@ class LpProblem:
         if objective.size != self.n_vars:
             raise LpUsageError(f"objective has {objective.size} entries "
                                f"for {self.n_vars} variables")
+        _nan_free(objective, "objective")
         return self._with(objective=objective, sense=_checked_sense(sense))
 
     def with_bounds(self, bounds) -> "LpProblem":
@@ -270,7 +292,9 @@ class LpSolution:
 
 @dataclass
 class MilpProblem:
-    """An LpProblem plus indices of variables restricted to {0, 1}."""
+    """An LpProblem plus indices of variables restricted to {0, 1}, each
+    bounded by 0 or 1 on either side, so that a branch that fixes one at
+    0 or 1 stays within its bounds."""
 
     lp: LpProblem
     binary_indices: tuple[int, ...]
@@ -284,9 +308,9 @@ class MilpProblem:
             if not 0 <= i < n:
                 raise LpUsageError(f"binary index {i} out of range for {n} variables")
             lo, hi = self.lp.bounds[i]
-            if lo < -INTEGRALITY_TOL or hi > 1 + INTEGRALITY_TOL:
+            if lo not in (0.0, 1.0) or hi not in (0.0, 1.0):
                 raise LpUsageError(
-                    f"binary variable {i} must have bounds within [0, 1], "
+                    f"binary variable {i} must have bounds 0 or 1, "
                     f"got [{lo}, {hi}]"
                 )
         self.binary_indices = idx
@@ -676,50 +700,52 @@ class VertexStart:
 
 
 class NodeStart:
-    """Start of one branch-and-bound node LP: the tree's standard form and
-    the optimal tableau of the node's parent.
+    """Start of one branch-and-bound node LP: the tree's standard form,
+    the node's own bounds and right-hand side, and the optimal tableau of
+    the node's parent.
 
     Every node LP of `milp` shares its rows, right-hand side and the bounds
     of its non-binary variables; only the binaries' bounds differ.  So the
     whole tree has one standard form in which each binary that `milp` does
     not fix keeps its column and gets an upper-bound row and a lower-bound
     row, and a node's bounds change only those rows' right-hand sides.
+    `bounds`, read-only, are the node's, and `b` is its whole right-hand
+    side: the region's rows, then the bound rows.  `child(var, value)`
+    makes both for a child from this node's: one bound pair and the two
+    entries of `b` that belong to `var`.
+
     The root solves cold, or, made by `_rooted` from a `MilpReference`'s
     tree, starts from the reference root as a child does.  A child applies
     the change in b to its parent's optimal tableau along the full
     tableau's columns of the moved rows' slacks: the stored column of a
     nonbasic slack, the unit vector of its row for a basic one.  The basis
-    stays dual feasible, and dual simplex
-    pivots run to primal feasibility or prove the node empty, with the
-    same guard against stalling and the same tolerance as `_cold`'s.  The
-    prices are the node's costs, or ones when every standard-form cost is
-    0, as the root's `_cold` priced them: by induction every node's basis
-    is then optimal for ones, and no dual ratio test ties every column at
-    0.  A start serves one solve_lp call, which keeps the node's final
-    tableau for the starts that `child()` makes; the two children of a
-    node share that tableau read-only.
+    stays dual feasible, and dual simplex pivots run to primal feasibility
+    or prove the node empty, with the same guard against stalling and the
+    same tolerance as `_cold`'s.  The prices are the node's costs, or ones
+    when every standard-form cost is 0, as the root's `_cold` priced them:
+    by induction every node's basis is then optimal for ones, and no dual
+    ratio test ties every column at 0.  A start serves one solve_lp call,
+    whose LP must have the node's rows, rhs and bounds, and which keeps the
+    node's final tableau for the children; the two children of a node
+    share that tableau read-only.
     """
 
     def __init__(self, milp: MilpProblem):
         region = milp.lp
         lo, hi = region.bounds[:, 0], region.bounds[:, 1]
-        self.region = region
-        self.binary = np.zeros(region.n_vars, dtype=bool)
-        self.binary[list(milp.binary_indices)] = True
-        self.branch = np.nonzero(self.binary & (lo < hi))[0]
-        self.branch_lo = lo[self.branch]
-        # A node's bounds lie in [floor, ceil]: a binary's within the
-        # region's, every other variable's equal to them.
-        self.floor = np.column_stack([lo, np.where(self.binary, -np.inf, hi)])
-        self.ceil = np.column_stack([np.where(self.binary, np.inf, lo), hi])
+        self.branch = np.array([i for i in milp.binary_indices if lo[i] < hi[i]],
+                               dtype=int)
         open_hi = hi.copy()
         open_hi[self.branch] = np.inf  # bound rows are added below
         form = _standard_form(region.rows, region.rhs, lo, open_hi)
         unit = np.zeros((self.branch.size, form.A.shape[1]))
         unit[np.arange(self.branch.size),
              np.searchsorted(form.var, self.branch)] = 1.0
-        # b stops before the bound rows: each node appends their rhs.
-        self.form = replace(form, A=np.vstack([form.A, unit, -unit]))
+        # A bound row's rhs is hi - lo, or lo - lo = 0 for its lower bound.
+        self.b = np.concatenate([form.b, (hi - lo)[self.branch],
+                                 np.zeros(self.branch.size)])
+        self.form = replace(form, A=np.vstack([form.A, unit, -unit]), b=self.b)
+        self.region, self.bounds = region, region.bounds
         self._parent = None  # (tableau, b) of the parent
         self._solved = None  # the same for this node, once solved
 
@@ -728,49 +754,52 @@ class NodeStart:
         costs are this tree's and whose rhs may differ: this tree's
         standard form with region's own b, and `parent`, a (tableau, b)
         pair to start from, or None to solve cold."""
-        form = self.form
-        b = form.b.copy()  # past the region's rows: shifted upper bounds
-        b[:region.n_rows] = region.rhs - region.rows @ form.base
+        b = self.b.copy()  # past the region's rows: this tree's bound rows
+        b[:region.n_rows] = region.rhs - region.rows @ self.form.base
         out = object.__new__(NodeStart)
-        out.__dict__.update(self.__dict__, region=region,
-                            form=replace(form, b=b), _parent=parent,
-                            _solved=None)
+        out.__dict__.update(self.__dict__, region=region, bounds=region.bounds,
+                            b=b, _parent=parent, _solved=None)
         return out
 
-    def child(self) -> "NodeStart":
-        """A start for a child of this node, once solve_lp has solved it."""
+    def child(self, var: int, value: float) -> "NodeStart":
+        """The start of this node's child with binary `var` fixed at
+        `value`, once solve_lp has solved this node."""
+        bounds = self.bounds.copy()
+        bounds[var] = value
+        bounds.flags.writeable = False
+        nb = self.branch.size
+        up = self.b.size - 2 * nb + int(np.searchsorted(self.branch, var))
+        b = self.b.copy()
+        # value - lo and lo - value: a branched binary's bounds are (0, 1)
+        b[up], b[up + nb] = value, 0.0 - value
         out = object.__new__(NodeStart)  # shares the standard form
-        out.__dict__.update(self.__dict__, _parent=self._solved, _solved=None)
+        out.__dict__.update(self.__dict__, bounds=bounds, b=b,
+                            _parent=self._solved, _solved=None)
         return out
-
-    def _check(self, problem: LpProblem) -> None:
-        r, b = self.region, problem.bounds
-        if not (_same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs))
-                and not np.count_nonzero((b < self.floor) | (b > self.ceil))):
-            raise LpUsageError("node start was built for a different region")
 
     def _warm(self, problem: LpProblem, c: np.ndarray):
         """(pivots, tableau) for solve_lp, as `VertexStart._warm`."""
-        self._check(problem)
-        lo0, bounds = self.branch_lo, problem.bounds[self.branch]
-        b = np.concatenate([self.form.b, bounds[:, 1] - lo0, lo0 - bounds[:, 0]])
+        r = self.region
+        if not _same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs),
+                            (problem.bounds, self.bounds)):
+            raise LpUsageError("node start was built for a different region")
         cost = c[self.form.var] * self.form.sign
         if self._parent is None:
-            pivots, tab = _cold(replace(self.form, b=b), cost)
+            pivots, tab = _cold(replace(self.form, b=self.b), cost)
             if not isinstance(tab, _Tableau):
                 return pivots, tab
         else:
             parent, parent_b = self._parent
             self._parent = None
             tab = parent.copy()
-            delta = b - parent_b
+            delta = self.b - parent_b
             moved = np.nonzero(delta)[0]
             tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
             if not np.count_nonzero(cost):
                 cost = np.ones(cost.size)  # as the root's `_cold` priced it
             if tab.dual_simplex(tab._zrow(cost)) == "infeasible":
                 return tab.iterations, "infeasible"
-        self._solved = (tab, b)  # phase 2 in solve_lp finishes it in place
+        self._solved = (tab, self.b)  # phase 2 in solve_lp finishes it in place
         return 0, tab
 
 
@@ -784,9 +813,10 @@ class MilpReference:
     starts from it applies its change in b to a copy of that tableau, as
     a `NodeStart` child applies its bounds', and runs dual simplex
     pivots to its own optimum (Koberstein, 2005, dual simplex after a
-    change of the right-hand side).  `solve_milp` solves the reference
-    root cold in the first call that needs it, or takes it from that
-    call's own root when the call's rhs equals the reference's.  A
+    change of the right-hand side).  The reference root is solved one
+    way only: cold, in its own solve_lp call, by the first `solve_milp`
+    whose rhs differs from the reference's.  A MILP at the reference's
+    own rhs solves its root cold and leaves the reference unsolved.  A
     reference whose root is not optimal serves no start, and its MILPs
     solve their roots cold.  The tableau is a function of the reference
     MILP alone, so no result depends on the order in which the MILPs
@@ -795,40 +825,29 @@ class MilpReference:
 
     def __init__(self, problem: MilpProblem):
         lp = problem.lp
-        self.problem = problem
         self.base = lp.with_objective(-lp.objective if lp.sense == "max"
                                       else lp.objective)
+        self.binary_indices = problem.binary_indices
         self.tree = NodeStart(MilpProblem(self.base, problem.binary_indices))
         self.root = None  # (tableau, b) once solved; False when not optimal
 
-    def _check(self, problem: MilpProblem) -> None:
-        mine, lp = self.problem.lp, problem.lp
-        if not (problem.binary_indices == self.problem.binary_indices
-                and lp.sense == mine.sense
-                and _same_arrays((lp.rows, mine.rows), (lp.bounds, mine.bounds),
-                                 (lp.objective, mine.objective))):
-            raise LpUsageError("MILP reference was built for other rows, "
-                               "bounds, costs or binaries")
-
     def _start(self, problem: MilpProblem, base: LpProblem) -> NodeStart:
         """The root start of `problem`, `base` being its LP as a
-        minimisation: cold when its rhs is the reference's, which makes it
-        its own reference, or when the reference root is not optimal;
-        otherwise from the reference root, solved first if need be."""
-        self._check(problem)
-        if _same_arrays((base.rhs, self.base.rhs)):
+        minimisation: cold when its rhs is the reference's, or when the
+        reference root is not optimal; otherwise from the reference root,
+        solved first if need be."""
+        mine = self.base
+        if not (problem.binary_indices == self.binary_indices
+                and _same_arrays((base.rows, mine.rows), (base.bounds, mine.bounds),
+                                 (base.objective, mine.objective))):
+            raise LpUsageError("MILP reference was built for other rows, "
+                               "bounds, costs or binaries")
+        if _same_arrays((base.rhs, mine.rhs)):
             return self.tree._rooted(base, None)
         if self.root is None:
-            node = self.tree._rooted(self.base, None)
-            self._keep(node, solve_lp(self.base, node))
+            sol = solve_lp(mine, self.tree)
+            self.root = sol.status == "optimal" and self.tree._solved
         return self.tree._rooted(base, self.root or None)
-
-    def _keep(self, root: NodeStart, sol: LpSolution) -> None:
-        """Take `root`, solved cold at the reference's rhs, as the
-        reference root, unless one is known already."""
-        if self.root is None:
-            self.root = (root._solved if sol.status == "optimal"
-                         else None) or False
 
 
 def solve_lp(problem: LpProblem,
@@ -917,7 +936,9 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
                reference: MilpReference | None = None) -> LpSolution:
     """Globally optimal best-first branch and bound over the binaries.
 
-    Each node LP runs through solve_lp with a `NodeStart`.  At a node
+    Each node is a `NodeStart` that holds its bounds, and its LP, the
+    problem's with those bounds, runs through solve_lp with it and no
+    check: a branch fixes one binary of checked bounds at 0 or 1.  At a node
     whose LP optimum has a fractional binary, simple rounding (Achterberg,
     2007) rounds every binary above INTEGRALITY_TOL up, keeps the other
     values, and checks that point against every row, with no LP: a point
@@ -927,7 +948,8 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     in a row that the rounded point violates, or on the lowest-index
     fractional binary when snapping near-integral binaries made the only
     violations.  The point and objective returned are those of a cold LP
-    with every binary fixed at the incumbent's value; `iterations` counts
+    with every binary fixed at the incumbent's value, whose bounds alone
+    are checked; `iterations` counts
     the pivots of every LP solved, that one included.  That final LP
     starts at its slack basis and runs dual simplex (see `_cold`); when
     every standard-form cost is >= 0 and one is > 0, as with unit
@@ -938,12 +960,12 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
 
     The root runs the same way from `reference`'s root when one is given
     and that root is optimal (see `MilpReference`), and cold otherwise.
-    A root whose rhs equals the reference's solves cold, and becomes the
-    reference root if there is none yet.  Otherwise a reference not yet
-    solved is solved here first, in its own solve_lp call, whose pivots
-    `iterations` leaves out, so that it counts the same pivots whichever
-    MILP pays for the reference.  Raises LpUsageError when `reference`
-    was built for other rows, bounds, costs or binaries.
+    A root whose rhs equals the reference's solves cold.  Otherwise a
+    reference not yet solved is solved here first, in its own solve_lp
+    call, whose pivots `iterations` leaves out, so that it counts the
+    same pivots whichever MILP pays for the reference.  Raises
+    LpUsageError when `reference` was built for other rows, bounds,
+    costs or binaries.
     """
     nbin = len(problem.binary_indices)
     if nbin > 60:
@@ -959,14 +981,11 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     nodes = 0
     pivots = 0
     seq = 0
-    if reference is None:
-        reference = MilpReference(problem)  # its own: a cold root
-    root = reference._start(problem, base)
-    heap: list[tuple[float, int, np.ndarray, NodeStart]] = []
-    heapq.heappush(heap, (-np.inf, seq, base.bounds.copy(), root))
+    root = (reference or MilpReference(problem))._start(problem, base)
+    heap: list[tuple[float, int, NodeStart]] = [(-np.inf, seq, root)]
 
     while heap:
-        est, _, bnds, node = heapq.heappop(heap)
+        est, _, node = heapq.heappop(heap)
         if _no_better(est, best):
             continue
         if nodes >= node_limit:
@@ -976,10 +995,8 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
                 bound=est if best is None else min(est, best.objective_value),
             )
         nodes += 1
-        sol = solve_lp(base.with_bounds(bnds), node)
+        sol = solve_lp(base._with(bounds=node.bounds), node)
         pivots += sol.iterations
-        if node is root:
-            reference._keep(root, sol)
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
@@ -1007,10 +1024,8 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
             needed = frac
         var = int(bidx[needed.argmax()])
         for v in (0.0, 1.0):  # down-branch first
-            child = bnds.copy()
-            child[var] = (v, v)
             seq += 1
-            heapq.heappush(heap, (val, seq, child, node.child()))
+            heapq.heappush(heap, (val, seq, node.child(var, v)))
 
     if best is None:
         return LpSolution("infeasible", None, None, iterations=pivots,

@@ -11,28 +11,31 @@ its status to [v, v].  The bound on x is one the rows already imply
 candidates.
 
 Each case's instance at its nominal load is made once, with every field
-checked, and kept with the case (see `_CaseModels`).  `build_uc` gives
-it the rhs of another load, and a load range's rebuild its own rows and
+checked, and kept for as long as the case lives, in a store that this
+module keeps per case object (see `_CaseModels`).  `build_uc` gives it
+the rhs of another load, and a load range's rebuild its own rows and
 bounds, each checked; both keep its row labels and their map.  An
 instance derived from another keeps what it does not change:
 `relax_binaries`, a cut that only pins statuses, and `without_rows`
 share the parent's checked arrays, and the last two check only what
-they change, as `LpProblem.with_bounds` does.  A derivation that
-changes nothing returns the instance itself.
+they change, as `LpProblem.with_bounds` does.  `without_rows` makes no
+label map: an instance builds its own on its first label lookup.  A
+derivation that changes nothing returns the instance itself.
 
 `solve_uc` starts the branch-and-bound root of an uncut fixed-load
 instance from the optimal root of its rows at the nominal load, one
-`lp.MilpReference` per case and row set, kept with the case as well.
+`lp.MilpReference` per case and row set, kept in the same store.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from ucscreen.case import GridCase, PtdfMatrix
+from ucscreen.case import GridCase
 from ucscreen.lp import (
     LpProblem,
     LpUsageError,
@@ -86,6 +89,8 @@ class CutSet:
     load_range: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.cost_bound is not None and np.isnan(self.cost_bound):
+            raise LpUsageError("cost bound is NaN")
         units = [k for k, _ in self.commitment_fixes]
         if len(set(units)) != len(units):
             raise LpUsageError("commitment fixes name a unit twice")
@@ -112,7 +117,7 @@ class UcInstance:
     with cost vector and row labels.  `region` is the LpProblem of those
     rows and bounds with a zero objective, checked once when the instance
     is made; an instance derived through `_with` keeps the checks of its
-    parent's fields."""
+    parent's fields.  The case's PTDF is `case.ptdf`."""
 
     rows: np.ndarray
     rhs: np.ndarray
@@ -121,17 +126,14 @@ class UcInstance:
     row_labels: tuple[RowLabel, ...]
     binary_indices: tuple[int, ...]
     case: GridCase
-    ptdf: PtdfMatrix
     load: np.ndarray | None  # fixed load; None in range mode
     cuts: CutSet = field(default_factory=CutSet)
 
     def __post_init__(self):
         if len(self.row_labels) != self.rows.shape[0]:
             raise LpUsageError("one label per row required")
-        row_of = {lb: i for i, lb in enumerate(self.row_labels)}
-        if len(row_of) != len(self.row_labels):
+        if len(self._row_of) != len(self.row_labels):
             raise LpUsageError("row labels must be unique")
-        object.__setattr__(self, "_row_of", row_of)
         # Positions of these rows among the case's fixed-load rows, set on
         # the instances that `build_uc` and `without_rows` make.
         object.__setattr__(self, "_core", None)
@@ -160,6 +162,11 @@ class UcInstance:
     def candidates(self) -> tuple[RowLabel, ...]:
         """Screening candidate set: the line-limit rows, in row order."""
         return tuple(lb for lb in self.row_labels if lb.is_line)
+
+    @cached_property
+    def _row_of(self) -> dict[RowLabel, int]:
+        """Each label's row, built on the first lookup and kept."""
+        return {lb: i for i, lb in enumerate(self.row_labels)}
 
     def row_index(self, label: RowLabel) -> int:
         try:
@@ -199,7 +206,6 @@ class UcInstance:
         rows, rhs = self.rows[keep], self.rhs[keep]
         rows.flags.writeable = rhs.flags.writeable = False
         return self._with(rows=rows, rhs=rhs, row_labels=kept,
-                          _row_of={lb: i for i, lb in enumerate(kept)},
                           region=self.region._with(rows=rows, rhs=rhs),
                           _core=None if self._core is None else self._core[keep])
 
@@ -207,13 +213,15 @@ class UcInstance:
         """This instance with `fields` replaced, made without
         `__post_init__`.  The caller passes only read-only arrays that
         keep every check true, and with new rows, rhs or bounds also the
-        `region` (and with new rows the `_row_of` map and `_core`
-        positions) that goes with them.  The cached `region_basis` carries
-        over only when the region does."""
+        `region` (and with new rows the `_core` positions) that goes with
+        them.  The cached `region_basis` carries over only when the region
+        does, and the label map only when the labels do."""
         out = object.__new__(UcInstance)
         out.__dict__.update(self.__dict__, **fields)
         if "region" in fields:
             out.__dict__.pop("region_basis", None)
+        if "row_labels" in fields:
+            out.__dict__.pop("_row_of", None)
         return out
 
 
@@ -291,19 +299,19 @@ def _load_rhs(case: GridCase, limits, load: np.ndarray) -> np.ndarray:
 
 
 class _CaseModels:
-    """What this module derives from one case alone, kept in the case's
-    `derived` store for as long as the case lives.
+    """What this module derives from one case alone, kept in `_MODELS`
+    for as long as the case lives.
 
     `nominal` is the case's instance at its nominal load, made and checked
     once.  Every fixed-load instance that `build_uc` makes is `nominal`
     with its own rhs and load, so all of them share its rows, bounds, cost,
     labels, label map and their checks; a load range's instance shares its
-    labels and label map.  `nominal` is kept without its case, which
-    holds this store: the cycle would keep each case alive until the
-    cyclic garbage collector ran.  `references` holds one `MilpReference`
-    per row set: the MILP of those rows at the nominal load, whose root
-    every uncut MILP over the same rows starts from (see `solve_uc`).  The
-    key is the bytes of the rows' positions among `nominal`'s rows."""
+    labels and label map.  `nominal` is kept without its case, which is
+    this store's key in `_MODELS`: a value that refers to its key would
+    never be freed.  `references` holds one `MilpReference` per row set:
+    the MILP of those rows at the nominal load, whose root every uncut
+    MILP over the same rows starts from (see `solve_uc`).  The key is the
+    bytes of the rows' positions among `nominal`'s rows."""
 
     def __init__(self, case: GridCase):
         G = case.n_gens
@@ -312,15 +320,19 @@ class _CaseModels:
         load.flags.writeable = False
         rows, rhs, bounds, cost = _core_rows(case, load)
         self.nominal = UcInstance(rows, rhs, bounds, cost, _core_labels(case),
-                                  tuple(range(G, 2 * G)), None, case.ptdf, load)
+                                  tuple(range(G, 2 * G)), None, load)
         object.__setattr__(self.nominal, "_core", np.arange(rows.shape[0]))
         self.references: dict[bytes, MilpReference] = {}
 
 
+# Each case's `_CaseModels`, freed with the case.
+_MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _case_models(case: GridCase) -> _CaseModels:
-    models = case.derived.get("model")
+    models = _MODELS.get(case)
     if models is None:
-        models = case.derived["model"] = _CaseModels(case)
+        models = _MODELS[case] = _CaseModels(case)
     return models
 
 
@@ -426,7 +438,7 @@ def milp_problem(inst: UcInstance) -> MilpProblem:
 def _reference(inst: UcInstance) -> MilpReference | None:
     """The branch-and-bound reference of an uncut fixed-load instance:
     the MILP of its rows at the case's nominal load, made on first use
-    and kept with the case (see `_CaseModels`).  None for an instance
+    and kept in the case's store (see `_CaseModels`).  None for an instance
     with cuts or in range mode, whose roots solve cold."""
     if inst._core is None or not inst.cuts.is_empty:
         return None

@@ -72,6 +72,33 @@ def test_run_report_shape_and_roundtrip(tmp_path):
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out.read_text()
 
 
+def test_config_and_report_fields_are_named_once(tmp_path):
+    # Every field set off its default: the report's config is each field
+    # but `jobs`, the paths under their options' names, and the parser
+    # fills each field from the option of its name.
+    config = SchemeConfig(case_path="c.json", scheme="s7", beta=0.25,
+                          epsilon=0.01, k=3, dataset_path="d.csv",
+                          oracle_cost=True, seed=7, jobs=3,
+                          drop_rows=["line_upper(0)", "line_lower(2)"])
+    assert config.to_json_dict() == {
+        "case": "c.json", "scheme": "s7", "beta": 0.25, "epsilon": 0.01,
+        "k": 3, "dataset": "d.csv", "oracle_cost": True, "seed": 7,
+        "drop_rows": ("line_upper(0)", "line_lower(2)")}
+    for command in ("run", "verify"):
+        args = ucscreen.cli._parser().parse_args([
+            command, "--case", "c.json", "--scheme", "s7", "--beta", "0.25",
+            "--epsilon", "0.01", "--k", "3", "--dataset", "d.csv",
+            "--oracle-cost", "--seed", "7", "--jobs", "3",
+            "--drop-row", "line_upper(0)", "--drop-row", "line_lower(2)",
+            "--out", "r.json"])
+        assert ucscreen.cli._config_from_args(args) == config
+    report = run_scheme(SchemeConfig(case_path=case_path("nine_bus"),
+                                     scheme="s3"))
+    assert set(report.to_json_dict()["gap"]) == {
+        "full_status", "reduced_status", "full_cost", "reduced_cost", "gap",
+        "commitment_match"}
+
+
 def test_s4_beta_zero_matches_s3(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

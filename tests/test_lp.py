@@ -370,6 +370,28 @@ def test_bound_pair_at_one_infinity_is_rejected(pair):
         solve_lp(LpProblem([1, 1], [[1, 1]], [5], bounds=[pair, (0, 1)]))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("objective", [np.nan, -1.0], "objective entry 0 is NaN"),
+    ("rows", [[np.nan, 0.0]], "row 0 has a non-finite entry in column 0"),
+    ("rows", [[1.0, np.inf]], "row 0 has a non-finite entry in column 1"),
+    ("rhs", [np.nan], "rhs entry 0 is NaN"),
+])
+def test_nan_entries_and_infinite_row_entries_are_rejected(field, value, message):
+    # Each was once accepted: a NaN objective solved "optimal" at a NaN
+    # cost, a NaN row entry was ignored, and an infinite one warned in
+    # the matmul.
+    good = dict(objective=[1.0, -1.0], rows=[[1.0, 0.0]], rhs=[1.0],
+                bounds=[(0, 5), (0, 5)])
+    with pytest.raises(LpUsageError, match=f"^{message}$"):
+        LpProblem(**{**good, field: value})
+    with pytest.raises(LpUsageError, match="^objective entry 1 is NaN$"):
+        LpProblem(**good).with_objective([0.0, np.nan])
+    # An infinite rhs entry keeps its meaning: no limit, or no point.
+    free = solve_lp(LpProblem(**{**good, "rhs": [np.inf]}))
+    assert free.status == "optimal" and free.objective_value == -5.0
+    assert solve_lp(LpProblem(**{**good, "rhs": [-np.inf]})).status == "infeasible"
+
+
 def test_row_duals_at_an_optimal_vertex_are_the_solution_duals():
     region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
     basis = region_basis(region)
@@ -506,6 +528,11 @@ def test_milp_guards():
     lp2 = LpProblem([0.0], np.zeros((0, 1)), [], bounds=[(0.0, 2.0)])
     with pytest.raises(LpUsageError):
         MilpProblem(lp2, (0,))
+    # A branch fixes a binary at 0 or 1, which must lie within its bounds.
+    for pair in ((0.0, 0.5), (0.3, 1.0), (0.5, 0.5)):
+        lp3 = LpProblem([0.0], np.zeros((0, 1)), [], bounds=[pair])
+        with pytest.raises(LpUsageError, match="bounds 0 or 1"):
+            MilpProblem(lp3, (0,))
 
 
 def test_pruning_keeps_every_node_until_the_first_incumbent():
@@ -1014,9 +1041,83 @@ def test_node_start_rejects_another_region():
             solve_lp(other, root)
     assert solve_lp(lp, root).objective_value == -1.5
     node = LpProblem(lp.objective, lp.rows, lp.rhs, bounds=[(1, 1), (0, 3)])
-    assert solve_lp(node, root.child()).objective_value == 0.5
+    assert solve_lp(node, root.child(0, 1.0)).objective_value == 0.5
     with pytest.raises(LpUsageError):
-        solve_lp(others[2], root.child())
+        solve_lp(others[2], root.child(0, 1.0))
+
+
+def test_child_fixes_one_bound_pair_and_its_two_bound_rows(cases):
+    # A child's bounds are its parent's with one binary fixed, and its b
+    # is the region's rows' b and then each branched binary's bound rows,
+    # hi - lo' and lo' - lo at the node's bounds (lo, hi), lo' being the
+    # region's lower bound: bit for bit what the node's bounds give.
+    rng = np.random.default_rng(31)
+    for prob in _bundled_milps(cases, per_case=1) + _random_milps(rng, 20):
+        root = NodeStart(prob)
+        region = prob.lp
+        lo0 = region.bounds[root.branch, 0]
+        open_hi = region.bounds[:, 1].copy()
+        open_hi[root.branch] = np.inf
+        rows_b = lp_module._standard_form(region.rows, region.rhs,
+                                          region.bounds[:, 0], open_hi).b
+
+        def expected_b(bounds):
+            return np.concatenate([rows_b, bounds[root.branch, 1] - lo0,
+                                   lo0 - bounds[root.branch, 0]])
+
+        assert root.b.tobytes() == expected_b(region.bounds).tobytes()
+        for var in root.branch[:3]:
+            for value in (0.0, 1.0):
+                node = root.child(var, value)
+                bounds = region.bounds.copy()
+                bounds[var] = value
+                assert np.array_equal(node.bounds, bounds)
+                assert not node.bounds.flags.writeable
+                assert node.b.tobytes() == expected_b(bounds).tobytes()
+                other = root.branch[-1]
+                if other != var:
+                    grand = node.child(other, 1.0 - value)
+                    bounds[other] = 1.0 - value
+                    assert np.array_equal(grand.bounds, bounds)
+                    assert grand.b.tobytes() == expected_b(bounds).tobytes()
+                with pytest.raises(LpUsageError):
+                    solve_lp(region, node)  # the root's bounds, not the node's
+                # An unsolved parent leaves the child cold, at its own b.
+                mine = solve_lp(region._with(bounds=node.bounds), node)
+                cold = solve_lp(region.with_bounds(node.bounds))
+                assert mine.status == cold.status
+                if cold.status == "optimal":
+                    assert abs(mine.objective_value - cold.objective_value) \
+                        <= 1e-9 * max(1.0, abs(cold.objective_value))
+
+
+def test_branch_and_bound_checks_only_the_final_lps_bounds(cases, monkeypatch):
+    # A node's bounds are its parent's, checked, with one binary fixed,
+    # so the one bounds check per MILP is the final LP's, when there is
+    # an incumbent to fix; a root started from a reference checks none.
+    rng = np.random.default_rng(43)
+    families = [(prob, None) for prob in
+                _bundled_milps(cases) + _random_milps(rng, 60)]
+    for prob in _random_milps(rng, 20):
+        lp = prob.lp
+        shifted = MilpProblem(LpProblem(lp.objective, lp.rows, lp.rhs + 0.25,
+                                        bounds=lp.bounds), prob.binary_indices)
+        families.append((shifted, MilpReference(prob)))
+    checks = []
+    checked_bounds = lp_module._checked_bounds
+
+    def counted(bounds, n):
+        checks.append(n)
+        return checked_bounds(bounds, n)
+
+    monkeypatch.setattr(lp_module, "_checked_bounds", counted)
+    branched = 0
+    for prob, reference in families:
+        checks.clear()
+        sol = solve_milp(prob, node_limit=1_000, reference=reference)
+        assert len(checks) == (sol.status == "optimal")
+        branched += sol.nodes > 1
+    assert branched >= 10
 
 
 # --- the condensed tableau ---
@@ -1045,7 +1146,7 @@ def test_tableau_stores_only_nonbasic_columns(cases):
     milp = milp_problem(build_uc(case, case.nominal_load))
     root = NodeStart(milp)
     assert solve_lp(milp.lp, root).status == "optimal"
-    child = root.child()
+    child = root.child(milp.binary_indices[0], 0.0)
     bounds = milp.lp.bounds.copy()
     bounds[milp.binary_indices[0]] = (0.0, 0.0)
     solve_lp(LpProblem(milp.lp.objective, milp.lp.rows, milp.lp.rhs,
@@ -1102,8 +1203,9 @@ def test_dual_ratio_ties_within_rounding_go_to_the_lowest_label():
 def test_reference_roots_match_cold_roots_on_random_milps(monkeypatch):
     """Each random MILP, a quarter of them at zero cost, is the reference
     of three MILPs with other right-hand sides.  Solved from it, each
-    ends where a cold solve ends; the reference's own rhs solves cold
-    and becomes the reference root when it is optimal."""
+    ends where a cold solve ends.  The reference's own rhs solves cold
+    and leaves the reference unsolved; the first other rhs solves it,
+    optimal when that cold root was."""
     rng = np.random.default_rng(41)
     calls = _spy_node_lps(monkeypatch)
     warm = optimal = 0
@@ -1123,11 +1225,14 @@ def test_reference_roots_match_cold_roots_on_random_milps(monkeypatch):
             cold = solve_milp(other, node_limit=1_000)
             if not np.any(shift):
                 assert not calls[0][0]  # its own reference: a cold root
-                assert bool(reference.root) == (calls[0][1] == "optimal")
+                assert reference.root is None
+                root_optimal = calls[0][1] == "optimal"
                 assert mine.iterations == cold.iterations
-            elif reference.root:
-                assert any(started for started, _, _ in calls[:2])
-                warm += 1
+            else:
+                assert bool(reference.root) == root_optimal
+                if reference.root:
+                    assert any(started for started, _, _ in calls[:2])
+                    warm += 1
             assert mine.status == cold.status and mine.nodes >= 1
             if mine.status == "optimal":
                 optimal += 1

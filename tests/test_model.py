@@ -202,6 +202,28 @@ def test_derived_instances_equal_checked_ones(cases):
         assert (a.redundant, a.lp_count) == (b.redundant, b.lp_count)
 
 
+def test_without_rows_builds_its_label_map_on_first_lookup(cases):
+    # Reducing a model looks up only the dropped labels, in the parent's
+    # map; the reduced model's own map waits for its first lookup.
+    case = cases["nine_bus"]
+    full = build_uc(case, case.nominal_load)
+    reduced = full.without_rows([RowLabel("line_upper", 2)])
+    assert "_row_of" not in vars(reduced)
+    balance = RowLabel("balance_le")
+    assert reduced.row_index(balance) == full.row_index(balance) - 1
+    assert vars(reduced)["_row_of"] == {
+        lb: i for i, lb in enumerate(reduced.row_labels)}
+    assert relax_binaries(reduced)._row_of is reduced._row_of
+    assert "_row_of" not in vars(reduced.without_rows([balance]))
+
+
+def test_nan_cost_bound_is_rejected():
+    # One was once accepted; the screen then ended in divide-by-zero
+    # warnings and a SimplexError that said "ended unbounded".
+    with pytest.raises(LpUsageError, match="^cost bound is NaN$"):
+        CutSet(cost_bound=float("nan"))
+
+
 def test_huge_cost_bound_changes_nothing(cases):
     case = cases["nine_bus"]
     inst = relax_binaries(build_uc(case, case.nominal_load))
@@ -260,7 +282,7 @@ def test_rows_equal_their_definitions_bit_for_bit(cases, box):
             inst = apply_cuts(inst, CutSet(load_range=(0.9 * nominal,
                                                        1.1 * nominal)))
         G, L = case.n_gens, case.n_lines
-        P = inst.ptdf.entries
+        P = inst.case.ptdf.entries
         PB = P @ case.gen_bus_matrix()
         fmax = np.array([ln.f_max for ln in case.lines])
         fmin = np.array([ln.f_min for ln in case.lines])
@@ -520,7 +542,7 @@ def test_reference_results_do_not_depend_on_the_order_of_loads(monkeypatch):
                 got[k, name] = (sol.point.tobytes(), sol.objective_value,
                                 sol.iterations, sol.nodes)
         runs.append(got)
-        assert len(case.derived["model"].references) == 2
+        assert len(model_module._MODELS[case].references) == 2
     assert runs[0] == runs[1]
 
 
@@ -530,14 +552,14 @@ def test_reference_is_per_case_and_only_for_uncut_fixed_loads(monkeypatch):
     calls = _spy_milps(monkeypatch)
     solve_uc(build_uc(case, load))
     (_, reference), = calls
-    assert case.derived["model"].references == {
+    assert model_module._MODELS[case].references == {
         np.arange(build_uc(case, load).rows.shape[0]).tobytes(): reference}
 
     copy = dataclasses.replace(case)
-    assert "derived" not in vars(copy)
+    assert copy not in model_module._MODELS
     solve_uc(build_uc(copy, load))
     assert calls[-1][1] is not None and calls[-1][1] is not reference
-    assert copy.derived["model"] is not case.derived["model"]
+    assert model_module._MODELS[copy] is not model_module._MODELS[case]
 
     inst = build_uc(case, load)
     cut = [apply_cuts(inst, CutSet(commitment_fixes=((0, 1),))),
