@@ -45,9 +45,10 @@ any prices >= 0 whatever the signs of b, and dual simplex from it
 primal phase 2 follows with the real costs.
 
 Screening solves many LPs over one region, so `region_basis` makes the
-region's slack basis feasible once, priced at ones, which depend on the
-region alone.  Each LP that a `VertexStart` gives that basis copies its
-feasible tableau, m rows by n + 1 columns, and runs phase 2 alone.  A
+region's slack basis feasible once, priced at the region's own
+objective, which depends on the region alone (ones when it is zero).
+Each LP that a `VertexStart` gives that basis copies its feasible
+tableau, m rows by n + 1 columns, and runs phase 2 alone.  A
 `VertexStart` may instead give a vertex: the optimal tableau of an
 earlier LP over the region, which is feasible for every objective and
 often close to the next LP's optimum.  On request it hands back the LP's
@@ -625,7 +626,10 @@ def _cold(form: _StandardForm, cost: np.ndarray):
     cost or none at all, they are ones, and primal phase 2 follows with
     the real costs.  Zero prices would tie every dual ratio at 0 and
     leave each entering column to the lowest label alone; on a 100-bus
-    load-box region that ran to _MAX_ITER.
+    load-box region that ran to _MAX_ITER.  Equal prices tie too where a
+    row weighs its columns alike: on the screening projection of a
+    100-bus case, ones took 1,214 pivots, as the balance row gave every
+    dispatch column one ratio, and the units' costs over their mean 45.
     """
     m, ns = form.A.shape
     if ns == 0:
@@ -641,14 +645,16 @@ def _cold(form: _StandardForm, cost: np.ndarray):
 
 def region_basis(region: LpProblem):
     """A feasible basis of the rows, right-hand side and bounds of
-    `region`, whose objective plays no part: `_cold` priced at ones, so
-    the basis is a function of the region alone.  (pivots, verdict), the
-    verdict a feasible tableau of the region, "infeasible" when the region
-    is empty, or None when every variable is fixed.  A `VertexStart` takes
-    the pair."""
+    `region`: `_cold` priced at the region's objective, read as a
+    minimisation's costs, so the basis is a function of the region alone.
+    `_cold` prices at ones instead unless every price is >= 0 and one is
+    > 0, as for a zero objective.  (pivots, verdict), the verdict a
+    feasible tableau of the region, "infeasible" when the region is empty,
+    or None when every variable is fixed.  A `VertexStart` takes the
+    pair."""
     form = _standard_form(region.rows, region.rhs, region.bounds[:, 0],
                           region.bounds[:, 1])
-    pivots, verdict = _cold(form, np.zeros(form.A.shape[1]))
+    pivots, verdict = _cold(form, region.objective[form.var] * form.sign)
     if isinstance(verdict, _Tableau):
         pivots = verdict.iterations  # its copies count from 0
     return pivots, verdict

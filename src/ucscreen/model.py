@@ -25,6 +25,11 @@ derivation that changes nothing returns the instance itself.
 `solve_uc` starts the branch-and-bound root of an uncut fixed-load
 instance from the optimal root of its rows at the nominal load, one
 `lp.MilpReference` per case and row set, kept in the same store.
+
+Screening runs over an instance's `projection`: its region less the
+status columns and the generation rows, with the dispatch bounds those
+rows imply.  The projection and its feasible basis are made on first
+use and kept with the instance, as its label map is.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from ucscreen.lp import (
 )
 
 LINE_ROW_KINDS = ("line_upper", "line_lower")
+GEN_ROW_KINDS = ("gen_upper", "gen_lower")
 
 
 class UcInfeasibleError(RuntimeError):
@@ -117,7 +123,8 @@ class UcInstance:
     with cost vector and row labels.  `region` is the LpProblem of those
     rows and bounds with a zero objective, checked once when the instance
     is made; an instance derived through `_with` keeps the checks of its
-    parent's fields.  The case's PTDF is `case.ptdf`."""
+    parent's fields.  `projection` is the region screening runs over.
+    The case's PTDF is `case.ptdf`."""
 
     rows: np.ndarray
     rhs: np.ndarray
@@ -188,10 +195,46 @@ class UcInstance:
         return self.region.with_objective(objective, sense)
 
     @cached_property
+    def projected_rows(self) -> np.ndarray:
+        """Positions of the rows that `projection` keeps: every row but the
+        generation rows, all 2G of which the projection needs."""
+        keep = np.flatnonzero([lb.kind not in GEN_ROW_KINDS
+                               for lb in self.row_labels])
+        if keep.size != len(self.row_labels) - 2 * self.n_gens:
+            raise LpUsageError("the projection needs both generation rows "
+                               "of every unit")
+        return keep
+
+    @cached_property
+    def projection(self) -> LpProblem:
+        """The region's projection onto the columns other than the statuses,
+        made on first access: the screening region.
+
+        Only the generation rows x_min*u <= x <= x_max*u read a status u,
+        and for u in [u_lo, u_hi] they admit some u for a given x exactly
+        when x_min*u_lo <= x <= x_max*u_hi (valid as 0 <= x_min <= x_max).
+        So the projection is the other rows with those bounds on x (Balas,
+        2005), and every line row has the same maximum over it as over the
+        region.  Its statuses are pinned at 0: no row reads them, so the
+        simplex gives them no column.  Its objective prices its feasible
+        basis (`region_basis`): each unit's cost over the mean cost, and
+        ones on load columns."""
+        G = self.n_gens
+        bounds = self.bounds.copy()
+        bounds[:G] = self.bounds[G:2 * G] * [(g.x_min, g.x_max)
+                                             for g in self.case.generators]
+        bounds[G:2 * G] = 0.0
+        cost = self.cost[:G]
+        prices = np.ones(self.n_cols)
+        prices[:G] = cost / cost.mean() if cost.mean() > 0 else 1.0
+        keep = self.projected_rows
+        return LpProblem(prices, self.rows[keep], self.rhs[keep], bounds=bounds)
+
+    @cached_property
     def region_basis(self):
-        """A feasible basis of these rows and bounds, found on first
-        access: (pivots, verdict) as `lp.region_basis` gives them."""
-        return region_basis(self.region)
+        """A feasible basis of `projection`, found on first access:
+        (pivots, verdict) as `lp.region_basis` gives them."""
+        return region_basis(self.projection)
 
     def without_rows(self, labels) -> "UcInstance":
         """The instance less the rows `labels` name, or the instance
@@ -214,14 +257,17 @@ class UcInstance:
         `__post_init__`.  The caller passes only read-only arrays that
         keep every check true, and with new rows, rhs or bounds also the
         `region` (and with new rows the `_core` positions) that goes with
-        them.  The cached `region_basis` carries over only when the region
-        does, and the label map only when the labels do."""
+        them.  The cached `projection` and `region_basis` carry over only
+        when the region does, and the label map and `projected_rows` only
+        when the labels do."""
         out = object.__new__(UcInstance)
         out.__dict__.update(self.__dict__, **fields)
         if "region" in fields:
+            out.__dict__.pop("projection", None)
             out.__dict__.pop("region_basis", None)
         if "row_labels" in fields:
             out.__dict__.pop("_row_of", None)
+            out.__dict__.pop("projected_rows", None)
         return out
 
 
@@ -277,7 +323,7 @@ def _core_labels(case: GridCase) -> tuple[RowLabel, ...]:
         [RowLabel(kind, j) for kind in LINE_ROW_KINDS
          for j in range(case.n_lines)]
         + [RowLabel("balance_le"), RowLabel("balance_ge")]
-        + [RowLabel(kind, g) for kind in ("gen_upper", "gen_lower")
+        + [RowLabel(kind, g) for kind in GEN_ROW_KINDS
            for g in range(case.n_gens)])
 
 

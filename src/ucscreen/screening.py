@@ -14,15 +14,25 @@ Three engines over the binary-relaxed instance:
 A row is only ever removed on a strict margin (FEASIBILITY_TOL); ties
 are kept.  Keeping a redundant row is safe, removing a binding one is not.
 
+Every screening LP runs over the region's projection onto the columns
+other than the unit statuses (`UcInstance.projection`; Balas, 2005): the
+rows with no status entry, every row but the generation rows, with each
+dispatch column bounded by x_min * u_lo <= x <= x_max * u_hi.  No line
+row reads a status, so its maximum over the projection is its maximum
+over the region, and each LP has G columns and 2G rows fewer.  The
+status columns' bounds follow from the dispatch bounds in closed form
+(see `variable_bounds`), so no LP is solved for them; `lp_count` stays
+the paper's accounting, two LPs per dispatch and per status column and
+one per undecided row, and `lp_solved` counts the simplex runs actually
+made.
+
 The ensemble skips every LP whose answer a known point already gives
 (the filtering rule of optimization-based bound tightening).  A bound
 LP's optimum that attains another column's proven limit settles that
 bound, and one that nearly meets or violates an undecided line row
 proves the row is kept.  The points are the bound pass's optima, read
 from the vertex store below, so the skips depend on the region, never
-on `jobs`.  `lp_count` stays the paper's accounting (two LPs per bound
-column, one per undecided row); `lp_solved` counts the simplex runs
-actually made.
+on `jobs`.
 
 An undecided row that no point proves kept next faces a Lagrangian box
 bound, the vertex pass's test applied to a_j - R^T y for multipliers
@@ -31,10 +41,9 @@ is redundant when y @ rhs + the box maximum of (a_j - R^T y) is at most
 b_j - FEASIBILITY_TOL.  The multipliers tried are the balance pair's
 knapsack break point and the duals the row prices at its start vertex
 (see `lagrangian_certificates`).  A row that passes gets no LP; the
-report keeps its y as a certificate that one matrix-vector product
-checks.  It counts as a line-flow verdict, so `lp_count` and the
-attribution are unchanged.  On the 48 benchmark synth cases at seed
-301 this takes S3 from 2,541 simplex runs to 1,720.
+report keeps its y, over the instance's rows and zero on the generation
+rows, as a certificate that one matrix-vector product checks.  It counts
+as a line-flow verdict, so `lp_count` and the attribution are unchanged.
 
 The ensemble also starts each LP it solves from the best vertex found
 so far (the warm start of the same bound-tightening work).  One `eovl`
@@ -45,11 +54,14 @@ from it.  A bound round (one column, max and min) picks only from
 earlier rounds' vertices and adds its own afterwards, in input order;
 the line-flow pass picks from the finished store and adds nothing.  So
 every start, like every skip, depends on the region alone.  While the
-store is empty an LP starts from the region's feasible basis
-(`lp.region_basis`), which is how S2, with no bound pass, runs every LP.
-That basis is computed once per instance, when the first start is
-picked, so its pivots count on the first LP in input order whatever
-`jobs` is.  The store is freed when the call returns.
+store is empty an LP starts from the projection's feasible basis
+(`UcInstance.region_basis`), which is how S2, with no bound pass, runs
+every LP.  That basis is priced at the units' costs over their mean,
+and ones on load columns: priced at ones alone, the balance row ties
+every dispatch column's dual ratio.  It is computed once per instance,
+when the first start is picked, so its pivots count on the first LP in
+input order whatever `jobs` is.  The store is freed when the call
+returns.
 """
 
 from __future__ import annotations
@@ -88,8 +100,9 @@ class BoundsBox:
     """Per-column bounds of the relaxed region, with provenance.
 
     `lp_count` is the paper's two bound LPs per column of provenance
-    "lp_solved"; the field `lp_solved` counts those actually solved.
-    Their optimal points live in the screen's vertex store."""
+    "lp_solved", dispatch and status; the field `lp_solved` counts those
+    actually solved, which are dispatch columns' only.  Their optimal
+    points live in the screen's vertex store."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -145,8 +158,8 @@ class ScreeningReport:
 
 class _Vertices:
     """One screen's vertex store: the optimal tableau of each distinct
-    optimal point (exact equality) its bound LPs reached, in the order
-    they were added."""
+    optimal point (exact equality) its bound LPs reached over the
+    instance's projection, in the order they were added."""
 
     def __init__(self, inst: UcInstance):
         self.inst = inst
@@ -155,7 +168,7 @@ class _Vertices:
 
     def start(self, problem, keep: bool = False) -> VertexStart:
         """A start at the stored vertex whose point scores best on the
-        problem's objective, the earliest among ties; at the instance's
+        problem's objective, the earliest among ties; at the projection's
         feasible basis while the store is empty.  That basis is computed
         here, in the caller's thread, for the instance's first such
         start, whose LP counts its pivots."""
@@ -168,7 +181,7 @@ class _Vertices:
             fresh = "region_basis" not in vars(self.inst)
             pivots, verdict = self.inst.region_basis
             basis = (pivots if fresh else 0, verdict)
-        return VertexStart(self.inst.region, basis, keep)
+        return VertexStart(self.inst.projection, basis, keep)
 
     def add(self, sol, start: VertexStart) -> None:
         """Store the final tableau of a kept start whose LP reached an
@@ -182,7 +195,7 @@ class _Vertices:
 
 def _solve_many(vertices: _Vertices, problems, pool: Executor | None,
                 keep: bool = False):
-    """Solve LPs over the store's region, each from its best stored
+    """Solve LPs over the store's projection, each from its best stored
     vertex, on `pool` when one is given.  With `keep`, the LPs' optimal
     vertices join the store afterwards, in input order.  Starts are
     picked before any LP runs, and results are in input order, so
@@ -198,78 +211,74 @@ def _solve_many(vertices: _Vertices, problems, pool: Executor | None,
     return solutions
 
 
-def _proven_limits(inst: UcInstance) -> np.ndarray:
-    """(n_cols, 2) outer bounds known without an LP: a dispatch column lies
-    in [x_min * u_lo, x_max * u_hi] by its generation rows (valid because
-    0 <= x_min <= x_max), every other column within its own bounds."""
-    G = inst.n_gens
-    limits = inst.bounds.copy()
-    u = inst.bounds[G:2 * G]
-    limits[:G, 0] = [g.x_min * lo for g, lo in zip(inst.case.generators, u[:, 0])]
-    limits[:G, 1] = [g.x_max * hi for g, hi in zip(inst.case.generators, u[:, 1])]
-    return limits
-
-
 def variable_bounds(inst: UcInstance, pool: Executor | None = None,
                     vertices: _Vertices | None = None) -> BoundsBox:
     """Tight per-variable bounds over the relaxed region.
 
-    Dispatch and status columns each have two LPs (max and min); load
-    columns keep their bounds from the load box without solving, and so
-    do status columns a commitment fix pins (lower bound equal to upper).
-    Every bound LP runs phase 2 only.
+    In the paper's accounting, dispatch and status columns each have two
+    LPs (max and min), provenance "lp_solved"; load columns keep their
+    bounds from the load box without solving, and so do status columns a
+    commitment fix pins (lower bound equal to upper).
+
+    Only the dispatch columns' LPs are solved, over the instance's
+    projection (`UcInstance.projection`), where each runs phase 2 only.
+    A status column's bounds are closed form: its generation rows give
+    x / x_max <= u <= x / x_min, so over the region u lies in
+    [max(u_lo, x_lo / x_max), min(u_hi, x_hi / x_min)], [x_lo, x_hi]
+    being its unit's dispatch bounds; a zero x_max or x_min sets no limit.
+    These are the bound LPs' optima over the region, in exact arithmetic.
 
     The LPs run in rounds of one column, in column order.  A side whose
-    proven limit an optimal point of an earlier round attains (within
-    ATTAIN_RTOL relative) takes that limit without its LP.  Each LP starts
-    from the vertex of an earlier round that scores best on its objective
-    (the region's feasible basis in the first round), and the round's
-    optimal vertices join `vertices`, a new store when None, after the
-    round.  Every bound LP starts from a tableau, as no dispatch column is
-    ever fixed, so the store holds every earlier round's optimum, once.
+    proven limit, its bound in the projection, an optimal point of an
+    earlier round attains (within ATTAIN_RTOL relative) takes that limit
+    without its LP.  Each LP starts from the vertex of an earlier round
+    that scores best on its objective (the projection's feasible basis in
+    the first round), and the round's optimal vertices join `vertices`, a
+    new store when None, after the round.  Every bound LP starts from a
+    tableau, as no dispatch column is ever fixed, so the store holds every
+    earlier round's optimum, once.
     """
     if inst.binary_indices:
         raise LpUsageError("variable bounds expect a binary-relaxed instance")
-    n = inst.n_cols
-    lower = inst.bounds[:, 0].copy()
-    upper = inst.bounds[:, 1].copy()
+    n, G = inst.n_cols, inst.n_gens
+    lower, upper = inst.bounds.T.copy()
     provenance = tuple(
-        "load_box" if p >= 2 * inst.n_gens
+        "load_box" if p >= 2 * G
         else "fixed_by_cut" if lower[p] == upper[p] else "lp_solved"
         for p in range(n))
-    lp_cols = [p for p in range(n) if provenance[p] == "lp_solved"]
-    limits = _proven_limits(inst)
+    region = inst.projection
     if vertices is None:
         vertices = _Vertices(inst)
-    side_bound = {"max": upper, "min": lower}
     solved = 0
 
-    for p in lp_cols:
-        limit = limits[p, ::-1]  # (max side, min side)
-        attained = np.isfinite(limit) & np.any(
-            np.abs(vertices.points[:, p, None] - limit)
-            <= ATTAIN_RTOL * np.maximum(1.0, np.abs(limit)), axis=0)
-        sides = []
-        for side, lim, hit in zip(("max", "min"), limit, attained):
-            if hit:
-                side_bound[side][p] = lim
-            else:
-                sides.append(side)
+    for p in range(G):
+        # Every dispatch column is "lp_solved" (x >= 0 is never fixed), and
+        # the projection bounds it, so no LP is unbounded; a side takes its
+        # limit when a point of an earlier round attains it.
+        upper[p], lower[p] = limit = region.bounds[p, ::-1]
+        attained = np.any(np.abs(vertices.points[:, p, None] - limit)
+                          <= ATTAIN_RTOL * np.maximum(1.0, np.abs(limit)),
+                          axis=0)
+        sides = [side for side, hit in zip(("max", "min"), attained) if not hit]
         obj = np.zeros(n)
         obj[p] = 1.0
-        solutions = _solve_many(vertices,
-                                [inst.lp(obj, sense=s) for s in sides], pool,
-                                keep=True)
+        solutions = _solve_many(
+            vertices, [region.with_objective(obj, s) for s in sides], pool,
+            keep=True)
         solved += len(sides)
         for side, sol in zip(sides, solutions):
-            if sol.status == "infeasible":
+            if sol.status != "optimal":
                 raise ScreeningInfeasibleError(
                     "relaxed region is empty; bound LP infeasible "
                     f"for column {p} (bad cost cut?)")
-            if sol.status == "unbounded":
-                side_bound[side][p] = np.inf if side == "max" else -np.inf
-            else:
-                side_bound[side][p] = sol.objective_value
+            (upper if side == "max" else lower)[p] = sol.objective_value
+    x_min, x_max = np.array([(g.x_min, g.x_max)
+                             for g in inst.case.generators]).T
+    x = np.flatnonzero(np.array(provenance[G:2 * G]) == "lp_solved")
+    # A zero x_max or x_min makes a quotient NaN or inf: no limit.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower[G + x] = np.fmax(lower[G + x], lower[x] / x_max[x])
+        upper[G + x] = np.fmin(upper[G + x], upper[x] / x_min[x])
     # Both LPs of a column the region fixes can end an ulp on the wrong
     # side of each other; the box keeps both values rather than call a
     # region empty that has optimal points.
@@ -313,7 +322,8 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
                 pool: Executor | None = None,
                 vertices: _Vertices | None = None) -> ScreeningReport:
     """Line-flow-guided pass: per candidate, maximize the row over the
-    region and compare against its bound with the strict margin.
+    instance's projection, where its maximum is the region's, and compare
+    against its bound with the strict margin.
 
     The paper's LP drops the row itself; keeping it changes no verdict.
     If the maximum over the region is at most b_j - margin, it is also
@@ -322,9 +332,9 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
     the region with a_j y = b_j, by convexity.  Redundant either way.  If
     the maximum is above b_j - margin, so is the maximum over the larger
     region: kept either way.  So every LP runs phase 2 over the one
-    region, as the bound LPs do, from the finished bound pass's vertex
+    projection, as the bound LPs do, from the finished bound pass's vertex
     that scores best on its row (`vertices`, read only), or from the
-    region's feasible basis when that store is None or empty.
+    projection's feasible basis when that store is None or empty.
 
     Since each LP keeps its own row, its maximum is at most b_j: a status
     other than optimal or infeasible is a solver fault, and raises
@@ -336,7 +346,8 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
             raise LpUsageError(f"screening candidate {lb} is not a line row")
     t0 = time.perf_counter()
     idx = inst.rows_of(candidates)
-    problems = [inst.lp(a, sense="max") for a in inst.rows[idx]]
+    problems = [inst.projection.with_objective(a, "max")
+                for a in inst.rows[idx]]
     if vertices is None:
         vertices = _Vertices(inst)
     solutions = _solve_many(vertices, problems, pool)
@@ -363,9 +374,10 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
 
 def _unwitnessed(inst: UcInstance, points: np.ndarray,
                  candidates: tuple[RowLabel, ...]) -> tuple[RowLabel, ...]:
-    """The candidates that no point of the region proves kept.  A point p
-    with rows[j] @ p > rhs[j] - FEASIBILITY_TOL proves row j kept: the
-    row's maximum over the region is at least rows[j] @ p."""
+    """The candidates that no point of the projection proves kept.  A
+    point p with rows[j] @ p > rhs[j] - FEASIBILITY_TOL proves row j
+    kept: the row's maximum over the region is at least rows[j] @ p, as
+    the row reads no status."""
     if not (len(points) and candidates):
         return candidates
     idx = inst.rows_of(candidates)
@@ -407,7 +419,8 @@ def lagrangian_certificates(inst: UcInstance, box: BoundsBox,
                             candidates: tuple[RowLabel, ...],
                             vertices: _Vertices) -> dict[RowLabel, np.ndarray]:
     """The candidates a Lagrangian box bound proves redundant, each with
-    its certificate: {label: y}, y >= 0 over the instance's rows, with
+    its certificate: {label: y}, y >= 0 over the instance's rows, zero on
+    the generation rows, with
 
         y @ rhs + box maximum of (a_j - y @ rows) <= b_j - FEASIBILITY_TOL.
 
@@ -420,7 +433,9 @@ def lagrangian_certificates(inst: UcInstance, box: BoundsBox,
       balance_le is max(lam, 0), on balance_ge max(-lam, 0));
     * the duals that the row's objective prices at the stored vertex
       scoring best on the row (`_Tableau.row_duals`), one matrix product
-      per vertex over the rows that pick it.
+      per vertex over the rows that pick it; they are over the
+      projection's rows, which are the instance's less its generation
+      rows.
 
     Both depend on the region and the finished bound pass alone."""
     if not candidates:
@@ -440,9 +455,11 @@ def lagrangian_certificates(inst: UcInstance, box: BoundsBox,
     rest = np.nonzero(~ok)[0]
     if vertices.tableaux and rest.size:
         pick = np.argmax(vertices.points @ rows[rest].T, axis=0)
+        kept = inst.projected_rows
         for v in sorted(set(pick.tolist())):
             group = rest[pick == v]
-            y[group] = vertices.tableaux[v].row_duals(-rows[group], y.shape[1])
+            y[np.ix_(group, kept)] = vertices.tableaux[v].row_duals(
+                -rows[group], kept.size)
         ok[rest] = lagrangian_bound(rows[rest], y[rest], inst.rows, inst.rhs,
                                     lo, hi) <= limit[rest]
     certified = y[ok]
@@ -463,8 +480,9 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
     folded in; it carries the box whenever the vertex pass ran.  With
     `jobs` > 1 both passes run their LPs on one pool of that many threads.
 
-    Both passes share one vertex store, which the bound pass fills and
-    the line-flow pass only reads; it is freed when the call returns.
+    Both passes solve their LPs over the instance's projection and share
+    one vertex store, which the bound pass fills and the line-flow pass
+    only reads; it is freed when the call returns.
     """
     if inst.binary_indices:
         raise LpUsageError("screening expects a binary-relaxed instance")

@@ -81,11 +81,12 @@ def brute_force_milp(c, A, b, bounds, binary_indices):
 def screen_checking_skips(inst):
     """S3 screen of `inst` that checks every LP the screen skipped.
 
-    A bound LP is skipped exactly when an optimum of an earlier column's
-    bound LP attains the side's proven limit, and the skipped bound equals
-    a cold solve of its LP.  An undecided line row gets no LP exactly when
-    an optimum of a bound LP meets it within the margin, or else when its
-    Lagrangian certificate passes.  The cold per-row oracle finds each
+    A dispatch column's bound LP is skipped exactly when an optimum of an
+    earlier column's bound LP attains the side's proven limit, and no
+    status column's bound LP is solved; each skipped bound equals a cold
+    solve of its LP over the full region within 1e-9.  An undecided line
+    row gets no LP exactly when an optimum of a bound LP meets it within
+    the margin, or else when its Lagrangian certificate passes.  The cold per-row oracle finds each
     witnessed row not redundant and each certified row redundant, and each
     certificate y is re-checked here with one product y @ rows: y >= 0 and
     y @ rhs + the box maximum of (a_j - y @ rows) <= b_j - margin."""
@@ -132,8 +133,8 @@ def screen_checking_skips(inst):
                             if q < p and sol.status == "optimal"])
         for sense, value, limit in (("max", box.upper[p], hi[p]),
                                     ("min", box.lower[p], lo[p])):
-            attained = np.any(np.abs(earlier - limit)
-                              <= 1e-9 * max(1.0, abs(limit)))
+            attained = p >= G or np.any(np.abs(earlier - limit)
+                                        <= 1e-9 * max(1.0, abs(limit)))
             assert attained == ((p, sense) not in done), (p, sense)
             if attained:
                 obj = np.zeros(inst.n_cols)

@@ -11,10 +11,22 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import screen_checking_skips, screen_checking_vertex_starts
 from ucscreen import oracle
-from ucscreen.case import parse_case
+from ucscreen.case import load_bundled_case, parse_case
 import ucscreen.lp as lp_module
-from ucscreen.lp import FEASIBILITY_TOL, MilpProblem, SimplexError, solve_milp
-from ucscreen.model import CutSet, apply_cuts, build_uc, relax_binaries
+from ucscreen.lp import (
+    FEASIBILITY_TOL,
+    MilpProblem,
+    SimplexError,
+    lagrangian_bound,
+    solve_milp,
+)
+from ucscreen.model import (
+    GEN_ROW_KINDS,
+    CutSet,
+    apply_cuts,
+    build_uc,
+    relax_binaries,
+)
 from ucscreen.screening import eovl
 
 _spec = importlib.util.spec_from_file_location(
@@ -105,13 +117,64 @@ def test_zero_cost_milp_over_a_100_bus_load_box_is_solved():
 
 def test_screen_raises_when_bland_pivots_leave_a_drifted_tableau(monkeypatch):
     # With no stall allowed, primal and dual simplex pivot by Bland's rule
-    # from the first pivot.  On this case the dense tableau drifts until
-    # LP points violate rows by up to 5e-2 of max(1, |rhs|), and S3
-    # removed 190 rows where the default removes 145.  Each such LP's
-    # point is checked against its rows, so the screen raises instead.
+    # from the first pivot.  Over this case's full region the dense
+    # tableau drifts until an LP's point violates a row by 3e-3 of
+    # max(1, |rhs|).  Each such LP's point is checked against its rows, so
+    # the cold per-row LPs raise rather than return a verdict.  The screen
+    # runs over the region's projection, which has no status column or
+    # generation row, and there Bland's pivots keep the default set.
     case = _ring_case(3, 90)
-    assert len(eovl(relax_binaries(build_uc(case, case.nominal_load)))
-               .redundant) == 145
+    default = eovl(relax_binaries(build_uc(case, case.nominal_load))).redundant
+    assert len(default) == 145
     monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    inst = relax_binaries(build_uc(case, case.nominal_load))
+    assert eovl(inst).redundant == default
     with pytest.raises(SimplexError, match="Bland"):
-        eovl(relax_binaries(build_uc(case, case.nominal_load)))
+        for lb in inst.candidates:
+            oracle.lp_redundancy(inst, lb)
+
+
+def _screen_matches_the_full_region(inst):
+    """The S3 screen, which runs over the instance's projection, removes
+    exactly the rows that the cold per-row LP over the full region finds
+    redundant.  Every certificate is zero on the generation rows and
+    passes against the instance's own rows in one `lagrangian_bound`
+    product."""
+    s3 = eovl(inst)
+    assert set(s3.redundant) == {lb for lb in inst.candidates
+                                 if oracle.lp_redundancy(inst, lb)}
+    if not s3.certificates:
+        return 0
+    idx = inst.rows_of(s3.certificates)
+    y = np.array(list(s3.certificates.values()))
+    gen_rows = [i for i, lb in enumerate(inst.row_labels)
+                if lb.kind in GEN_ROW_KINDS]
+    assert np.all(y >= 0) and not np.any(y[:, gen_rows])
+    bound = lagrangian_bound(inst.rows[idx], y, inst.rows, inst.rhs,
+                             s3.box.lower, s3.box.upper)
+    assert np.all(bound <= inst.rhs[idx] - FEASIBILITY_TOL)
+    return len(idx)
+
+
+def test_projection_screens_like_the_full_region():
+    # The 48 benchmark synth cases at seed 1, the range case (30 buses,
+    # 14 units, beta 0.2, case seed 2) at its nominal load and over its
+    # load box, and thirty_bus and fifty_bus over their +-10% load box.
+    regions = []
+    for i in range(48):
+        doc = gen.ring_chord_case((1, i), n_buses=24, n_chords=12, n_gens=8,
+                                  beta=0.2, tight_share=0.25, name="synth")
+        case = parse_case(json.dumps(doc))
+        regions.append(relax_binaries(build_uc(case, case.nominal_load)))
+    doc = gen.ring_chord_case((2,), n_buses=30, n_chords=15, n_gens=14,
+                              beta=0.2, tight_share=0.25, name="range")
+    range_case = parse_case(json.dumps(doc))
+    regions.append(relax_binaries(build_uc(range_case,
+                                           range_case.nominal_load)))
+    for case, beta in ((range_case, 0.2), (load_bundled_case("thirty_bus"), 0.1),
+                       (load_bundled_case("fifty_bus"), 0.1)):
+        load = case.nominal_load
+        regions.append(relax_binaries(apply_cuts(
+            build_uc(case, load),
+            CutSet(load_range=((1 - beta) * load, (1 + beta) * load)))))
+    assert sum(_screen_matches_the_full_region(inst) for inst in regions) > 0
