@@ -82,11 +82,19 @@ at another right-hand side, whose optimal root is solved cold, in its
 own LP, by the first call whose right-hand side differs from it, and
 from which later roots start the way a child starts from its parent.
 Unit commitment at many loads of one case is such a family.  The point
-and cost returned come from one more cold LP with every binary fixed at
-the incumbent's value, so they depend on the commitment chosen and not
-on the path the tree took to it, nor on the root's start.  With costs
->= 0, as in unit commitment, both cold LPs end at their optimum when
-dual simplex makes the slack basis feasible.
+and cost returned come from one more LP with every binary fixed at the
+incumbent's value, so they depend on the commitment chosen and not on
+the path the tree took to it, nor on the root's start.  That LP is cold
+without a reference or at the reference's own right-hand side.
+Otherwise it starts from the reference's entry for its commitment: the
+MILP with no binaries whose bounds fix that commitment, at the
+reference's right-hand side, whose root, that cold fixed LP, is solved
+once in its own LP.  The final LP moves that tableau's right-hand side
+and runs dual simplex, as a reference root does, so its result is a
+function of the reference, the commitment and the right-hand side, and
+may differ from a cold LP's in its last bits.  With costs >= 0, as in
+unit commitment, every cold LP ends at its optimum when dual simplex
+makes the slack basis feasible.
 """
 
 from __future__ import annotations
@@ -811,7 +819,8 @@ class NodeStart:
 
 class MilpReference:
     """The optimal root of one MILP, the reference, from which the roots
-    of MILPs that differ from it in their right-hand side alone start.
+    and final LPs of MILPs that differ from it in their right-hand side
+    alone start.
 
     It holds the reference's branch-and-bound tree, whose standard form
     (A, var, sign, base) such a MILP's tree reuses with its own b, and,
@@ -824,9 +833,18 @@ class MilpReference:
     whose rhs differs from the reference's.  A MILP at the reference's
     own rhs solves its root cold and leaves the reference unsolved.  A
     reference whose root is not optimal serves no start, and its MILPs
-    solve their roots cold.  The tableau is a function of the reference
-    MILP alone, so no result depends on the order in which the MILPs
-    that share it are solved.
+    solve their roots cold.
+
+    `commitments` maps the bytes of a commitment, one bool per binary,
+    to its entry: the reference of the MILP with no binaries over the
+    reference's rows and rhs whose bounds fix the binaries at that
+    commitment.  An entry's root is the cold fixed LP at the reference's
+    rhs, solved the same one way, by the first MILP off that rhs that
+    ends at the commitment; that MILP and every later one with the
+    commitment start their final LP from it (see `solve_milp`).  Each
+    tableau is a function of the reference MILP and the commitment
+    alone, so no result depends on the order in which the MILPs that
+    share it are solved.
     """
 
     def __init__(self, problem: MilpProblem):
@@ -836,14 +854,15 @@ class MilpReference:
         self.binary_indices = problem.binary_indices
         self.tree = NodeStart(MilpProblem(self.base, problem.binary_indices))
         self.root = None  # (tableau, b) once solved; False when not optimal
+        self.commitments: dict[bytes, MilpReference] = {}
 
-    def _start(self, problem: MilpProblem, base: LpProblem) -> NodeStart:
-        """The root start of `problem`, `base` being its LP as a
-        minimisation: cold when its rhs is the reference's, or when the
-        reference root is not optimal; otherwise from the reference root,
-        solved first if need be."""
+    def _start(self, base: LpProblem, binary_indices) -> NodeStart:
+        """The root start of the MILP over `base`, its LP as a
+        minimisation, and `binary_indices`: cold when its rhs is the
+        reference's, or when the reference root is not optimal; otherwise
+        from the reference root, solved first if need be."""
         mine = self.base
-        if not (problem.binary_indices == self.binary_indices
+        if not (binary_indices == self.binary_indices
                 and _same_arrays((base.rows, mine.rows), (base.bounds, mine.bounds),
                                  (base.objective, mine.objective))):
             raise LpUsageError("MILP reference was built for other rows, "
@@ -854,6 +873,18 @@ class MilpReference:
             sol = solve_lp(mine, self.tree)
             self.root = sol.status == "optimal" and self.tree._solved
         return self.tree._rooted(base, self.root or None)
+
+    def _final(self, final: LpProblem, commitment: bytes) -> NodeStart:
+        """The start of a MILP's final LP `final`, whose bounds fix the
+        binaries at `commitment` and whose rhs is not the reference's:
+        the root start of the commitment's entry, the MILP with no
+        binaries over `final`'s bounds and this reference's rhs, made on
+        first use."""
+        entry = self.commitments.get(commitment)
+        if entry is None:
+            entry = self.commitments[commitment] = MilpReference(
+                MilpProblem(self.base._with(bounds=final.bounds), ()))
+        return entry._start(final, ())
 
 
 def solve_lp(problem: LpProblem,
@@ -953,29 +984,28 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     branches, down-branch first, on the lowest-index fractional binary
     in a row that the rounded point violates, or on the lowest-index
     fractional binary when snapping near-integral binaries made the only
-    violations.  The point and objective returned are those of a cold LP
-    with every binary fixed at the incumbent's value, whose bounds alone
-    are checked; `iterations` counts
-    the pivots of every LP solved, that one included.  That final LP
+    violations.  The point and objective returned are those of a final
+    LP with every binary fixed at the incumbent's value, whose bounds
+    alone are checked, or the incumbent's when that LP is not optimal;
+    `iterations` counts the pivots of every LP solved, that one
+    included.  Every node but the root runs dual simplex from its
+    parent's optimal tableau, to its optimum or to a proof that it is
+    empty.
+
+    Without `reference`, the root and the final LP solve cold: each
     starts at its slack basis and runs dual simplex (see `_cold`); when
     every standard-form cost is >= 0 and one is > 0, as with unit
     commitment's costs over its nonnegative columns, that ends at the
-    optimum with no primal pivot.  Every other node runs dual simplex
-    from its parent's optimal tableau, to its optimum or to a proof that
-    it is empty.
-
-    The root runs the same way from `reference`'s root when one is given
-    and that root is optimal (see `MilpReference`), and cold otherwise.
-    A root whose rhs equals the reference's solves cold.  Otherwise a
-    reference not yet solved is solved here first, in its own solve_lp
-    call, whose pivots `iterations` leaves out, so that it counts the
-    same pivots whichever MILP pays for the reference.  Raises
-    LpUsageError when `reference` was built for other rows, bounds,
-    costs or binaries.
+    optimum with no primal pivot.  So do both at the reference's own
+    rhs.  At any other rhs, the root runs dual simplex from `reference`'s
+    root, and the final LP from the root of the reference's entry for
+    the commitment (see `MilpReference`), each when that root is
+    optimal, and cold otherwise.  A reference root or entry root not
+    yet solved is solved here first, in its own solve_lp call, whose
+    pivots `iterations` leaves out, so that it counts the same pivots
+    whichever MILP pays for it.  Raises LpUsageError when `reference`
+    was built for other rows, bounds, costs or binaries.
     """
-    nbin = len(problem.binary_indices)
-    if nbin > 60:
-        raise LpUsageError(f"binary count {nbin} exceeds the desk-scale guard (60)")
     lp = problem.lp
     flip = lp.sense == "max"
     cmin = -lp.objective if flip else lp.objective
@@ -987,7 +1017,8 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     nodes = 0
     pivots = 0
     seq = 0
-    root = (reference or MilpReference(problem))._start(problem, base)
+    root = (reference or MilpReference(problem))._start(
+        base, problem.binary_indices)
     heap: list[tuple[float, int, NodeStart]] = [(-np.inf, seq, root)]
 
     while heap:
@@ -1036,9 +1067,14 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     if best is None:
         return LpSolution("infeasible", None, None, iterations=pivots,
                           nodes=nodes)
+    commitment = best.point[bidx] > 0.5
     fixed = base.bounds.copy()
-    fixed[bidx] = (best.point[bidx] > 0.5)[:, None].astype(float)
-    final = solve_lp(base.with_bounds(fixed))
+    fixed[bidx] = commitment[:, None].astype(float)
+    last = base.with_bounds(fixed)
+    if reference is None or _same_arrays((base.rhs, reference.base.rhs)):
+        final = solve_lp(last)
+    else:
+        final = solve_lp(last, reference._final(last, commitment.tobytes()))
     pivots += final.iterations
     if final.status == "optimal":
         best = final

@@ -24,7 +24,9 @@ derivation that changes nothing returns the instance itself.
 
 `solve_uc` starts the branch-and-bound root of an uncut fixed-load
 instance from the optimal root of its rows at the nominal load, one
-`lp.MilpReference` per case and row set, kept in the same store.
+`lp.MilpReference` per case and row set, kept in the same store, and
+its final fixed-commitment LP from that reference's entry for the
+commitment.
 
 Screening runs over an instance's `projection`: its region less the
 status columns and the generation rows, with the dispatch bounds those
@@ -356,8 +358,9 @@ class _CaseModels:
     this store's key in `_MODELS`: a value that refers to its key would
     never be freed.  `references` holds one `MilpReference` per row set:
     the MILP of those rows at the nominal load, whose root every uncut
-    MILP over the same rows starts from (see `solve_uc`).  The key is the
-    bytes of the rows' positions among `nominal`'s rows."""
+    MILP over the same rows starts from, and whose entry per commitment
+    every such MILP's final LP starts from (see `solve_uc`).  The key is
+    the bytes of the rows' positions among `nominal`'s rows."""
 
     def __init__(self, case: GridCase):
         G = case.n_gens
@@ -506,10 +509,14 @@ def solve_uc(inst: UcInstance) -> UcSolution:
     An uncut fixed-load instance starts its branch-and-bound root from
     the reference of its rows, the optimal root at the case's nominal
     load (see `lp.MilpReference`), so the many loads of one case skip
-    most of the root's pivots.  The reference is a function of the case
-    and the rows alone, and the point and cost returned come from a cold
-    LP with the commitment fixed, so the result does not depend on which
-    loads were solved before."""
+    most of the root's pivots.  Off the nominal load, the point and cost
+    returned come from the LP with the commitment fixed, started from the
+    reference's entry for that commitment: the optimal fixed LP at the
+    nominal load, solved cold once.  At the nominal load that LP is cold.
+    The reference and its entries are functions of the case, the rows
+    and the commitment alone, so the result does not depend on which
+    loads were solved before; off the nominal load its last bits may
+    differ from a cold solve's."""
     G = inst.n_gens
     u_bounds = inst.bounds[G:2 * G]
     if inst.binary_indices:

@@ -521,11 +521,16 @@ def test_milp_node_limit_carries_incumbent():
 
 
 def test_milp_guards():
-    lp = LpProblem(np.zeros(61), np.zeros((0, 61)), [],
-                   bounds=[(0.0, 1.0)] * 61)
-    with pytest.raises(LpUsageError):
-        solve_milp(MilpProblem(lp, tuple(range(61))))
-    lp2 = LpProblem([0.0], np.zeros((0, 1)), [], bounds=[(0.0, 2.0)])
+    # No cap on the binary count: with 70 distinct costs, the least cost
+    # of sum(u) >= 23 runs the 23 cheapest units, at 1 + 2 + ... + 23.
+    n, k = 70, 23
+    cost = np.random.default_rng(3).permutation(n) + 1.0
+    lp = LpProblem(cost, -np.ones((1, n)), [-k], bounds=[(0.0, 1.0)] * n)
+    sol = solve_milp(MilpProblem(lp, tuple(range(n))))
+    assert sol.status == "optimal"
+    assert sol.objective_value == k * (k + 1) / 2
+    assert np.array_equal(np.flatnonzero(sol.point), np.sort(np.argsort(cost)[:k]))
+    lp2 =LpProblem([0.0], np.zeros((0, 1)), [], bounds=[(0.0, 2.0)])
     with pytest.raises(LpUsageError):
         MilpProblem(lp2, (0,))
     # A branch fixes a binary at 0 or 1, which must lie within its bounds.

@@ -13,7 +13,8 @@ import pytest
 import ucscreen.model as model_module
 from conftest import brute_force_milp
 from ucscreen.case import load_bundled_case, parse_case
-from ucscreen.lp import FEASIBILITY_TOL, LpUsageError, solve_milp
+import ucscreen.lp as lp_module
+from ucscreen.lp import FEASIBILITY_TOL, LpUsageError, NodeStart, solve_milp
 from ucscreen.model import (
     CutSet,
     RowLabel,
@@ -489,10 +490,13 @@ def _as_uc(inst, sol):
     return commitment, sol.point[:G].tobytes(), float(sol.objective_value)
 
 
-def test_reference_roots_give_the_cold_results_bit_for_bit(monkeypatch):
-    """solve_uc starts each root from its rows' reference, and returns
-    exactly what a cold solve_milp returns, at eight seeded loads of the
-    range case (full and reduced) and of two bundled cases."""
+def test_reference_solves_give_the_cold_commitments_and_costs(monkeypatch):
+    """solve_uc starts each root from its rows' reference, and each final
+    LP off the nominal load from the reference's entry for its commitment.
+    At eight seeded loads of the range case (full and reduced) and of two
+    bundled cases it returns the commitment a cold solve_milp returns, its
+    cost within 1e-12 relative and its dispatch within 1e-9; at the
+    nominal load, whose final LP is cold, it returns the same bits."""
     calls = _spy_milps(monkeypatch)
     range_case = _range_case()
     box = CutSet(load_range=(0.8 * range_case.nominal_load,
@@ -504,7 +508,8 @@ def test_reference_roots_give_the_cold_results_bit_for_bit(monkeypatch):
     for case, reduce in ((range_case, True), (load_bundled_case("thirty_bus"),
                                                False),
                          (load_bundled_case("fifty_bus"), False)):
-        for load in _loads(case, 8, seed=11, beta=0.05):
+        loads = list(_loads(case, 8, seed=11, beta=0.05)) + [case.nominal_load]
+        for load in loads:
             full = build_uc(case, load)
             for inst in (full, reduce_model(full, redundant)) if reduce else (full,):
                 calls.clear()
@@ -512,10 +517,62 @@ def test_reference_roots_give_the_cold_results_bit_for_bit(monkeypatch):
                 (sol, reference), = calls
                 assert reference is not None and reference.root
                 cold = solve_milp(milp_problem(inst))
-                assert (mine.commitment, mine.dispatch.tobytes(), mine.cost) \
-                    == _as_uc(inst, cold)
+                commitment, dispatch, cost = _as_uc(inst, cold)
+                if load is case.nominal_load:
+                    assert (mine.commitment, mine.dispatch.tobytes(), mine.cost) \
+                        == (commitment, dispatch, cost)
+                    continue
+                assert mine.commitment == commitment
+                assert abs(mine.cost - cost) <= 1e-12 * abs(cost)
+                assert np.max(np.abs(mine.dispatch - cold.point[:inst.n_gens])) \
+                    <= 1e-9
                 warm += sol.iterations < cold.iterations
-    assert warm >= 12  # the reference saved pivots
+    assert warm >= 12  # the references saved pivots
+
+
+def test_final_lp_starts_from_one_entry_per_commitment(monkeypatch):
+    """A nominal-load solve builds no commitment entry and solves its
+    final LP cold.  The first other load with a commitment solves that
+    commitment's entry once, in its own LP; each later load with it
+    reuses the entry, and its final LP, started from the entry's root,
+    takes fewer pivots than the cold final LP."""
+    lps = []
+    real = lp_module.solve_lp
+
+    def spy(problem, start=None):
+        warm = isinstance(start, NodeStart) and start._parent is not None
+        sol = real(problem, start)
+        lps.append((problem, start, warm, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(lp_module, "solve_lp", spy)
+    case = _range_case()
+    nominal = build_uc(case, case.nominal_load)
+    reference = model_module._reference(nominal)
+    loads = [case.nominal_load, *_loads(case, 12, seed=6),
+             case.nominal_load]
+    first = later = 0
+    for load in loads:
+        entries = dict(reference.commitments)
+        lps.clear()
+        solve_uc(build_uc(case, load))
+        final, start, warm, pivots = lps[-1]
+        if load is case.nominal_load:
+            assert start is None and reference.commitments == entries
+            continue
+        new = [e for k, e in reference.commitments.items() if k not in entries]
+        roots = [e for e in reference.commitments.values()
+                 if any(p is e.base for p, _, _, _ in lps)]
+        if new:  # its root solved once, here
+            assert roots == new and new[0].root
+            assert sum(p is new[0].base for p, _, _, _ in lps) == 1
+            first += 1
+        else:
+            assert roots == []
+            later += 1
+        assert all(reference.commitments.get(k) is e for k, e in entries.items())
+        assert warm and pivots < real(final).iterations
+    assert len(reference.commitments) == first >= 2 and later >= 8
 
 
 def test_reference_results_do_not_depend_on_the_order_of_loads(monkeypatch):
