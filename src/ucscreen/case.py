@@ -177,7 +177,7 @@ def parse_case(text: str) -> GridCase:
         lines.append(Line(frm, to, susc, fmin, fmax))
 
     raw_gens = doc["generators"]
-    _expect(isinstance(raw_gens, list), "generators", "expected an array")
+    _expect(isinstance(raw_gens, list) and raw_gens, "generators", "expected a non-empty array")
     gens = []
     for i, item in enumerate(raw_gens):
         path = f"generators[{i}]"

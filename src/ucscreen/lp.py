@@ -34,29 +34,23 @@ dense tableau is never refactorized, so a tableau that Bland's rule has
 pivoted, or that was copied from one, is flagged, and solve_lp checks
 such an LP's point against every row (see `_check_rows`).
 
-Every way in (a cold solve, `region_basis` and a `NodeStart`) shares one
-standard form, `_standard_form`: A z <= b with z >= 0, plus two arrays
-that map each column back to its variable and sign.  There is one way to
-a feasible basis, `_cold`: the slack basis, which is dual feasible for
-any prices >= 0 whatever the signs of b, and dual simplex from it
-(Koberstein, 2005, the dual phase 1 for a dual-feasible start; Chvatal,
-1983).  The prices are the LP's own costs when they are >= 0 and not all
-0, so the basis it ends at is optimal; otherwise they are ones, and
-primal phase 2 follows with the real costs.
+A solved LP is its tableau (`_Tableau`): the basis, its own pivot
+count, the standard-form rhs b it was solved at, and a flag set when
+dual simplex proved the region empty.  A cold LP (`_cold`) starts at the
+slack basis of `_standard_form`, A z <= b with z >= 0, which is dual
+feasible for any prices >= 0 whatever the signs of b, and runs dual
+simplex (Koberstein, 2005; Chvatal, 1983).  The prices are the LP's
+costs when they are >= 0 and not all 0, so it ends optimal; otherwise
+they are ones, and primal phase 2 follows with the real costs.
 
-Screening solves many LPs over one region, so `region_basis` makes the
-region's slack basis feasible once, priced at the region's own
-objective, which depends on the region alone (ones when it is zero).
-Each LP that a `VertexStart` gives that basis copies its feasible
-tableau, m rows by n + 1 columns, and runs phase 2 alone.  A
-`VertexStart` may instead give a vertex: the optimal tableau of an
-earlier LP over the region, which is feasible for every objective and
-often close to the next LP's optimum.  On request it hands back the LP's
-own final tableau as a vertex for later LPs.  The caller computes the
-region's basis and picks each tableau, so an LP's result depends on the
-order or the thread the LPs run in only if the caller's picks do.
-Without a start, `solve_lp` solves from scratch through `_cold`, as the
-brute-force oracles do.
+Every other start copies a solved LP's tableau and, where b differs,
+moves its rhs.  solve_lp leaves an LP's final tableau on a start whose
+`keep` is set, and `iterations` is that tableau's count.  Screening
+starts each LP over a region from a `VertexStart`: the region's basis,
+the kept tableau of the region's own cold LP (`region_basis`), or an
+earlier LP's optimal tableau, a vertex feasible for every objective.
+The caller picks each tableau, so an LP's result depends on the order
+or the thread the LPs run in only if the caller's picks do.
 
 The MILP solver runs best-first branch and bound on LP relaxations.  At
 a node whose LP optimum has a fractional binary it rounds every binary
@@ -73,8 +67,8 @@ one step, a binary fixed at 0 or 1, and changes only bounds, so every
 node shares one standard form in which each binary's bounds are two
 rows.  A `NodeStart` holds a node's own bounds and right-hand side;
 `child(var, value)` copies both and sets var's bound pair and the
-right-hand sides of its two bound rows, and the child solves from its
-parent's optimal tableau by dual simplex pivots.  A node's LP gets no
+right-hand sides of its two bound rows, and the child moves the rhs of
+its parent's optimal tableau and runs dual simplex.  A node's LP gets no
 check of its own: its bounds are its parent's, checked, with one binary
 fixed.  The root solves cold, unless the caller passes a
 `MilpReference`: a MILP with the same rows, bounds, costs and binaries
@@ -209,7 +203,7 @@ class LpProblem:
         _nan_free(self.objective, "objective")
         n = self.objective.size
         self.rows = np.asarray(self.rows, dtype=float)
-        if self.rows.size == 0:
+        if self.rows.size == 0 and self.rows.ndim != 2:
             self.rows = self.rows.reshape(0, n)
         if self.rows.ndim != 2 or self.rows.shape[1] != n:
             raise LpUsageError(
@@ -390,7 +384,9 @@ class _Tableau:
     writes into `_ratios`, a buffer of this tableau's own, so tableaux
     in different threads share nothing they write.  `by_bland` is set
     once Bland's rule has made a pivot on this tableau or on the one it
-    was copied from, and stays set in every copy.
+    was copied from, and stays set in every copy, as do `infeasible`,
+    set when dual simplex proved the region empty, and `b`, the
+    standard-form rhs.  `iterations` counts this copy's own pivots.
     """
 
     def __init__(self, form: _StandardForm):
@@ -405,8 +401,9 @@ class _Tableau:
         self._set_buffer(buf)
         self.basis = ns + np.arange(m)
         self.nonbasic = np.arange(ns)
+        self.b = form.b
         self.iterations = 0
-        self.by_bland = False
+        self.by_bland = self.infeasible = False
 
     def _set_buffer(self, buf: np.ndarray) -> None:
         self.buf = buf
@@ -419,7 +416,8 @@ class _Tableau:
         """An independent copy with a fresh pivot count."""
         out = object.__new__(_Tableau)
         out.form, out.ns, out.m = self.form, self.ns, self.m
-        out.n_labels, out.by_bland = self.n_labels, self.by_bland
+        out.n_labels, out.b = self.n_labels, self.b
+        out.by_bland, out.infeasible = self.by_bland, self.infeasible
         out._set_buffer(self.buf.copy())
         out.basis = self.basis.copy()
         out.nonbasic = self.nonbasic.copy()
@@ -580,8 +578,11 @@ class _Tableau:
 
     def dual_simplex(self, zrow: np.ndarray) -> str:
         """Pivot a dual-feasible basis to primal feasibility: "feasible"
-        or "infeasible" (see `_iterate`)."""
-        return self._iterate(zrow, dual=True)
+        or "infeasible" (see `_iterate`), the latter also setting
+        `infeasible`."""
+        verdict = self._iterate(zrow, dual=True)
+        self.infeasible = verdict == "infeasible"
+        return verdict
 
     def phase_two(self, c: np.ndarray) -> str:
         """Minimize c'z from the current feasible basis."""
@@ -619,13 +620,11 @@ class _Tableau:
         return x, z
 
 
-def _cold(form: _StandardForm, cost: np.ndarray):
-    """Make the slack-basis tableau of `form` feasible for minimizing
-    `cost` @ z.  Returns (pivots, verdict) as the starts' `_warm` does: 0
-    and a feasible tableau, whose own count holds the pivots; the pivots
-    and "infeasible" when the region is empty; or 0 and None when every
-    variable is fixed, so there is no column and feasibility is a direct
-    check on `form.b`.
+def _cold(form: _StandardForm, cost: np.ndarray) -> "_Tableau | None":
+    """The slack-basis tableau of `form`, made feasible for minimizing
+    `cost` @ z, or flagged `infeasible` when the region is empty; None
+    when every variable is fixed, so there is no column and feasibility
+    is a direct check on `form.b`.
 
     With prices >= 0 the slack basis is dual feasible whatever the signs
     of the right-hand side, so dual simplex runs from it to primal
@@ -641,31 +640,23 @@ def _cold(form: _StandardForm, cost: np.ndarray):
     """
     m, ns = form.A.shape
     if ns == 0:
-        return 0, None
+        return None
     tab = _Tableau(form)
     if m:
         if not (np.all(cost >= 0.0) and np.any(cost > 0.0)):
             cost = np.ones(ns)
-        if tab.dual_simplex(tab._zrow(cost)) == "infeasible":
-            return tab.iterations, "infeasible"
-    return 0, tab
+        tab.dual_simplex(tab._zrow(cost))
+    return tab
 
 
-def region_basis(region: LpProblem):
-    """A feasible basis of the rows, right-hand side and bounds of
-    `region`: `_cold` priced at the region's objective, read as a
-    minimisation's costs, so the basis is a function of the region alone.
-    `_cold` prices at ones instead unless every price is >= 0 and one is
-    > 0, as for a zero objective.  (pivots, verdict), the verdict a
-    feasible tableau of the region, "infeasible" when the region is empty,
-    or None when every variable is fixed.  A `VertexStart` takes the
-    pair."""
-    form = _standard_form(region.rows, region.rhs, region.bounds[:, 0],
-                          region.bounds[:, 1])
-    pivots, verdict = _cold(form, region.objective[form.var] * form.sign)
-    if isinstance(verdict, _Tableau):
-        pivots = verdict.iterations  # its copies count from 0
-    return pivots, verdict
+def region_basis(region: LpProblem) -> "_Tableau | None":
+    """The final tableau of `region`'s own LP, solved cold by solve_lp with
+    a kept `VertexStart`: a feasible basis of its rows, right-hand side
+    and bounds, flagged `infeasible` when the region is empty, or None
+    when every variable is fixed.  That LP counts its pivots."""
+    start = VertexStart(region, None, keep=True)
+    solve_lp(region, start)
+    return start.tableau
 
 
 def _same_arrays(*pairs) -> bool:
@@ -676,41 +667,26 @@ def _same_arrays(*pairs) -> bool:
 
 
 class VertexStart:
-    """Start of one LP over `region` from `basis`, a pair (pivots,
-    tableau): a feasible tableau of that region, which the LP copies
-    before it runs phase 2, and the pivots that reaching it cost, which
-    the LP counts as its own.  The tableau is a vertex, the optimal
-    tableau of an earlier LP over the region, or the region's feasible
-    basis from `region_basis`; the caller passes that basis's pivots to
-    one LP only.  `region_basis`'s other verdicts pass through: the LP is
-    "infeasible", or solves cold when every variable is fixed (None).
-
-    With `keep`, the start hands back the LP's own final tableau: solve_lp
-    finishes it in place, and `tableau` holds it afterwards, to serve as a
-    later LP's vertex once the caller has checked the LP was optimal.
-    Without `keep`, the tableau is freed when the solve returns.
+    """Start of one LP over `region` from `vertex`, a feasible tableau of
+    the region: its basis (`region_basis`) or an earlier LP's optimal
+    tableau.  The LP copies it and runs phase 2; with `vertex` None it
+    solves cold.  With `keep`, solve_lp leaves the LP's final tableau in
+    `tableau`, a later LP's vertex once the caller has checked the LP was
+    optimal; without it, the tableau is freed when the solve returns.
     """
 
-    def __init__(self, region: LpProblem, basis, keep: bool = False):
-        self.region = region
-        self.pivots, self.vertex = basis
-        self.keep = keep
+    def __init__(self, region: LpProblem, vertex, keep: bool = False):
+        self.region, self.vertex, self.keep = region, vertex, keep
         self.tableau: _Tableau | None = None
 
-    def _warm(self, problem: LpProblem, c: np.ndarray):
-        """(pivots, tableau) for solve_lp: a private feasible tableau for
-        the problem, "infeasible", or None when every variable is fixed;
-        the pivots are those outside the tableau's own count."""
+    def _warm(self, problem: LpProblem, c: np.ndarray) -> "_Tableau | None":
+        """A private copy of the vertex for solve_lp, or None to solve
+        cold."""
         r = self.region
         if not _same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs),
                             (problem.bounds, r.bounds)):
             raise LpUsageError("LP start was built for a different region")
-        tab = self.vertex
-        if isinstance(tab, _Tableau):
-            tab = tab.copy()
-            if self.keep:
-                self.tableau = tab
-        return self.pivots, tab
+        return None if self.vertex is None else self.vertex.copy()
 
 
 class NodeStart:
@@ -729,20 +705,21 @@ class NodeStart:
     entries of `b` that belong to `var`.
 
     The root solves cold, or, made by `_rooted` from a `MilpReference`'s
-    tree, starts from the reference root as a child does.  A child applies
-    the change in b to its parent's optimal tableau along the full
-    tableau's columns of the moved rows' slacks: the stored column of a
-    nonbasic slack, the unit vector of its row for a basic one.  The basis
-    stays dual feasible, and dual simplex pivots run to primal feasibility
-    or prove the node empty, with the same guard against stalling and the
-    same tolerance as `_cold`'s.  The prices are the node's costs, or ones
-    when every standard-form cost is 0, as the root's `_cold` priced them:
-    by induction every node's basis is then optimal for ones, and no dual
-    ratio test ties every column at 0.  A start serves one solve_lp call,
-    whose LP must have the node's rows, rhs and bounds, and which keeps the
-    node's final tableau for the children; the two children of a node
-    share that tableau read-only.
+    tree, starts from the reference root as a child does.  A child copies
+    its parent's optimal tableau and moves its rhs from the parent's b to
+    its own along the full tableau's columns of the moved rows' slacks.
+    The basis stays dual feasible, and dual simplex pivots run to primal
+    feasibility or prove the node empty, with the same guard against
+    stalling and the same tolerance as `_cold`'s.  The prices are the
+    node's costs, or ones when every standard-form cost is 0, as the
+    root's `_cold` priced them: by induction every node's basis is then
+    optimal for ones, and no dual ratio test ties every column at 0.  A
+    start serves one solve_lp call, whose LP must have the node's rows,
+    rhs and bounds, and which always keeps the node's final tableau in
+    `tableau` for the children; the two children share it read-only.
     """
+
+    keep = True
 
     def __init__(self, milp: MilpProblem):
         region = milp.lp
@@ -760,19 +737,19 @@ class NodeStart:
                                  np.zeros(self.branch.size)])
         self.form = replace(form, A=np.vstack([form.A, unit, -unit]), b=self.b)
         self.region, self.bounds = region, region.bounds
-        self._parent = None  # (tableau, b) of the parent
-        self._solved = None  # the same for this node, once solved
+        self._parent = None  # the parent's optimal tableau
+        self.tableau = None  # this node's final one, once solved
 
     def _rooted(self, region: LpProblem, parent) -> "NodeStart":
         """The root start of a tree over `region`, whose rows, bounds and
         costs are this tree's and whose rhs may differ: this tree's
-        standard form with region's own b, and `parent`, a (tableau, b)
-        pair to start from, or None to solve cold."""
+        standard form with region's own b, and `parent`, a tableau to
+        start from, or None to solve cold."""
         b = self.b.copy()  # past the region's rows: this tree's bound rows
         b[:region.n_rows] = region.rhs - region.rows @ self.form.base
         out = object.__new__(NodeStart)
         out.__dict__.update(self.__dict__, region=region, bounds=region.bounds,
-                            b=b, _parent=parent, _solved=None)
+                            b=b, _parent=parent, tableau=None)
         return out
 
     def child(self, var: int, value: float) -> "NodeStart":
@@ -788,33 +765,28 @@ class NodeStart:
         b[up], b[up + nb] = value, 0.0 - value
         out = object.__new__(NodeStart)  # shares the standard form
         out.__dict__.update(self.__dict__, bounds=bounds, b=b,
-                            _parent=self._solved, _solved=None)
+                            _parent=self.tableau, tableau=None)
         return out
 
-    def _warm(self, problem: LpProblem, c: np.ndarray):
-        """(pivots, tableau) for solve_lp, as `VertexStart._warm`."""
+    def _warm(self, problem: LpProblem, c: np.ndarray) -> "_Tableau | None":
+        """The node's tableau for solve_lp, as `VertexStart._warm`."""
         r = self.region
         if not _same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs),
                             (problem.bounds, self.bounds)):
             raise LpUsageError("node start was built for a different region")
         cost = c[self.form.var] * self.form.sign
         if self._parent is None:
-            pivots, tab = _cold(replace(self.form, b=self.b), cost)
-            if not isinstance(tab, _Tableau):
-                return pivots, tab
-        else:
-            parent, parent_b = self._parent
-            self._parent = None
-            tab = parent.copy()
-            delta = self.b - parent_b
-            moved = np.nonzero(delta)[0]
-            tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
-            if not np.count_nonzero(cost):
-                cost = np.ones(cost.size)  # as the root's `_cold` priced it
-            if tab.dual_simplex(tab._zrow(cost)) == "infeasible":
-                return tab.iterations, "infeasible"
-        self._solved = (tab, self.b)  # phase 2 in solve_lp finishes it in place
-        return 0, tab
+            return _cold(replace(self.form, b=self.b), cost)
+        tab = self._parent.copy()
+        self._parent = None
+        delta = self.b - tab.b
+        moved = np.nonzero(delta)[0]
+        tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
+        tab.b = self.b
+        if not np.count_nonzero(cost):
+            cost = np.ones(cost.size)  # as the root's `_cold` priced it
+        tab.dual_simplex(tab._zrow(cost))
+        return tab
 
 
 class MilpReference:
@@ -824,16 +796,16 @@ class MilpReference:
 
     It holds the reference's branch-and-bound tree, whose standard form
     (A, var, sign, base) such a MILP's tree reuses with its own b, and,
-    once solved, the reference root's optimal tableau.  A root that
-    starts from it applies its change in b to a copy of that tableau, as
-    a `NodeStart` child applies its bounds', and runs dual simplex
-    pivots to its own optimum (Koberstein, 2005, dual simplex after a
-    change of the right-hand side).  The reference root is solved one
-    way only: cold, in its own solve_lp call, by the first `solve_milp`
-    whose rhs differs from the reference's.  A MILP at the reference's
-    own rhs solves its root cold and leaves the reference unsolved.  A
-    reference whose root is not optimal serves no start, and its MILPs
-    solve their roots cold.
+    once solved, the reference root's optimal tableau in `root`.  A root
+    that starts from it moves a copy of that tableau's rhs to its own, as
+    a `NodeStart` child does, and runs dual simplex pivots to its own
+    optimum (Koberstein, 2005, dual simplex after a change of the
+    right-hand side).  The reference root is solved one way only: cold,
+    in its own solve_lp call, by the first `solve_milp` whose rhs differs
+    from the reference's.  A MILP at the reference's own rhs solves its
+    root cold and leaves the reference unsolved.  A reference whose root
+    is not optimal (`root` False) serves no start, and its MILPs solve
+    their roots cold.
 
     `commitments` maps the bytes of a commitment, one bool per binary,
     to its entry: the reference of the MILP with no binaries over the
@@ -853,7 +825,7 @@ class MilpReference:
                                       else lp.objective)
         self.binary_indices = problem.binary_indices
         self.tree = NodeStart(MilpProblem(self.base, problem.binary_indices))
-        self.root = None  # (tableau, b) once solved; False when not optimal
+        self.root = None  # the optimal tableau; False when not optimal
         self.commitments: dict[bytes, MilpReference] = {}
 
     def _start(self, base: LpProblem, binary_indices) -> NodeStart:
@@ -871,7 +843,7 @@ class MilpReference:
             return self.tree._rooted(base, None)
         if self.root is None:
             sol = solve_lp(mine, self.tree)
-            self.root = sol.status == "optimal" and self.tree._solved
+            self.root = sol.status == "optimal" and self.tree.tableau
         return self.tree._rooted(base, self.root or None)
 
     def _final(self, final: LpProblem, commitment: bytes) -> NodeStart:
@@ -892,38 +864,36 @@ def solve_lp(problem: LpProblem,
     """Solve an LP; exact status classification, deterministic output.
 
     With a `VertexStart` over the problem's region, the LP runs phase 2
-    from a copy of the start's tableau, a vertex or the region's feasible
-    basis.  With a `NodeStart`, the LP is one node of a branch-and-bound
-    tree.  Without a start, or when every variable is fixed, it solves
-    cold (see `_cold`).
+    from a copy of the start's vertex.  With a `NodeStart`, the LP is one
+    node of a branch-and-bound tree.  Without a start or a vertex, or
+    when every variable is fixed, it solves cold (see `_cold`).  A start
+    whose `keep` is set gets the LP's final tableau as its `tableau`.
+    `iterations` is that tableau's own pivot count.
     """
     m = problem.n_rows
     flip = problem.sense == "max"
     c = -problem.objective if flip else problem.objective
 
-    # pivots counts those outside the tableau's own count
-    pivots, tab = (0, None) if start is None else start._warm(problem, c)
+    tab = None if start is None else start._warm(problem, c)
     if tab is None:
         form = _standard_form(problem.rows, problem.rhs, problem.bounds[:, 0],
                               problem.bounds[:, 1])
-        more, tab = _cold(form, c[form.var] * form.sign)
-        pivots += more
+        tab = _cold(form, c[form.var] * form.sign)
         if tab is None:
             # All variables fixed: feasibility is a direct check.
             if np.any(form.b < -FEASIBILITY_TOL):
-                return LpSolution("infeasible", None, None, iterations=pivots)
+                return LpSolution("infeasible", None, None)
             point = form.base.copy()
             return LpSolution("optimal", float(problem.objective @ point),
-                              point, row_duals=np.zeros(m),
-                              iterations=pivots)
-    if tab == "infeasible":
-        return LpSolution("infeasible", None, None, iterations=pivots)
+                              point, row_duals=np.zeros(m))
+    if start is not None and start.keep:
+        start.tableau = tab
+    if tab.infeasible:
+        return LpSolution("infeasible", None, None, iterations=tab.iterations)
 
     form = tab.form
-    status = tab.phase_two(c[form.var] * form.sign)
-    iterations = pivots + tab.iterations
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, iterations=iterations)
+    if tab.phase_two(c[form.var] * form.sign) == "unbounded":
+        return LpSolution("unbounded", None, None, iterations=tab.iterations)
 
     xstd, zrow = tab.extract()
     point = form.base.copy()
@@ -937,7 +907,7 @@ def solve_lp(problem: LpProblem,
         point,
         # Row duals are the reduced costs of the original rows' slack columns.
         row_duals=np.maximum(zrow[tab.ns:tab.ns + m], 0.0),
-        iterations=iterations,
+        iterations=tab.iterations,
     )
 
 

@@ -30,8 +30,9 @@ commitment.
 
 Screening runs over an instance's `projection`: its region less the
 status columns and the generation rows, with the dispatch bounds those
-rows imply.  The projection and its feasible basis are made on first
-use and kept with the instance, as its label map is.
+rows imply.  The projection and the tableau of its own LP, the
+screen's first start, are made on first use and kept with the
+instance, as its label map is.
 """
 
 from __future__ import annotations
@@ -218,9 +219,10 @@ class UcInstance:
         So the projection is the other rows with those bounds on x (Balas,
         2005), and every line row has the same maximum over it as over the
         region.  Its statuses are pinned at 0: no row reads them, so the
-        simplex gives them no column.  Its objective prices its feasible
-        basis (`region_basis`): each unit's cost over the mean cost, and
-        ones on load columns."""
+        simplex gives them no column.  Its objective, `region_basis`'s, is
+        the units' costs over their mean when all are >= 0 and the mean
+        > 0, else ones, and ones on load columns: `lp._cold`'s prices, so
+        that LP's phase 2 makes no pivot."""
         G = self.n_gens
         bounds = self.bounds.copy()
         bounds[:G] = self.bounds[G:2 * G] * [(g.x_min, g.x_max)
@@ -228,14 +230,15 @@ class UcInstance:
         bounds[G:2 * G] = 0.0
         cost = self.cost[:G]
         prices = np.ones(self.n_cols)
-        prices[:G] = cost / cost.mean() if cost.mean() > 0 else 1.0
+        if np.all(cost >= 0.0) and cost.mean() > 0:
+            prices[:G] = cost / cost.mean()
         keep = self.projected_rows
         return LpProblem(prices, self.rows[keep], self.rhs[keep], bounds=bounds)
 
     @cached_property
     def region_basis(self):
-        """A feasible basis of `projection`, found on first access:
-        (pivots, verdict) as `lp.region_basis` gives them."""
+        """The final tableau of `projection`'s own LP, solved on first
+        access (`lp.region_basis`)."""
         return region_basis(self.projection)
 
     def without_rows(self, labels) -> "UcInstance":

@@ -56,12 +56,9 @@ the line-flow pass picks from the finished store and adds nothing.  So
 every start, like every skip, depends on the region alone.  While the
 store is empty an LP starts from the projection's feasible basis
 (`UcInstance.region_basis`), which is how S2, with no bound pass, runs
-every LP.  That basis is priced at the units' costs over their mean,
-and ones on load columns: priced at ones alone, the balance row ties
-every dispatch column's dual ratio.  It is computed once per instance,
-when the first start is picked, so its pivots count on the first LP in
-input order whatever `jobs` is.  The store is freed when the call
-returns.
+every LP: the tableau of the projection's own LP, which runs once per
+instance, in the calling thread, when the first start is picked, and
+counts its own pivots.  The store is freed when the call returns.
 """
 
 from __future__ import annotations
@@ -169,19 +166,15 @@ class _Vertices:
     def start(self, problem, keep: bool = False) -> VertexStart:
         """A start at the stored vertex whose point scores best on the
         problem's objective, the earliest among ties; at the projection's
-        feasible basis while the store is empty.  That basis is computed
-        here, in the caller's thread, for the instance's first such
-        start, whose LP counts its pivots."""
+        feasible basis while the store is empty, whose own LP runs here,
+        in the caller's thread, on the instance's first use."""
         if self.tableaux:
             score = self.points @ problem.objective
             best = score.argmax() if problem.sense == "max" else score.argmin()
-            basis = (0, self.tableaux[best])
+            vertex = self.tableaux[best]
         else:
-            # cached_property stores its value in vars() on first access
-            fresh = "region_basis" not in vars(self.inst)
-            pivots, verdict = self.inst.region_basis
-            basis = (pivots if fresh else 0, verdict)
-        return VertexStart(self.inst.projection, basis, keep)
+            vertex = self.inst.region_basis
+        return VertexStart(self.inst.projection, vertex, keep)
 
     def add(self, sol, start: VertexStart) -> None:
         """Store the final tableau of a kept start whose LP reached an

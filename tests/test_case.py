@@ -78,6 +78,9 @@ def test_validation_errors(mutate, error, fragment):
     (lambda d: d["lines"][0].pop("susceptance"), r"lines\[0\]"),
     (lambda d: d["lines"][0].update(susceptance="high"), "susceptance"),
     (lambda d: d["generators"][0].update(bus=1.5), r"generators\[0\]\.bus"),
+    # Once accepted, then `run` failed far from the cause: "rhs length 14
+    # != row count 0" on five_bus.
+    (lambda d: d.update(generators=[]), "^generators: expected a non-empty array$"),
 ])
 def test_schema_errors_carry_paths(mutate, fragment):
     doc = make()

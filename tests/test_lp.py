@@ -238,6 +238,21 @@ def test_dual_start_on_a_form_without_rows():
     assert sol.point.tolist() == [0.0, 2.0, 0.0]
 
 
+def test_rows_without_columns_keep_their_count():
+    # m rows over no variable were once reshaped to (0, 0), and the rhs
+    # then failed "rhs length 3 != row count 0".  Each row reads 0 <= rhs.
+    sol = solve_lp(LpProblem(np.zeros(0), np.zeros((3, 0)), [1.0, 0.0, 3.0]))
+    assert sol.status == "optimal" and sol.objective_value == 0.0
+    assert sol.point.shape == (0,) and sol.row_duals.tolist() == [0.0] * 3
+    for rhs, status in ((-FEASIBILITY_TOL / 2, "optimal"),
+                        (-2 * FEASIBILITY_TOL, "infeasible")):
+        sol = solve_lp(LpProblem(np.zeros(0), np.zeros((3, 0)),
+                                 [1.0, rhs, 3.0]))
+        assert sol.status == status
+    # Input that is not 2-D still means no row.
+    assert LpProblem([1.0, 2.0], [], []).rows.shape == (0, 2)
+
+
 def _assert_same_optimum(a, b):
     assert a.status == b.status
     if a.status == "optimal":
@@ -570,11 +585,10 @@ def _assert_same(problem, warm, cold):
 
 def _region_starts(region):
     """Starts for LPs over `region` from one `region_basis`, as the
-    vertex store hands them out: the first counts its pivots."""
-    pivots, basis = region_basis(region)
-    yield VertexStart(region, (pivots, basis))
+    vertex store hands them out."""
+    basis = region_basis(region)
     while True:
-        yield VertexStart(region, (0, basis))
+        yield VertexStart(region, basis)
 
 
 def test_warm_start_matches_cold():
@@ -625,7 +639,7 @@ def test_row_kept_gives_the_row_dropped_verdict():
 def test_warm_start_on_empty_region():
     rows, rhs = np.array([[1.0], [-1.0], [1.0]]), np.array([0.0, -1.0, 4.0])
     region = LpProblem([0.0], rows, rhs)
-    assert region_basis(region)[1] == "infeasible"
+    assert region_basis(region).infeasible
     start = VertexStart(region, region_basis(region))
     assert solve_lp(LpProblem([1.0], rows, rhs), start).status == "infeasible"
 
@@ -640,40 +654,44 @@ def test_warm_start_rejects_another_region():
 
 
 def test_warm_start_pivot_accounting():
-    # With a zero objective phase 2 makes no pivot, so this is the dual
-    # phase's, priced at ones.
+    # `region_basis` is the region's own LP, solved cold with a kept
+    # start.  With a zero objective its phase 2 makes no pivot, so it
+    # counts the dual phase's, priced at ones, and its tableau holds them.
     region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
-    phase_one = solve_lp(region, VertexStart(region, region_basis(region))
-                         ).iterations
-    assert phase_one == region_basis(region)[0] > 0
-    # The first LP from a basis counts the dual phase's pivots, as the
-    # cold solve does; every later LP skips them.  The variables are free,
-    # so a nonzero cost gives a free variable's +z, -z pair opposite
-    # signs, and each cold solve is priced at ones too.
+    start = VertexStart(region, None, keep=True)
+    phase_one = solve_lp(region, start).iterations
+    assert phase_one == start.tableau.iterations
+    assert phase_one == region_basis(region).iterations > 0
+    # Every LP from the basis counts its own phase 2 alone, the cold
+    # solve's pivots less the dual phase's.  The variables are free, so a
+    # nonzero cost gives a free variable's +z, -z pair opposite signs, and
+    # each cold solve is priced at ones too.
     starts = _region_starts(region)
-    for k, c in enumerate(OBJECTIVES):
+    for c in OBJECTIVES:
         problem = LpProblem(c, BOX_ROWS, BOX_RHS)
         cold = solve_lp(problem).iterations
-        assert (solve_lp(problem, next(starts)).iterations
-                == cold - (k and phase_one))
+        assert solve_lp(problem, next(starts)).iterations == cold - phase_one
     # y1 + y2 >= 3 in the unit box: dual simplex pivots before it finds
-    # the region empty.  The negative costs price the cold solve at ones,
-    # as `region_basis` is.
+    # the region empty, and the basis LP counts them, its kept tableau
+    # flagged; an LP copied from that tableau makes no pivot.
     empty = LpProblem([-1.0, -1.0], [[-1.0, -1.0]], [-3.0],
                       bounds=[(0, 1), (0, 1)])
     cold = solve_lp(empty)
     assert cold.status == "infeasible" and cold.iterations > 0
-    start = VertexStart(empty, region_basis(empty))
+    start = VertexStart(empty, None, keep=True)
     assert solve_lp(empty, start).iterations == cold.iterations
+    assert start.tableau.infeasible
+    later = solve_lp(empty, VertexStart(empty, start.tableau))
+    assert later.status == "infeasible" and later.iterations == 0
 
 
 def test_phase_one_runs_once_per_instance_across_threads(cases,
                                                          monkeypatch):
     # Sixteen threads screen a fresh instance twice while the interpreter
     # switches threads every microsecond.  The region's feasible basis is
-    # computed once, in the calling thread.  The first screen's pivots
-    # equal a one-thread screen's, the basis's included; the second's
-    # lack the basis's.
+    # computed once, in the calling thread, by its own LP, which no
+    # screening LP's count includes.  Each screen's pivots equal a
+    # one-thread screen's.
     import ucscreen.model as model
     import ucscreen.screening as screening
     from ucscreen.model import build_uc, relax_binaries
@@ -701,14 +719,14 @@ def test_phase_one_runs_once_per_instance_across_threads(cases,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for skipped in (0, 1):
+        for _ in range(2):
             pivots.clear()
             report = screening.eovl(inst, jobs=16)
             assert report.redundant == serial.redundant
-            assert sum(pivots) == expected - skipped * inst.region_basis[0]
+            assert sum(pivots) == expected
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == 1 and inst.region_basis[0] > 0
+    assert len(calls) == 1 and inst.region_basis.iterations > 0
 
 
 def _random_region(rng):
@@ -754,8 +772,8 @@ def test_warm_starts_match_highs_on_random_regions():
         region = LpProblem(np.zeros(len(bounds)), rows, rhs, bounds=bounds)
         # Dual simplex pivots the slack basis to a feasible one, at which
         # a slack of the equality pair is basic at zero.
-        pivots, tab = region_basis(region)
-        assert pivots > 0 and tab.T[:, -1].min() >= -FEASIBILITY_TOL
+        tab = region_basis(region)
+        assert tab.iterations > 0 and tab.T[:, -1].min() >= -FEASIBILITY_TOL
         pair = tab.ns + len(rhs) - np.arange(1, 3)
         at = np.isin(tab.basis, pair)
         assert at.any() and np.all(np.abs(tab.T[at, -1]) <= 1e-9)
@@ -1144,7 +1162,7 @@ def test_tableau_stores_only_nonbasic_columns(cases):
     inst = relax_binaries(build_uc(case, case.nominal_load))
     objective = np.zeros(inst.n_cols)
     objective[0] = 1.0
-    shared = inst.region_basis[1]
+    shared = inst.region_basis
     _assert_condensed(shared)
     assert shared.T.shape[1] == shared.ns + 1
 
@@ -1157,7 +1175,7 @@ def test_tableau_stores_only_nonbasic_columns(cases):
     solve_lp(LpProblem(milp.lp.objective, milp.lp.rows, milp.lp.rhs,
                        bounds=bounds), child)
     for start in (root, child):
-        _assert_condensed(start._solved[0])
+        _assert_condensed(start.tableau)
 
 
 def test_entering_variable_is_the_lowest_label_among_ties(monkeypatch):

@@ -483,8 +483,8 @@ def test_degenerate_regions_screen_like_the_oracle(cases, tmp_path):
             assert set(s3.redundant) == set(s2.redundant) == direct, label
             # The screens started from this basis: dual simplex made the
             # slack basis feasible, the balance pair's negative side too.
-            pivots, tab = inst.region_basis
-            assert pivots > 0, label
+            tab = inst.region_basis
+            assert tab.iterations > 0, label
             assert tab.T[:, -1].min() >= -FEASIBILITY_TOL, label
         path = tmp_path / "case.json"
         path.write_text(case_to_json(case), encoding="utf-8")
@@ -642,8 +642,54 @@ def test_s2_never_starts_from_a_vertex(cases, monkeypatch):
         inst = relaxed(cases[name])
         eovl(inst, use_vgs=False)
         assert len(starts) == len(inst.candidates) > 0, name
-        basis = inst.region_basis[1]
+        basis = inst.region_basis
         assert all(vertex is basis and not keep for vertex, keep in starts)
+
+
+@pytest.mark.parametrize("use_vgs", [True, False])
+def test_region_basis_is_an_lp_that_alone_counts_its_pivots(cases, use_vgs,
+                                                            monkeypatch):
+    # S3 (use_vgs) or S2 over a fresh instance: the projection's basis is
+    # the first LP solved, a cold one whose start keeps its tableau.  Every
+    # LP counts exactly the pivots made while it runs, so no later LP
+    # counts the basis's, and together they count every pivot.  A second
+    # screen of the instance reuses the basis and solves no LP for it.
+    import ucscreen.model
+
+    made = [0]
+    pivot = ucscreen.lp._Tableau._pivot
+
+    def counted_pivot(self, row, col):
+        made[0] += 1
+        pivot(self, row, col)
+
+    calls = []  # (start, iterations, pivots made during the call)
+    real = ucscreen.lp.solve_lp
+
+    def spy(problem, start=None):
+        before = made[0]
+        sol = real(problem, start)
+        calls.append((start, sol.iterations, made[0] - before))
+        return sol
+
+    monkeypatch.setattr(ucscreen.lp._Tableau, "_pivot", counted_pivot)
+    for module in (ucscreen.lp, ucscreen.model, ucscreen.screening):
+        monkeypatch.setattr(module, "solve_lp", spy)
+    inst = relaxed(cases["fifty_bus"])
+    for screen in (1, 2):
+        calls.clear()
+        made[0] = 0
+        report = eovl(inst, use_vgs=use_vgs)
+        assert [it for _, it, _ in calls] == [piv for _, _, piv in calls]
+        assert sum(it for _, it, _ in calls) == made[0] > 0
+        screening_lps = calls[2 - screen:]
+        if screen == 1:
+            basis = calls[0][0]
+            assert basis.vertex is None and basis.keep
+            assert basis.tableau is inst.region_basis
+            assert calls[0][1] == inst.region_basis.iterations > 0
+        assert len(screening_lps) == report.lp_solved
+        assert all(st.vertex is not None for st, _, _ in screening_lps)
 
 
 @pytest.mark.parametrize("jobs", [1, 8])
@@ -697,10 +743,9 @@ def test_threads_share_vertices_without_changing_a_pivot(cases, monkeypatch):
 @pytest.mark.parametrize("scheme", ["s3", "s4"])
 def test_pivots_do_not_depend_on_the_thread_schedule(cases, scheme,
                                                      monkeypatch):
-    # The region's basis is found when the first start is picked, before
-    # any LP runs, so its pivots count on the first LP in input order
-    # under any schedule: every LP's pivots, in input order, equal a
-    # one-thread screen's.
+    # The region's basis is found by its own LP when the first start is
+    # picked, before any screening LP runs, so under any schedule every
+    # LP's pivots, in input order, equal a one-thread screen's.
     # Under threads each max LP waits a little, so a bound round's min LP
     # usually runs first.
     batches = []
