@@ -89,7 +89,7 @@ class GridCase:
 
 @dataclass(frozen=True, eq=False)
 class PtdfMatrix:
-    """Flow sensitivity to nodal injection, withdrawn at the slack bus.
+    """Flow sensitivity to nodal injection, withdrawn at the case's slack bus.
 
     entries[j, n] is the MW flow induced on line j by injecting 1 MW at
     bus n (by position in the case's bus order).  The slack column is
@@ -97,7 +97,6 @@ class PtdfMatrix:
     """
 
     entries: np.ndarray
-    slack_bus: int
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -282,7 +281,7 @@ def compute_ptdf(case: GridCase) -> PtdfMatrix:
     entries = (susc[:, None] * inc) @ theta
     entries[:, s] = 0.0
     entries.flags.writeable = False
-    return PtdfMatrix(entries, case.slack_bus)
+    return PtdfMatrix(entries)
 
 
 def bundled_case_names() -> list[str]:

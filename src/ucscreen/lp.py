@@ -43,14 +43,15 @@ simplex (Koberstein, 2005; Chvatal, 1983).  The prices are the LP's
 costs when they are >= 0 and not all 0, so it ends optimal; otherwise
 they are ones, and primal phase 2 follows with the real costs.
 
-Every other start copies a solved LP's tableau and, where b differs,
-moves its rhs.  solve_lp leaves an LP's final tableau on a start whose
-`keep` is set, and `iterations` is that tableau's count.  Screening
-starts each LP over a region from a `VertexStart`: the region's basis,
-the kept tableau of the region's own cold LP (`region_basis`), or an
-earlier LP's optimal tableau, a vertex feasible for every objective.
-The caller picks each tableau, so an LP's result depends on the order
-or the thread the LPs run in only if the caller's picks do.
+Every LP begins from a `Start`: its standard form, the b it is solved
+at and an optional parent tableau.  Without a parent it solves cold.  A
+parent at the same b, a region's basis (`region_basis`) or an earlier
+LP's optimal tableau, is copied and phase 2 runs.  A parent at another
+b, a node's parent or a reference root, is copied, its rhs moved to b,
+and dual simplex runs.  solve_lp leaves the final tableau on a start
+whose `keep` is set, and `iterations` is that tableau's count.  The
+caller picks each parent, so an LP's result depends on the order or
+the thread the LPs run in only if the caller's picks do.
 
 The MILP solver runs best-first branch and bound on LP relaxations.  At
 a node whose LP optimum has a fractional binary it rounds every binary
@@ -65,30 +66,24 @@ rules revisited", 2005).  Unit commitment puts no cost on status, so a
 rounded commitment often costs exactly the node's bound.  A branch is
 one step, a binary fixed at 0 or 1, and changes only bounds, so every
 node shares one standard form in which each binary's bounds are two
-rows.  A `NodeStart` holds a node's own bounds and right-hand side;
-`child(var, value)` copies both and sets var's bound pair and the
-right-hand sides of its two bound rows, and the child moves the rhs of
-its parent's optimal tableau and runs dual simplex.  A node's LP gets no
-check of its own: its bounds are its parent's, checked, with one binary
-fixed.  The root solves cold, unless the caller passes a
-`MilpReference`: a MILP with the same rows, bounds, costs and binaries
-at another right-hand side, whose optimal root is solved cold, in its
-own LP, by the first call whose right-hand side differs from it, and
-from which later roots start the way a child starts from its parent.
-Unit commitment at many loads of one case is such a family.  The point
-and cost returned come from one more LP with every binary fixed at the
-incumbent's value, so they depend on the commitment chosen and not on
-the path the tree took to it, nor on the root's start.  That LP is cold
-without a reference or at the reference's own right-hand side.
-Otherwise it starts from the reference's entry for its commitment: the
-MILP with no binaries whose bounds fix that commitment, at the
-reference's right-hand side, whose root, that cold fixed LP, is solved
-once in its own LP.  The final LP moves that tableau's right-hand side
-and runs dual simplex, as a reference root does, so its result is a
-function of the reference, the commitment and the right-hand side, and
-may differ from a cold LP's in its last bits.  With costs >= 0, as in
-unit commitment, every cold LP ends at its optimum when dual simplex
-makes the slack basis feasible.
+rows.  A `NodeStart` holds a node's own bounds and b, and its child
+starts from its optimal tableau.  A node's LP gets no check of its own:
+its bounds are its parent's, checked, with one binary fixed.  The root
+solves cold, unless the caller passes a `MilpReference`: a MILP with the
+same rows, bounds, costs and binaries at another right-hand side, whose
+optimal root, solved cold once, later roots start from as a child
+starts from its parent.  Unit commitment at many loads of one case is
+such a family.  The point and cost returned come from one more LP with
+every binary fixed at the incumbent's value, so they depend on the
+commitment chosen and not on the path the tree took to it, nor on the
+root's start.  That LP is cold without a reference or at the
+reference's own right-hand side; otherwise it starts from the
+reference's entry for its commitment, that fixed LP at the reference's
+right-hand side, solved cold once, so its result is a function of the
+reference, the commitment and the right-hand side, and may differ from
+a cold LP's in its last bits.  With costs >= 0, as in unit commitment,
+every cold LP ends at its optimum when dual simplex makes the slack
+basis feasible.
 """
 
 from __future__ import annotations
@@ -167,12 +162,15 @@ def _checked_bounds(bounds, n: int) -> np.ndarray:
     return out
 
 
-def _nan_free(vector: np.ndarray, name: str) -> None:
-    """Raise LpUsageError naming the first NaN entry of `vector`.  One dot
-    product tests for one: a sum of squares is >= 0, infinite entries and
-    overflow included, unless an entry is NaN."""
-    if not vector @ vector >= 0.0:
-        raise LpUsageError(f"{name} entry {int(np.isnan(vector).argmax())} is NaN")
+def check_finite(vector: np.ndarray, name: str) -> None:
+    """Raise LpUsageError naming the first NaN or infinite entry of
+    `vector`.  One dot product tests for one: the sum of squares is
+    finite unless an entry is not, or is above about 1e154, and only then
+    are the entries looked at."""
+    if not vector @ vector < np.inf and not np.isfinite(vector).all():
+        i = int(np.isfinite(vector).argmin())
+        what = "NaN" if np.isnan(vector[i]) else "infinite"
+        raise LpUsageError(f"{name} entry {i} is {what}")
 
 
 def _checked_sense(sense: str) -> str:
@@ -185,9 +183,9 @@ def _checked_sense(sense: str) -> str:
 class LpProblem:
     """min or max `objective @ y` s.t. `rows @ y <= rhs`, `lo <= y <= hi`.
 
-    Every field is checked when the problem is made: no entry may be NaN,
-    nor a row entry infinite.  An infinite rhs entry is allowed: +inf sets
-    no limit, and -inf makes the problem infeasible.  `with_objective`
+    Every field is checked when the problem is made: every objective,
+    row and rhs entry must be finite (a row with no limit is left out,
+    not given +inf), and no bound NaN.  `with_objective`
     and `with_bounds` derive a problem over the same checked arrays and
     check only what they change, so the many LPs over one region pay for
     the region's checks once."""
@@ -200,7 +198,7 @@ class LpProblem:
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float).ravel()
-        _nan_free(self.objective, "objective")
+        check_finite(self.objective, "objective")
         n = self.objective.size
         self.rows = np.asarray(self.rows, dtype=float)
         if self.rows.size == 0 and self.rows.ndim != 2:
@@ -219,7 +217,7 @@ class LpProblem:
             raise LpUsageError(
                 f"rhs length {self.rhs.size} != row count {self.rows.shape[0]}"
             )
-        _nan_free(self.rhs, "rhs")
+        check_finite(self.rhs, "rhs")
         self.bounds = _checked_bounds(self.bounds, n)
         _checked_sense(self.sense)
 
@@ -238,7 +236,7 @@ class LpProblem:
         if objective.size != self.n_vars:
             raise LpUsageError(f"objective has {objective.size} entries "
                                f"for {self.n_vars} variables")
-        _nan_free(objective, "objective")
+        check_finite(objective, "objective")
         return self._with(objective=objective, sense=_checked_sense(sense))
 
     def with_bounds(self, bounds) -> "LpProblem":
@@ -651,10 +649,10 @@ def _cold(form: _StandardForm, cost: np.ndarray) -> "_Tableau | None":
 
 def region_basis(region: LpProblem) -> "_Tableau | None":
     """The final tableau of `region`'s own LP, solved cold by solve_lp with
-    a kept `VertexStart`: a feasible basis of its rows, right-hand side
-    and bounds, flagged `infeasible` when the region is empty, or None
-    when every variable is fixed.  That LP counts its pivots."""
-    start = VertexStart(region, None, keep=True)
+    a kept `Start`: a feasible basis of its rows, right-hand side and
+    bounds, flagged `infeasible` when the region is empty, or None when
+    every variable is fixed.  That LP counts its pivots."""
+    start = Start(region, keep=True)
     solve_lp(region, start)
     return start.tableau
 
@@ -666,33 +664,73 @@ def _same_arrays(*pairs) -> bool:
     return all(a is b or np.array_equal(a, b) for a, b in pairs)
 
 
-class VertexStart:
-    """Start of one LP over `region` from `vertex`, a feasible tableau of
-    the region: its basis (`region_basis`) or an earlier LP's optimal
-    tableau.  The LP copies it and runs phase 2; with `vertex` None it
-    solves cold.  With `keep`, solve_lp leaves the LP's final tableau in
-    `tableau`, a later LP's vertex once the caller has checked the LP was
-    optimal; without it, the tableau is freed when the solve returns.
+class Start:
+    """Start of one LP over `region`: the region's standard form, the
+    standard-form rhs `b` the LP is solved at, and `parent`, a solved
+    tableau to begin from, or None to solve cold at b (`_cold`).
+
+    A parent given here lends the start its form and b: a vertex of the
+    region, its basis (`region_basis`) or an earlier LP's optimal
+    tableau.  The LP copies it and runs phase 2.  A parent at another b,
+    a node's parent or a reference root (see `at`), is copied and its rhs
+    moved to this b along the full tableau's columns of the moved rows'
+    slacks.  The basis stays dual feasible, and dual simplex runs to
+    primal feasibility or proves the region empty, priced by the LP's
+    costs, or by ones when every standard-form cost is 0, as `_cold`
+    priced the basis the parent came from.  With `keep`, solve_lp leaves
+    the LP's final tableau in `tableau`, a later LP's parent once the
+    caller has checked the LP was optimal; without it, the tableau is
+    freed when the solve returns.
     """
 
-    def __init__(self, region: LpProblem, vertex, keep: bool = False):
-        self.region, self.vertex, self.keep = region, vertex, keep
-        self.tableau: _Tableau | None = None
+    def __init__(self, region: LpProblem, parent=None, keep: bool = False):
+        self.form = parent.form if parent is not None else _standard_form(
+            region.rows, region.rhs, *region.bounds.T)
+        self.b = parent.b if parent is not None else self.form.b
+        self.region, self.bounds, self.parent = region, region.bounds, parent
+        self.keep, self.tableau = keep, None
+
+    def at(self, region: LpProblem, parent) -> "Start":
+        """A start like this one over `region`, whose rows, bounds and
+        costs are this start's and whose rhs may differ: this standard
+        form at region's own b, from `parent`, or cold with None."""
+        b = self.b.copy()  # past the region's rows: the bound rows
+        b[:region.n_rows] = region.rhs - region.rows @ self.form.base
+        return self._with(region=region, bounds=region.bounds, b=b, parent=parent)
+
+    def _with(self, **fields) -> "Start":
+        """An unsolved start of this start's class and standard form, with
+        `fields` replaced."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, tableau=None, **fields)
+        return out
 
     def _warm(self, problem: LpProblem, c: np.ndarray) -> "_Tableau | None":
-        """A private copy of the vertex for solve_lp, or None to solve
-        cold."""
+        """The LP's tableau for solve_lp, or None when every variable is
+        fixed, for `c`, the LP's costs as a minimisation."""
         r = self.region
         if not _same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs),
-                            (problem.bounds, r.bounds)):
+                            (problem.bounds, self.bounds)):
             raise LpUsageError("LP start was built for a different region")
-        return None if self.vertex is None else self.vertex.copy()
+        if self.parent is not None and self.parent.b is self.b:
+            return self.parent.copy()
+        cost = c[self.form.var] * self.form.sign
+        if self.parent is None:
+            return _cold(replace(self.form, b=self.b), cost)
+        tab = self.parent.copy()
+        delta = self.b - tab.b
+        moved = np.nonzero(delta)[0]
+        tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
+        tab.b = self.b
+        if not np.count_nonzero(cost):
+            cost = np.ones(cost.size)
+        tab.dual_simplex(tab._zrow(cost))
+        return tab
 
 
-class NodeStart:
+class NodeStart(Start):
     """Start of one branch-and-bound node LP: the tree's standard form,
-    the node's own bounds and right-hand side, and the optimal tableau of
-    the node's parent.
+    the node's own bounds and b, and its parent's optimal tableau.
 
     Every node LP of `milp` shares its rows, right-hand side and the bounds
     of its non-binary variables; only the binaries' bounds differ.  So the
@@ -702,21 +740,10 @@ class NodeStart:
     `bounds`, read-only, are the node's, and `b` is its whole right-hand
     side: the region's rows, then the bound rows.  `child(var, value)`
     makes both for a child from this node's: one bound pair and the two
-    entries of `b` that belong to `var`.
-
-    The root solves cold, or, made by `_rooted` from a `MilpReference`'s
-    tree, starts from the reference root as a child does.  A child copies
-    its parent's optimal tableau and moves its rhs from the parent's b to
-    its own along the full tableau's columns of the moved rows' slacks.
-    The basis stays dual feasible, and dual simplex pivots run to primal
-    feasibility or prove the node empty, with the same guard against
-    stalling and the same tolerance as `_cold`'s.  The prices are the
-    node's costs, or ones when every standard-form cost is 0, as the
-    root's `_cold` priced them: by induction every node's basis is then
-    optimal for ones, and no dual ratio test ties every column at 0.  A
-    start serves one solve_lp call, whose LP must have the node's rows,
-    rhs and bounds, and which always keeps the node's final tableau in
-    `tableau` for the children; the two children share it read-only.
+    entries of `b` that belong to `var`.  The root solves cold, or starts
+    from a reference root (`at`); every other node moves its parent's
+    tableau (see `Start`).  A node always keeps its final tableau in
+    `tableau` for its children, which share it read-only.
     """
 
     keep = True
@@ -737,20 +764,7 @@ class NodeStart:
                                  np.zeros(self.branch.size)])
         self.form = replace(form, A=np.vstack([form.A, unit, -unit]), b=self.b)
         self.region, self.bounds = region, region.bounds
-        self._parent = None  # the parent's optimal tableau
-        self.tableau = None  # this node's final one, once solved
-
-    def _rooted(self, region: LpProblem, parent) -> "NodeStart":
-        """The root start of a tree over `region`, whose rows, bounds and
-        costs are this tree's and whose rhs may differ: this tree's
-        standard form with region's own b, and `parent`, a tableau to
-        start from, or None to solve cold."""
-        b = self.b.copy()  # past the region's rows: this tree's bound rows
-        b[:region.n_rows] = region.rhs - region.rows @ self.form.base
-        out = object.__new__(NodeStart)
-        out.__dict__.update(self.__dict__, region=region, bounds=region.bounds,
-                            b=b, _parent=parent, tableau=None)
-        return out
+        self.parent = self.tableau = None
 
     def child(self, var: int, value: float) -> "NodeStart":
         """The start of this node's child with binary `var` fixed at
@@ -763,60 +777,34 @@ class NodeStart:
         b = self.b.copy()
         # value - lo and lo - value: a branched binary's bounds are (0, 1)
         b[up], b[up + nb] = value, 0.0 - value
-        out = object.__new__(NodeStart)  # shares the standard form
-        out.__dict__.update(self.__dict__, bounds=bounds, b=b,
-                            _parent=self.tableau, tableau=None)
-        return out
-
-    def _warm(self, problem: LpProblem, c: np.ndarray) -> "_Tableau | None":
-        """The node's tableau for solve_lp, as `VertexStart._warm`."""
-        r = self.region
-        if not _same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs),
-                            (problem.bounds, self.bounds)):
-            raise LpUsageError("node start was built for a different region")
-        cost = c[self.form.var] * self.form.sign
-        if self._parent is None:
-            return _cold(replace(self.form, b=self.b), cost)
-        tab = self._parent.copy()
-        self._parent = None
-        delta = self.b - tab.b
-        moved = np.nonzero(delta)[0]
-        tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
-        tab.b = self.b
-        if not np.count_nonzero(cost):
-            cost = np.ones(cost.size)  # as the root's `_cold` priced it
-        tab.dual_simplex(tab._zrow(cost))
-        return tab
+        return self._with(bounds=bounds, b=b, parent=self.tableau)
 
 
 class MilpReference:
     """The optimal root of one MILP, the reference, from which the roots
     and final LPs of MILPs that differ from it in their right-hand side
-    alone start.
+    alone start (Koberstein, 2005, dual simplex after a change of the
+    right-hand side).
 
-    It holds the reference's branch-and-bound tree, whose standard form
-    (A, var, sign, base) such a MILP's tree reuses with its own b, and,
-    once solved, the reference root's optimal tableau in `root`.  A root
-    that starts from it moves a copy of that tableau's rhs to its own, as
-    a `NodeStart` child does, and runs dual simplex pivots to its own
-    optimum (Koberstein, 2005, dual simplex after a change of the
-    right-hand side).  The reference root is solved one way only: cold,
-    in its own solve_lp call, by the first `solve_milp` whose rhs differs
-    from the reference's.  A MILP at the reference's own rhs solves its
-    root cold and leaves the reference unsolved.  A reference whose root
-    is not optimal (`root` False) serves no start, and its MILPs solve
-    their roots cold.
+    `tree` is the reference's root `NodeStart`, whose standard form such
+    a MILP's root takes at its own b (`Start.at`), and `root`, once
+    solved, the reference root's optimal tableau, which that root moves.
+    The reference root is solved one way only: cold, in its own solve_lp
+    call, by the first `solve_milp` whose rhs differs from the
+    reference's.  A MILP at the reference's own rhs solves its root cold
+    and leaves the reference unsolved.  A reference whose root is not
+    optimal (`root` False) serves no start, and its MILPs solve their
+    roots cold.
 
     `commitments` maps the bytes of a commitment, one bool per binary,
-    to its entry: the reference of the MILP with no binaries over the
-    reference's rows and rhs whose bounds fix the binaries at that
-    commitment.  An entry's root is the cold fixed LP at the reference's
-    rhs, solved the same one way, by the first MILP off that rhs that
-    ends at the commitment; that MILP and every later one with the
-    commitment start their final LP from it (see `solve_milp`).  Each
-    tableau is a function of the reference MILP and the commitment
-    alone, so no result depends on the order in which the MILPs that
-    share it are solved.
+    to its entry: a kept `Start` of the LP over the reference's rows and
+    rhs whose bounds fix the binaries at that commitment, solved cold,
+    in its own LP, by the first MILP off that rhs that ends at the
+    commitment, and keeping its tableau only when optimal.  That MILP and
+    every later one with the commitment start their final LP from it
+    (see `solve_milp`).  Each tableau is a function of the reference
+    MILP and the commitment alone, so no result depends on the order in
+    which the MILPs that share it are solved.
     """
 
     def __init__(self, problem: MilpProblem):
@@ -824,9 +812,9 @@ class MilpReference:
         self.base = lp.with_objective(-lp.objective if lp.sense == "max"
                                       else lp.objective)
         self.binary_indices = problem.binary_indices
-        self.tree = NodeStart(MilpProblem(self.base, problem.binary_indices))
+        self.tree = NodeStart(problem)
         self.root = None  # the optimal tableau; False when not optimal
-        self.commitments: dict[bytes, MilpReference] = {}
+        self.commitments: dict[bytes, Start] = {}
 
     def _start(self, base: LpProblem, binary_indices) -> NodeStart:
         """The root start of the MILP over `base`, its LP as a
@@ -840,53 +828,48 @@ class MilpReference:
             raise LpUsageError("MILP reference was built for other rows, "
                                "bounds, costs or binaries")
         if _same_arrays((base.rhs, mine.rhs)):
-            return self.tree._rooted(base, None)
+            return self.tree.at(base, None)
         if self.root is None:
             sol = solve_lp(mine, self.tree)
             self.root = sol.status == "optimal" and self.tree.tableau
-        return self.tree._rooted(base, self.root or None)
+        return self.tree.at(base, self.root or None)
 
-    def _final(self, final: LpProblem, commitment: bytes) -> NodeStart:
+    def _final(self, final: LpProblem, commitment: bytes) -> Start:
         """The start of a MILP's final LP `final`, whose bounds fix the
         binaries at `commitment` and whose rhs is not the reference's:
-        the root start of the commitment's entry, the MILP with no
-        binaries over `final`'s bounds and this reference's rhs, made on
-        first use."""
+        the commitment's entry at `final`'s rhs, the entry made and
+        solved on first use."""
         entry = self.commitments.get(commitment)
         if entry is None:
-            entry = self.commitments[commitment] = MilpReference(
-                MilpProblem(self.base._with(bounds=final.bounds), ()))
-        return entry._start(final, ())
+            entry = self.commitments[commitment] = Start(
+                self.base._with(bounds=final.bounds), keep=True)
+            if solve_lp(entry.region, entry).status != "optimal":
+                entry.tableau = None
+        return entry.at(final, entry.tableau)
 
 
-def solve_lp(problem: LpProblem,
-             start: VertexStart | NodeStart | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
     """Solve an LP; exact status classification, deterministic output.
 
-    With a `VertexStart` over the problem's region, the LP runs phase 2
-    from a copy of the start's vertex.  With a `NodeStart`, the LP is one
-    node of a branch-and-bound tree.  Without a start or a vertex, or
-    when every variable is fixed, it solves cold (see `_cold`).  A start
-    whose `keep` is set gets the LP's final tableau as its `tableau`.
-    `iterations` is that tableau's own pivot count.
+    The LP begins as `start` says (see `Start`); without one it solves
+    cold from `Start(problem)`.  A start whose `keep` is set gets the
+    LP's final tableau as its `tableau`, and `iterations` is that
+    tableau's own pivot count.
     """
     m = problem.n_rows
     flip = problem.sense == "max"
     c = -problem.objective if flip else problem.objective
 
-    tab = None if start is None else start._warm(problem, c)
+    start = start or Start(problem)
+    tab = start._warm(problem, c)
     if tab is None:
-        form = _standard_form(problem.rows, problem.rhs, problem.bounds[:, 0],
-                              problem.bounds[:, 1])
-        tab = _cold(form, c[form.var] * form.sign)
-        if tab is None:
-            # All variables fixed: feasibility is a direct check.
-            if np.any(form.b < -FEASIBILITY_TOL):
-                return LpSolution("infeasible", None, None)
-            point = form.base.copy()
-            return LpSolution("optimal", float(problem.objective @ point),
-                              point, row_duals=np.zeros(m))
-    if start is not None and start.keep:
+        # All variables fixed: feasibility is a direct check.
+        if np.any(start.b < -FEASIBILITY_TOL):
+            return LpSolution("infeasible", None, None)
+        point = start.form.base.copy()
+        return LpSolution("optimal", float(problem.objective @ point),
+                          point, row_duals=np.zeros(m))
+    if start.keep:
         start.tableau = tab
     if tab.infeasible:
         return LpSolution("infeasible", None, None, iterations=tab.iterations)
@@ -968,12 +951,11 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     commitment's costs over its nonnegative columns, that ends at the
     optimum with no primal pivot.  So do both at the reference's own
     rhs.  At any other rhs, the root runs dual simplex from `reference`'s
-    root, and the final LP from the root of the reference's entry for
-    the commitment (see `MilpReference`), each when that root is
-    optimal, and cold otherwise.  A reference root or entry root not
-    yet solved is solved here first, in its own solve_lp call, whose
-    pivots `iterations` leaves out, so that it counts the same pivots
-    whichever MILP pays for it.  Raises LpUsageError when `reference`
+    root, and the final LP from the reference's entry for the commitment
+    (see `MilpReference`), each when optimal, and cold otherwise.  A
+    reference root or entry not yet solved is solved here first, in its
+    own solve_lp call, whose pivots `iterations` leaves out, so that it
+    counts the same pivots whichever MILP pays for it.  Raises LpUsageError when `reference`
     was built for other rows, bounds, costs or binaries.
     """
     lp = problem.lp
@@ -987,8 +969,8 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     nodes = 0
     pivots = 0
     seq = 0
-    root = (reference or MilpReference(problem))._start(
-        base, problem.binary_indices)
+    root = (NodeStart(problem) if reference is None
+            else reference._start(base, problem.binary_indices))
     heap: list[tuple[float, int, NodeStart]] = [(-np.inf, seq, root)]
 
     while heap:

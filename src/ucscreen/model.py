@@ -49,6 +49,7 @@ from ucscreen.lp import (
     LpUsageError,
     MilpProblem,
     MilpReference,
+    check_finite,
     region_basis,
     solve_lp,
     solve_milp,
@@ -98,8 +99,9 @@ class CutSet:
     load_range: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.cost_bound is not None and np.isnan(self.cost_bound):
-            raise LpUsageError("cost bound is NaN")
+        if self.cost_bound is not None and not np.isfinite(self.cost_bound):
+            what = "NaN" if np.isnan(self.cost_bound) else "infinite"
+            raise LpUsageError(f"cost bound is {what}")
         units = [k for k, _ in self.commitment_fixes]
         if len(set(units)) != len(units):
             raise LpUsageError("commitment fixes name a unit twice")
@@ -341,12 +343,19 @@ def _line_limits(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
 def _load_rhs(case: GridCase, limits, load: np.ndarray) -> np.ndarray:
     """The fixed-load rows' rhs at `load`: the line limits, `limits` as
     `_line_limits` gives them, shifted by the load's flows, the balance
-    pair at the total load, and 0 for the generator rows."""
+    pair at the total load, and 0 for the generator rows.  Raises
+    LpUsageError naming the load's first NaN or infinite entry, or the
+    rhs entry that a finite load overflows."""
     fmax, fmin = limits
-    flow = case.ptdf.entries @ load
-    total = float(np.sum(load))
-    return np.concatenate([fmax + flow, -fmin - flow, [total, -total],
-                           np.zeros(2 * case.n_gens)])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        flow = case.ptdf.entries @ load
+        total = float(np.sum(load))
+        rhs = np.concatenate([fmax + flow, -fmin - flow, [total, -total],
+                              np.zeros(2 * case.n_gens)])
+        if not rhs @ rhs < np.inf:
+            check_finite(load, "load")
+            check_finite(rhs, "the load overflows: rhs")
+    return rhs
 
 
 class _CaseModels:

@@ -41,7 +41,6 @@ class Dataset:
     costs: np.ndarray        # (n,) $
     commitments: np.ndarray  # (n, n_gens) in {0, 1}
     n_train: int
-    seed: int = -1
     feasibility_rate: float = 1.0
 
     def __post_init__(self):
@@ -124,7 +123,7 @@ def generate_dataset(case: GridCase, beta: float, n: int, seed: int) -> Dataset:
                 f"record {i}: no feasible load in {ATTEMPT_BUDGET} draws "
                 f"(feasibility rate so far {rate:.3f})")
     n_train = int(round(TRAIN_FRACTION * n))
-    return Dataset(loads, costs, commitments, n_train, seed=seed,
+    return Dataset(loads, costs, commitments, n_train,
                    feasibility_rate=(n / attempts_total) if n else 1.0)
 
 

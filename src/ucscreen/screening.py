@@ -74,7 +74,7 @@ from ucscreen.lp import (
     FEASIBILITY_TOL,
     LpUsageError,
     SimplexError,
-    VertexStart,
+    Start,
     box_maximum,
     lagrangian_bound,
     solve_lp,
@@ -163,7 +163,7 @@ class _Vertices:
         self.points = np.empty((0, inst.n_cols))
         self.tableaux: list = []
 
-    def start(self, problem, keep: bool = False) -> VertexStart:
+    def start(self, problem, keep: bool = False) -> Start:
         """A start at the stored vertex whose point scores best on the
         problem's objective, the earliest among ties; at the projection's
         feasible basis while the store is empty, whose own LP runs here,
@@ -174,9 +174,9 @@ class _Vertices:
             vertex = self.tableaux[best]
         else:
             vertex = self.inst.region_basis
-        return VertexStart(self.inst.projection, vertex, keep)
+        return Start(self.inst.projection, vertex, keep)
 
-    def add(self, sol, start: VertexStart) -> None:
+    def add(self, sol, start: Start) -> None:
         """Store the final tableau of a kept start whose LP reached an
         optimal point not stored yet."""
         if (sol.status != "optimal" or start.tableau is None

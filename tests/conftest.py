@@ -180,7 +180,7 @@ def screen_checking_vertex_starts(inst):
     def recording(problem, start=None):
         sol = solve(problem, start)
         basis = inst.region_basis
-        (shared if start.vertex is basis else warm).append((problem, sol))
+        (shared if start.parent is basis else warm).append((problem, sol))
         return sol
 
     with pytest.MonkeyPatch.context() as mp:

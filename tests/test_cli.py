@@ -612,6 +612,28 @@ def test_non_finite_case_number_is_input_error(tmp_path, capsys, path, value):
     assert err == [f"error: {path}: expected a finite number, got {value}"]
 
 
+@pytest.mark.parametrize("argv", [
+    "run --scheme s3 --out {tmp}/r.json",
+    "verify --out {tmp}/v.json",
+    "gen-data --beta 0.1 --n 3 --out {tmp}/d.csv",
+])
+def test_load_that_overflows_the_rows_is_input_error(argv, tmp_path, capsys):
+    # A nominal load of 1e308 MW parses, and its flows overflow the line
+    # rows' right-hand sides.  It once ended run and verify in a
+    # traceback, and gen-data wrote NaN costs with exit 0.
+    doc = json.loads((resources.files("ucscreen") / "cases"
+                      / "five_bus.json").read_text())
+    doc["nominal_load"] = [1e308] * len(doc["nominal_load"])
+    case = tmp_path / "huge.json"
+    case.write_text(json.dumps(doc))
+    command, *rest = argv.format(tmp=tmp_path).split()
+    assert run_cli(command, "--case", str(case), *rest) == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the load overflows")
+    for csv in tmp_path.glob("*.csv"):
+        assert "nan" not in csv.read_text().lower()
+
+
 # The flag with the bad value comes last.
 @pytest.mark.parametrize("argv", [
     "run --scheme s4 --beta nan",

@@ -18,7 +18,7 @@ from ucscreen.lp import (
     MilpReference,
     NodeLimitExceeded,
     NodeStart,
-    VertexStart,
+    Start,
     lagrangian_bound,
     region_basis,
     solve_lp,
@@ -401,10 +401,37 @@ def test_nan_entries_and_infinite_row_entries_are_rejected(field, value, message
         LpProblem(**{**good, field: value})
     with pytest.raises(LpUsageError, match="^objective entry 1 is NaN$"):
         LpProblem(**good).with_objective([0.0, np.nan])
-    # An infinite rhs entry keeps its meaning: no limit, or no point.
-    free = solve_lp(LpProblem(**{**good, "rhs": [np.inf]}))
-    assert free.status == "optimal" and free.objective_value == -5.0
-    assert solve_lp(LpProblem(**{**good, "rhs": [-np.inf]})).status == "infeasible"
+    # An infinite objective or rhs entry is rejected as well: the kernel
+    # gave it no meaning (see the probes below).
+    for field, value in (("rhs", [np.inf]), ("rhs", [-np.inf]),
+                         ("objective", [1.0, -np.inf])):
+        with pytest.raises(LpUsageError, match="entry . is infinite$"):
+            LpProblem(**{**good, field: value})
+    with pytest.raises(LpUsageError, match="^objective entry 0 is infinite$"):
+        LpProblem(**good).with_objective([np.inf, 0.0])
+
+
+# Each was once solved: the first, third and fourth "optimal" at a NaN
+# objective, the second and the MILP "optimal" at 0.0 over a region that
+# no point meets.
+@pytest.mark.parametrize("solve, message", [
+    (lambda: solve_lp(LpProblem([1.0], [[1.0]], [np.inf], bounds=[(0, None)],
+                                sense="max")), "rhs entry 0 is infinite"),
+    (lambda: solve_lp(LpProblem([1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0]],
+                                [4.0, -np.inf], bounds=[(0, 10), (0, 10)])),
+     "rhs entry 1 is infinite"),
+    (lambda: solve_lp(LpProblem([1.0], [[-1.0]], [-np.inf], bounds=[(0, None)])),
+     "rhs entry 0 is infinite"),
+    (lambda: solve_lp(LpProblem([np.inf, 1.0], [[1.0, 1.0]], [4.0],
+                                bounds=[(0, 5), (0, 5)])),
+     "objective entry 0 is infinite"),
+    (lambda: solve_milp(MilpProblem(LpProblem(
+        [1.0, 2.0], [[1.0, 1.0], [-1.0, 0.0]], [4.0, -np.inf],
+        bounds=[(0, 10), (0, 1)]), (1,))), "rhs entry 1 is infinite"),
+], ids=["unbounded", "empty", "empty-alone", "infinite-cost", "milp"])
+def test_infinite_objective_or_rhs_entry_is_rejected(solve, message):
+    with pytest.raises(LpUsageError, match=f"^{message}$"):
+        solve()
 
 
 def test_row_duals_at_an_optimal_vertex_are_the_solution_duals():
@@ -412,7 +439,7 @@ def test_row_duals_at_an_optimal_vertex_are_the_solution_duals():
     basis = region_basis(region)
     for c in OBJECTIVES:
         for sense in ("min", "max"):
-            start = VertexStart(region, basis, keep=True)
+            start = Start(region, basis, keep=True)
             sol = solve_lp(LpProblem(c, BOX_ROWS, BOX_RHS, sense=sense), start)
             cost = np.array(c) * (-1.0 if sense == "max" else 1.0)
             priced = start.tableau.row_duals(cost[None], len(BOX_RHS))[0]
@@ -588,7 +615,7 @@ def _region_starts(region):
     vertex store hands them out."""
     basis = region_basis(region)
     while True:
-        yield VertexStart(region, basis)
+        yield Start(region, basis)
 
 
 def test_warm_start_matches_cold():
@@ -640,13 +667,13 @@ def test_warm_start_on_empty_region():
     rows, rhs = np.array([[1.0], [-1.0], [1.0]]), np.array([0.0, -1.0, 4.0])
     region = LpProblem([0.0], rows, rhs)
     assert region_basis(region).infeasible
-    start = VertexStart(region, region_basis(region))
+    start = Start(region, region_basis(region))
     assert solve_lp(LpProblem([1.0], rows, rhs), start).status == "infeasible"
 
 
 def test_warm_start_rejects_another_region():
     region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
-    start = VertexStart(region, region_basis(region))
+    start = Start(region, region_basis(region))
     with pytest.raises(LpUsageError):
         solve_lp(LpProblem([1.0, 0.0], BOX_ROWS, BOX_RHS + 1.0), start)
     with pytest.raises(LpUsageError):
@@ -658,7 +685,7 @@ def test_warm_start_pivot_accounting():
     # start.  With a zero objective its phase 2 makes no pivot, so it
     # counts the dual phase's, priced at ones, and its tableau holds them.
     region = LpProblem(np.zeros(2), BOX_ROWS, BOX_RHS)
-    start = VertexStart(region, None, keep=True)
+    start = Start(region, None, keep=True)
     phase_one = solve_lp(region, start).iterations
     assert phase_one == start.tableau.iterations
     assert phase_one == region_basis(region).iterations > 0
@@ -678,10 +705,10 @@ def test_warm_start_pivot_accounting():
                       bounds=[(0, 1), (0, 1)])
     cold = solve_lp(empty)
     assert cold.status == "infeasible" and cold.iterations > 0
-    start = VertexStart(empty, None, keep=True)
+    start = Start(empty, None, keep=True)
     assert solve_lp(empty, start).iterations == cold.iterations
     assert start.tableau.infeasible
-    later = solve_lp(empty, VertexStart(empty, start.tableau))
+    later = solve_lp(empty, Start(empty, start.tableau))
     assert later.status == "infeasible" and later.iterations == 0
 
 
@@ -874,7 +901,7 @@ def _spy_node_lps(monkeypatch):
     real = lp_module.solve_lp
 
     def spy(problem, start=None):
-        warm = isinstance(start, NodeStart) and start._parent is not None
+        warm = isinstance(start, NodeStart) and start.parent is not None
         sol = real(problem, start)
         calls.append((warm, sol.status, sol.iterations))
         return sol

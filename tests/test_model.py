@@ -14,7 +14,7 @@ import ucscreen.model as model_module
 from conftest import brute_force_milp
 from ucscreen.case import load_bundled_case, parse_case
 import ucscreen.lp as lp_module
-from ucscreen.lp import FEASIBILITY_TOL, LpUsageError, NodeStart, solve_milp
+from ucscreen.lp import FEASIBILITY_TOL, LpUsageError, Start, solve_milp
 from ucscreen.model import (
     CutSet,
     RowLabel,
@@ -133,6 +133,17 @@ def test_wrong_load_length(cases):
         build_uc(cases["five_bus"], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("value, word", [(np.nan, "NaN"), (np.inf, "infinite")])
+def test_non_finite_load_entry_is_rejected(cases, value, word):
+    # Each was once accepted: a NaN load solved at commitment (0, 0) and
+    # cost 0.0, an infinite one at a NaN cost.
+    case = cases["five_bus"]
+    load = case.nominal_load.copy()
+    load[2] = value
+    with pytest.raises(LpUsageError, match=f"^load entry 2 is {word}$"):
+        build_uc(case, load)
+
+
 def test_relaxation_contains_every_binary_feasible_point(cases):
     case = cases["nine_bus"]
     rng = np.random.default_rng(23)
@@ -223,6 +234,8 @@ def test_nan_cost_bound_is_rejected():
     # warnings and a SimplexError that said "ended unbounded".
     with pytest.raises(LpUsageError, match="^cost bound is NaN$"):
         CutSet(cost_bound=float("nan"))
+    with pytest.raises(LpUsageError, match="^cost bound is infinite$"):
+        CutSet(cost_bound=float("inf"))
 
 
 def test_huge_cost_bound_changes_nothing(cases):
@@ -540,7 +553,7 @@ def test_final_lp_starts_from_one_entry_per_commitment(monkeypatch):
     real = lp_module.solve_lp
 
     def spy(problem, start=None):
-        warm = isinstance(start, NodeStart) and start._parent is not None
+        warm = isinstance(start, Start) and start.parent is not None
         sol = real(problem, start)
         lps.append((problem, start, warm, sol.iterations))
         return sol
@@ -562,10 +575,10 @@ def test_final_lp_starts_from_one_entry_per_commitment(monkeypatch):
             continue
         new = [e for k, e in reference.commitments.items() if k not in entries]
         roots = [e for e in reference.commitments.values()
-                 if any(p is e.base for p, _, _, _ in lps)]
+                 if any(st is e for _, st, _, _ in lps)]
         if new:  # its root solved once, here
-            assert roots == new and new[0].root
-            assert sum(p is new[0].base for p, _, _, _ in lps) == 1
+            assert roots == new and new[0].tableau
+            assert sum(st is new[0] for _, st, _, _ in lps) == 1
             first += 1
         else:
             assert roots == []

@@ -633,7 +633,7 @@ def test_s2_never_starts_from_a_vertex(cases, monkeypatch):
     solve_lp = ucscreen.screening.solve_lp
 
     def recording(problem, start=None):
-        starts.append((start.vertex, start.keep))
+        starts.append((start.parent, start.keep))
         return solve_lp(problem, start)
 
     monkeypatch.setattr(ucscreen.screening, "solve_lp", recording)
@@ -685,11 +685,11 @@ def test_region_basis_is_an_lp_that_alone_counts_its_pivots(cases, use_vgs,
         screening_lps = calls[2 - screen:]
         if screen == 1:
             basis = calls[0][0]
-            assert basis.vertex is None and basis.keep
+            assert basis.parent is None and basis.keep
             assert basis.tableau is inst.region_basis
             assert calls[0][1] == inst.region_basis.iterations > 0
         assert len(screening_lps) == report.lp_solved
-        assert all(st.vertex is not None for st, _, _ in screening_lps)
+        assert all(st.parent is not None for st, _, _ in screening_lps)
 
 
 @pytest.mark.parametrize("jobs", [1, 8])
