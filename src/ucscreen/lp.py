@@ -36,22 +36,24 @@ such an LP's point against every row (see `_check_rows`).
 
 A solved LP is its tableau (`_Tableau`): the basis, its own pivot
 count, the standard-form rhs b it was solved at, and a flag set when
-dual simplex proved the region empty.  A cold LP (`_cold`) starts at the
-slack basis of `_standard_form`, A z <= b with z >= 0, which is dual
-feasible for any prices >= 0 whatever the signs of b, and runs dual
-simplex (Koberstein, 2005; Chvatal, 1983).  The prices are the LP's
-costs when they are >= 0 and not all 0, so it ends optimal; otherwise
-they are ones, and primal phase 2 follows with the real costs.
-
-Every LP begins from a `Start`: its standard form, the b it is solved
-at and an optional parent tableau.  Without a parent it solves cold.  A
-parent at the same b, a region's basis (`region_basis`) or an earlier
-LP's optimal tableau, is copied and phase 2 runs.  A parent at another
-b, a node's parent or a reference root, is copied, its rhs moved to b,
-and dual simplex runs.  solve_lp leaves the final tableau on a start
-whose `keep` is set, and `iterations` is that tableau's count.  The
-caller picks each parent, so an LP's result depends on the order or
-the thread the LPs run in only if the caller's picks do.
+dual simplex proved the region empty.  Every LP begins from a `Start`:
+its standard form, the b it is solved at and an optional parent
+tableau, from which `Start._warm` makes the LP's tableau.  A parent at
+the same b, a region's basis (`region_basis`) or an earlier LP's
+optimal tableau, is copied and phase 2 runs.  A parent at another b, a
+node's parent or a reference root, is copied and its rhs moved to b.
+Without a parent the LP is cold: the slack basis of `_standard_form`,
+A z <= b with z >= 0, which is dual feasible for any prices >= 0
+whatever the signs of b.  From either, dual simplex runs (Koberstein,
+2005; Chvatal, 1983), priced by the LP's costs, so a cold LP whose
+costs are >= 0 ends optimal; by ones when they are all 0, or, cold,
+when one is negative, and primal phase 2 follows with the real costs.
+An LP with every variable fixed gets a tableau with no column, whose
+dual simplex makes no pivot and checks b alone.  solve_lp leaves the
+final tableau on a start whose `keep` is set, and `iterations` is that
+tableau's count.  The caller picks each parent, so an LP's result
+depends on the order or the thread the LPs run in only if the caller's
+picks do.
 
 The MILP solver runs best-first branch and bound on LP relaxations.  At
 a node whose LP optimum has a fractional binary it rounds every binary
@@ -164,11 +166,10 @@ def _checked_bounds(bounds, n: int) -> np.ndarray:
 
 def check_finite(vector: np.ndarray, name: str) -> None:
     """Raise LpUsageError naming the first NaN or infinite entry of
-    `vector`.  One dot product tests for one: the sum of squares is
-    finite unless an entry is not, or is above about 1e154, and only then
-    are the entries looked at."""
-    if not vector @ vector < np.inf and not np.isfinite(vector).all():
-        i = int(np.isfinite(vector).argmin())
+    `vector`."""
+    finite = np.isfinite(vector)
+    if np.count_nonzero(finite) < vector.size:
+        i = int(finite.argmin())
         what = "NaN" if np.isnan(vector[i]) else "infinite"
         raise LpUsageError(f"{name} entry {i} is {what}")
 
@@ -364,10 +365,10 @@ class _Tableau:
 
     Variables are numbered by label: the ns structural columns, then one
     slack per row (slack ns + i belongs to input row i).  Every slack
-    starts basic, a negative right-hand side included, for dual simplex to
-    make feasible (see `_cold`).  `T` stores only the nonbasic columns,
-    `nonbasic[q]` being the label of column q, and the right-hand side
-    last; `basis[r]` is the label basic in row r.  A basic variable's
+    starts basic, a negative right-hand side included, for dual simplex
+    to make feasible (see `Start._warm`).  `T` stores only the nonbasic
+    columns, `nonbasic[q]` being the label of column q, and the
+    right-hand side last; `basis[r]` is the label basic in row r.  A basic variable's
     full-tableau column is the unit vector of its row, so it is never
     stored.  The objective row `z` (reduced costs, then minus the
     objective) is the last row of the one buffer that `T` heads, so a
@@ -583,8 +584,9 @@ class _Tableau:
         return verdict
 
     def phase_two(self, c: np.ndarray) -> str:
-        """Minimize c'z from the current feasible basis."""
-        return self._iterate(self._zrow(c))
+        """Minimize c'z from the current feasible basis, which is optimal
+        as it stands when there is no column."""
+        return self._iterate(self._zrow(c)) if self.ns else "optimal"
 
     def columns(self, labels: np.ndarray) -> np.ndarray:
         """The full tableau's columns of `labels`: a basic variable's unit
@@ -618,40 +620,11 @@ class _Tableau:
         return x, z
 
 
-def _cold(form: _StandardForm, cost: np.ndarray) -> "_Tableau | None":
-    """The slack-basis tableau of `form`, made feasible for minimizing
-    `cost` @ z, or flagged `infeasible` when the region is empty; None
-    when every variable is fixed, so there is no column and feasibility
-    is a direct check on `form.b`.
-
-    With prices >= 0 the slack basis is dual feasible whatever the signs
-    of the right-hand side, so dual simplex runs from it to primal
-    feasibility.  When every cost is >= 0 and one is > 0 the prices are
-    the costs, and the feasible basis is optimal.  Otherwise, a negative
-    cost or none at all, they are ones, and primal phase 2 follows with
-    the real costs.  Zero prices would tie every dual ratio at 0 and
-    leave each entering column to the lowest label alone; on a 100-bus
-    load-box region that ran to _MAX_ITER.  Equal prices tie too where a
-    row weighs its columns alike: on the screening projection of a
-    100-bus case, ones took 1,214 pivots, as the balance row gave every
-    dispatch column one ratio, and the units' costs over their mean 45.
-    """
-    m, ns = form.A.shape
-    if ns == 0:
-        return None
-    tab = _Tableau(form)
-    if m:
-        if not (np.all(cost >= 0.0) and np.any(cost > 0.0)):
-            cost = np.ones(ns)
-        tab.dual_simplex(tab._zrow(cost))
-    return tab
-
-
-def region_basis(region: LpProblem) -> "_Tableau | None":
+def region_basis(region: LpProblem) -> _Tableau:
     """The final tableau of `region`'s own LP, solved cold by solve_lp with
     a kept `Start`: a feasible basis of its rows, right-hand side and
-    bounds, flagged `infeasible` when the region is empty, or None when
-    every variable is fixed.  That LP counts its pivots."""
+    bounds, flagged `infeasible` when the region is empty.  That LP
+    counts its pivots."""
     start = Start(region, keep=True)
     solve_lp(region, start)
     return start.tableau
@@ -667,20 +640,16 @@ def _same_arrays(*pairs) -> bool:
 class Start:
     """Start of one LP over `region`: the region's standard form, the
     standard-form rhs `b` the LP is solved at, and `parent`, a solved
-    tableau to begin from, or None to solve cold at b (`_cold`).
+    tableau to begin from, or None to solve cold at b.
 
     A parent given here lends the start its form and b: a vertex of the
     region, its basis (`region_basis`) or an earlier LP's optimal
-    tableau.  The LP copies it and runs phase 2.  A parent at another b,
-    a node's parent or a reference root (see `at`), is copied and its rhs
-    moved to this b along the full tableau's columns of the moved rows'
-    slacks.  The basis stays dual feasible, and dual simplex runs to
-    primal feasibility or proves the region empty, priced by the LP's
-    costs, or by ones when every standard-form cost is 0, as `_cold`
-    priced the basis the parent came from.  With `keep`, solve_lp leaves
-    the LP's final tableau in `tableau`, a later LP's parent once the
-    caller has checked the LP was optimal; without it, the tableau is
-    freed when the solve returns.
+    tableau.  A parent at another b is a node's parent or a reference
+    root (see `at`).  `_warm` makes the LP's tableau from either, or
+    from the form's slack basis.  With `keep`, solve_lp leaves the LP's
+    final tableau in `tableau`, a later LP's parent once the caller has
+    checked the LP was optimal; without it, the tableau is freed when
+    the solve returns.
     """
 
     def __init__(self, region: LpProblem, parent=None, keep: bool = False):
@@ -705,9 +674,24 @@ class Start:
         out.__dict__.update(self.__dict__, tableau=None, **fields)
         return out
 
-    def _warm(self, problem: LpProblem, c: np.ndarray) -> "_Tableau | None":
-        """The LP's tableau for solve_lp, or None when every variable is
-        fixed, for `c`, the LP's costs as a minimisation."""
+    def _warm(self, problem: LpProblem, c: np.ndarray) -> _Tableau:
+        """The LP's tableau for solve_lp, for `c`, the LP's costs as a
+        minimisation.  A parent at this b is copied, for phase 2 alone.  A
+        parent at another b is copied and its rhs moved to this b along
+        the full tableau's columns of the moved rows' slacks; without a
+        parent, the form's slack basis at b is built, a column-less one
+        included.  Either is dual feasible for prices >= 0 whatever the
+        signs of b, and dual simplex runs on it when it has rows.
+
+        The prices are the standard-form costs, or ones when those are
+        all 0 and, cold, when one is negative.  Zero prices would tie
+        every dual ratio at 0 and leave each entering column to the
+        lowest label alone; on a 100-bus load-box region that ran to
+        _MAX_ITER.  Equal prices tie too where a row weighs its columns
+        alike: on the screening projection of a 100-bus case, ones took
+        1,214 pivots, as the balance row gave every dispatch column one
+        ratio, and the units' costs over their mean 45.
+        """
         r = self.region
         if not _same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs),
                             (problem.bounds, self.bounds)):
@@ -716,15 +700,19 @@ class Start:
             return self.parent.copy()
         cost = c[self.form.var] * self.form.sign
         if self.parent is None:
-            return _cold(replace(self.form, b=self.b), cost)
-        tab = self.parent.copy()
-        delta = self.b - tab.b
-        moved = np.nonzero(delta)[0]
-        tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
-        tab.b = self.b
+            tab = _Tableau(replace(self.form, b=self.b))
+            if np.any(cost < 0.0):
+                cost = np.ones(cost.size)
+        else:
+            tab = self.parent.copy()
+            delta = self.b - tab.b
+            moved = np.nonzero(delta)[0]
+            tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
+            tab.b = self.b
         if not np.count_nonzero(cost):
             cost = np.ones(cost.size)
-        tab.dual_simplex(tab._zrow(cost))
+        if tab.m:
+            tab.dual_simplex(tab._zrow(cost))
         return tab
 
 
@@ -852,9 +840,9 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
     """Solve an LP; exact status classification, deterministic output.
 
     The LP begins as `start` says (see `Start`); without one it solves
-    cold from `Start(problem)`.  A start whose `keep` is set gets the
-    LP's final tableau as its `tableau`, and `iterations` is that
-    tableau's own pivot count.
+    cold from `Start(problem)`.  Every LP has a tableau, one with every
+    variable fixed included; a start whose `keep` is set gets the final
+    one as its `tableau`, and `iterations` is its own pivot count.
     """
     m = problem.n_rows
     flip = problem.sense == "max"
@@ -862,13 +850,6 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
 
     start = start or Start(problem)
     tab = start._warm(problem, c)
-    if tab is None:
-        # All variables fixed: feasibility is a direct check.
-        if np.any(start.b < -FEASIBILITY_TOL):
-            return LpSolution("infeasible", None, None)
-        point = start.form.base.copy()
-        return LpSolution("optimal", float(problem.objective @ point),
-                          point, row_duals=np.zeros(m))
     if start.keep:
         start.tableau = tab
     if tab.infeasible:
@@ -946,7 +927,7 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     empty.
 
     Without `reference`, the root and the final LP solve cold: each
-    starts at its slack basis and runs dual simplex (see `_cold`); when
+    starts at its slack basis and runs dual simplex (`Start._warm`); when
     every standard-form cost is >= 0 and one is > 0, as with unit
     commitment's costs over its nonnegative columns, that ends at the
     optimum with no primal pivot.  So do both at the reference's own
@@ -955,8 +936,9 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     (see `MilpReference`), each when optimal, and cold otherwise.  A
     reference root or entry not yet solved is solved here first, in its
     own solve_lp call, whose pivots `iterations` leaves out, so that it
-    counts the same pivots whichever MILP pays for it.  Raises LpUsageError when `reference`
-    was built for other rows, bounds, costs or binaries.
+    counts the same pivots whichever MILP pays for it.  Raises
+    LpUsageError when `reference` was built for other rows, bounds, costs
+    or binaries.
     """
     lp = problem.lp
     flip = lp.sense == "max"

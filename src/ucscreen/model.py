@@ -223,8 +223,8 @@ class UcInstance:
         region.  Its statuses are pinned at 0: no row reads them, so the
         simplex gives them no column.  Its objective, `region_basis`'s, is
         the units' costs over their mean when all are >= 0 and the mean
-        > 0, else ones, and ones on load columns: `lp._cold`'s prices, so
-        that LP's phase 2 makes no pivot."""
+        > 0, else ones, and ones on load columns: `lp.Start._warm`'s
+        prices, so that LP's phase 2 makes no pivot."""
         G = self.n_gens
         bounds = self.bounds.copy()
         bounds[:G] = self.bounds[G:2 * G] * [(g.x_min, g.x_max)
@@ -352,9 +352,8 @@ def _load_rhs(case: GridCase, limits, load: np.ndarray) -> np.ndarray:
         total = float(np.sum(load))
         rhs = np.concatenate([fmax + flow, -fmin - flow, [total, -total],
                               np.zeros(2 * case.n_gens)])
-        if not rhs @ rhs < np.inf:
-            check_finite(load, "load")
-            check_finite(rhs, "the load overflows: rhs")
+    check_finite(load, "load")
+    check_finite(rhs, "the load overflows: rhs")
     return rhs
 
 

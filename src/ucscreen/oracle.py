@@ -76,21 +76,14 @@ def projected_box_maximum(row: np.ndarray, box: BoundsBox,
     free_cols = np.asarray(free_cols, dtype=int)
     if free_cols.size > VERTEX_COLUMN_GUARD:
         raise VertexBudgetError(f"{free_cols.size} free columns exceed the guard")
-    base, sub = _split_at_corner(row, box, free_cols, corner)
-    vertices = enumerate_vertices(sub)
-    return base + float(np.max(vertices @ row[free_cols]))
-
-
-def _split_at_corner(row: np.ndarray, box: BoundsBox, free_cols: np.ndarray,
-                     corner: np.ndarray) -> tuple[float, BoundsBox]:
-    """The row's value over the columns outside free_cols, each at the
-    given corner (0 selects lower, 1 upper), and the sub-box of free_cols."""
     fixed_cols = np.setdiff1d(np.arange(box.n_cols), free_cols)
     fixed_vals = np.where(corner[fixed_cols] == 1,
                           box.upper[fixed_cols], box.lower[fixed_cols])
     sub = BoundsBox(box.lower[free_cols].copy(), box.upper[free_cols].copy(),
                     tuple(box.provenance[c] for c in free_cols))
-    return float(row[fixed_cols] @ fixed_vals), sub
+    vertices = enumerate_vertices(sub)
+    return (float(row[fixed_cols] @ fixed_vals)
+            + float(np.max(vertices @ row[free_cols])))
 
 
 def matrix_test_exactness(inst: UcInstance, box: BoundsBox, omega: dict,
@@ -98,15 +91,19 @@ def matrix_test_exactness(inst: UcInstance, box: BoundsBox, omega: dict,
     """Compare omega against explicit vertex maxima; None means pass.
 
     Up to VERTEX_COLUMN_GUARD columns every box vertex is enumerated.
-    Beyond it, three seeded projections each free 16 columns, fix the
-    rest at a random corner, and check the sign-split formula against
-    the sub-box's enumerated vertices.
+    Beyond it, three seeded projections each free 16 columns and fix the
+    rest at a random corner, and each enumerates its sub-box once for
+    every row.  A row's maximum over that sub-box must match the
+    sign-split formula, and, the sub-box lying in the box, must not
+    exceed its rhs plus omega by more than 1e-9.
     """
-    idx = {lb: inst.row_index(lb) for lb in omega}
+    labels = list(omega)
+    idx = np.array([inst.row_index(lb) for lb in labels], dtype=int)
+    rows, rhs = inst.rows[idx], inst.rhs[idx]
     if inst.n_cols <= VERTEX_COLUMN_GUARD:
         vertices = enumerate_vertices(box)
-        for lb, i in idx.items():
-            explicit = float(np.max(vertices @ inst.rows[i]) - inst.rhs[i])
+        for lb, row, bound in zip(labels, rows, rhs.tolist()):
+            explicit = float(np.max(vertices @ row) - bound)
             if abs(explicit - omega[lb]) > 1e-9:
                 return (f"{lb}: omega {omega[lb]!r} vs vertex max {explicit!r}")
         return None
@@ -114,14 +111,22 @@ def matrix_test_exactness(inst: UcInstance, box: BoundsBox, omega: dict,
     for trial in range(3):
         free = np.sort(rng.choice(inst.n_cols, size=16, replace=False))
         corner = rng.integers(0, 2, size=inst.n_cols)
-        for lb, i in idx.items():
-            row = inst.rows[i]
-            explicit = projected_box_maximum(row, box, free, corner)
-            base, sub = _split_at_corner(row, box, free, corner)
-            formula = box_row_maximum(row[None, free], sub)[0] + base
-            if abs(explicit - formula) > 1e-9:
-                return (f"{lb} (projection {trial}): formula {formula!r} "
+        fixed = np.setdiff1d(np.arange(inst.n_cols), free)
+        base = rows[:, fixed] @ np.where(corner[fixed] == 1, box.upper[fixed],
+                                         box.lower[fixed])
+        sub = BoundsBox(box.lower[free], box.upper[free],
+                        tuple(box.provenance[c] for c in free))
+        vertices = enumerate_vertices(sub)
+        formula = box_row_maximum(rows[:, free], sub) + base
+        for lb, row, b, f, bound in zip(labels, rows[:, free], base.tolist(),
+                                        formula.tolist(), rhs.tolist()):
+            explicit = float(np.max(vertices @ row)) + b
+            if abs(explicit - f) > 1e-9:
+                return (f"{lb} (projection {trial}): formula {f!r} "
                         f"vs enumerated {explicit!r}")
+            if explicit - bound > omega[lb] + 1e-9:
+                return (f"{lb} (projection {trial}): omega {omega[lb]!r} "
+                        f"below a box point's {explicit - bound!r}")
     return None
 
 

@@ -179,8 +179,7 @@ class _Vertices:
     def add(self, sol, start: Start) -> None:
         """Store the final tableau of a kept start whose LP reached an
         optimal point not stored yet."""
-        if (sol.status != "optimal" or start.tableau is None
-                or (self.points == sol.point).all(axis=1).any()):
+        if sol.status != "optimal" or (self.points == sol.point).all(axis=1).any():
             return
         self.points = np.concatenate([self.points, sol.point[None]])
         self.tableaux.append(start.tableau)
@@ -285,8 +284,7 @@ def box_row_maximum(rows: np.ndarray, box: BoundsBox) -> np.ndarray:
     return box_maximum(rows, box.lower, box.upper)
 
 
-def vgs_screen(inst: UcInstance, box: BoundsBox,
-               candidates: tuple[RowLabel, ...] | None = None) -> ScreeningReport:
+def vgs_screen(inst: UcInstance, box: BoundsBox) -> ScreeningReport:
     """Vertex-guided pass: one matrix operation, zero LPs.
 
     omega_j is the box maximum of row j minus its bound; omega_j below
@@ -294,15 +292,14 @@ def vgs_screen(inst: UcInstance, box: BoundsBox,
     """
     if box.n_cols != inst.n_cols:
         raise LpUsageError("bounds box does not match instance columns")
-    if candidates is None:
-        candidates = inst.candidates
+    candidates = inst.candidates
     t0 = time.perf_counter()
     idx = inst.rows_of(candidates)
     omega = box_row_maximum(inst.rows[idx], box) - inst.rhs[idx]
     redundant = tuple(lb for lb, w in zip(candidates, omega)
                       if w < -FEASIBILITY_TOL)
     return ScreeningReport(
-        candidates=tuple(candidates),
+        candidates=candidates,
         redundant=redundant,
         wall_times={"vgs": time.perf_counter() - t0},
         attribution={lb: "vgs" for lb in redundant},

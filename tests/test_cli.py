@@ -634,6 +634,23 @@ def test_load_that_overflows_the_rows_is_input_error(argv, tmp_path, capsys):
         assert "nan" not in csv.read_text().lower()
 
 
+@pytest.mark.parametrize("argv", [
+    "run --scheme s3 --out {tmp}/r.json",
+    "verify --scheme s4 --beta 0.1 --out {tmp}/v.json",
+    "gen-data --beta 0.1 --n 3 --out {tmp}/d.csv",
+])
+def test_huge_finite_cost_is_a_valid_case(argv, tmp_path):
+    # A cost of 1e200 is finite, and every LP over it once warned of an
+    # overflow in the finite check, which tier-1 turns into an error.
+    doc = json.loads((resources.files("ucscreen") / "cases"
+                      / "five_bus.json").read_text())
+    doc["generators"][0]["cost"] = 1e200
+    case = tmp_path / "costly.json"
+    case.write_text(json.dumps(doc))
+    command, *rest = argv.format(tmp=tmp_path).split()
+    assert run_cli(command, "--case", str(case), *rest) == EXIT_OK
+
+
 # The flag with the bad value comes last.
 @pytest.mark.parametrize("argv", [
     "run --scheme s4 --beta nan",

@@ -2,6 +2,7 @@
 
 import heapq
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -166,7 +167,6 @@ def test_dual_start_matches_scipy(monkeypatch):
     record = _spy_cold_starts(monkeypatch)
     rng = np.random.default_rng(53)
     statuses = {"optimal": 0, "infeasible": 0}
-    started, empty = 0, 0
     for _ in range(150):
         p = _nonnegative_cost_problem(rng)
         mine = solve_lp(p)
@@ -174,19 +174,17 @@ def test_dual_start_matches_scipy(monkeypatch):
                       method="highs", options={"presolve": False})
         assert mine.status == {0: "optimal", 2: "infeasible"}[ref.status]
         statuses[mine.status] += 1
-        column = bool(np.any(p.bounds[:, 0] < p.bounds[:, 1]))
-        started += column
-        empty += column and mine.status == "infeasible"
         if mine.status == "optimal":
             assert abs(mine.objective_value - ref.fun) <= 1e-9 * max(
                 1.0, abs(ref.fun))
             assert np.max(p.rows @ mine.point - p.rhs) <= 1e-7
     assert min(statuses.values()) > 20
-    # Every LP with a column started from its slack basis, and dual
-    # simplex gave every verdict: an empty region, or a basis at which
-    # phase 2 had nothing left to do whenever a cost was > 0.
-    assert len(record["dual"]) == started
-    assert record["dual"].count("infeasible") == empty > 20
+    # Every LP has a row and started from its slack basis, one with no
+    # column too, and dual simplex gave every verdict: an empty region,
+    # or a basis at which phase 2 had nothing left to do whenever a cost
+    # was > 0.
+    assert len(record["dual"]) == 150
+    assert record["dual"].count("infeasible") == statuses["infeasible"] > 20
     assert sum(record["primal"]) == 0
 
 
@@ -251,6 +249,24 @@ def test_rows_without_columns_keep_their_count():
         assert sol.status == status
     # Input that is not 2-D still means no row.
     assert LpProblem([1.0, 2.0], [], []).rows.shape == (0, 2)
+
+
+def test_kept_start_with_every_variable_fixed_holds_a_tableau():
+    # x fixed at 1 under x <= 1 - gap: the standard form has no column,
+    # and its tableau's dual simplex decides feasibility at the same
+    # tolerance as any other LP's, with no pivot.
+    for gap, status in ((5e-8, "optimal"), (5e-7, "infeasible")):
+        region = LpProblem([1.0], [[1.0]], [1.0 - gap], bounds=[(1, 1)])
+        start = Start(region, keep=True)
+        sol = solve_lp(region, start)
+        assert sol.status == status
+        assert isinstance(start.tableau, lp_module._Tableau)
+        assert sol.iterations == start.tableau.iterations == 0
+        assert start.tableau.infeasible == (status == "infeasible")
+        if status == "optimal":
+            assert sol.point.tolist() == [1.0] and sol.objective_value == 1.0
+            assert sol.row_duals.tolist() == [0.0]
+        assert isinstance(region_basis(region), lp_module._Tableau)
 
 
 def _assert_same_optimum(a, b):
@@ -409,6 +425,23 @@ def test_nan_entries_and_infinite_row_entries_are_rejected(field, value, message
             LpProblem(**{**good, field: value})
     with pytest.raises(LpUsageError, match="^objective entry 0 is infinite$"):
         LpProblem(**good).with_objective([np.inf, 0.0])
+
+
+def test_huge_finite_entries_pass_the_finite_check():
+    # The check once summed the squares, which overflow above about 1e154,
+    # and numpy's overflow warning stopped a valid LP.
+    region = LpProblem([0.0, 0.0], [[1.0, 1.0]], [1e200],
+                       bounds=[(0, 1), (0, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_lp(region.with_objective([1e200, 0.0]))
+    assert sol.status == "optimal" and sol.point.tolist() == [0.0, 0.0]
+    for value, what in ((np.nan, "NaN"), (np.inf, "infinite"),
+                        (-np.inf, "infinite")):
+        with pytest.raises(LpUsageError, match=f"^objective entry 0 is {what}$"):
+            region.with_objective([value, 0.0])
+        with pytest.raises(LpUsageError, match=f"^rhs entry 0 is {what}$"):
+            LpProblem([0.0, 0.0], [[1.0, 1.0]], [value])
 
 
 # Each was once solved: the first, third and fourth "optimal" at a NaN
@@ -949,7 +982,7 @@ def test_warm_branch_and_bound_matches_brute_force(monkeypatch):
 
 def test_zero_cost_branch_and_bound_matches_brute_force(monkeypatch):
     # With every cost 0 the root prices its dual simplex at ones (see
-    # `_cold`), and each child keeps those prices, so no dual simplex runs
+    # `Start._warm`), and each child keeps those prices, so no dual simplex runs
     # with every reduced cost at 0, where every ratio ties and the
     # objective never moves.  Any rounded point that meets every row
     # closes its node at cost 0, so it takes 300 MILPs for more than 50
@@ -963,7 +996,8 @@ def test_zero_cost_branch_and_bound_matches_brute_force(monkeypatch):
     dual_simplex = lp_module._Tableau.dual_simplex
 
     def spy(self, zrow):
-        priced.append(bool(np.count_nonzero(zrow[:-1])))
+        if self.ns:  # a column-less tableau has no price to check
+            priced.append(bool(np.count_nonzero(zrow[:-1])))
         return dual_simplex(self, zrow)
 
     monkeypatch.setattr(lp_module._Tableau, "dual_simplex", spy)
@@ -1065,7 +1099,7 @@ def test_dual_simplex_ends_at_an_optimal_basis(cases, monkeypatch):
 
     def checked(self, zrow):
         verdict = dual_simplex(self, zrow)
-        if verdict == "feasible":
+        if verdict == "feasible" and self.ns:  # a column has a reduced cost
             ends.append((zrow[:-1].min(), self.T[:, -1].min()))
         return verdict
 

@@ -16,6 +16,7 @@ from ucscreen.model import (
 )
 from ucscreen.screening import (
     BoundsBox,
+    eovl,
     variable_bounds,
     vgs_screen,
 )
@@ -167,6 +168,23 @@ def test_projected_box_maximum_matches_full_enumeration():
         v = np.where((q >> np.arange(free.size)) & 1, upper[free], lower[free])
         best = max(best, float(row[free] @ v + row[fixed] @ vals))
     assert abs(got - best) <= 1e-12
+
+
+@pytest.mark.parametrize("load_box", [False, True], ids=["s3", "s4"])
+def test_matrix_test_reads_omega_beyond_the_vertex_guard(cases, load_box):
+    # fifty_bus has 24 columns at S3 and 74 at S4, so the test enumerates
+    # sub-boxes; a point of one beats an omega lowered by 1.0.
+    case = cases["fifty_bus"]
+    nom = case.nominal_load
+    cuts = CutSet(load_range=(0.9 * nom, 1.1 * nom) if load_box else None)
+    inst = relax_binaries(apply_cuts(build_uc(case, nom), cuts))
+    assert inst.n_cols > oracle.VERTEX_COLUMN_GUARD
+    report = eovl(inst)
+    assert oracle.matrix_test_exactness(inst, report.box, report.omega, 42) is None
+    label = RowLabel("line_upper", 1)
+    lowered = {**report.omega, label: report.omega[label] - 1.0}
+    failure = oracle.matrix_test_exactness(inst, report.box, lowered, 42)
+    assert failure is not None and failure.startswith(f"{label} ")
 
 
 # --- gap verification ---
