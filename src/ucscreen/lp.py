@@ -36,13 +36,17 @@ such an LP's point against every row (see `_check_rows`).
 
 A solved LP is its tableau (`_Tableau`): the basis, its own pivot
 count, the standard-form rhs b it was solved at, and a flag set when
-dual simplex proved the region empty.  Every LP begins from a `Start`:
+dual simplex proved the region empty.  A standard form
+(`_standard_form`) is a function of an LP's rows and bounds alone, and
+writes every bound row; its `b` maps an LP's rows, rhs and bounds to
+its b, the one place a b is computed.  Every LP begins from a `Start`:
 its standard form, the b it is solved at and an optional parent
-tableau, from which `Start._warm` makes the LP's tableau.  A parent at
-the same b, a region's basis (`region_basis`) or an earlier LP's
-optimal tableau, is copied and phase 2 runs.  A parent at another b, a
-node's parent or a reference root, is copied and its rhs moved to b.
-Without a parent the LP is cold: the slack basis of `_standard_form`,
+tableau, from which `Start._warm` makes the LP's tableau.  `Start.at`
+moves a start to another LP in the same form, at that LP's b.  A
+parent at the same b, a region's basis (`region_basis`) or an earlier
+LP's optimal tableau, is copied and phase 2 runs.  A parent at another
+b, a node's parent or a reference root, is copied and its rhs moved to
+b.  Without a parent the LP is cold: the slack basis of the form,
 A z <= b with z >= 0, which is dual feasible for any prices >= 0
 whatever the signs of b.  From either, dual simplex runs (Koberstein,
 2005; Chvatal, 1983), priced by the LP's costs, so a cold LP whose
@@ -67,14 +71,16 @@ binary can repair that row (cf. Achterberg, Koch & Martin, "Branching
 rules revisited", 2005).  Unit commitment puts no cost on status, so a
 rounded commitment often costs exactly the node's bound.  A branch is
 one step, a binary fixed at 0 or 1, and changes only bounds, so every
-node shares one standard form in which each binary's bounds are two
-rows.  A `NodeStart` holds a node's own bounds and b, and its child
-starts from its optimal tableau.  A node's LP gets no check of its own:
-its bounds are its parent's, checked, with one binary fixed.  The root
-solves cold, unless the caller passes a `MilpReference`: a MILP with the
-same rows, bounds, costs and binaries at another right-hand side, whose
-optimal root, solved cold once, later roots start from as a child
-starts from its parent.  Unit commitment at many loads of one case is
+node shares one standard form in which each binary the MILP leaves open
+has an upper and a lower bound row.  A `NodeStart`'s region is its
+node's LP, the MILP's as a minimisation at the node's bounds, and its
+child is `Start.at` over that LP with one binary fixed, from the node's
+optimal tableau.  A node's LP gets no check of its own: its bounds are
+its parent's, checked, with one binary fixed.  The root solves cold,
+unless the caller passes a `MilpReference`: a MILP with the same rows,
+bounds, costs and binaries at another right-hand side, whose optimal
+root, solved cold once, later roots start from by the same move.  Unit
+commitment at many loads of one case is
 such a family.  The point and cost returned come from one more LP with
 every binary fixed at the incumbent's value, so they depend on the
 commitment chosen and not on the path the tree took to it, nor on the
@@ -91,7 +97,7 @@ basis feasible.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -320,23 +326,37 @@ class MilpProblem:
 
 @dataclass
 class _StandardForm:
-    """A z <= b, z >= 0 for an LP over y; y = base plus sign[k] * z[k]
-    added to y[var[k]] over the columns k (see `_standard_form`)."""
+    """A z <= b, z >= 0 for LPs over y; y = base plus sign[k] * z[k]
+    added to y[var[k]] over the columns k (see `_standard_form`).  A's
+    rows are the LP's own, then z <= hi - base for each variable of
+    `upper` and -z <= base - lo for each of `lower`."""
 
     A: np.ndarray
-    b: np.ndarray
     var: np.ndarray
     sign: np.ndarray
     base: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+    def b(self, lp: LpProblem) -> np.ndarray:
+        """The b of `lp`, an LP whose rows and bounds this form fits."""
+        base, upper, lower, bounds = self.base, self.upper, self.lower, lp.bounds
+        return np.concatenate([lp.rhs - lp.rows @ base,
+                               bounds[:, 1][upper] - base[upper],
+                               base[lower] - bounds[:, 0][lower]])
 
 
-def _standard_form(rows, rhs, lo, hi) -> _StandardForm:
-    """Rewrite rows @ y <= rhs, lo <= y <= hi as A z <= b, z >= 0.
+def _standard_form(rows, lo, hi, branch=()) -> _StandardForm:
+    """Rewrite rows @ y <= rhs, lo <= y <= hi as A z <= b, z >= 0, for
+    any rhs and any bounds of the variables of `branch` within these.
 
     Columns follow the variables: none for a fixed y_j, +z shifted by a
     finite lower bound, -z mirrored at an upper bound when only that one
-    is finite, and +z, -z for a free y_j.  Rows keep their order; finite
-    upper bounds of shifted variables become extra rows after them.
+    is finite, and +z, -z for a free y_j.  Rows keep their order.  Bound
+    rows follow them: the finite upper bounds of shifted variables
+    outside `branch`, then the upper and then the lower bounds of
+    `branch`'s, which must be shifted and keep their columns whatever
+    bounds within these an LP gives them.
     """
     fixed = lo == hi
     free = np.isinf(lo) & np.isinf(hi) & ~fixed
@@ -350,13 +370,15 @@ def _standard_form(rows, rhs, lo, hi) -> _StandardForm:
     sign[first[free] + 1] = -1.0
     base = np.where(fixed | shifted, np.where(np.isfinite(lo), lo, 0.0), 0.0)
     base = np.where(mirrored, hi, base)
-    upper = np.nonzero(shifted[var] & np.isfinite(hi[var]))[0]
+    lower = np.asarray(branch, dtype=int)
+    capped = shifted & np.isfinite(hi)
+    capped[lower] = False
+    upper = np.concatenate([capped.nonzero()[0], lower])
     unit = np.zeros((upper.size, var.size))
-    unit[np.arange(upper.size), upper] = 1.0
-    return _StandardForm(np.vstack([rows[:, var] * sign, unit]),
-                         np.concatenate([rhs - rows @ base,
-                                         hi[var[upper]] - lo[var[upper]]]),
-                         var, sign, base)
+    unit[np.arange(upper.size), first[upper]] = 1.0
+    return _StandardForm(
+        np.vstack([rows[:, var] * sign, unit, -unit[upper.size - lower.size:]]),
+        var, sign, base, upper, lower)
 
 
 class _Tableau:
@@ -388,11 +410,11 @@ class _Tableau:
     standard-form rhs.  `iterations` counts this copy's own pivots.
     """
 
-    def __init__(self, form: _StandardForm):
+    def __init__(self, form: _StandardForm, b: np.ndarray):
         m, ns = form.A.shape
         buf = np.zeros((m + 1, ns + 1))
         buf[:m, :ns] = form.A
-        buf[:m, -1] = form.b
+        buf[:m, -1] = b
         self.form = form
         self.ns = ns
         self.m = m
@@ -400,7 +422,7 @@ class _Tableau:
         self._set_buffer(buf)
         self.basis = ns + np.arange(m)
         self.nonbasic = np.arange(ns)
-        self.b = form.b
+        self.b = b
         self.iterations = 0
         self.by_bland = self.infeasible = False
 
@@ -638,40 +660,39 @@ def _same_arrays(*pairs) -> bool:
 
 
 class Start:
-    """Start of one LP over `region`: the region's standard form, the
-    standard-form rhs `b` the LP is solved at, and `parent`, a solved
-    tableau to begin from, or None to solve cold at b.
+    """Start of one LP over `region`: a standard form of its rows and
+    bounds, the standard-form rhs `b` the LP is solved at, and `parent`,
+    a solved tableau to begin from, or None to solve cold at b.
 
     A parent given here lends the start its form and b: a vertex of the
     region, its basis (`region_basis`) or an earlier LP's optimal
-    tableau.  A parent at another b is a node's parent or a reference
-    root (see `at`).  `_warm` makes the LP's tableau from either, or
-    from the form's slack basis.  With `keep`, solve_lp leaves the LP's
-    final tableau in `tableau`, a later LP's parent once the caller has
-    checked the LP was optimal; without it, the tableau is freed when
-    the solve returns.
+    tableau.  Without one, the form is `region`'s and b the form's for
+    `region`.  `at` moves a start to another LP of the form, from a
+    parent at another b: a node's parent or a reference root.  `_warm`
+    makes the LP's tableau from either, or from the form's slack basis.
+    With `keep`, solve_lp leaves the LP's final tableau in `tableau`, a
+    later LP's parent once the caller has checked the LP was optimal;
+    without it, the tableau is freed when the solve returns.
     """
 
     def __init__(self, region: LpProblem, parent=None, keep: bool = False):
         self.form = parent.form if parent is not None else _standard_form(
-            region.rows, region.rhs, *region.bounds.T)
-        self.b = parent.b if parent is not None else self.form.b
-        self.region, self.bounds, self.parent = region, region.bounds, parent
+            region.rows, *region.bounds.T)
+        self.b = parent.b if parent is not None else self.form.b(region)
+        self.region, self.parent = region, parent
         self.keep, self.tableau = keep, None
 
     def at(self, region: LpProblem, parent) -> "Start":
-        """A start like this one over `region`, whose rows, bounds and
-        costs are this start's and whose rhs may differ: this standard
-        form at region's own b, from `parent`, or cold with None."""
-        b = self.b.copy()  # past the region's rows: the bound rows
-        b[:region.n_rows] = region.rhs - region.rows @ self.form.base
-        return self._with(region=region, bounds=region.bounds, b=b, parent=parent)
-
-    def _with(self, **fields) -> "Start":
-        """An unsolved start of this start's class and standard form, with
-        `fields` replaced."""
+        """An unsolved start of this start's class and standard form over
+        `region`, an LP with this start's rows and costs, any rhs, and
+        bounds that differ only on the variables the form was given as
+        its `branch` (see `_standard_form`): at region's own b, from
+        `parent`, or cold with None.  A MILP's roots from its reference,
+        its final LPs from their commitment entries and its nodes'
+        children all start by this move."""
         out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, tableau=None, **fields)
+        out.__dict__.update(self.__dict__, region=region, b=self.form.b(region),
+                            parent=parent, tableau=None)
         return out
 
     def _warm(self, problem: LpProblem, c: np.ndarray) -> _Tableau:
@@ -694,13 +715,13 @@ class Start:
         """
         r = self.region
         if not _same_arrays((problem.rows, r.rows), (problem.rhs, r.rhs),
-                            (problem.bounds, self.bounds)):
+                            (problem.bounds, r.bounds)):
             raise LpUsageError("LP start was built for a different region")
         if self.parent is not None and self.parent.b is self.b:
             return self.parent.copy()
         cost = c[self.form.var] * self.form.sign
         if self.parent is None:
-            tab = _Tableau(replace(self.form, b=self.b))
+            tab = _Tableau(self.form, self.b)
             if np.any(cost < 0.0):
                 cost = np.ones(cost.size)
         else:
@@ -716,56 +737,43 @@ class Start:
         return tab
 
 
-class NodeStart(Start):
-    """Start of one branch-and-bound node LP: the tree's standard form,
-    the node's own bounds and b, and its parent's optimal tableau.
+def _minimisation(lp: LpProblem) -> LpProblem:
+    """`lp` as a minimisation: its objective negated when it maximises."""
+    return lp.with_objective(-lp.objective if lp.sense == "max" else lp.objective)
 
-    Every node LP of `milp` shares its rows, right-hand side and the bounds
-    of its non-binary variables; only the binaries' bounds differ.  So the
-    whole tree has one standard form in which each binary that `milp` does
-    not fix keeps its column and gets an upper-bound row and a lower-bound
-    row, and a node's bounds change only those rows' right-hand sides.
-    `bounds`, read-only, are the node's, and `b` is its whole right-hand
-    side: the region's rows, then the bound rows.  `child(var, value)`
-    makes both for a child from this node's: one bound pair and the two
-    entries of `b` that belong to `var`.  The root solves cold, or starts
-    from a reference root (`at`); every other node moves its parent's
-    tableau (see `Start`).  A node always keeps its final tableau in
-    `tableau` for its children, which share it read-only.
+
+class NodeStart(Start):
+    """Start of one branch-and-bound node LP, `region`: `milp`'s LP as a
+    minimisation at the node's bounds, read-only below the root.
+
+    Node LPs differ only in the bounds of binaries, so the whole tree has
+    one standard form, `_standard_form`'s with the binaries that `milp`
+    leaves open as its `branch`: each keeps its column and gets an
+    upper-bound row and a lower-bound row, and a node's bounds change
+    only those rows' right-hand sides.  `child(var, value)` is `at` over the LP with `var`
+    fixed at `value`, from this node's tableau.  The root solves cold,
+    or starts from a reference root (`at`).  A node always keeps its
+    final tableau in `tableau` for its children, which share it
+    read-only.
     """
 
     keep = True
 
     def __init__(self, milp: MilpProblem):
-        region = milp.lp
-        lo, hi = region.bounds[:, 0], region.bounds[:, 1]
-        self.branch = np.array([i for i in milp.binary_indices if lo[i] < hi[i]],
-                               dtype=int)
-        open_hi = hi.copy()
-        open_hi[self.branch] = np.inf  # bound rows are added below
-        form = _standard_form(region.rows, region.rhs, lo, open_hi)
-        unit = np.zeros((self.branch.size, form.A.shape[1]))
-        unit[np.arange(self.branch.size),
-             np.searchsorted(form.var, self.branch)] = 1.0
-        # A bound row's rhs is hi - lo, or lo - lo = 0 for its lower bound.
-        self.b = np.concatenate([form.b, (hi - lo)[self.branch],
-                                 np.zeros(self.branch.size)])
-        self.form = replace(form, A=np.vstack([form.A, unit, -unit]), b=self.b)
-        self.region, self.bounds = region, region.bounds
-        self.parent = self.tableau = None
+        region = _minimisation(milp.lp)
+        lo, hi = region.bounds.T
+        self.form = _standard_form(region.rows, lo, hi, [
+            i for i in milp.binary_indices if lo[i] < hi[i]])
+        self.b = self.form.b(region)
+        self.region, self.parent, self.tableau = region, None, None
 
     def child(self, var: int, value: float) -> "NodeStart":
         """The start of this node's child with binary `var` fixed at
         `value`, once solve_lp has solved this node."""
-        bounds = self.bounds.copy()
+        bounds = self.region.bounds.copy()
         bounds[var] = value
         bounds.flags.writeable = False
-        nb = self.branch.size
-        up = self.b.size - 2 * nb + int(np.searchsorted(self.branch, var))
-        b = self.b.copy()
-        # value - lo and lo - value: a branched binary's bounds are (0, 1)
-        b[up], b[up + nb] = value, 0.0 - value
-        return self._with(bounds=bounds, b=b, parent=self.tableau)
+        return self.at(self.region._with(bounds=bounds), self.tableau)
 
 
 class MilpReference:
@@ -796,21 +804,18 @@ class MilpReference:
     """
 
     def __init__(self, problem: MilpProblem):
-        lp = problem.lp
-        self.base = lp.with_objective(-lp.objective if lp.sense == "max"
-                                      else lp.objective)
         self.binary_indices = problem.binary_indices
         self.tree = NodeStart(problem)
+        self.base = self.tree.region
         self.root = None  # the optimal tableau; False when not optimal
         self.commitments: dict[bytes, Start] = {}
 
-    def _start(self, base: LpProblem, binary_indices) -> NodeStart:
-        """The root start of the MILP over `base`, its LP as a
-        minimisation, and `binary_indices`: cold when its rhs is the
+    def _start(self, problem: MilpProblem) -> NodeStart:
+        """The root start of `problem`: cold when its rhs is the
         reference's, or when the reference root is not optimal; otherwise
         from the reference root, solved first if need be."""
-        mine = self.base
-        if not (binary_indices == self.binary_indices
+        mine, base = self.base, _minimisation(problem.lp)
+        if not (problem.binary_indices == self.binary_indices
                 and _same_arrays((base.rows, mine.rows), (base.bounds, mine.bounds),
                                  (base.objective, mine.objective))):
             raise LpUsageError("MILP reference was built for other rows, "
@@ -842,7 +847,8 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
     The LP begins as `start` says (see `Start`); without one it solves
     cold from `Start(problem)`.  Every LP has a tableau, one with every
     variable fixed included; a start whose `keep` is set gets the final
-    one as its `tableau`, and `iterations` is its own pivot count.
+    one as its `tableau`, and `iterations` is its own pivot count.  An
+    optimum of 0 is 0.0, never -0.0, in either sense.
     """
     m = problem.n_rows
     flip = problem.sense == "max"
@@ -867,7 +873,7 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
     obj = float(c @ point)
     return LpSolution(
         "optimal",
-        -obj if flip else obj,
+        (-obj if flip else obj) + 0.0,  # + 0.0 makes a -0.0 optimum 0.0
         point,
         # Row duals are the reduced costs of the original rows' slack columns.
         row_duals=np.maximum(zrow[tab.ns:tab.ns + m], 0.0),
@@ -907,20 +913,21 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
                reference: MilpReference | None = None) -> LpSolution:
     """Globally optimal best-first branch and bound over the binaries.
 
-    Each node is a `NodeStart` that holds its bounds, and its LP, the
-    problem's with those bounds, runs through solve_lp with it and no
-    check: a branch fixes one binary of checked bounds at 0 or 1.  At a node
-    whose LP optimum has a fractional binary, simple rounding (Achterberg,
-    2007) rounds every binary above INTEGRALITY_TOL up, keeps the other
-    values, and checks that point against every row, with no LP: a point
-    that meets them all is an incumbent at its own cost, and closes the
-    node when that cost meets the node's bound.  Otherwise the node
-    branches, down-branch first, on the lowest-index fractional binary
-    in a row that the rounded point violates, or on the lowest-index
-    fractional binary when snapping near-integral binaries made the only
-    violations.  The point and objective returned are those of a final
-    LP with every binary fixed at the incumbent's value, whose bounds
-    alone are checked, or the incumbent's when that LP is not optimal;
+    Each node is a `NodeStart` whose region is its LP, the problem's as a
+    minimisation at the node's bounds, and that LP runs through solve_lp
+    with it and no check: a branch fixes one binary of checked bounds at
+    0 or 1.  At a node whose LP optimum has a fractional binary, simple
+    rounding (Achterberg, 2007) rounds every binary above INTEGRALITY_TOL
+    up, keeps the other values, and checks that point against every
+    row, with no LP: a point that meets them all is an incumbent at its
+    own cost, and closes the node when that cost meets the node's bound.
+    Otherwise the node branches, down-branch first, on the lowest-index
+    fractional binary in a row that the rounded point violates, or on
+    the lowest-index fractional binary when snapping near-integral
+    binaries made the only violations.  The point and objective returned
+    are those of a final LP with every binary fixed at the incumbent's
+    value, whose bounds alone are checked, or the incumbent's when that
+    LP is not optimal, an objective of 0 as 0.0, never -0.0;
     `iterations` counts the pivots of every LP solved, that one
     included.  Every node but the root runs dual simplex from its
     parent's optimal tableau, to its optimum or to a proof that it is
@@ -940,10 +947,9 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     LpUsageError when `reference` was built for other rows, bounds, costs
     or binaries.
     """
-    lp = problem.lp
-    flip = lp.sense == "max"
-    cmin = -lp.objective if flip else lp.objective
-    base = lp.with_objective(cmin)
+    flip = problem.lp.sense == "max"
+    root = NodeStart(problem) if reference is None else reference._start(problem)
+    base = root.region
     bidx = np.array(problem.binary_indices, dtype=int)
     bin_rows = base.rows[:, bidx]
 
@@ -951,8 +957,6 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     nodes = 0
     pivots = 0
     seq = 0
-    root = (NodeStart(problem) if reference is None
-            else reference._start(base, problem.binary_indices))
     heap: list[tuple[float, int, NodeStart]] = [(-np.inf, seq, root)]
 
     while heap:
@@ -966,7 +970,7 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
                 bound=est if best is None else min(est, best.objective_value),
             )
         nodes += 1
-        sol = solve_lp(base._with(bounds=node.bounds), node)
+        sol = solve_lp(node.region, node)
         pivots += sol.iterations
         if sol.status == "infeasible":
             continue
@@ -985,7 +989,7 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
         rounded[bidx] = vals > INTEGRALITY_TOL
         bad = _violated_rows(base, rounded)
         if not bad.any():
-            cost = float(cmin @ rounded)
+            cost = float(base.objective @ rounded)
             if not _no_better(cost, best):
                 best = LpSolution("optimal", cost, rounded)
             if _no_better(val, best):
@@ -1013,5 +1017,5 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     if final.status == "optimal":
         best = final
     obj = best.objective_value
-    return LpSolution("optimal", -obj if flip else obj, best.point,
+    return LpSolution("optimal", (-obj if flip else obj) + 0.0, best.point,
                       iterations=pivots, nodes=nodes)

@@ -74,8 +74,9 @@ class PredictorConfig:
     def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
             raise LpUsageError(f"K must be an odd positive integer, got {self.k}")
-        if self.epsilon < 0:
-            raise LpUsageError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise LpUsageError(
+                f"epsilon must be a finite number >= 0, got {self.epsilon}")
 
 
 def default_k(n_gens: int) -> int:

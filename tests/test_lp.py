@@ -1,6 +1,7 @@
 """LP and MILP solver tests, cross-checked against scipy and brute force."""
 
 import heapq
+import math
 import sys
 import warnings
 
@@ -493,6 +494,21 @@ def test_milp_all_binaries_fixed_equals_lp_restriction():
     assert milp.objective_value == lp.objective_value
 
 
+def test_a_zero_optimum_is_positive_zero():
+    # Each maximisation's costs cancel to exactly 0 at its optimum, which
+    # a negated minimum would give as -0.0.
+    fixed = solve_lp(LpProblem([-1.0, 1.0], np.zeros((0, 2)), [],
+                               bounds=[(1, 1), (1, 1)], sense="max"))
+    open_above = solve_lp(LpProblem([1.0, -1.0], np.zeros((0, 2)), [],
+                                    bounds=[(1, 1), (1, None)], sense="max"))
+    milp = solve_milp(MilpProblem(LpProblem([-1.0, 0.0], [[1.0, 1.0]], [1.0],
+                                            bounds=[(0, 1), (0, 1)], sense="max"),
+                                  (0,)))
+    for sol in (fixed, open_above, milp):
+        assert sol.status == "optimal" and sol.objective_value == 0.0
+        assert math.copysign(1.0, sol.objective_value) == 1.0
+
+
 def test_milp_relaxation_is_lower_bound():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -813,7 +829,8 @@ def _random_region(rng):
         rows[flip] *= -1.0
         rhs = np.round(rows @ y0 + rng.uniform(0.01, 1.0, size=m + 1), 3)
         rhs[m] = rows[m] @ y0
-        b = lp_module._standard_form(rows, rhs, lo, hi).b
+        b = lp_module._standard_form(rows, lo, hi).b(
+            LpProblem(np.zeros(n), rows, rhs, bounds=np.column_stack([lo, hi])))
         if b[:m].min() < 0 and b[m] != 0:
             break
     k = int(np.argmin(b[:m]))
@@ -1139,40 +1156,81 @@ def test_child_fixes_one_bound_pair_and_its_two_bound_rows(cases):
     for prob in _bundled_milps(cases, per_case=1) + _random_milps(rng, 20):
         root = NodeStart(prob)
         region = prob.lp
-        lo0 = region.bounds[root.branch, 0]
+        branch = root.form.lower
+        lo0 = region.bounds[branch, 0]
         open_hi = region.bounds[:, 1].copy()
-        open_hi[root.branch] = np.inf
-        rows_b = lp_module._standard_form(region.rows, region.rhs,
-                                          region.bounds[:, 0], open_hi).b
+        open_hi[branch] = np.inf
+        opened = region.with_bounds(np.column_stack([region.bounds[:, 0], open_hi]))
+        rows_b = lp_module._standard_form(opened.rows, *opened.bounds.T).b(opened)
 
         def expected_b(bounds):
-            return np.concatenate([rows_b, bounds[root.branch, 1] - lo0,
-                                   lo0 - bounds[root.branch, 0]])
+            return np.concatenate([rows_b, bounds[branch, 1] - lo0,
+                                   lo0 - bounds[branch, 0]])
 
         assert root.b.tobytes() == expected_b(region.bounds).tobytes()
-        for var in root.branch[:3]:
+        for var in branch[:3]:
             for value in (0.0, 1.0):
                 node = root.child(var, value)
                 bounds = region.bounds.copy()
                 bounds[var] = value
-                assert np.array_equal(node.bounds, bounds)
-                assert not node.bounds.flags.writeable
+                assert np.array_equal(node.region.bounds, bounds)
+                assert not node.region.bounds.flags.writeable
                 assert node.b.tobytes() == expected_b(bounds).tobytes()
-                other = root.branch[-1]
+                other = branch[-1]
                 if other != var:
                     grand = node.child(other, 1.0 - value)
                     bounds[other] = 1.0 - value
-                    assert np.array_equal(grand.bounds, bounds)
+                    assert np.array_equal(grand.region.bounds, bounds)
                     assert grand.b.tobytes() == expected_b(bounds).tobytes()
                 with pytest.raises(LpUsageError):
                     solve_lp(region, node)  # the root's bounds, not the node's
                 # An unsolved parent leaves the child cold, at its own b.
-                mine = solve_lp(region._with(bounds=node.bounds), node)
-                cold = solve_lp(region.with_bounds(node.bounds))
+                mine = solve_lp(region._with(bounds=node.region.bounds), node)
+                cold = solve_lp(region.with_bounds(node.region.bounds))
                 assert mine.status == cold.status
                 if cold.status == "optimal":
                     assert abs(mine.objective_value - cold.objective_value) \
                         <= 1e-9 * max(1.0, abs(cold.objective_value))
+
+
+def test_tree_rows_are_the_regions_then_the_capped_then_the_open_binaries():
+    # Random MILPs whose binaries are open or fixed at 0 or 1, and whose
+    # other columns are free, mirrored, capped, shifted without a cap or
+    # fixed.  The tree's A, built by hand column by column: the region's
+    # rows, an upper row per capped column outside the open binaries,
+    # then a +unit row and then a -unit row per open binary.
+    rng = np.random.default_rng(59)
+    kinds = {"open": (0.0, 1.0), "off": (0.0, 0.0), "on": (1.0, 1.0),
+             "free": (-np.inf, np.inf), "mirrored": (-np.inf, 1.5),
+             "capped": (-0.5, 2.0), "shifted": (0.25, np.inf), "fixed": (0.5, 0.5)}
+    seen = set()
+    for _ in range(40):
+        nbin, ncont = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        names = ([str(k) for k in rng.choice(["open", "open", "off", "on"], nbin)]
+                 + [str(k) for k in rng.choice(list(kinds)[3:], ncont)])
+        seen.update(names)
+        n, m = nbin + ncont, int(rng.integers(0, 4))
+        rows = np.round(rng.normal(size=(m, n)), 3)
+        lp = LpProblem(rng.normal(size=n), rows, np.ones(m),
+                       bounds=[kinds[k] for k in names])
+        form = NodeStart(MilpProblem(lp, tuple(range(nbin)))).form
+        columns = []  # (variable, sign) per standard-form column
+        for j, k in enumerate(names):
+            if k == "free":
+                columns += [(j, 1.0), (j, -1.0)]
+            elif k == "mirrored":
+                columns.append((j, -1.0))
+            elif k not in ("off", "on", "fixed"):
+                columns.append((j, 1.0))
+        capped = [j for j, k in enumerate(names) if k == "capped"]
+        opened = [j for j, k in enumerate(names) if k == "open"]
+        by_hand = ([[row[j] * sign for j, sign in columns] for row in rows]
+                   + [[float(j == var) for j, _ in columns]
+                      for var in capped + opened]
+                   + [[-float(j == var) for j, _ in columns] for var in opened])
+        expected = np.array(by_hand).reshape(len(by_hand), len(columns))
+        assert form.A.shape == expected.shape and np.array_equal(form.A, expected)
+    assert seen == set(kinds)
 
 
 def test_branch_and_bound_checks_only_the_final_lps_bounds(cases, monkeypatch):
@@ -1271,9 +1329,9 @@ def test_entering_variable_is_the_lowest_label_among_ties(monkeypatch):
 def test_dual_ratio_ties_within_rounding_go_to_the_lowest_label():
     # Both ratios are 1/3 in exact arithmetic, but 0.1 / 0.3 rounds one
     # ulp above 1.0 / 3.0; the tie still goes to label 0.
-    form = lp_module._standard_form(np.array([[-0.3, -3.0]]), np.array([1.0]),
+    form = lp_module._standard_form(np.array([[-0.3, -3.0]]),
                                     np.zeros(2), np.full(2, np.inf))
-    tab = lp_module._Tableau(form)
+    tab = lp_module._Tableau(form, np.array([1.0]))
     tab.T[0, -1] = -1.0
     zrow = tab._zrow(np.array([0.1, 1.0]))
     assert 0.1 / 0.3 != 1.0 / 3.0

@@ -187,6 +187,29 @@ def test_matrix_test_reads_omega_beyond_the_vertex_guard(cases, load_box):
     assert failure is not None and failure.startswith(f"{label} ")
 
 
+@pytest.mark.parametrize("load_box", [False, True], ids=["s3", "s4"])
+@pytest.mark.parametrize("name", ["five_bus", "nine_bus", "fourteen_bus",
+                                  "thirty_bus", "fifty_bus", "negcontrol"])
+def test_matrix_test_catches_a_lowered_or_raised_omega(cases, name, load_box):
+    # Each row's other columns sit at its own box maximum, so its
+    # enumerated maximum is its box maximum on either side of the guard:
+    # an omega moved by 1.0 either way fails, naming its row.
+    case = cases[name]
+    nom = case.nominal_load
+    cuts = CutSet(load_range=(0.9 * nom, 1.1 * nom) if load_box else None)
+    inst = relax_binaries(apply_cuts(build_uc(case, nom), cuts))
+    report = eovl(inst)
+    assert oracle.matrix_test_exactness(inst, report.box, report.omega, 42) is None
+    labels = list(report.omega)
+    rng = np.random.default_rng(61)
+    for k in rng.choice(len(labels), size=min(4, len(labels)), replace=False):
+        label = labels[k]
+        for delta in (-1.0, 1.0):
+            moved = {**report.omega, label: report.omega[label] + delta}
+            failure = oracle.matrix_test_exactness(inst, report.box, moved, 42)
+            assert failure is not None and failure.startswith(f"{label} ")
+
+
 # --- gap verification ---
 
 

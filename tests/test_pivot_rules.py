@@ -99,9 +99,10 @@ def _random_tableau(rng):
     (-FEASIBILITY_TOL, -_PIVOT_TOL) band, and 0 or 1 rows."""
     m = int(rng.choice([0, 1, 1, 2, 3, 5, 8, 13]))
     ns = int(rng.integers(1, 9))
-    form = lp_module._StandardForm(np.zeros((m, ns)), np.zeros(m),
-                                   np.arange(ns), np.ones(ns), np.zeros(ns))
-    tab = lp_module._Tableau(form)
+    no_rows = np.zeros(0, dtype=int)
+    form = lp_module._StandardForm(np.zeros((m, ns)), np.arange(ns), np.ones(ns),
+                                   np.zeros(ns), no_rows, no_rows)
+    tab = lp_module._Tableau(form, np.zeros(m))
     labels = rng.permutation(ns + m)
     tab.basis[:] = labels[:m]
     tab.nonbasic[:] = labels[m:]

@@ -105,6 +105,12 @@ def test_predictor_config_validation():
     assert default_k(70) == 5 and default_k(71) == 3
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+def test_predictor_config_rejects_a_non_finite_epsilon(epsilon):
+    with pytest.raises(LpUsageError, match=f"got {epsilon}"):
+        PredictorConfig(epsilon=epsilon)
+
+
 def test_cost_bound_zero_distance_neighbor(cases):
     case = cases["nine_bus"]
     ds = generate_dataset(case, 0.4, 10, seed=5)
