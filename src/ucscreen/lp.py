@@ -39,25 +39,34 @@ count, the standard-form rhs b it was solved at, and a flag set when
 dual simplex proved the region empty.  A standard form
 (`_standard_form`) is a function of an LP's rows and bounds alone, and
 writes every bound row; its `b` maps an LP's rows, rhs and bounds to
-its b, the one place a b is computed.  Every LP begins from a `Start`:
-its standard form, the b it is solved at and an optional parent
-tableau, from which `Start._warm` makes the LP's tableau.  `Start.at`
-moves a start to another LP in the same form, at that LP's b.  A
-parent at the same b, a region's basis (`region_basis`) or an earlier
-LP's optimal tableau, is copied and phase 2 runs.  A parent at another
-b, a node's parent or a reference root, is copied and its rhs moved to
-b.  Without a parent the LP is cold: the slack basis of the form,
-A z <= b with z >= 0, which is dual feasible for any prices >= 0
-whatever the signs of b.  From either, dual simplex runs (Koberstein,
-2005; Chvatal, 1983), priced by the LP's costs, so a cold LP whose
-costs are >= 0 ends optimal; by ones when they are all 0, or, cold,
-when one is negative, and primal phase 2 follows with the real costs.
-An LP with every variable fixed gets a tableau with no column, whose
-dual simplex makes no pivot and checks b alone.  solve_lp leaves the
-final tableau on a start whose `keep` is set, and `iterations` is that
-tableau's count.  The caller picks each parent, so an LP's result
-depends on the order or the thread the LPs run in only if the caller's
-picks do.
+its b, the one place a b is computed, and its `fixed` gives a child's
+b, its parent's with one binary's two bound rows set, since the
+child's rows and rhs are its parent's.  Every LP begins from a
+`Start`: its standard form, the b it is solved at and an optional
+parent tableau, from which `Start._warm` makes the LP's tableau.
+`Start.at` moves a start to another LP in the same form, at that LP's
+b.  A parent at the same b, a region's basis (`region_basis`) or an
+earlier LP's optimal tableau, is copied and phase 2 runs.  A parent at
+another b, a node's parent or a reference root, is copied and its rhs
+moved to b along the moved rows' slack columns, gathered from their
+labels' positions.  Without a parent the LP is cold: the slack basis
+of the form, A z <= b with z >= 0, which is dual feasible for any
+prices >= 0 whatever the signs of b.  From either, dual simplex runs
+(Koberstein, 2005; Chvatal, 1983), priced by the LP's costs, so a cold
+LP whose costs are >= 0 ends optimal; by ones when they are all 0, or,
+cold, when one is negative, and primal phase 2 follows with the real
+costs.  Each LP is priced once: priced by the LP's own costs, dual
+simplex leaves the objective row, kept up by its pivots, that phase 2
+starts from, so only a start at its parent's b or priced at ones
+prices the real costs again.  So a branch-and-bound LP's work outside
+its pivots is one tableau copy, one pricing, the move of its rhs and
+the read-out, whose `np.add.at` runs only for a form that splits a
+free column.  An LP with every variable fixed gets a tableau with no
+column, whose dual simplex makes no pivot and checks b alone.
+solve_lp leaves the final tableau on a start whose `keep` is set, and
+`iterations` is that tableau's count.  The caller picks each parent,
+so an LP's result depends on the order or the thread the LPs run in
+only if the caller's picks do.
 
 The MILP solver runs best-first branch and bound on LP relaxations.  At
 a node whose LP optimum has a fractional binary it rounds every binary
@@ -239,7 +248,8 @@ class LpProblem:
     def with_objective(self, objective, sense: str = "min") -> "LpProblem":
         """This problem's rows, rhs and bounds under another objective and
         sense."""
-        objective = np.asarray(objective, dtype=float).ravel()
+        objective = np.asarray(objective, dtype=float)
+        objective = objective if objective.ndim == 1 else objective.ravel()
         if objective.size != self.n_vars:
             raise LpUsageError(f"objective has {objective.size} entries "
                                f"for {self.n_vars} variables")
@@ -302,34 +312,40 @@ class LpSolution:
 class MilpProblem:
     """An LpProblem plus indices of variables restricted to {0, 1}, each
     bounded by 0 or 1 on either side, so that a branch that fixes one at
-    0 or 1 stays within its bounds."""
+    0 or 1 stays within its bounds.  The indices, integers, distinct and
+    in range, are checked in one vectorized pass and kept in ascending
+    order."""
 
     lp: LpProblem
     binary_indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.binary_indices))
-        if len(set(idx)) != len(idx):
+        idx = np.asarray(self.binary_indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise LpUsageError(f"non-integer binary indices {self.binary_indices!r}")
+        idx = np.sort(idx.astype(np.int64), axis=None)
+        if np.count_nonzero(idx[1:] == idx[:-1]):
             raise LpUsageError("duplicate binary indices")
         n = self.lp.n_vars
-        for i in idx:
+        wrong = (idx < 0) | (idx >= n)
+        pairs = self.lp.bounds[idx[~wrong]]
+        wrong[~wrong] = ((pairs != 0.0) & (pairs != 1.0)).any(axis=1)
+        if np.count_nonzero(wrong):  # the lowest index that fails either check
+            i = idx[wrong.argmax()]
             if not 0 <= i < n:
                 raise LpUsageError(f"binary index {i} out of range for {n} variables")
-            lo, hi = self.lp.bounds[i]
-            if lo not in (0.0, 1.0) or hi not in (0.0, 1.0):
-                raise LpUsageError(
-                    f"binary variable {i} must have bounds 0 or 1, "
-                    f"got [{lo}, {hi}]"
-                )
-        self.binary_indices = idx
+            raise LpUsageError(f"binary variable {i} must have bounds 0 or 1, got "
+                               f"[{self.lp.bounds[i, 0]}, {self.lp.bounds[i, 1]}]")
+        self.binary_indices = tuple(idx.tolist())
 
 
 @dataclass
 class _StandardForm:
     """A z <= b, z >= 0 for LPs over y; y = base plus sign[k] * z[k]
-    added to y[var[k]] over the columns k (see `_standard_form`).  A's
-    rows are the LP's own, then z <= hi - base for each variable of
-    `upper` and -z <= base - lo for each of `lower`."""
+    added to y[var[k]] over the columns k (see `_standard_form`), two of
+    which share a variable only when `split`.  A's rows are the LP's
+    own, then z <= hi - base for each variable of `upper` and -z <= base
+    - lo for each of `lower`, which ascends."""
 
     A: np.ndarray
     var: np.ndarray
@@ -337,6 +353,7 @@ class _StandardForm:
     base: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
+    split: bool = False
 
     def b(self, lp: LpProblem) -> np.ndarray:
         """The b of `lp`, an LP whose rows and bounds this form fits."""
@@ -345,10 +362,21 @@ class _StandardForm:
                                bounds[:, 1][upper] - base[upper],
                                base[lower] - bounds[:, 0][lower]])
 
+    def fixed(self, b: np.ndarray, var: int, value: float) -> np.ndarray:
+        """A copy of `b`, an LP's b in this form, with `var`, a variable
+        of `lower`, fixed at `value`: its two bound rows read value - base
+        and base - value, as the method `b` writes them, and every other
+        entry is kept."""
+        out, n = b.copy(), self.lower.size
+        row = b.size - 2 * n + int(self.lower.searchsorted(var))
+        out[row], out[row + n] = value - self.base[var], self.base[var] - value
+        return out
+
 
 def _standard_form(rows, lo, hi, branch=()) -> _StandardForm:
     """Rewrite rows @ y <= rhs, lo <= y <= hi as A z <= b, z >= 0, for
-    any rhs and any bounds of the variables of `branch` within these.
+    any rhs and any bounds of the variables of `branch`, ascending,
+    within these.
 
     Columns follow the variables: none for a fixed y_j, +z shifted by a
     finite lower bound, -z mirrored at an upper bound when only that one
@@ -378,7 +406,7 @@ def _standard_form(rows, lo, hi, branch=()) -> _StandardForm:
     unit[np.arange(upper.size), first[upper]] = 1.0
     return _StandardForm(
         np.vstack([rows[:, var] * sign, unit, -unit[upper.size - lower.size:]]),
-        var, sign, base, upper, lower)
+        var, sign, base, upper, lower, bool(np.count_nonzero(free)))
 
 
 class _Tableau:
@@ -605,17 +633,24 @@ class _Tableau:
         self.infeasible = verdict == "infeasible"
         return verdict
 
-    def phase_two(self, c: np.ndarray) -> str:
-        """Minimize c'z from the current feasible basis, which is optimal
-        as it stands when there is no column."""
-        return self._iterate(self._zrow(c)) if self.ns else "optimal"
+    def phase_two(self, zrow: np.ndarray) -> str:
+        """Minimize from the current feasible basis, whose objective row
+        `zrow` is as `_zrow` returned it; optimal as it stands when there
+        is no column."""
+        return self._iterate(zrow) if self.ns else "optimal"
 
     def columns(self, labels: np.ndarray) -> np.ndarray:
-        """The full tableau's columns of `labels`: a basic variable's unit
-        vector, a nonbasic one's stored column."""
-        out = (self.basis[:, None] == labels).astype(float)
-        stored, at = np.nonzero(self.nonbasic[:, None] == labels)
-        out[:, at] = self.T[:, stored]
+        """The full tableau's columns of `labels`, gathered by each label's
+        position: a nonbasic one's stored column, a basic one's unit
+        vector."""
+        at = np.empty(self.n_labels, dtype=np.intp)  # ~row for a basic label
+        at[self.nonbasic], at[self.basis] = np.arange(self.ns), ~np.arange(self.m)
+        where = at[labels]
+        out = np.zeros((self.m, labels.size))
+        stored, basic = (where >= 0).nonzero()[0], (where < 0).nonzero()[0]
+        if stored.size:
+            out[:, stored] = self.T[:, where[stored]]
+        out[~where[basic], basic] = 1.0
         return out
 
     def row_duals(self, costs: np.ndarray, n_rows: int) -> np.ndarray:
@@ -682,27 +717,35 @@ class Start:
         self.region, self.parent = region, parent
         self.keep, self.tableau = keep, None
 
-    def at(self, region: LpProblem, parent) -> "Start":
+    def at(self, region: LpProblem, parent, b=None) -> "Start":
         """An unsolved start of this start's class and standard form over
         `region`, an LP with this start's rows and costs, any rhs, and
         bounds that differ only on the variables the form was given as
-        its `branch` (see `_standard_form`): at region's own b, from
+        its `branch` (see `_standard_form`): at `b`, region's own b,
+        which the form computes unless the caller passes it, from
         `parent`, or cold with None.  A MILP's roots from its reference,
         its final LPs from their commitment entries and its nodes'
-        children all start by this move."""
+        children all start by this move.  A child, at its parent's rhs,
+        passes its parent's b with one binary's two bound rows set
+        (`_StandardForm.fixed`), so that no child recomputes the rows'
+        part."""
         out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, region=region, b=self.form.b(region),
-                            parent=parent, tableau=None)
+        out.__dict__.update(self.__dict__, region=region, parent=parent, tableau=None,
+                            b=self.form.b(region) if b is None else b)
         return out
 
-    def _warm(self, problem: LpProblem, c: np.ndarray) -> _Tableau:
+    def _warm(self, problem: LpProblem, c: np.ndarray):
         """The LP's tableau for solve_lp, for `c`, the LP's costs as a
-        minimisation.  A parent at this b is copied, for phase 2 alone.  A
-        parent at another b is copied and its rhs moved to this b along
-        the full tableau's columns of the moved rows' slacks; without a
-        parent, the form's slack basis at b is built, a column-less one
-        included.  Either is dual feasible for prices >= 0 whatever the
-        signs of b, and dual simplex runs on it when it has rows.
+        minimisation, and the objective row phase 2 starts from, or None
+        when phase 2 is to price `c` afresh.  A parent at this b is
+        copied, for phase 2 alone.  A parent at another b is copied and
+        its rhs moved to this b along the full tableau's columns of the
+        moved rows' slacks; without a parent, the form's slack basis at b
+        is built, a column-less one included.  Either is dual feasible for
+        prices >= 0 whatever the signs of b, and dual simplex runs on it
+        when it has rows.  Priced by the LP's own costs, it ends at a
+        basis whose objective row, kept up by its pivots, phase 2 starts
+        from: the LP is priced once.
 
         The prices are the standard-form costs, or ones when those are
         all 0 and, cold, when one is negative.  Zero prices would tie
@@ -718,28 +761,26 @@ class Start:
                             (problem.bounds, r.bounds)):
             raise LpUsageError("LP start was built for a different region")
         if self.parent is not None and self.parent.b is self.b:
-            return self.parent.copy()
-        cost = c[self.form.var] * self.form.sign
+            return self.parent.copy(), None
+        cost = prices = c[self.form.var] * self.form.sign
         if self.parent is None:
             tab = _Tableau(self.form, self.b)
-            if np.any(cost < 0.0):
-                cost = np.ones(cost.size)
         else:
             tab = self.parent.copy()
             delta = self.b - tab.b
-            moved = np.nonzero(delta)[0]
+            moved = delta.nonzero()[0]
             tab.T[:, -1] += tab.columns(tab.ns + moved) @ delta[moved]
             tab.b = self.b
-        if not np.count_nonzero(cost):
-            cost = np.ones(cost.size)
+        if not np.count_nonzero(cost) or self.parent is None and np.any(cost < 0.0):
+            prices = np.ones(cost.size)
         if tab.m:
-            tab.dual_simplex(tab._zrow(cost))
-        return tab
+            tab.dual_simplex(tab._zrow(prices))
+        return tab, tab.z if tab.m and prices is cost else None
 
 
 def _minimisation(lp: LpProblem) -> LpProblem:
     """`lp` as a minimisation: its objective negated when it maximises."""
-    return lp.with_objective(-lp.objective if lp.sense == "max" else lp.objective)
+    return lp.with_objective(-lp.objective) if lp.sense == "max" else lp
 
 
 class NodeStart(Start):
@@ -769,11 +810,14 @@ class NodeStart(Start):
 
     def child(self, var: int, value: float) -> "NodeStart":
         """The start of this node's child with binary `var` fixed at
-        `value`, once solve_lp has solved this node."""
+        `value`, once solve_lp has solved this node: at this node's b
+        with `var`'s two bound rows set, since the rows and rhs are the
+        node's."""
         bounds = self.region.bounds.copy()
         bounds[var] = value
         bounds.flags.writeable = False
-        return self.at(self.region._with(bounds=bounds), self.tableau)
+        return self.at(self.region._with(bounds=bounds), self.tableau,
+                       self.form.fixed(self.b, var, value))
 
 
 class MilpReference:
@@ -850,24 +894,28 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
     one as its `tableau`, and `iterations` is its own pivot count.  An
     optimum of 0 is 0.0, never -0.0, in either sense.
     """
-    m = problem.n_rows
     flip = problem.sense == "max"
     c = -problem.objective if flip else problem.objective
 
     start = start or Start(problem)
-    tab = start._warm(problem, c)
+    tab, zrow = start._warm(problem, c)
     if start.keep:
         start.tableau = tab
     if tab.infeasible:
         return LpSolution("infeasible", None, None, iterations=tab.iterations)
 
     form = tab.form
-    if tab.phase_two(c[form.var] * form.sign) == "unbounded":
+    if zrow is None:
+        zrow = tab._zrow(c[form.var] * form.sign)
+    if tab.phase_two(zrow) == "unbounded":
         return LpSolution("unbounded", None, None, iterations=tab.iterations)
 
     xstd, zrow = tab.extract()
     point = form.base.copy()
-    np.add.at(point, form.var, form.sign * xstd[:tab.ns])
+    if form.split:
+        np.add.at(point, form.var, form.sign * xstd[:tab.ns])
+    else:
+        point[form.var] += form.sign * xstd[:tab.ns]
     if tab.by_bland:
         _check_rows(problem, point)
     obj = float(c @ point)
@@ -876,7 +924,7 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
         (-obj if flip else obj) + 0.0,  # + 0.0 makes a -0.0 optimum 0.0
         point,
         # Row duals are the reduced costs of the original rows' slack columns.
-        row_duals=np.maximum(zrow[tab.ns:tab.ns + m], 0.0),
+        row_duals=np.maximum(zrow[tab.ns:tab.ns + problem.n_rows], 0.0),
         iterations=tab.iterations,
     )
 
@@ -931,7 +979,10 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     `iterations` counts the pivots of every LP solved, that one
     included.  Every node but the root runs dual simplex from its
     parent's optimal tableau, to its optimum or to a proof that it is
-    empty.
+    empty: a copy of that tableau at the parent's b with the branched
+    binary's two bound rows set (`_StandardForm.fixed`), its rhs moved
+    along the one slack column whose b changed, priced once by the
+    node's costs for dual simplex and phase 2 alike.
 
     Without `reference`, the root and the final LP solve cold: each
     starts at its slack basis and runs dual simplex (`Start._warm`); when
@@ -945,8 +996,10 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
     own solve_lp call, whose pivots `iterations` leaves out, so that it
     counts the same pivots whichever MILP pays for it.  Raises
     LpUsageError when `reference` was built for other rows, bounds, costs
-    or binaries.
+    or binaries, or when `node_limit` is negative.
     """
+    if node_limit < 0:
+        raise LpUsageError(f"node limit must be >= 0, got {node_limit}")
     flip = problem.lp.sense == "max"
     root = NodeStart(problem) if reference is None else reference._start(problem)
     base = root.region
@@ -981,21 +1034,21 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
         if _no_better(val, best):
             continue
         vals = sol.point[bidx]
-        frac = np.abs(vals - np.round(vals)) > INTEGRALITY_TOL
-        if not frac.any():
+        frac = np.abs(vals - vals.round()) > INTEGRALITY_TOL
+        if not np.count_nonzero(frac):
             best = sol
             continue
         rounded = sol.point.copy()
         rounded[bidx] = vals > INTEGRALITY_TOL
         bad = _violated_rows(base, rounded)
-        if not bad.any():
+        if not np.count_nonzero(bad):
             cost = float(base.objective @ rounded)
             if not _no_better(cost, best):
                 best = LpSolution("optimal", cost, rounded)
             if _no_better(val, best):
                 continue
         needed = frac & (bin_rows[bad] != 0).any(axis=0)
-        if not needed.any():
+        if not np.count_nonzero(needed):
             needed = frac
         var = int(bidx[needed.argmax()])
         for v in (0.0, 1.0):  # down-branch first
@@ -1007,12 +1060,11 @@ def solve_milp(problem: MilpProblem, *, node_limit: int = 100_000,
                           nodes=nodes)
     commitment = best.point[bidx] > 0.5
     fixed = base.bounds.copy()
-    fixed[bidx] = commitment[:, None].astype(float)
+    fixed[bidx] = commitment[:, None]
     last = base.with_bounds(fixed)
-    if reference is None or _same_arrays((base.rhs, reference.base.rhs)):
-        final = solve_lp(last)
-    else:
-        final = solve_lp(last, reference._final(last, commitment.tobytes()))
+    cold = reference is None or _same_arrays((base.rhs, reference.base.rhs))
+    final = solve_lp(last, None if cold else
+                     reference._final(last, commitment.tobytes()))
     pivots += final.iterations
     if final.status == "optimal":
         best = final

@@ -19,8 +19,10 @@ instance derived from another keeps what it does not change:
 `relax_binaries`, a cut that only pins statuses, and `without_rows`
 share the parent's checked arrays, and the last two check only what
 they change, as `LpProblem.with_bounds` does.  `without_rows` makes no
-label map: an instance builds its own on its first label lookup.  A
-derivation that changes nothing returns the instance itself.
+label map: an instance builds its own on its first label lookup, and
+the instances with the same rows of one case share one rows array,
+kept in the case's store.  A derivation that changes nothing returns
+the instance itself.
 
 `solve_uc` starts the branch-and-bound root of an uncut fixed-load
 instance from the optimal root of its rows at the nominal load, one
@@ -40,6 +42,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -247,17 +250,22 @@ class UcInstance:
         """The instance less the rows `labels` name, or the instance
         itself when `labels` is empty; raises LpUsageError for a label
         that names no row.  The rows left need no check: they are rows
-        of this instance, with distinct labels."""
+        of this instance, with distinct labels.  Every instance with the
+        case's rows at the same positions shares one rows array, kept in
+        the case's store (see `_CaseModels`)."""
         if not labels:
             return self
         keep = np.ones(len(self.row_labels), dtype=bool)
         keep[self.rows_of(labels)] = False
-        kept = tuple(lb for lb, k in zip(self.row_labels, keep) if k)
+        kept = tuple(compress(self.row_labels, keep))
+        core = None if self._core is None else self._core[keep]
         rows, rhs = self.rows[keep], self.rhs[keep]
+        if core is not None:
+            rows = _case_models(self.case).rows.setdefault(core.tobytes(), rows)
         rows.flags.writeable = rhs.flags.writeable = False
         return self._with(rows=rows, rhs=rhs, row_labels=kept,
                           region=self.region._with(rows=rows, rhs=rhs),
-                          _core=None if self._core is None else self._core[keep])
+                          _core=core)
 
     def _with(self, **fields) -> "UcInstance":
         """This instance with `fields` replaced, made without
@@ -370,8 +378,11 @@ class _CaseModels:
     never be freed.  `references` holds one `MilpReference` per row set:
     the MILP of those rows at the nominal load, whose root every uncut
     MILP over the same rows starts from, and whose entry per commitment
-    every such MILP's final LP starts from (see `solve_uc`).  The key is
-    the bytes of the rows' positions among `nominal`'s rows."""
+    every such MILP's final LP starts from (see `solve_uc`).  `rows`
+    holds one read-only array of `nominal`'s rows per row set, which
+    every instance with those rows shares (see `without_rows`), so that
+    the reference's check of a MILP's rows meets the same array.  Either
+    key is the bytes of the rows' positions among `nominal`'s rows."""
 
     def __init__(self, case: GridCase):
         G = case.n_gens
@@ -383,6 +394,7 @@ class _CaseModels:
                                   tuple(range(G, 2 * G)), None, load)
         object.__setattr__(self.nominal, "_core", np.arange(rows.shape[0]))
         self.references: dict[bytes, MilpReference] = {}
+        self.rows: dict[bytes, np.ndarray] = {}
 
 
 # Each case's `_CaseModels`, freed with the case.
@@ -550,5 +562,5 @@ def solve_uc(inst: UcInstance) -> UcSolution:
         )
     point = sol.point
     dispatch = point[:G].copy()
-    commitment = tuple(int(round(point[G + g])) for g in range(G))
+    commitment = tuple(point[G:2 * G].round().astype(int).tolist())
     return UcSolution(commitment, dispatch, float(sol.objective_value))

@@ -631,6 +631,44 @@ def test_milp_guards():
             MilpProblem(lp3, (0,))
 
 
+_TWO_VARS = LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.5], bounds=[(0, 1), (0, 2)])
+
+
+@pytest.mark.parametrize("make, message", [
+    # A fraction, a bool or a string is no index, whatever int() makes of it.
+    (lambda: MilpProblem(_TWO_VARS, (0.5,)),
+     r"non-integer binary indices \(0.5,\)"),
+    (lambda: MilpProblem(_TWO_VARS, (True,)),
+     r"non-integer binary indices \(True,\)"),
+    (lambda: MilpProblem(_TWO_VARS, [0, "1"]),
+     r"non-integer binary indices \[0, '1'\]"),
+    (lambda: MilpProblem(_TWO_VARS, (0, 0)), "duplicate binary indices"),
+    (lambda: MilpProblem(_TWO_VARS, (2,)),
+     r"binary index 2 out of range for 2 variables"),
+    (lambda: MilpProblem(_TWO_VARS, (-1, 0)),
+     r"binary index -1 out of range for 2 variables"),
+    # The lowest failing index is named, whichever check it fails.
+    (lambda: MilpProblem(_TWO_VARS, (5, 1)),
+     r"binary variable 1 must have bounds 0 or 1, got \[0.0, 2.0\]"),
+    # A budget below 0 is a usage error, not a budget exhausted.
+    (lambda: solve_milp(MilpProblem(_TWO_VARS, (0,)), node_limit=-1),
+     "node limit must be >= 0, got -1"),
+], ids=["fraction", "bool", "string", "duplicate", "above", "negative",
+        "bounds", "node-limit"])
+def test_milp_usage_errors(make, message):
+    with pytest.raises(LpUsageError, match=f"^{message}$"):
+        make()
+
+
+def test_milp_problem_keeps_sorted_integer_indices():
+    for given in ((1, 0), [1, 0], np.array([1, 0], dtype=np.uint8), range(2)):
+        indices = MilpProblem(_TWO_VARS.with_bounds([(0, 1), (0, 1)]),
+                              given).binary_indices
+        assert indices == (0, 1) and all(type(i) is int for i in indices)
+    assert MilpProblem(_TWO_VARS, ()).binary_indices == ()
+    assert solve_milp(MilpProblem(_TWO_VARS, (0,)), node_limit=1).nodes == 1
+
+
 def test_pruning_keeps_every_node_until_the_first_incumbent():
     # With no incumbent no bound prunes a node, -inf and +inf included.
     for value in (-np.inf, -1e300, 0.0, 1e300, np.inf):
@@ -1182,6 +1220,7 @@ def test_child_fixes_one_bound_pair_and_its_two_bound_rows(cases):
                     bounds[other] = 1.0 - value
                     assert np.array_equal(grand.region.bounds, bounds)
                     assert grand.b.tobytes() == expected_b(bounds).tobytes()
+                assert node.b.tobytes() == root.form.b(node.region).tobytes()
                 with pytest.raises(LpUsageError):
                     solve_lp(region, node)  # the root's bounds, not the node's
                 # An unsolved parent leaves the child cold, at its own b.
@@ -1191,6 +1230,34 @@ def test_child_fixes_one_bound_pair_and_its_two_bound_rows(cases):
                 if cold.status == "optimal":
                     assert abs(mine.objective_value - cold.objective_value) \
                         <= 1e-9 * max(1.0, abs(cold.objective_value))
+
+
+def test_moved_roots_and_their_children_take_the_forms_b(cases):
+    # A root moved from its reference starts at its own b, and each
+    # child below it at its parent's b with two bound rows set.  Each is
+    # bit for bit what the form computes for the start's region.
+    rng = np.random.default_rng(47)
+    checked = 0
+    for prob in _bundled_milps(cases, per_case=1) + _random_milps(rng, 20):
+        lp = prob.lp
+        reference = MilpReference(prob)
+        for shift in (0.25, -0.5):
+            other = MilpProblem(LpProblem(lp.objective, lp.rows, lp.rhs + shift,
+                                          bounds=lp.bounds), prob.binary_indices)
+            root = reference._start(other)
+            assert root.b.tobytes() == root.form.b(root.region).tobytes()
+            if solve_lp(root.region, root).status != "optimal":
+                continue
+            for var in root.form.lower[:3]:
+                for value in (0.0, 1.0):
+                    node = root.child(var, value)
+                    assert node.b.tobytes() == node.form.b(node.region).tobytes()
+                    if solve_lp(node.region, node).status == "optimal":
+                        grand = node.child(root.form.lower[-1], 1.0 - value)
+                        assert (grand.b.tobytes()
+                                == grand.form.b(grand.region).tobytes())
+                    checked += 1
+    assert checked > 50
 
 
 def test_tree_rows_are_the_regions_then_the_capped_then_the_open_binaries():
@@ -1337,6 +1404,92 @@ def test_dual_ratio_ties_within_rounding_go_to_the_lowest_label():
     assert 0.1 / 0.3 != 1.0 / 3.0
     assert tab.dual_simplex(zrow) == "feasible"
     assert tab.basis.tolist() == [0]
+
+
+def test_moved_columns_gather_the_full_tableaus_columns():
+    # On random tableaux after random pivots, the full tableau's columns
+    # of any labels, in any order: a basic label's unit vector and a
+    # nonbasic one's stored column, as a brute-force build gives them.
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        form = lp_module._standard_form(rng.normal(size=(m, n)), np.zeros(n),
+                                        np.full(n, np.inf))
+        tab = lp_module._Tableau(form, rng.normal(size=m))
+        for _ in range(int(rng.integers(0, 6))):
+            row, col = int(rng.integers(m)), int(rng.integers(tab.ns))
+            if abs(tab.T[row, col]) > 0.1:
+                tab._pivot(row, col)
+        labels = rng.permutation(tab.n_labels)[:int(rng.integers(1, tab.n_labels + 1))]
+        if rng.random() < 0.5:
+            labels = labels[labels >= tab.ns]  # slacks only, as an rhs move has
+        brute = np.zeros((m, labels.size))
+        for j, label in enumerate(labels):
+            if label in tab.basis:
+                brute[list(tab.basis).index(label), j] = 1.0
+            else:
+                brute[:, j] = tab.T[:, list(tab.nonbasic).index(label)]
+        assert tab.columns(labels).tobytes() == brute.tobytes()
+
+
+def test_phase_two_from_the_dual_objective_row_matches_fresh_pricing(
+        cases, monkeypatch):
+    # Dual simplex priced by an LP's own costs ends at a basis whose
+    # objective row phase 2 starts from.  Priced afresh instead, every
+    # LP makes the same pivots to the same point, and its row duals
+    # differ in the last bits at most.
+    rng = np.random.default_rng(61)
+    problems = [(prob, None) for prob in
+                _bundled_milps(cases) + _random_milps(rng, 60)]
+    for prob in _random_milps(rng, 30):
+        lp = prob.lp
+        shifted = MilpProblem(LpProblem(lp.objective, lp.rows, lp.rhs + 0.25,
+                                        bounds=lp.bounds), prob.binary_indices)
+        problems.append((shifted, MilpReference(prob)))
+    flags = []
+    warm = lp_module.Start._warm
+
+    def counted(self, problem, c):
+        tab, zrow = warm(self, problem, c)
+        flags.append(zrow is not None)
+        return tab, zrow
+
+    def fresh(self, problem, c):
+        return warm(self, problem, c)[0], None
+
+    def run(start):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module.Start, "_warm", start)
+            calls = []
+            real = lp_module.solve_lp
+
+            def spy(problem, start=None):
+                sol = real(problem, start)
+                calls.append(sol)
+                return sol
+
+            patch.setattr(lp_module, "solve_lp", spy)
+            out = []
+            for prob, reference in problems:
+                if reference is not None:  # solve it afresh on each run
+                    reference.root, reference.commitments = None, {}
+                out.append(solve_milp(prob, node_limit=1_000, reference=reference))
+            return out, calls
+
+    mine, mine_lps = run(counted)
+    priced, priced_lps = run(fresh)
+    assert len(mine_lps) == len(priced_lps) == len(flags)
+    assert sum(flags) > 100
+    for a, b in zip(mine + mine_lps, priced + priced_lps):
+        assert (a.status, a.iterations, a.nodes) == (b.status, b.iterations, b.nodes)
+        assert repr(a.objective_value) == repr(b.objective_value)
+        if a.point is not None:
+            assert a.point.tobytes() == b.point.tobytes()
+        if a.row_duals is not None:
+            assert np.allclose(a.row_duals, b.row_duals, rtol=1e-12, atol=1e-12)
+    for flag, a, b in zip(flags, mine_lps, priced_lps):
+        if not flag and a.row_duals is not None:
+            assert a.row_duals.tobytes() == b.row_duals.tobytes()
 
 
 # --- roots started from a reference ---

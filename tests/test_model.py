@@ -689,3 +689,28 @@ def test_builds_share_the_case_rows_and_labels(cases):
     for name in ("rows", "rhs", "bounds", "cost"):
         assert np.array_equal(getattr(ranged, name), getattr(rechecked, name))
         assert not getattr(ranged, name).flags.writeable
+
+
+def test_reductions_share_the_rows_of_their_row_set(cases):
+    # Instances of one case reduced to the same rows share one rows
+    # array, so the reference's check of each load's MILP meets its own
+    # rows, bounds and costs, and compares only the right-hand side.
+    from ucscreen.lp import _minimisation
+    from ucscreen.model import _reference
+
+    case = cases["fourteen_bus"]
+    drop = [RowLabel("line_upper", 2), RowLabel("line_lower", 5)]
+    a, b = (build_uc(case, case.nominal_load * s).without_rows(drop)
+            for s in (1.0, 1.1))
+    assert a.rows is b.rows and not b.rows.flags.writeable
+    assert b.region.rows is b.rows and a.rhs is not b.rhs
+    checked = dataclasses.replace(b)
+    assert np.array_equal(b.rows, checked.rows)
+    assert b.without_rows([RowLabel("line_upper", 3)]).rows is not b.rows
+    other = build_uc(case, case.nominal_load).without_rows(drop[:1])
+    assert other.rows is not b.rows
+    mine, base = _reference(b).base, _minimisation(milp_problem(b).lp)
+    for name in ("rows", "bounds", "objective"):
+        assert getattr(mine, name) is getattr(base, name)
+    cold = solve_uc(checked).cost
+    assert abs(solve_uc(b).cost - cold) <= 1e-9 * max(1.0, abs(cold))
