@@ -64,7 +64,11 @@ the read-out, whose `np.add.at` runs only for a form that splits a
 free column.  An LP with every variable fixed gets a tableau with no
 column, whose dual simplex makes no pivot and checks b alone.
 solve_lp leaves the final tableau on a start whose `keep` is set, and
-`iterations` is that tableau's count.  The caller picks each parent,
+`iterations` is that tableau's count.  A start may carry a `Stop`: its
+LP, a maximisation, then tests each phase-2 basis from its
+_FIRST_STOP_PIVOT-th pivot against a limit, and ends "stopped" once the
+basis's reduced costs and row duals prove the maximum at most that
+limit, with the duals as the proof.  The caller picks each parent,
 so an LP's result depends on the order or the thread the LPs run in
 only if the caller's picks do.
 
@@ -126,6 +130,12 @@ _DUAL_TIE_RTOL = 1e-12
 # rule for the rest of the run.
 _STALL_LIMIT = 60
 _MAX_ITER = 100_000
+# A phase 2 with a `Stop` tests each basis it reaches from this pivot on.
+# The first pivots of a line-flow LP seldom reach a basis that certifies
+# its row, and a test costs a third of a pivot at the synth size: over the
+# benchmark's 48 synth S3 screens (seed 301), testing from the 1st pivot
+# makes 1,908 tests to save 545 pivots, from the 4th 614 to save 294.
+_FIRST_STOP_PIVOT = 4
 
 
 class LpUsageError(ValueError):
@@ -294,13 +304,17 @@ def lagrangian_bound(objectives: np.ndarray, y: np.ndarray, rows: np.ndarray,
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver verdict.  point/objective_value are None unless optimal.
+    """Solver verdict.  objective_value is None unless optimal, and point
+    None unless optimal or stopped.
 
     row_duals holds one multiplier (>= 0) per input row, taken from the
-    final simplex basis.
+    final simplex basis.  A "stopped" LP, a maximisation that its `Stop`
+    ended (see `Stop`), has the feasible point of its last basis and, as
+    row_duals, the multipliers that certify its maximum at most the
+    stop's limit.
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "stopped"
     objective_value: float | None
     point: np.ndarray | None
     row_duals: np.ndarray | None = None
@@ -337,6 +351,14 @@ class MilpProblem:
             raise LpUsageError(f"binary variable {i} must have bounds 0 or 1, got "
                                f"[{self.lp.bounds[i, 0]}, {self.lp.bounds[i, 1]}]")
         self.binary_indices = tuple(idx.tolist())
+
+    def _with(self, **fields) -> "MilpProblem":
+        """This MILP with `fields` replaced and no check: the caller
+        passes only fields that keep every check true, as an `lp` with
+        this one's bounds and variables."""
+        out = object.__new__(MilpProblem)
+        out.__dict__.update(self.__dict__, **fields)
+        return out
 
 
 @dataclass
@@ -593,16 +615,19 @@ class _Tableau:
             return int(row), int(cand[tied.argmax()])
         return int(row), self._lowest_label(cand[tied])
 
-    def _iterate(self, zrow: np.ndarray, dual: bool = False) -> str:
+    def _iterate(self, zrow: np.ndarray, dual: bool = False,
+                 stop: "Stop | None" = None) -> str:
         """Pivot until a verdict; `zrow` is the objective row as `_zrow`
         returned it, which the pivots update.
 
         Primal simplex lowers the objective and ends "optimal" or
-        "unbounded"; dual simplex, from a basis whose reduced costs are
-        >= 0, raises it and ends "feasible", which is optimal for the
-        costs priced, or "infeasible".  Either uses Dantzig's rule until
-        _STALL_LIMIT pivots in a row leave the objective where it was,
-        and Bland's rule from then on."""
+        "unbounded", or "stopped" when `stop` is met at a basis reached
+        after _FIRST_STOP_PIVOT pivots or more; dual simplex, from a
+        basis whose reduced costs are >= 0, raises it and ends
+        "feasible", which is optimal for the costs priced, or
+        "infeasible".  Either uses Dantzig's rule until _STALL_LIMIT
+        pivots in a row leave the objective where it was, and Bland's
+        rule from then on."""
         choose = self._dual_pivot if dual else self._primal_pivot
         sign = -1.0 if dual else 1.0  # progress raises sign * zrow[-1]
         stall = 0
@@ -611,6 +636,9 @@ class _Tableau:
         while True:
             if self.iterations > _MAX_ITER:
                 raise SimplexError("simplex iteration limit exceeded")
+            if (stop is not None and self.iterations >= _FIRST_STOP_PIVOT
+                    and stop.met(self, zrow)):
+                return "stopped"
             bland = bland or stall >= _STALL_LIMIT
             pick = choose(zrow, bland)
             if isinstance(pick, str):
@@ -633,16 +661,26 @@ class _Tableau:
         self.infeasible = verdict == "infeasible"
         return verdict
 
-    def phase_two(self, zrow: np.ndarray) -> str:
+    def phase_two(self, zrow: np.ndarray, stop: "Stop | None" = None) -> str:
         """Minimize from the current feasible basis, whose objective row
-        `zrow` is as `_zrow` returned it; optimal as it stands when there
-        is no column."""
-        return self._iterate(zrow) if self.ns else "optimal"
+        `zrow` is as `_zrow` returned it, to "optimal", "unbounded" or,
+        with `stop`, "stopped" (see `_iterate`); optimal as it stands when
+        there is no column."""
+        return self._iterate(zrow, stop=stop) if self.ns else "optimal"
 
     def columns(self, labels: np.ndarray) -> np.ndarray:
         """The full tableau's columns of `labels`, gathered by each label's
         position: a nonbasic one's stored column, a basic one's unit
-        vector."""
+        vector.  A single label, a branch-and-bound child's one moved
+        slack, is found by comparison, with no position map."""
+        if labels.size == 1:
+            out = np.zeros((self.m, 1))
+            row = self.basis == labels[0]
+            if np.count_nonzero(row):
+                out[row.argmax(), 0] = 1.0
+            else:
+                out[:, 0] = self.T[:, (self.nonbasic == labels[0]).argmax()]
+            return out
         at = np.empty(self.n_labels, dtype=np.intp)  # ~row for a basic label
         at[self.nonbasic], at[self.basis] = np.arange(self.ns), ~np.arange(self.m)
         where = at[labels]
@@ -652,6 +690,14 @@ class _Tableau:
             out[:, stored] = self.T[:, where[stored]]
         out[~where[basic], basic] = 1.0
         return out
+
+    def slack_duals(self, n_rows: int) -> np.ndarray:
+        """The reduced costs in `z`, clipped at 0, of the slacks of the
+        first `n_rows` rows: the row duals of this basis, which solve_lp
+        returns."""
+        z = np.zeros(self.n_labels)
+        z[self.nonbasic] = self.z[:-1]
+        return np.maximum(z[self.ns:self.ns + n_rows], 0.0)
 
     def row_duals(self, costs: np.ndarray, n_rows: int) -> np.ndarray:
         """Multipliers that this basis prices for each of the (K, n_vars)
@@ -667,14 +713,11 @@ class _Tableau:
         y[:, slack[q]] = np.maximum(-(full[:, self.basis] @ self.T)[:, q], 0.0)
         return y
 
-    def extract(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (standard-form solution, reduced costs), both over the
-        labels."""
+    def values(self) -> np.ndarray:
+        """The standard-form solution of this basis, over the labels."""
         x = np.zeros(self.n_labels)
         x[self.basis] = self.T[:, -1]
-        z = np.zeros(self.n_labels)
-        z[self.nonbasic] = self.z[:-1]
-        return x, z
+        return x
 
 
 def region_basis(region: LpProblem) -> _Tableau:
@@ -694,6 +737,76 @@ def _same_arrays(*pairs) -> bool:
     return all(a is b or np.array_equal(a, b) for a, b in pairs)
 
 
+class Stop:
+    """A verdict at which a maximisation over `region` inside the box
+    lower <= p <= upper may end before its optimum: that its maximum is at
+    most `limit` (Gleixner, Berthold, Muller & Weltge, 2017, early
+    termination of bound tightening).
+
+    One `Stop(form, region, lower, upper)` serves every LP over the region
+    solved in `form`, the standard form of their starts: it keeps each
+    label's upper bound over the box, U, a structural column's from its
+    variable's box side and a slack's b - (the box minimum of its row),
+    once.  `at(objective, limit)` gives one LP's stop, which its `Start`
+    carries.  Phase 2 then tests each basis it reaches from its
+    _FIRST_STOP_PIVOT-th pivot on with the reduced-cost bound
+
+        objective @ base + z[-1] - min(z, 0) @ U[nonbasic],
+
+    three numpy calls (U is gathered by the nonbasic labels at each test,
+    so that no pivot pays for keeping it), which bounds the maximum at
+    every point of the box, as every nonbasic label lies in [0, U].  When
+    that is at most `limit`, y, the clipped reduced costs of the region's
+    rows' slacks (`_Tableau.slack_duals`, which solve_lp returns as
+    row_duals), must also pass the Lagrangian box bound y @ rhs + the box
+    maximum of (objective - y @ rows), as `lagrangian_bound` gives it, in
+    one product y @ rows and the finite box's sign split, and the LP ends
+    "stopped".  y is then a certificate that checks on its own: any y >= 0
+    gives a valid bound, whatever the tableau's rounding.  In exact
+    arithmetic the Lagrangian bound is at most the reduced-cost one, as a
+    box maximum of a sum is at most the sum of the box maxima.
+    """
+
+    def __init__(self, form: _StandardForm, region: LpProblem,
+                 lower: np.ndarray, upper: np.ndarray):
+        if form.split or not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise LpUsageError("a stop needs a finite box and a form that "
+                               "splits no variable")
+        var, base, A = form.var, form.base[form.var], form.A
+        up = form.sign > 0
+        lo = np.where(up, lower[var] - base, base - upper[var])
+        hi = np.where(up, upper[var] - base, base - lower[var])
+        self.upper_bounds = np.concatenate(
+            [hi, form.b(region) - np.minimum(A * lo, A * hi).sum(axis=1)])
+        self.rows, self.rhs, self.box = region.rows, region.rhs, (lower, upper)
+        self.base = form.base
+        self.objective, self.limit, self.offset = None, np.inf, None
+
+    def at(self, objective: np.ndarray, limit: float) -> "Stop":
+        """The stop of the maximisation of `objective` over the region,
+        met once a basis proves its maximum at most `limit`."""
+        out = object.__new__(Stop)
+        out.__dict__.update(self.__dict__, objective=objective, limit=limit)
+        return out
+
+    def met(self, tab: "_Tableau", zrow: np.ndarray) -> bool:
+        """Whether the basis of `tab`, priced by `zrow` for the
+        maximisation as a minimisation, proves the maximum at most
+        `limit`, by the reduced-cost bound and then the Lagrangian one."""
+        if self.offset is None:  # objective @ base, on the LP's first test
+            self.offset = float(self.objective @ self.base)
+        value = self.offset + float(zrow[-1])  # the basis's own objective
+        if value > self.limit or (
+                value - np.minimum(zrow[:-1], 0.0) @ self.upper_bounds[tab.nonbasic]
+                > self.limit):
+            return False
+        y = tab.slack_duals(self.rows.shape[0])
+        residual = self.objective - y @ self.rows
+        lower, upper = self.box  # finite, so no 0 * inf
+        return (y @ self.rhs + np.maximum(residual * lower, residual * upper).sum()
+                <= self.limit)
+
+
 class Start:
     """Start of one LP over `region`: a standard form of its rows and
     bounds, the standard-form rhs `b` the LP is solved at, and `parent`,
@@ -707,15 +820,20 @@ class Start:
     makes the LP's tableau from either, or from the form's slack basis.
     With `keep`, solve_lp leaves the LP's final tableau in `tableau`, a
     later LP's parent once the caller has checked the LP was optimal;
-    without it, the tableau is freed when the solve returns.
+    without it, the tableau is freed when the solve returns.  With
+    `stop`, a `Stop.at` of this LP's objective over `region` in this
+    form, the LP, a maximisation, may end "stopped" in phase 2.
     """
 
-    def __init__(self, region: LpProblem, parent=None, keep: bool = False):
+    stop = None
+
+    def __init__(self, region: LpProblem, parent=None, keep: bool = False,
+                 stop: Stop | None = None):
         self.form = parent.form if parent is not None else _standard_form(
             region.rows, *region.bounds.T)
         self.b = parent.b if parent is not None else self.form.b(region)
         self.region, self.parent = region, parent
-        self.keep, self.tableau = keep, None
+        self.keep, self.tableau, self.stop = keep, None, stop
 
     def at(self, region: LpProblem, parent, b=None) -> "Start":
         """An unsolved start of this start's class and standard form over
@@ -892,12 +1010,19 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
     cold from `Start(problem)`.  Every LP has a tableau, one with every
     variable fixed included; a start whose `keep` is set gets the final
     one as its `tableau`, and `iterations` is its own pivot count.  An
-    optimum of 0 is 0.0, never -0.0, in either sense.
+    optimum of 0 is 0.0, never -0.0, in either sense.  A start with a
+    `stop` must be of a maximisation of the stop's objective, and its LP
+    may end "stopped": a proof, y in row_duals, that the maximum is at
+    most the stop's limit, at the feasible point of its last basis.
     """
     flip = problem.sense == "max"
     c = -problem.objective if flip else problem.objective
 
     start = start or Start(problem)
+    stop = start.stop
+    if stop is not None and not (flip and _same_arrays(
+            (problem.objective, stop.objective))):
+        raise LpUsageError("LP stop was made for another objective or sense")
     tab, zrow = start._warm(problem, c)
     if start.keep:
         start.tableau = tab
@@ -907,10 +1032,11 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
     form = tab.form
     if zrow is None:
         zrow = tab._zrow(c[form.var] * form.sign)
-    if tab.phase_two(zrow) == "unbounded":
+    verdict = tab.phase_two(zrow, stop)
+    if verdict == "unbounded":
         return LpSolution("unbounded", None, None, iterations=tab.iterations)
 
-    xstd, zrow = tab.extract()
+    xstd = tab.values()
     point = form.base.copy()
     if form.split:
         np.add.at(point, form.var, form.sign * xstd[:tab.ns])
@@ -918,13 +1044,16 @@ def solve_lp(problem: LpProblem, start: Start | None = None) -> LpSolution:
         point[form.var] += form.sign * xstd[:tab.ns]
     if tab.by_bland:
         _check_rows(problem, point)
+    duals = tab.slack_duals(problem.n_rows)
+    if verdict == "stopped":
+        return LpSolution("stopped", None, point, row_duals=duals,
+                          iterations=tab.iterations)
     obj = float(c @ point)
     return LpSolution(
         "optimal",
         (-obj if flip else obj) + 0.0,  # + 0.0 makes a -0.0 optimum 0.0
         point,
-        # Row duals are the reduced costs of the original rows' slack columns.
-        row_duals=np.maximum(zrow[tab.ns:tab.ns + problem.n_rows], 0.0),
+        row_duals=duals,
         iterations=tab.iterations,
     )
 

@@ -43,6 +43,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,9 +71,12 @@ class UcInfeasibleError(RuntimeError):
         self.aggregate = aggregate  # "capacity" or "network"
 
 
-@dataclass(frozen=True, order=True)
-class RowLabel:
-    """Stable identity of a model row, e.g. line_upper(3) or balance_le."""
+class RowLabel(NamedTuple):
+    """Stable identity of a model row, e.g. line_upper(3) or balance_le.
+
+    A named tuple, so that it hashes and compares as the tuple of its
+    fields, in C: a label equals `(kind, index)`, and labels order by
+    kind, then index."""
 
     kind: str
     index: int | None = None
@@ -396,6 +400,13 @@ class _CaseModels:
         self.references: dict[bytes, MilpReference] = {}
         self.rows: dict[bytes, np.ndarray] = {}
 
+    @cached_property
+    def milp(self) -> MilpProblem:
+        """`nominal`'s MILP, its binaries checked on first use, once per
+        case (see `milp_problem`)."""
+        return MilpProblem(self.nominal.lp(self.nominal.cost),
+                           self.nominal.binary_indices)
+
 
 # Each case's `_CaseModels`, freed with the case.
 _MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -503,8 +514,18 @@ class UcSolution:
 
 
 def milp_problem(inst: UcInstance) -> MilpProblem:
-    """MILP form of the instance over its rows and bounds."""
-    return MilpProblem(inst.lp(inst.cost), inst.binary_indices)
+    """MILP form of the instance over its rows and bounds.  An instance
+    with its case's nominal bounds, cost and binaries, as every load's
+    from `build_uc` and `without_rows` has, takes the binaries the case's
+    MILP checked once (`_CaseModels.milp`); any other is checked here."""
+    lp = inst.lp(inst.cost)
+    models = None if inst.case is None else _MODELS.get(inst.case)
+    if models is not None:
+        nominal = models.nominal
+        if (inst.bounds is nominal.bounds and inst.cost is nominal.cost
+                and inst.binary_indices is nominal.binary_indices):
+            return models.milp._with(lp=lp)
+    return MilpProblem(lp, inst.binary_indices)
 
 
 def _reference(inst: UcInstance) -> MilpReference | None:

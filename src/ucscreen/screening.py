@@ -45,6 +45,23 @@ report keeps its y, over the instance's rows and zero on the generation
 rows, as a certificate that one matrix-vector product checks.  It counts
 as a line-flow verdict, so `lp_count` and the attribution are unchanged.
 
+The line-flow LPs that the ensemble still solves run in rounds of
+LINE_ROUND rows, in candidate order, and the final point of each LP of a
+round, optimal or stopped, is a point of the projection: a later row
+that one of them meets within the margin is kept with no LP, as the bound
+pass's points keep rows above.  Each of these LPs also carries a stop
+(`lp.Stop`, the early termination of bound tightening; Gleixner,
+Berthold, Muller & Weltge, 2017): from its lp._FIRST_STOP_PIVOT-th pivot,
+each basis's reduced costs bound the row's maximum over the vertex box,
+and once that bound is at most b_j - FEASIBILITY_TOL and the basis's
+row duals pass the same Lagrangian box bound, the LP ends "stopped" with
+the row redundant and those duals, zero on the generation rows, as its
+certificate.  The stop shortens only redundant rows' LPs; the witnesses
+skip kept rows' LPs.  A stopped row is a line-flow verdict like any
+other, so `lp_count`, `n_v` and the attribution are unchanged, and
+`lp_solved` counts the LPs actually run.  Rounds, witnesses and stops,
+like every skip above, depend on the region alone, never on `jobs`.
+
 The ensemble also starts each LP it solves from the best vertex found
 so far (the warm start of the same bound-tightening work).  One `eovl`
 call keeps a vertex store: the optimal tableau of each distinct optimal
@@ -67,6 +84,7 @@ import contextlib
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -75,6 +93,7 @@ from ucscreen.lp import (
     LpUsageError,
     SimplexError,
     Start,
+    Stop,
     box_maximum,
     lagrangian_bound,
     solve_lp,
@@ -85,6 +104,11 @@ from ucscreen.model import RowLabel, UcInstance
 # A known point attains a bound's proven limit within this share of
 # max(1, |limit|).
 ATTAIN_RTOL = 1e-9
+# Line-flow LPs per round when the vertex pass ran: each round's final
+# points witness the later rows they meet, so a round of one would skip
+# the most LPs and a round of every row none.  On the benchmark's range
+# case, rounds of 4 and 8 solve 38 and 40 of 49 LPs.
+LINE_ROUND = 4
 
 
 class ScreeningInfeasibleError(RuntimeError):
@@ -127,8 +151,9 @@ class ScreeningReport:
 
     `lp_count` is the paper's count of screening LPs, `lp_solved` the
     simplex runs actually made (at most `lp_count`).  `certificates` maps
-    each row a Lagrangian box bound removed without its LP to the
-    multipliers y that certify it (see `lagrangian_certificates`)."""
+    each row a Lagrangian box bound removed without its LP, or whose LP
+    its stop ended (see `lfgs_screen`), to the multipliers y that certify
+    it (see `lagrangian_certificates`)."""
 
     candidates: tuple[RowLabel, ...]
     redundant: tuple[RowLabel, ...]
@@ -163,7 +188,7 @@ class _Vertices:
         self.points = np.empty((0, inst.n_cols))
         self.tableaux: list = []
 
-    def start(self, problem, keep: bool = False) -> Start:
+    def start(self, problem, keep: bool = False, stop: Stop | None = None) -> Start:
         """A start at the stored vertex whose point scores best on the
         problem's objective, the earliest among ties; at the projection's
         feasible basis while the store is empty, whose own LP runs here,
@@ -174,7 +199,7 @@ class _Vertices:
             vertex = self.tableaux[best]
         else:
             vertex = self.inst.region_basis
-        return Start(self.inst.projection, vertex, keep)
+        return Start(self.inst.projection, vertex, keep, stop)
 
     def add(self, sol, start: Start) -> None:
         """Store the final tableau of a kept start whose LP reached an
@@ -186,13 +211,15 @@ class _Vertices:
 
 
 def _solve_many(vertices: _Vertices, problems, pool: Executor | None,
-                keep: bool = False):
+                keep: bool = False, stops=None):
     """Solve LPs over the store's projection, each from its best stored
-    vertex, on `pool` when one is given.  With `keep`, the LPs' optimal
-    vertices join the store afterwards, in input order.  Starts are
-    picked before any LP runs, and results are in input order, so
-    nothing depends on the schedule."""
-    starts = [vertices.start(p, keep) for p in problems]
+    vertex, on `pool` when one is given, each with its stop of `stops`
+    when given.  With `keep`, the LPs' optimal vertices join the store
+    afterwards, in input order.  Starts are picked before any LP runs,
+    and results are in input order, so nothing depends on the
+    schedule."""
+    starts = [vertices.start(p, keep, stop)
+              for p, stop in zip(problems, stops or [None] * len(problems))]
     if pool is None or len(problems) <= 1:
         solutions = [solve_lp(p, st) for p, st in zip(problems, starts)]
     else:
@@ -310,7 +337,8 @@ def vgs_screen(inst: UcInstance, box: BoundsBox) -> ScreeningReport:
 
 def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None,
                 pool: Executor | None = None,
-                vertices: _Vertices | None = None) -> ScreeningReport:
+                vertices: _Vertices | None = None,
+                box: BoundsBox | None = None) -> ScreeningReport:
     """Line-flow-guided pass: per candidate, maximize the row over the
     instance's projection, where its maximum is the region's, and compare
     against its bound with the strict margin.
@@ -326,54 +354,84 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
     that scores best on its row (`vertices`, read only), or from the
     projection's feasible basis when that store is None or empty.
 
+    Without `box` every LP runs to its optimum, all at once, as S2's do.
+    With `box`, the vertex pass's, the LPs run in rounds of LINE_ROUND in
+    candidate order, and each carries a `lp.Stop` over the box at its
+    row's limit less the margin.  An LP whose basis proves its row
+    redundant ends there, "stopped", and its multipliers y, over the
+    instance's rows and zero on the generation rows, go into the report's
+    `certificates`.  A later candidate that the final point of an LP of a
+    round meets within the margin (`_unwitnessed`) is kept with no LP of
+    its own.  Rounds, stops and witnesses depend on the region alone,
+    never on `pool`.  `lp_count` stays one LP per candidate, and
+    `lp_solved` counts the LPs solved.
+
     Since each LP keeps its own row, its maximum is at most b_j: a status
-    other than optimal or infeasible is a solver fault, and raises
-    SimplexError."""
+    other than optimal, stopped or infeasible is a solver fault, and
+    raises SimplexError."""
     if candidates is None:
         candidates = inst.candidates
     for lb in candidates:
         if not lb.is_line:
             raise LpUsageError(f"screening candidate {lb} is not a line row")
     t0 = time.perf_counter()
-    idx = inst.rows_of(candidates)
-    problems = [inst.projection.with_objective(a, "max")
-                for a in inst.rows[idx]]
     if vertices is None:
         vertices = _Vertices(inst)
-    solutions = _solve_many(vertices, problems, pool)
-    redundant = []
-    for lb, sol, bound in zip(candidates, solutions, inst.rhs[idx]):
-        if sol.status == "infeasible":
-            raise ScreeningInfeasibleError(
-                f"screening LP for {lb} infeasible; relaxed region is empty")
-        if sol.status != "optimal":
-            raise SimplexError(
-                f"screening LP for {lb} ended {sol.status}, but its own row "
-                "bounds its maximum")
-        if sol.objective_value <= bound - FEASIBILITY_TOL:
-            redundant.append(lb)
+    region = inst.projection
+    stop = None if box is None else Stop(inst.region_basis.form, region,
+                                         box.lower, box.upper)
+    size = LINE_ROUND if box is not None else max(len(candidates), 1)
+    idx = inst.rows_of(candidates)
+    rows, limits = inst.rows[idx], inst.rhs[idx] - FEASIBILITY_TOL
+    objectives, row_limits = list(rows), limits.tolist()
+    redundant, certificates, solved = [], {}, 0
+    todo = list(range(len(candidates)))  # positions in `candidates`
+    while todo:
+        batch, todo = todo[:size], todo[size:]
+        stops = None if stop is None else [stop.at(objectives[k], row_limits[k])
+                                           for k in batch]
+        solutions = _solve_many(
+            vertices, [region.with_objective(objectives[k], "max") for k in batch],
+            pool, stops=stops)
+        solved += len(batch)
+        for k, sol in zip(batch, solutions):
+            lb = candidates[k]
+            if sol.status == "infeasible":
+                raise ScreeningInfeasibleError(
+                    f"screening LP for {lb} infeasible; relaxed region is empty")
+            if sol.status == "stopped":
+                y = certificates[lb] = np.zeros(inst.rows.shape[0])
+                y[inst.projected_rows] = sol.row_duals
+            elif sol.status != "optimal":
+                raise SimplexError(
+                    f"screening LP for {lb} ended {sol.status}, but its own row "
+                    "bounds its maximum")
+            if sol.status == "stopped" or sol.objective_value <= row_limits[k]:
+                redundant.append(lb)
+        if stop is not None and todo:
+            kept = _unwitnessed(rows, limits,
+                                np.array([sol.point for sol in solutions]))
+            todo = list(compress(todo, kept[todo].tolist()))
     return ScreeningReport(
         candidates=tuple(candidates),
         redundant=tuple(redundant),
         lp_count=len(candidates),
-        lp_solved=len(candidates),
+        lp_solved=solved,
         wall_times={"lfgs": time.perf_counter() - t0},
         attribution={lb: "lfgs" for lb in redundant},
+        certificates=certificates,
     )
 
 
-def _unwitnessed(inst: UcInstance, points: np.ndarray,
-                 candidates: tuple[RowLabel, ...]) -> tuple[RowLabel, ...]:
-    """The candidates that no point of the projection proves kept.  A
-    point p with rows[j] @ p > rhs[j] - FEASIBILITY_TOL proves row j
-    kept: the row's maximum over the region is at least rows[j] @ p, as
-    the row reads no status."""
-    if not (len(points) and candidates):
-        return candidates
-    idx = inst.rows_of(candidates)
-    best = np.max(inst.rows[idx] @ points.T, axis=1)
-    witnessed = best > inst.rhs[idx] - FEASIBILITY_TOL
-    return tuple(lb for lb, w in zip(candidates, witnessed) if not w)
+def _unwitnessed(rows: np.ndarray, limits: np.ndarray,
+                 points: np.ndarray) -> np.ndarray:
+    """Mask of the (K, n) `rows` that no point of the projection proves
+    kept.  A point p with rows[j] @ p > limits[j], the row's rhs less
+    FEASIBILITY_TOL, proves row j kept: the row's maximum over the region
+    is at least rows[j] @ p, as the row reads no status."""
+    if not (len(points) and len(rows)):
+        return np.ones(len(rows), dtype=bool)
+    return np.max(rows @ points.T, axis=1) <= limits
 
 
 def balance_multiplier(rows: np.ndarray, balance: np.ndarray, total: float,
@@ -465,10 +523,13 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
     (undecided rows are conservatively kept), lfgs-only realizes S2, which
     solves every candidate's LP.  With both on, an undecided row that an
     optimal point of the bound pass proves kept gets no LP, and neither
-    does one that `lagrangian_certificates` proves redundant.
-    The result is the vertex pass's report with the line-flow pass
-    folded in; it carries the box whenever the vertex pass ran.  With
-    `jobs` > 1 both passes run their LPs on one pool of that many threads.
+    does one that `lagrangian_certificates` proves redundant.  The rows
+    left get their LPs in rounds over the vertex box, where earlier
+    rounds' points witness later rows and a stop ends an LP whose basis
+    certifies its row (see `lfgs_screen`).  The result is the vertex
+    pass's report with the line-flow pass folded in, its certificates
+    too; it carries the box whenever the vertex pass ran.  With `jobs`
+    > 1 both passes run their LPs on one pool of that many threads.
 
     Both passes solve their LPs over the instance's projection and share
     one vertex store, which the bound pass fills and the line-flow pass
@@ -494,12 +555,16 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
             t0 = time.perf_counter()
             rest = undecided
             if report.box is not None:
-                rest = _unwitnessed(inst, vertices.points, undecided)
+                idx = inst.rows_of(undecided)
+                rest = tuple(compress(undecided, _unwitnessed(
+                    inst.rows[idx], inst.rhs[idx] - FEASIBILITY_TOL,
+                    vertices.points)))
                 report.certificates = lagrangian_certificates(
                     inst, report.box, rest, vertices)
                 rest = tuple(lb for lb in rest
                              if lb not in report.certificates)
-            part = lfgs_screen(inst, rest, pool, vertices)
+            part = lfgs_screen(inst, rest, pool, vertices, report.box)
+            report.certificates.update(part.certificates)
             report.attribution.update(
                 (lb, "lfgs") for lb in report.certificates)
             report.attribution.update(part.attribution)

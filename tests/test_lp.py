@@ -21,6 +21,7 @@ from ucscreen.lp import (
     NodeLimitExceeded,
     NodeStart,
     Start,
+    Stop,
     lagrangian_bound,
     region_basis,
     solve_lp,
@@ -135,9 +136,9 @@ def _spy_cold_starts(monkeypatch):
         record["dual"].append(verdict)
         return verdict
 
-    def counted_phase_two(self, c):
+    def counted_phase_two(self, c, stop=None):
         before = self.iterations
-        status = phase_two(self, c)
+        status = phase_two(self, c, stop)
         record["primal"].append(self.iterations - before)
         return status
 
@@ -1410,6 +1411,8 @@ def test_moved_columns_gather_the_full_tableaus_columns():
     # On random tableaux after random pivots, the full tableau's columns
     # of any labels, in any order: a basic label's unit vector and a
     # nonbasic one's stored column, as a brute-force build gives them.
+    # Every single label, a child's one moved slack, too, each gathered
+    # with no position map.
     rng = np.random.default_rng(59)
     for _ in range(200):
         m, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
@@ -1430,6 +1433,13 @@ def test_moved_columns_gather_the_full_tableaus_columns():
             else:
                 brute[:, j] = tab.T[:, list(tab.nonbasic).index(label)]
         assert tab.columns(labels).tobytes() == brute.tobytes()
+        for label in range(tab.n_labels):
+            one = np.zeros((m, 1))
+            if label in tab.basis:
+                one[list(tab.basis).index(label), 0] = 1.0
+            else:
+                one[:, 0] = tab.T[:, list(tab.nonbasic).index(label)]
+            assert tab.columns(np.array([label])).tobytes() == one.tobytes()
 
 
 def test_phase_two_from_the_dual_objective_row_matches_fresh_pricing(
@@ -1560,3 +1570,84 @@ def test_reference_rejects_other_rows_bounds_costs_or_binaries():
     mine = solve_milp(shifted, reference=reference)
     assert reference.root
     assert mine.objective_value == solve_milp(shifted).objective_value == -2.5
+
+
+# --- stopped maximisations ---
+
+
+def _boxed_maximisation(rng):
+    """max c @ y over A y <= b, 0 <= y <= hi, with b >= 0 so that 0 is
+    feasible, and c >= 0."""
+    m, n = int(rng.integers(3, 12)), int(rng.integers(2, 8))
+    A = rng.normal(size=(m, n))
+    b = rng.uniform(0.5, 3.0, size=m)
+    hi = rng.uniform(1.0, 4.0, size=n)
+    bounds = np.column_stack([np.zeros(n), hi])
+    return LpProblem(rng.uniform(0.1, 2.0, size=n), A, b, bounds=bounds,
+                     sense="max")
+
+
+def test_stop_certifies_only_a_maximum_at_most_its_limit(monkeypatch):
+    # On random maximisations inside their bound box, the reduced-cost
+    # bound that each tested basis gives is at least the optimum, a stop
+    # comes no earlier than the first tested pivot, and a stopped LP's
+    # row duals pass the Lagrangian bound at the limit, at a feasible
+    # point, while its cold optimum is at most the limit.
+    tested = []
+    met = Stop.met
+
+    def spy(self, tab, zrow):
+        bound = (self.objective @ self.base + zrow[-1] - np.minimum(zrow[:-1], 0.0)
+                 @ self.upper_bounds[tab.nonbasic])
+        tested.append((bound, tab.iterations))
+        return met(self, tab, zrow)
+
+    monkeypatch.setattr(Stop, "met", spy)
+    rng = np.random.default_rng(67)
+    counts = {"optimal": 0, "stopped": 0}
+    for _ in range(300):
+        problem = _boxed_maximisation(rng)
+        cold = solve_lp(problem)
+        assert cold.status == "optimal"
+        best = cold.objective_value
+        limit = best + rng.uniform(-0.3, 0.3) * max(1.0, abs(best))
+        start = Start(problem)
+        lower, upper = problem.bounds.T
+        start.stop = Stop(start.form, problem, lower, upper).at(
+            problem.objective, limit)
+        tested.clear()
+        sol = solve_lp(problem, start)
+        counts[sol.status] += 1
+        for bound, pivots in tested:
+            assert bound >= best - 1e-9 * max(1.0, abs(best))
+            assert pivots >= lp_module._FIRST_STOP_PIVOT
+        if sol.status == "optimal":
+            assert sol.objective_value == best and sol.iterations == cold.iterations
+            continue
+        assert sol.status == "stopped" and sol.objective_value is None
+        assert best <= limit and sol.iterations <= cold.iterations
+        y = sol.row_duals
+        assert y.shape == (problem.n_rows,) and np.all(y >= 0)
+        assert lagrangian_bound(problem.objective[None], y[None], problem.rows,
+                                problem.rhs, lower, upper)[0] <= limit
+        assert np.all(problem.rows @ sol.point <= problem.rhs + 1e-9)
+        assert np.all((sol.point >= -1e-12) & (sol.point <= upper + 1e-12))
+    assert counts["stopped"] >= 10 and counts["optimal"] >= 10
+
+
+def test_stop_usage_errors():
+    rng = np.random.default_rng(71)
+    problem = _boxed_maximisation(rng)
+    lower, upper = problem.bounds.T
+    form = Start(problem).form
+    stop = Stop(form, problem, lower, upper)
+    for other in (problem.with_objective(problem.objective),  # a minimisation
+                  problem.with_objective(problem.objective + 1.0, "max")):
+        start = Start(other, stop=stop.at(problem.objective, 0.0))
+        with pytest.raises(LpUsageError, match="stop"):
+            solve_lp(other, start)
+    with pytest.raises(LpUsageError, match="finite box"):
+        Stop(form, problem, lower, np.full(upper.size, np.inf))
+    free = problem.with_bounds(None)
+    with pytest.raises(LpUsageError, match="splits"):
+        Stop(Start(free).form, free, lower, upper)

@@ -468,6 +468,68 @@ def test_row_label_parse_roundtrip():
         assert RowLabel.parse(str(lb)) == lb
 
 
+def test_row_labels_hash_and_order_as_their_fields():
+    # str and parse round-trip both ways; equal labels hash alike; a
+    # label equals the plain tuple of its fields; labels order by kind,
+    # then index.
+    labels = [RowLabel("line_upper", 3), RowLabel("line_upper", 12),
+              RowLabel("balance_le"), RowLabel("line_lower", 0),
+              RowLabel("gen_upper", 2), RowLabel("cost_cut")]
+    for lb in labels:
+        text = str(lb)
+        assert str(RowLabel.parse(text)) == text
+        again = RowLabel.parse(f" {text} ")
+        assert again == lb and hash(again) == hash(lb)
+        assert lb == (lb.kind, lb.index) and hash(lb) == hash((lb.kind, lb.index))
+        assert again is not lb and {again: 1}[lb] == 1
+    assert str(RowLabel("line_upper", 3)) == "line_upper(3)"
+    assert str(RowLabel("balance_le")) == "balance_le"
+    assert RowLabel("line_upper", 3).is_line and RowLabel("line_lower", 0).is_line
+    assert not RowLabel("balance_le").is_line
+    indexed = [lb for lb in labels if lb.index is not None]
+    assert sorted(indexed) == [RowLabel("gen_upper", 2), RowLabel("line_lower", 0),
+                               RowLabel("line_upper", 3), RowLabel("line_upper", 12)]
+    assert RowLabel("line_upper", 3) < RowLabel("line_upper", 12)
+    assert len({RowLabel("a", 1), RowLabel("a", 1), RowLabel("a")}) == 2
+
+
+def test_milp_problem_checks_a_cases_binaries_once(monkeypatch):
+    # Every load's MILP of one case, reduced or not, equals the checked
+    # constructor's field for field, and only the first one runs the
+    # check; an instance with other binaries or bounds is checked, and
+    # bad binaries still raise.
+    case = load_bundled_case("fourteen_bus")  # a case with a fresh store
+    checks = []
+    post_init = lp_module.MilpProblem.__post_init__
+
+    def counted(self):
+        checks.append(self.binary_indices)
+        post_init(self)
+
+    monkeypatch.setattr(lp_module.MilpProblem, "__post_init__", counted)
+    drop = [RowLabel("line_upper", 2)]
+    for scale in (1.0, 1.05, 0.95):
+        for inst in (build_uc(case, case.nominal_load * scale),
+                     build_uc(case, case.nominal_load * scale).without_rows(drop)):
+            mine = milp_problem(inst)
+            checked = lp_module.MilpProblem(inst.lp(inst.cost), inst.binary_indices)
+            assert mine.binary_indices == checked.binary_indices
+            assert type(mine.binary_indices) is tuple
+            for name in ("objective", "rows", "rhs", "bounds"):
+                assert np.array_equal(getattr(mine.lp, name),
+                                      getattr(checked.lp, name)), name
+            assert mine.lp.sense == checked.lp.sense
+    assert len(checks) == 1 + 6  # the case's once, then the six checked above
+    inst = build_uc(case, case.nominal_load)
+    fixed = apply_cuts(inst, CutSet(commitment_fixes=((0, 1),)))
+    checks.clear()
+    milp_problem(fixed)
+    assert len(checks) == 1
+    for bad in ((0.5,), (inst.n_cols,), (0,)):
+        with pytest.raises(LpUsageError):
+            milp_problem(inst._with(binary_indices=bad))
+
+
 # --- branch-and-bound references ---
 
 

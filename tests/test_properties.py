@@ -58,7 +58,7 @@ def regions(draw):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(regions())
 def test_skips_keep_every_verdict(inst):
-    s3 = screen_checking_skips(inst)
+    s3, _ = screen_checking_skips(inst)
     s2 = eovl(inst, use_vgs=False)
     assert set(s3.redundant) == set(s2.redundant)
     assert s3.lp_solved <= s3.lp_count
@@ -178,3 +178,45 @@ def test_projection_screens_like_the_full_region():
             build_uc(case, load),
             CutSet(load_range=((1 - beta) * load, (1 + beta) * load)))))
     assert sum(_screen_matches_the_full_region(inst) for inst in regions) > 0
+
+
+def _line_flow_regions():
+    """The range case at its nominal load and over its +-20% load box,
+    and four benchmark synth cases at seed 301: cases whose line-flow
+    LPs run long enough to stop, with rows left to witness."""
+    doc = gen.ring_chord_case((2,), n_buses=30, n_chords=15, n_gens=14,
+                              beta=0.2, tight_share=0.25, name="range")
+    case = parse_case(json.dumps(doc))
+    load = case.nominal_load
+    full = build_uc(case, load)
+    regions = [relax_binaries(full), relax_binaries(apply_cuts(
+        full, CutSet(load_range=(0.8 * load, 1.2 * load))))]
+    for i in range(4):
+        doc = gen.ring_chord_case((301, i), n_buses=24, n_chords=12, n_gens=8,
+                                  beta=0.2, tight_share=0.25, name="synth")
+        case = parse_case(json.dumps(doc))
+        regions.append(relax_binaries(build_uc(case, case.nominal_load)))
+    return regions
+
+
+def test_line_flow_rounds_witness_and_stop():
+    # Every engine decides some candidate: the line-flow pass witnesses
+    # later rows with its rounds' points and stops LPs at a certificate,
+    # and the sets, lp_count and certificates equal those of S2 and of
+    # --jobs 2 (see `screen_checking_skips`).  A stopped LP's cold
+    # optimum is at most its limit (`screen_checking_vertex_starts`).
+    seen = set()
+    for inst in _line_flow_regions():
+        s3, engines = screen_checking_skips(inst)
+        seen.update(engines.values())
+        s2 = eovl(inst, use_vgs=False)
+        assert s3.redundant == s2.redundant and s3.lp_count > s3.lp_solved
+        two = eovl(inst, jobs=2)
+        assert (two.redundant, two.lp_count, two.lp_solved) == (
+            s3.redundant, s3.lp_count, s3.lp_solved)
+        assert list(two.certificates) == list(s3.certificates)
+        assert all(two.certificates[lb].tobytes() == y.tobytes()
+                   for lb, y in s3.certificates.items())
+        screen_checking_vertex_starts(inst)
+    assert seen == {"vgs", "bound witness", "certificate", "line witness",
+                    "stopped", "optimum"}

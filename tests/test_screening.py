@@ -591,7 +591,7 @@ def test_warm_screening_matches_cold_solves(cases, name, scheme):
 @pytest.mark.parametrize("name", CORPUS + ("negcontrol",))
 def test_skipped_lps_match_cold_verdicts(cases, name, scheme):
     inst = _region(cases[name], scheme)
-    s3 = screen_checking_skips(inst)
+    s3, _ = screen_checking_skips(inst)
     assert set(s3.redundant) == set(eovl(inst, use_vgs=False).redundant)
 
 
