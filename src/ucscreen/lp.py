@@ -199,6 +199,16 @@ def check_finite(vector: np.ndarray, name: str) -> None:
         raise LpUsageError(f"{name} entry {i} is {what}")
 
 
+def unchecked_copy(obj, **fields):
+    """A copy of `obj`, of its class, with `fields` replaced, made without
+    its constructor and so without its checks: the caller passes only
+    fields that keep them true."""
+    out = object.__new__(type(obj))
+    # A frozen dataclass refuses `out.__dict__ = ...`.
+    object.__setattr__(out, "__dict__", obj.__dict__ | fields)
+    return out
+
+
 def _checked_sense(sense: str) -> str:
     if sense not in ("min", "max"):
         raise LpUsageError(f"sense must be 'min' or 'max', got {sense!r}")
@@ -270,10 +280,7 @@ class LpProblem:
         """This problem with other variable bounds."""
         return self._with(bounds=_checked_bounds(bounds, self.n_vars))
 
-    def _with(self, **fields) -> "LpProblem":
-        out = object.__new__(LpProblem)
-        out.__dict__.update(self.__dict__, **fields)
-        return out
+    _with = unchecked_copy
 
 
 def box_maximum(rows: np.ndarray, lower: np.ndarray,
@@ -352,13 +359,9 @@ class MilpProblem:
                                f"[{self.lp.bounds[i, 0]}, {self.lp.bounds[i, 1]}]")
         self.binary_indices = tuple(idx.tolist())
 
-    def _with(self, **fields) -> "MilpProblem":
-        """This MILP with `fields` replaced and no check: the caller
-        passes only fields that keep every check true, as an `lp` with
-        this one's bounds and variables."""
-        out = object.__new__(MilpProblem)
-        out.__dict__.update(self.__dict__, **fields)
-        return out
+    # The caller passes only fields that keep every check true, as an
+    # `lp` with this MILP's bounds and variables.
+    _with = unchecked_copy
 
 
 @dataclass
@@ -785,9 +788,7 @@ class Stop:
     def at(self, objective: np.ndarray, limit: float) -> "Stop":
         """The stop of the maximisation of `objective` over the region,
         met once a basis proves its maximum at most `limit`."""
-        out = object.__new__(Stop)
-        out.__dict__.update(self.__dict__, objective=objective, limit=limit)
-        return out
+        return unchecked_copy(self, objective=objective, limit=limit)
 
     def met(self, tab: "_Tableau", zrow: np.ndarray) -> bool:
         """Whether the basis of `tab`, priced by `zrow` for the
@@ -847,10 +848,8 @@ class Start:
         passes its parent's b with one binary's two bound rows set
         (`_StandardForm.fixed`), so that no child recomputes the rows'
         part."""
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, region=region, parent=parent, tableau=None,
-                            b=self.form.b(region) if b is None else b)
-        return out
+        return unchecked_copy(self, region=region, parent=parent, tableau=None,
+                              b=self.form.b(region) if b is None else b)
 
     def _warm(self, problem: LpProblem, c: np.ndarray):
         """The LP's tableau for solve_lp, for `c`, the LP's costs as a

@@ -57,6 +57,7 @@ from ucscreen.lp import (
     region_basis,
     solve_lp,
     solve_milp,
+    unchecked_copy,
 )
 
 LINE_ROW_KINDS = ("line_upper", "line_lower")
@@ -279,8 +280,7 @@ class UcInstance:
         them.  The cached `projection` and `region_basis` carry over only
         when the region does, and the label map and `projected_rows` only
         when the labels do."""
-        out = object.__new__(UcInstance)
-        out.__dict__.update(self.__dict__, **fields)
+        out = unchecked_copy(self, **fields)
         if "region" in fields:
             out.__dict__.pop("projection", None)
             out.__dict__.pop("region_basis", None)

@@ -166,7 +166,8 @@ def commitment_fixes(ds: Dataset, load, cfg: PredictorConfig,
     train_loads, _, train_u = ds.train
     val_loads, _, val_u = ds.validation
     G = train_u.shape[1]
-    k = min(cfg.k, ds.n_train)
+    # The largest odd K the split allows, so that no vote ties.
+    k = min(cfg.k, ds.n_train - 1 + ds.n_train % 2)
 
     fixes: list[tuple[int, int]] = []
     classifier_units = []

@@ -29,38 +29,38 @@ made.
 The ensemble skips every LP whose answer a known point already gives
 (the filtering rule of optimization-based bound tightening).  A bound
 LP's optimum that attains another column's proven limit settles that
-bound, and one that nearly meets or violates an undecided line row
-proves the row is kept.  The points are the bound pass's optima, read
-from the vertex store below, so the skips depend on the region, never
-on `jobs`.
+bound.  The line-flow pass (`lfgs_screen`) then decides every row the
+vertex test leaves, in four steps, each of which depends on the region
+alone, never on `jobs`:
 
-An undecided row that no point proves kept next faces a Lagrangian box
-bound, the vertex pass's test applied to a_j - R^T y for multipliers
-y >= 0 over the rows R p <= rhs (Neumaier & Shcherbina, 2004): the row
-is redundant when y @ rhs + the box maximum of (a_j - R^T y) is at most
-b_j - FEASIBILITY_TOL.  The multipliers tried are the balance pair's
-knapsack break point and the duals the row prices at its start vertex
-(see `lagrangian_certificates`).  A row that passes gets no LP; the
-report keeps its y, over the instance's rows and zero on the generation
-rows, as a certificate that one matrix-vector product checks.  It counts
-as a line-flow verdict, so `lp_count` and the attribution are unchanged.
+* a bound witness: a bound LP's optimum, read from the vertex store
+  below, that nearly meets or violates the row proves it kept;
+* a Lagrangian box bound, the vertex pass's test applied to a_j - R^T y
+  for multipliers y >= 0 over the rows R p <= rhs (Neumaier &
+  Shcherbina, 2004): the row is redundant when y @ rhs + the box maximum
+  of (a_j - R^T y) is at most b_j - FEASIBILITY_TOL.  The multipliers
+  tried are the balance pair's knapsack break point and the duals the
+  row prices at its start vertex (see `lagrangian_certificates`).  The
+  report keeps the y of a row that passes, over the instance's rows and
+  zero on the generation rows, as a certificate that one matrix-vector
+  product checks;
+* rounds of LINE_ROUND LPs, in candidate order, over the rows left.  The
+  final point of each LP of a round, optimal or stopped, is a point of
+  the projection, and a later row that one of them meets within the
+  margin is kept with no LP.  Each LP also carries a stop (`lp.Stop`,
+  the early termination of bound tightening; Gleixner, Berthold, Muller
+  & Weltge, 2017): from its lp._FIRST_STOP_PIVOT-th pivot, each basis's
+  reduced costs bound the row's maximum over the vertex box, and once
+  that bound is at most b_j - FEASIBILITY_TOL and the basis's row duals
+  pass the same Lagrangian box bound, the LP ends "stopped" with the row
+  redundant and those duals, zero on the generation rows, as its
+  certificate;
+* an LP that runs to its optimum decides its row by that optimum.
 
-The line-flow LPs that the ensemble still solves run in rounds of
-LINE_ROUND rows, in candidate order, and the final point of each LP of a
-round, optimal or stopped, is a point of the projection: a later row
-that one of them meets within the margin is kept with no LP, as the bound
-pass's points keep rows above.  Each of these LPs also carries a stop
-(`lp.Stop`, the early termination of bound tightening; Gleixner,
-Berthold, Muller & Weltge, 2017): from its lp._FIRST_STOP_PIVOT-th pivot,
-each basis's reduced costs bound the row's maximum over the vertex box,
-and once that bound is at most b_j - FEASIBILITY_TOL and the basis's
-row duals pass the same Lagrangian box bound, the LP ends "stopped" with
-the row redundant and those duals, zero on the generation rows, as its
-certificate.  The stop shortens only redundant rows' LPs; the witnesses
-skip kept rows' LPs.  A stopped row is a line-flow verdict like any
-other, so `lp_count`, `n_v` and the attribution are unchanged, and
-`lp_solved` counts the LPs actually run.  Rounds, witnesses and stops,
-like every skip above, depend on the region alone, never on `jobs`.
+The witnesses skip only kept rows' LPs, the certificates and stops only
+redundant rows'.  Every row the line-flow pass is sent counts one LP in
+`lp_count`, however it is decided, and `lp_solved` counts the LPs
+actually run.
 
 The ensemble also starts each LP it solves from the best vertex found
 so far (the warm start of the same bound-tightening work).  One `eovl`
@@ -355,15 +355,18 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
     projection's feasible basis when that store is None or empty.
 
     Without `box` every LP runs to its optimum, all at once, as S2's do.
-    With `box`, the vertex pass's, the LPs run in rounds of LINE_ROUND in
-    candidate order, and each carries a `lp.Stop` over the box at its
-    row's limit less the margin.  An LP whose basis proves its row
-    redundant ends there, "stopped", and its multipliers y, over the
-    instance's rows and zero on the generation rows, go into the report's
-    `certificates`.  A later candidate that the final point of an LP of a
-    round meets within the margin (`_unwitnessed`) is kept with no LP of
-    its own.  Rounds, stops and witnesses depend on the region alone,
-    never on `pool`.  `lp_count` stays one LP per candidate, and
+    With `box`, the vertex pass's, each candidate is decided by the first
+    of these steps that settles it: kept when an optimum of the bound
+    pass (the points of `vertices`) meets it within the margin
+    (`_unwitnessed`); redundant when `lagrangian_certificates` certifies
+    it; then, in rounds of LINE_ROUND LPs in candidate order, kept when
+    the final point of an LP of an earlier round meets it, redundant
+    when its LP's `lp.Stop`, over the box at its row's limit less the
+    margin, ends it "stopped"; and last by its LP's optimum.  The
+    multipliers y of each certified or stopped row, over the instance's
+    rows and zero on the generation rows, go into the report's
+    `certificates`.  Every step depends on the region alone, never on
+    `pool`.  `lp_count` is one LP per candidate, the paper's count, and
     `lp_solved` counts the LPs solved.
 
     Since each LP keeps its own row, its maximum is at most b_j: a status
@@ -378,14 +381,20 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
     if vertices is None:
         vertices = _Vertices(inst)
     region = inst.projection
-    stop = None if box is None else Stop(inst.region_basis.form, region,
-                                         box.lower, box.upper)
-    size = LINE_ROUND if box is not None else max(len(candidates), 1)
     idx = inst.rows_of(candidates)
     rows, limits = inst.rows[idx], inst.rhs[idx] - FEASIBILITY_TOL
     objectives, row_limits = list(rows), limits.tolist()
-    redundant, certificates, solved = [], {}, 0
     todo = list(range(len(candidates)))  # positions in `candidates`
+    stop, size, certificates = None, max(len(candidates), 1), {}
+    if box is not None:
+        stop = Stop(inst.region_basis.form, region, box.lower, box.upper)
+        size = LINE_ROUND
+        todo = list(compress(todo, _unwitnessed(rows, limits,
+                                                vertices.points).tolist()))
+        certificates = lagrangian_certificates(
+            inst, box, tuple(candidates[k] for k in todo), vertices)
+        todo = [k for k in todo if candidates[k] not in certificates]
+    removed, solved = set(certificates), 0
     while todo:
         batch, todo = todo[:size], todo[size:]
         stops = None if stop is None else [stop.at(objectives[k], row_limits[k])
@@ -407,14 +416,15 @@ def lfgs_screen(inst: UcInstance, candidates: tuple[RowLabel, ...] | None = None
                     f"screening LP for {lb} ended {sol.status}, but its own row "
                     "bounds its maximum")
             if sol.status == "stopped" or sol.objective_value <= row_limits[k]:
-                redundant.append(lb)
-        if stop is not None and todo:
-            kept = _unwitnessed(rows, limits,
+                removed.add(lb)
+        if stop is not None:
+            kept = _unwitnessed(rows[todo], limits[todo],
                                 np.array([sol.point for sol in solutions]))
-            todo = list(compress(todo, kept[todo].tolist()))
+            todo = list(compress(todo, kept.tolist()))
+    redundant = tuple(lb for lb in candidates if lb in removed)
     return ScreeningReport(
         candidates=tuple(candidates),
-        redundant=tuple(redundant),
+        redundant=redundant,
         lp_count=len(candidates),
         lp_solved=solved,
         wall_times={"lfgs": time.perf_counter() - t0},
@@ -516,20 +526,19 @@ def lagrangian_certificates(inst: UcInstance, box: BoundsBox,
 
 def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
          jobs: int = 1) -> ScreeningReport:
-    """Ensemble: variable bounds, vertex-guided pass, then the line-flow
-    pass on whatever the matrix test left undecided.
+    """Ensemble: variable bounds, the vertex-guided pass, then the
+    line-flow pass (`lfgs_screen`) on every row the matrix test left
+    undecided.
 
     Either phase can be switched off: vgs-only realizes scheme S1
     (undecided rows are conservatively kept), lfgs-only realizes S2, which
-    solves every candidate's LP.  With both on, an undecided row that an
-    optimal point of the bound pass proves kept gets no LP, and neither
-    does one that `lagrangian_certificates` proves redundant.  The rows
-    left get their LPs in rounds over the vertex box, where earlier
-    rounds' points witness later rows and a stop ends an LP whose basis
-    certifies its row (see `lfgs_screen`).  The result is the vertex
-    pass's report with the line-flow pass folded in, its certificates
-    too; it carries the box whenever the vertex pass ran.  With `jobs`
-    > 1 both passes run their LPs on one pool of that many threads.
+    solves every candidate's LP.  With both on, the line-flow pass gets
+    the vertex box and decides each row it is sent by a witness, a
+    certificate, a stop or its LP's optimum.  The result is the vertex
+    pass's report with the line-flow pass's folded in: its removals,
+    attribution, certificates, LP counts and wall time.  It carries the
+    box whenever the vertex pass ran.  With `jobs` > 1 both passes run
+    their LPs on one pool of that many threads.
 
     Both passes solve their LPs over the instance's projection and share
     one vertex store, which the bound pass fills and the line-flow pass
@@ -550,29 +559,15 @@ def eovl(inst: UcInstance, *, use_vgs: bool = True, use_lfgs: bool = True,
         else:
             report = ScreeningReport(candidates=inst.candidates, redundant=())
 
-        undecided = report.kept
-        if use_lfgs and undecided:
-            t0 = time.perf_counter()
-            rest = undecided
-            if report.box is not None:
-                idx = inst.rows_of(undecided)
-                rest = tuple(compress(undecided, _unwitnessed(
-                    inst.rows[idx], inst.rhs[idx] - FEASIBILITY_TOL,
-                    vertices.points)))
-                report.certificates = lagrangian_certificates(
-                    inst, report.box, rest, vertices)
-                rest = tuple(lb for lb in rest
-                             if lb not in report.certificates)
-            part = lfgs_screen(inst, rest, pool, vertices, report.box)
-            report.certificates.update(part.certificates)
-            report.attribution.update(
-                (lb, "lfgs") for lb in report.certificates)
+        if use_lfgs and report.kept:
+            part = lfgs_screen(inst, report.kept, pool, vertices, report.box)
             report.attribution.update(part.attribution)
             report.redundant = tuple(lb for lb in report.candidates
                                      if lb in report.attribution)
-            report.lp_count += len(undecided)
+            report.lp_count += part.lp_count
             report.lp_solved += part.lp_solved
-            report.wall_times["lfgs"] = time.perf_counter() - t0
+            report.wall_times.update(part.wall_times)
+            report.certificates = part.certificates
     report.check_partition()
     return report
 

@@ -96,8 +96,9 @@ def screen_checking_skips(inst):
     A dispatch column's bound LP is skipped exactly when an optimum of an
     earlier column's bound LP attains the side's proven limit, and no
     status column's bound LP is solved; each skipped bound equals a cold
-    solve of its LP over the full region within 1e-9.  Each candidate is
-    then decided by exactly one engine:
+    solve of its LP over the full region within 1e-9.  Every row the
+    vertex test leaves goes to the line-flow pass, and each candidate is
+    decided by exactly one engine:
 
     * "vgs", the vertex test;
     * "bound witness": no line-flow LP, as an optimum of a bound LP
@@ -140,6 +141,8 @@ def screen_checking_skips(inst):
         mp.setattr(screening, "lfgs_screen", recording_lfgs)
         report = screening.eovl(inst)
     assert report.lp_solved == len(solved) <= report.lp_count
+    assert sent == [lb for lb in report.candidates
+                    if report.attribution.get(lb) != "vgs"]
 
     bound = [(int(np.flatnonzero(pb.objective)[0]), pb.sense, sol)
              for pb, sol, line_flow in solved if not line_flow]
@@ -188,12 +191,20 @@ def screen_checking_skips(inst):
     size, seen = screening.LINE_ROUND, 0
     for lb in sent:  # `seen`: the LPs solved before lb in candidate order
         coeffs, rhs = inst.row(lb)
+        witnessed = bool(len(points)) and (
+            np.max(points @ coeffs) > rhs - FEASIBILITY_TOL)
         if lb in lp_of:
+            assert not witnessed, lb
             seen = lp_of[lb] + 1
             before = line_points[:lp_of[lb] // size * size]
             assert not np.any(before @ coeffs > rhs - FEASIBILITY_TOL), lb
             engines[lb] = ("stopped" if lines[lp_of[lb]][1].status == "stopped"
                            else "optimum")
+        elif witnessed:
+            assert lb not in report.certificates, lb
+            engines[lb] = "bound witness"
+        elif lb in report.certificates:
+            engines[lb] = "certificate"
         else:
             assert np.any(line_points[:seen] @ coeffs > rhs - FEASIBILITY_TOL), lb
             engines[lb] = "line witness"
@@ -204,14 +215,6 @@ def screen_checking_skips(inst):
             engines[lb] = "vgs"
             continue
         coeffs, rhs = inst.row(lb)
-        witnessed = bool(len(points)) and (
-            np.max(points @ coeffs) > rhs - FEASIBILITY_TOL)
-        certified = lb in report.certificates and lb not in sent
-        assert not (witnessed and certified), lb
-        assert (witnessed or certified) == (lb not in sent), lb
-        if witnessed or certified:
-            assert lb not in engines, lb
-            engines[lb] = "bound witness" if witnessed else "certificate"
         kept = engines[lb] in ("bound witness", "line witness")
         if kept:
             assert not oracle.lp_redundancy(inst, lb), lb

@@ -177,6 +177,14 @@ def test_commitment_fixes_99_percent_is_not_enough():
     assert fixes == {0: 1}
 
 
+def test_commitment_fixes_vote_over_an_odd_k_on_an_even_split():
+    # Four training records and K = 5: a vote over all four ties 2-2 on
+    # both units; over the three nearest, unit 0 validates and unit 1 not.
+    ds = Dataset(np.array([[1.0], [2.0], [3.0], [4.0], [2.5]]), np.ones(5),
+                 np.array([[1, 1], [1, 0], [0, 1], [0, 0], [1, 0]]), n_train=4)
+    assert commitment_fixes(ds, [2.5], PredictorConfig(k=5)) == ((0, 1),)
+
+
 def test_constant_column_never_contradicted_on_train(cases):
     case = cases["nine_bus"]
     ds = generate_dataset(case, 0.5, 40, seed=9)

@@ -266,15 +266,20 @@ def test_certificates_keep_the_strict_margin(cases):
             assert (lb in again) == passes, (lb, slack)
 
 
-def test_lagrangian_certificates_use_both_multipliers():
-    # A benchmark-shaped synthetic case, where both kinds certify rows.
+def _synth_case(i):
+    """The benchmark's synthetic case i at seed 301."""
     spec = importlib.util.spec_from_file_location(
         "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    case = parse_case(json.dumps(gen.ring_chord_case(
-        (301, 0), n_buses=24, n_chords=12, n_gens=8, beta=0.2,
-        tight_share=0.25, name="synth0")))
+    return parse_case(json.dumps(gen.ring_chord_case(
+        (301, i), n_buses=24, n_chords=12, n_gens=8, beta=0.2,
+        tight_share=0.25, name=f"synth{i}")))
+
+
+def test_lagrangian_certificates_use_both_multipliers():
+    # A benchmark-shaped synthetic case, where both kinds certify rows.
+    case = _synth_case(0)
     pair = {RowLabel("balance_le"), RowLabel("balance_ge")}
     kinds = []
     for scheme in ("s3", "s4"):
@@ -283,6 +288,45 @@ def test_lagrangian_certificates_use_both_multipliers():
             support = {inst.row_labels[i] for i in np.nonzero(y)[0]}
             kinds.append("balance" if support <= pair else "vertex")
     assert kinds.count("balance") > 0 and kinds.count("vertex") > 0
+
+
+@pytest.mark.parametrize("name, scheme", [(name, scheme) for name in CORPUS
+                                          for scheme in ("s3", "s4")]
+                         + [(f"synth{i}", "s3") for i in range(4)])
+def test_ensemble_report_is_the_sum_of_its_passes(cases, name, scheme):
+    # The line-flow pass gets every row the vertex test leaves and
+    # decides it, so each count of the report is the bound pass's plus
+    # the line-flow pass's.
+    case = (cases[name] if name in cases
+            else _synth_case(int(name.removeprefix("synth"))))
+    inst = _region(case, scheme)
+    boxes, parts = [], []
+    bounds, lfgs = ucscreen.screening.variable_bounds, ucscreen.screening.lfgs_screen
+
+    def spied_bounds(*args):
+        boxes.append(bounds(*args))
+        return boxes[-1]
+
+    def spied_lfgs(*args):
+        parts.append(lfgs(*args))
+        return parts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ucscreen.screening, "variable_bounds", spied_bounds)
+        mp.setattr(ucscreen.screening, "lfgs_screen", spied_lfgs)
+        report = eovl(inst)
+    (box,), (part,) = boxes, parts
+    vertex = vgs_screen(inst, box)
+    assert part.candidates == vertex.kept
+    assert report.lp_count == box.lp_count + part.lp_count
+    assert report.lp_solved == box.lp_solved + part.lp_solved
+    assert list(report.certificates) == list(part.certificates)
+    for lb, y in part.certificates.items():
+        assert np.array_equal(report.certificates[lb], y), lb
+    removed = set(vertex.redundant) | set(part.redundant)
+    assert len(removed) == len(vertex.redundant) + len(part.redundant)
+    assert report.redundant == tuple(lb for lb in inst.candidates
+                                     if lb in removed)
 
 
 def test_five_bus_vgs_upper_split(cases):
